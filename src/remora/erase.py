@@ -10,6 +10,12 @@ carry result/body shapes. All emitted tags are spelled canonically.
 The erased stepper is written against those tags alone; it shares only the
 list metafunctions with the typed evaluator, so the lockstep check compares
 two genuinely independent machines.
+
+`erased_step` is the executable specification of the erased machine; the
+lockstep harness and the oracle tests use it. `erased_evaluate` is a
+refocused machine over erased nodes, written independently of the typed one:
+it resumes the redex search at the hole of the last contraction instead of at
+the root, and only `trace=True` pays to rebuild the whole term at each step.
 """
 
 from __future__ import annotations
@@ -855,19 +861,184 @@ def _edelta(name, arg_shapes, out_shape, args) -> EExpr:
     raise Misapplied(name, "unknown operator")
 
 
+# ---------------------------------------------------------------------------
+# Erased driving loop: the refocused design of the typed driver, written again
+# over erased nodes so that the two machines stay independent.
+
+_PLAIN_EATOMS = frozenset((EBase, EOp, ELam, EILam))
+_EKIDS = {EArray: "atoms", EFrame: "cells", EApp: "args"}
+# Where the scan of a node starts: before its first child (-1), or before its
+# head (-2) for the nodes that evaluate one.
+_ESTART = {EArray: -1, EFrame: -1, EApp: -2, EIApp: -2, EUnbox: -2}
+
+
+def _ecollapse(e: EFrame) -> Stepped:
+    # The collapse rule of `erased_step`, which keeps its own copy as the spec.
+    dims = _concrete_tag(e.shape)
+    atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
+    return Stepped(EArray(dims, atoms), "collapse")
+
+
+_ECONTRACT = {EFrame: _ecollapse, EApp: _eapply, EIApp: _eibeta, EUnbox: _eunbox}
+
+
+class _EHole:
+    """One layer of erased evaluation context: `node` with the hole at child
+    `i` (an atom's box payload, a cell or an arg; -1 is the head). The
+    children left of the hole are values; once one of them differs from the
+    node's, `kids` holds them all."""
+
+    __slots__ = ("node", "i", "kids")
+
+    def __init__(self, node: EExpr) -> None:
+        self.node = node
+        self.i = _ESTART[type(node)]
+        self.kids: Optional[list] = None
+
+
+def _plain_evalue(e: EExpr) -> bool:
+    """A value whose atoms hold no box: known without descending."""
+    return type(e) is EArray and all(type(a) in _PLAIN_EATOMS for a in e.atoms)
+
+
+def _eadvance(h: _EHole) -> Union[EExpr, Stuck, None]:
+    """Move the hole of `h` to its next child that may not be a value and
+    return that child; None once every child is a value."""
+    node = h.node
+    i = h.i + 1
+    t = type(node)
+    if t is EArray:
+        atoms = node.atoms
+        while i < len(atoms):
+            a = atoms[i]
+            if isinstance(a, EBox):
+                if not _plain_evalue(a.payload):
+                    h.i = i
+                    return a.payload
+            elif not is_evalue_atom(a):
+                return Stuck("internal", detail="non-value atom that is not a box")
+            i += 1
+        return None
+    if t is EFrame:
+        kids = node.cells
+    elif t is EApp:
+        if i == -1:
+            if not _plain_evalue(node.fn):
+                h.i = -1
+                return node.fn
+            i = 0
+        kids = node.args
+    else:
+        head = node.box if t is EUnbox else node.fn
+        if i == -1 and not _plain_evalue(head):
+            h.i = -1
+            return head
+        return None
+    while i < len(kids):
+        if not _plain_evalue(kids[i]):
+            h.i = i
+            return kids[i]
+        i += 1
+    return None
+
+
+def _eput(h: _EHole, v: EExpr) -> None:
+    """Fill the hole of `h` with the value its child evaluated to."""
+    node, i = h.node, h.i
+    if i == -1:
+        if type(node) is EUnbox:
+            if v is not node.box:
+                h.node = replace(node, box=v)
+        elif v is not node.fn:
+            h.node = replace(node, fn=v)
+        return
+    kids = getattr(node, _EKIDS[type(node)])
+    if type(node) is EArray:
+        if v is kids[i].payload:
+            return
+        v = replace(kids[i], payload=v)
+    elif v is kids[i]:
+        return
+    if h.kids is None:
+        h.kids = list(kids)
+    h.kids[i] = v
+
+
+def _eleave(h: _EHole) -> EExpr:
+    """The node of `h` with its evaluated children, as the scan leaves it."""
+    if h.kids is None:
+        return h.node
+    return replace(h.node, **{_EKIDS[type(h.node)]: tuple(h.kids)})
+
+
+def _efill(h: _EHole, t: EExpr) -> EExpr:
+    """The node of `h` with `t` in its hole; `h` is left as it is."""
+    node, i = h.node, h.i
+    if i == -1:
+        return replace(node, box=t) if type(node) is EUnbox else replace(node, fn=t)
+    field = _EKIDS[type(node)]
+    kids = list(getattr(node, field) if h.kids is None else h.kids)
+    kids[i] = replace(kids[i], payload=t) if type(node) is EArray else t
+    return replace(node, **{field: tuple(kids)})
+
+
+def _eplug(stack: list[_EHole], t: EExpr) -> EExpr:
+    for h in reversed(stack):
+        t = _efill(h, t)
+    return t
+
+
+def _edecompose(e: EExpr, stack: list[_EHole]) -> tuple[EExpr, Optional[Stuck]]:
+    """Search from `e`, which fills the hole of `stack`, for the next redex.
+
+    Returns (redex, None) with `stack` holding its context, (value, None) with
+    `stack` empty once the whole term is a value, or (subterm, Stuck) where
+    the search got stuck."""
+    while True:
+        t = type(e)
+        if t is EVar:
+            return e, Stuck("internal", detail=f"free variable {e.name}")
+        if t not in _ESTART:
+            raise TypeError(e)
+        h = _EHole(e)
+        while True:
+            child = _eadvance(h)
+            if child is None:
+                node = _eleave(h)
+                if type(node) is not EArray or not stack:
+                    return node, None
+                h = stack.pop()
+                _eput(h, node)
+            elif type(child) is Stuck:
+                return _eleave(h), child
+            else:
+                stack.append(h)
+                e = child
+                break
+
+
 def erased_evaluate(e: EExpr, fuel: int = 100_000, trace: bool = False) -> EvalResult:
-    log = [] if trace else None
-    current = e
-    for n in range(fuel):
-        r = erased_step(current)
-        if isinstance(r, AlreadyValue):
-            return EvalResult("value", current, n, trace=log)
-        if isinstance(r, Stuck):
-            return EvalResult("stuck", current, n, stuck=r, trace=log)
-        current = r.term
-        if log is not None:
-            log.append((r.rule, current))
-    return EvalResult("fuel", current, fuel, trace=log)
+    """Take up to fuel steps, reporting value / stuck / out-of-fuel; the result
+    equals that of iterating `erased_step`."""
+    log: Optional[list[tuple[str, EExpr]]] = [] if trace else None
+    stack: list[_EHole] = []
+    focus = e
+    n = 0
+    while n < fuel:
+        node, stuck = _edecompose(focus, stack)
+        if stuck is None:
+            if type(node) is EArray:
+                return EvalResult("value", node, n, trace=log)
+            r = _ECONTRACT[type(node)](node)
+            if type(r) is Stepped:
+                n += 1
+                focus = r.term
+                if log is not None:
+                    log.append((r.rule, _eplug(stack, focus)))
+                continue
+            stuck = r
+        return EvalResult("stuck", _eplug(stack, node), n, stuck=stuck, trace=log)
+    return EvalResult("fuel", _eplug(stack, focus), fuel, trace=log)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,13 @@ cells evaluate in order, application evaluates the function position and
 then each argument. A fully evaluated application fires exactly one of
 lift / map / beta / delta; type and index application fire tbeta / ibeta;
 frames of literals collapse; unbox substitutes per box.
+
+`step` is the executable specification: one step, searching from the root.
+The lockstep harness and the oracle tests use it. `evaluate` is a refocused
+machine that fires the same rule on the same redex at every step but resumes
+the search at the hole of the last contraction, so a step costs O(1)
+amortised plus the contraction, and a deep evaluation context needs no Python
+recursion. Only `trace=True` pays to rebuild the whole term at each step.
 """
 
 from __future__ import annotations
@@ -419,9 +426,159 @@ def _unbox(e: Unbox) -> StepResult:
 
 
 # ---------------------------------------------------------------------------
-# Driving loop
+# Driving loop: a refocused machine (Danvy & Nielsen, "Refocusing in Reduction
+# Semantics", BRICS RS-04-26, 2004). The context of the subterm in focus is an
+# explicit stack of holes, and after a contraction the search resumes at the
+# hole. Each child is checked once as the scan passes it, and a node's tuple
+# of children is rebuilt once, when the scan leaves the node.
 
 DEFAULT_FUEL = 100_000
+
+_PLAIN_ATOMS = frozenset((BaseVal, PrimOp, Lam, TLam, ILam))
+_KIDS = {ArrayLit: "atoms", Frame: "cells", App: "args"}
+# Where the scan of a node starts: before its first child (-1), or before its
+# head (-2) for the nodes that evaluate one.
+_START = {ArrayLit: -1, Frame: -1, App: -2, TApp: -2, IApp: -2, Unbox: -2}
+_CONTRACT = {Frame: _collapse, App: _apply, TApp: _tbeta, IApp: _ibeta, Unbox: _unbox}
+
+
+class _Hole:
+    """One layer of evaluation context: `node` with the hole at child `i`.
+
+    `i` indexes the atoms of an ArrayLit (the hole is that box's payload), the
+    cells of a Frame or the args of an App; -1 is the head (the fn of an App,
+    TApp or IApp, the box of an Unbox). The children left of the hole are
+    values; once one of them differs from the node's, `kids` holds them all."""
+
+    __slots__ = ("node", "i", "kids")
+
+    def __init__(self, node: ExprTerm) -> None:
+        self.node = node
+        self.i = _START[type(node)]
+        self.kids: Optional[list] = None
+
+
+def _plain_value(e: ExprTerm) -> bool:
+    """A value whose atoms hold no box: known without descending."""
+    return type(e) is ArrayLit and all(type(a) in _PLAIN_ATOMS for a in e.atoms)
+
+
+def _advance(h: _Hole) -> Union[ExprTerm, Stuck, None]:
+    """Move the hole of `h` to its next child that may not be a value and
+    return that child; None once every child is a value."""
+    node = h.node
+    i = h.i + 1
+    t = type(node)
+    if t is ArrayLit:
+        atoms = node.atoms
+        while i < len(atoms):
+            a = atoms[i]
+            if isinstance(a, Box):
+                if not _plain_value(a.payload):
+                    h.i = i
+                    return a.payload
+            elif not is_value_atom(a):
+                return Stuck("internal", detail="non-value atom that is not a box")
+            i += 1
+        return None
+    if t is Frame:
+        kids = node.cells
+    elif t is App:
+        if i == -1:
+            if not _plain_value(node.fn):
+                h.i = -1
+                return node.fn
+            i = 0
+        kids = node.args
+    else:
+        head = node.box if t is Unbox else node.fn
+        if i == -1 and not _plain_value(head):
+            h.i = -1
+            return head
+        return None
+    while i < len(kids):
+        if not _plain_value(kids[i]):
+            h.i = i
+            return kids[i]
+        i += 1
+    return None
+
+
+def _put(h: _Hole, v: ExprTerm) -> None:
+    """Fill the hole of `h` with the value its child evaluated to."""
+    node, i = h.node, h.i
+    if i == -1:
+        if type(node) is Unbox:
+            if v is not node.box:
+                h.node = replace(node, box=v)
+        elif v is not node.fn:
+            h.node = replace(node, fn=v)
+        return
+    kids = getattr(node, _KIDS[type(node)])
+    if type(node) is ArrayLit:
+        if v is kids[i].payload:
+            return
+        v = replace(kids[i], payload=v)
+    elif v is kids[i]:
+        return
+    if h.kids is None:
+        h.kids = list(kids)
+    h.kids[i] = v
+
+
+def _leave(h: _Hole) -> ExprTerm:
+    """The node of `h` with its evaluated children, as the scan leaves it."""
+    if h.kids is None:
+        return h.node
+    return replace(h.node, **{_KIDS[type(h.node)]: tuple(h.kids)})
+
+
+def _fill(h: _Hole, t: ExprTerm) -> ExprTerm:
+    """The node of `h` with `t` in its hole; `h` is left as it is."""
+    node, i = h.node, h.i
+    if i == -1:
+        return replace(node, box=t) if type(node) is Unbox else replace(node, fn=t)
+    field = _KIDS[type(node)]
+    kids = list(getattr(node, field) if h.kids is None else h.kids)
+    kids[i] = replace(kids[i], payload=t) if type(node) is ArrayLit else t
+    return replace(node, **{field: tuple(kids)})
+
+
+def _plug(stack: list[_Hole], t: ExprTerm) -> ExprTerm:
+    for h in reversed(stack):
+        t = _fill(h, t)
+    return t
+
+
+def _decompose(e: ExprTerm, stack: list[_Hole]) -> tuple[ExprTerm, Optional[Stuck]]:
+    """Search from `e`, which fills the hole of `stack`, for the next redex.
+
+    Returns (redex, None) with `stack` holding its context, (value, None) with
+    `stack` empty once the whole term is a value, or (subterm, Stuck) where
+    the search got stuck."""
+    while True:
+        t = type(e)
+        if t is Var:
+            return e, Stuck("internal", detail=f"free variable {e.name}")
+        if t is EmptyArray or t is EmptyFrame:
+            return e, Stuck("internal", detail="empty forms must be elaborated away")
+        if t not in _START:
+            raise TypeError(e)
+        h = _Hole(e)
+        while True:
+            child = _advance(h)
+            if child is None:
+                node = _leave(h)
+                if type(node) is not ArrayLit or not stack:
+                    return node, None
+                h = stack.pop()
+                _put(h, node)
+            elif type(child) is Stuck:
+                return _leave(h), child
+            else:
+                stack.append(h)
+                e = child
+                break
 
 
 @dataclass
@@ -434,16 +591,24 @@ class EvalResult:
 
 
 def evaluate(e: ExprTerm, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResult:
-    """Iterate step up to fuel times, reporting value / stuck / out-of-fuel."""
+    """Take up to fuel steps, reporting value / stuck / out-of-fuel; the result
+    equals that of iterating `step`."""
     log: Optional[list[tuple[str, ExprTerm]]] = [] if trace else None
-    current = e
-    for n in range(fuel):
-        r = step(current)
-        if isinstance(r, AlreadyValue):
-            return EvalResult("value", current, n, trace=log)
-        if isinstance(r, Stuck):
-            return EvalResult("stuck", current, n, stuck=r, trace=log)
-        current = r.term
-        if log is not None:
-            log.append((r.rule, current))
-    return EvalResult("fuel", current, fuel, trace=log)
+    stack: list[_Hole] = []
+    focus = e
+    n = 0
+    while n < fuel:
+        node, stuck = _decompose(focus, stack)
+        if stuck is None:
+            if type(node) is ArrayLit:
+                return EvalResult("value", node, n, trace=log)
+            r = _CONTRACT[type(node)](node)
+            if type(r) is Stepped:
+                n += 1
+                focus = r.term
+                if log is not None:
+                    log.append((r.rule, _plug(stack, focus)))
+                continue
+            stuck = r
+        return EvalResult("stuck", _plug(stack, node), n, stuck=stuck, trace=log)
+    return EvalResult("fuel", _plug(stack, focus), fuel, trace=log)

@@ -974,45 +974,3 @@ def _alpha_term(a, b, ixa, ixb, tya, tyb, tma, tmb, lvl) -> bool:
 
 def alpha_equal(a: Term, b: Term) -> bool:
     return _alpha_term(a, b, {}, {}, {}, {}, {}, {}, 0)
-
-
-def alpha_equal_type(a: TypeExpr, b: TypeExpr) -> bool:
-    return _alpha_type(a, b, {}, {}, {}, {}, 0)
-
-
-def strip_annotations(t: Term) -> Term:
-    """Drop every annotation slot (Box keeps its syntactic type)."""
-    if isinstance(t, (BaseVal, PrimOp, Var)):
-        return replace(t, annot=None)
-    if isinstance(t, Lam):
-        return replace(t, body=strip_annotations(t.body), annot=None)
-    if isinstance(t, (TLam, ILam)):
-        return replace(t, body=strip_annotations(t.body), annot=None)
-    if isinstance(t, Box):
-        return replace(t, payload=strip_annotations(t.payload), annot=None)
-    if isinstance(t, ArrayLit):
-        return replace(
-            t, atoms=tuple(strip_annotations(a) for a in t.atoms), annot=None
-        )
-    if isinstance(t, Frame):
-        return replace(
-            t, cells=tuple(strip_annotations(c) for c in t.cells), annot=None
-        )
-    if isinstance(t, (EmptyArray, EmptyFrame)):
-        return replace(t, annot=None)
-    if isinstance(t, App):
-        return replace(
-            t,
-            fn=strip_annotations(t.fn),
-            args=tuple(strip_annotations(a) for a in t.args),
-            annot=None,
-        )
-    if isinstance(t, TApp):
-        return replace(t, fn=strip_annotations(t.fn), annot=None)
-    if isinstance(t, IApp):
-        return replace(t, fn=strip_annotations(t.fn), annot=None)
-    if isinstance(t, Unbox):
-        return replace(
-            t, box=strip_annotations(t.box), body=strip_annotations(t.body), annot=None
-        )
-    raise TypeError(t)

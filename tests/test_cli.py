@@ -1,6 +1,14 @@
 """Command-line contract: outputs and exit codes."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import remora
 from remora.cli import main
+
+from .util import reduce_source
 
 PROGRAMS = "programs"
 
@@ -109,3 +117,19 @@ class TestExitCodes:
         for path in sorted(pathlib.Path(PROGRAMS).glob("*.remora")):
             code, _, _ = run(capsys, "eval", str(path))
             assert code in (0, 2, 3)
+
+
+class TestDeepEvaluation:
+    def test_deep_reduce_evaluates_without_traceback(self, tmp_path):
+        # A fresh process, so a host RecursionError would show on stderr.
+        path = tmp_path / "reduce.remora"
+        path.write_text(reduce_source(10_000) + "\n", encoding="utf-8")
+        src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "remora.cli", "eval", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(array () 49995000)\n"
+        assert "Traceback" not in proc.stderr

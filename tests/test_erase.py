@@ -19,12 +19,13 @@ from remora.erase import (
     erase_type,
     erased_alpha_equal,
     erased_evaluate,
+    erased_step,
     esubst_idx,
     esubst_term,
     is_evalue,
     print_erased,
 )
-from remora.eval import evaluate, is_value
+from remora.eval import AlreadyValue, EvalResult, Stuck, evaluate, is_value
 from remora.gen import GenConfig, generate_programs
 from remora.names import (
     free_term_vars,
@@ -36,6 +37,8 @@ from remora.parser import parse_term, parse_type
 from remora.printer import print_term
 from remora.prims import SIGNATURE
 from remora.syntax import IdxVar, NatLit, NUM, ShapeLit
+
+from .util import ORACLE_GROUPS, oracle_programs, reduce_source
 
 
 def elab(src: str):
@@ -203,6 +206,52 @@ class TestErasedEvaluator:
         typed = evaluate(t)
         erased = erased_evaluate(erase_term(t))
         assert typed.steps == erased.steps == 10
+
+
+def iterate_erased_step(e, fuel: int, trace: bool) -> EvalResult:
+    """The specification of `erased_evaluate`: a plain loop over `erased_step`."""
+    log = [] if trace else None
+    current = e
+    for n in range(fuel):
+        r = erased_step(current)
+        if isinstance(r, AlreadyValue):
+            return EvalResult("value", current, n, trace=log)
+        if isinstance(r, Stuck):
+            return EvalResult("stuck", current, n, stuck=r, trace=log)
+        current = r.term
+        if log is not None:
+            log.append((r.rule, current))
+    return EvalResult("fuel", current, fuel, trace=log)
+
+
+class TestRefocusedErasedMachine:
+    """`erased_evaluate` resumes the redex search at the hole; iterating
+    `erased_step` from the root is its oracle. Fresh names come from a global
+    counter, so terms are compared up to alpha."""
+
+    FUEL = 100_000
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_matches_iterated_erased_step(self, group):
+        for term in oracle_programs(group):
+            erased = erase_term(term)
+            for fuel in (1, 3, self.FUEL):
+                spec = iterate_erased_step(erased, fuel, trace=True)
+                for trace in (False, True):
+                    got = erased_evaluate(erased, fuel=fuel, trace=trace)
+                    assert (got.outcome, got.steps, got.stuck) == (spec.outcome, spec.steps, spec.stuck)
+                    assert erased_alpha_equal(got.term, spec.term)
+                    if not trace:
+                        assert got.trace is None
+                        continue
+                    assert [r for r, _ in got.trace] == [r for r, _ in spec.trace]
+                    if fuel < self.FUEL:
+                        for (_, a), (_, b) in zip(got.trace, spec.trace):
+                            assert erased_alpha_equal(a, b)
+
+    def test_deep_context_evaluates(self):
+        r = erased_evaluate(erase_term(elab(reduce_source(10_000))))
+        assert r.outcome == "value" and print_erased(r.term) == "(array () 49995000)"
 
 
 class TestBisim:

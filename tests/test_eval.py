@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from remora.check import EMPTY_ENV, elaborate, types_equal
 from remora.eval import (
+    DEFAULT_FUEL,
     AlreadyValue,
+    EvalResult,
     IndivisibleLength,
     RaggedInput,
     Stepped,
@@ -25,10 +27,13 @@ from remora.eval import (
 )
 from remora.gen import GenConfig, generate_programs
 from remora.indices import element_count
+from remora.names import alpha_equal
 from remora.parser import parse_term
 from remora.printer import print_term
 from remora.prims import SIGNATURE
 from remora.syntax import App, ArrayLit, Frame
+
+from .util import ORACLE_GROUPS, oracle_programs, reduce_source
 
 
 class TestMetafunctions:
@@ -257,6 +262,62 @@ class TestEvaluate:
             r = evaluate(t, fuel=4000, trace=True)
             for rule, _ in r.trace:
                 assert rule in RULES
+
+
+def iterate_step(e, fuel: int, trace: bool) -> EvalResult:
+    """The specification of `evaluate`: a plain loop over `step`."""
+    log = [] if trace else None
+    current = e
+    for n in range(fuel):
+        r = step(current)
+        if isinstance(r, AlreadyValue):
+            return EvalResult("value", current, n, trace=log)
+        if isinstance(r, Stuck):
+            return EvalResult("stuck", current, n, stuck=r, trace=log)
+        current = r.term
+        if log is not None:
+            log.append((r.rule, current))
+    return EvalResult("fuel", current, fuel, trace=log)
+
+
+class TestRefocusedMachine:
+    """`evaluate` resumes the redex search at the hole; iterating `step` from
+    the root is its oracle. Fresh names come from a global counter, so terms
+    are compared up to alpha."""
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_matches_iterated_step(self, group):
+        for term in oracle_programs(group):
+            for fuel in (1, 3, DEFAULT_FUEL):
+                spec = iterate_step(term, fuel, trace=True)
+                for trace in (False, True):
+                    got = evaluate(term, fuel=fuel, trace=trace)
+                    assert (got.outcome, got.steps, got.stuck) == (spec.outcome, spec.steps, spec.stuck)
+                    assert alpha_equal(got.term, spec.term)
+                    if not trace:
+                        assert got.trace is None
+                        continue
+                    assert [r for r, _ in got.trace] == [r for r, _ in spec.trace]
+                    if fuel < DEFAULT_FUEL:
+                        for (_, a), (_, b) in zip(got.trace, spec.trace):
+                            assert alpha_equal(a, b)
+
+    def test_fuel_zero_returns_the_input(self):
+        t, _ = elab("((array () +) (array () 1) (array () 2))")
+        r = evaluate(t, fuel=0)
+        assert (r.outcome, r.term, r.steps) == ("fuel", t, 0)
+
+    def test_fuel_ends_on_a_value(self):
+        t, _ = elab("((array () +) (array () 1) (array () 2))")
+        r = evaluate(t, fuel=1)
+        assert (r.outcome, r.steps, print_term(r.term)) == ("fuel", 1, "(array () 3)")
+
+    def test_deep_context_evaluates(self):
+        # The right fold is an App chain 10^4 deep: the context stack lives on
+        # the heap, so this needs no Python recursion.
+        t, _ = elab(reduce_source(10_000))
+        r = evaluate(t)
+        assert r.outcome == "value" and print_term(r.term) == "(array () 49995000)"
 
 
 class TestDynamicInvariants:

@@ -4,11 +4,14 @@ from source text to a result."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import pathlib
 import random
 
 from remora.check import EMPTY_ENV, elaborate
 from remora.eval import evaluate
+from remora.gen import GenConfig, generate_programs
 from remora.parser import parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
@@ -151,3 +154,53 @@ def check_src(src: str):
 def run_src(src: str, fuel: int = 100_000):
     term, ty = check_src(src)
     return evaluate(term, fuel=fuel), ty
+
+
+# ---------------------------------------------------------------------------
+# Inputs of the machine oracle tests (refocused drivers against their spec)
+
+PROGRAMS_DIR = pathlib.Path(__file__).resolve().parent.parent / "programs"
+
+
+def reduce_source(n: int) -> str:
+    """`reduce +` over `iota/s n`: a right fold that is an App chain n deep."""
+    return (
+        f"((t-app (i-app (array () reduce) {n - 1} (Shp)) Num) (array () +)"
+        f" ((i-app (array () iota/s) (Shp {n}))))"
+    )
+
+
+def _family_source(family: str, n: int) -> str:
+    if family == "lift":
+        vec = f"(array ({n}) {' '.join(str(i % 97) for i in range(n))})"
+        return f"((array () +) {vec} {vec})"
+    if family == "reduce":
+        return reduce_source(n)
+    src = "(array () 7)"
+    for _ in range(n):
+        src = f"(frame () {src})"
+    return src
+
+
+_FAMILY_GROUPS = {
+    "lift100": ("lift", 100),
+    "lift400": ("lift", 400),
+    "reduce100": ("reduce", 100),
+    "reduce300": ("reduce", 300),
+    "frame100": ("frame", 100),
+}
+ORACLE_GROUPS = ("batch", "corpus", *_FAMILY_GROUPS)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_programs(group: str) -> tuple:
+    """Elaborated programs of one group: the first 100 of the acceptance batch
+    (seed 2024), the `programs/` corpus, or one size-family member."""
+    if group == "batch":
+        # Each program has its own seed, so this is the batch's prefix.
+        sources = generate_programs(100, seed=2024, config=GenConfig(stuck_rate=0.05))
+        return tuple(elaborate(EMPTY_ENV, SIGNATURE, p)[0] for p in sources)
+    if group == "corpus":
+        paths = sorted(PROGRAMS_DIR.glob("*.remora"))
+        return tuple(check_src(p.read_text(encoding="utf-8"))[0] for p in paths)
+    return (check_src(_family_source(*_FAMILY_GROUPS[group]))[0],)
