@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 parse/type error, 2 stuck evaluation, 3 out of
-fuel, 64 usage error, 66 unreadable input file. Results go to stdout,
-diagnostics to stderr.
+Exit codes: 0 success, 1 parse/type error or a bisim mismatch, 2 stuck
+evaluation, 3 out of fuel, 4 resource limit (the input nests deeper than the
+Python stack allows, or memory ran out), 64 usage error, 66 unreadable input
+file. Results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import argparse
 import sys
 
 from .check import EMPTY_ENV, TypeCheckError, elaborate
-from .erase import bisim_run, erase_term, print_erased
+from .erase import bisim_run, erase_term, erased_subterm, print_erased
 from .eval import DEFAULT_FUEL, evaluate
 from .parser import ParseError, parse_term
 from .printer import print_term, print_type
 from .prims import PRIMS, SIGNATURE
 
+EX_RESOURCE = 4
 EX_USAGE = 64
 EX_NOINPUT = 66
 
@@ -94,6 +96,15 @@ def _cmd_bisim(args) -> int:
             print(f"{k}\t{typed_rule}\t{erased_rule}")
     if report.outcome == "mismatch":
         print(f"mismatch step={report.mismatch_step}")
+        path = report.mismatch_path
+        if path is not None:
+            typed = erased_subterm(erase_term(report.typed_term), path)
+            erased = erased_subterm(report.erased_term, path)
+            print(
+                f"first difference at {path or '(root)'}: typed state erases to"
+                f" {print_erased(typed)}, erased machine has {print_erased(erased)}",
+                file=sys.stderr,
+            )
         return 1
     print(f"{report.outcome} steps={report.steps}")
     return 0
@@ -147,7 +158,13 @@ def main(argv=None) -> int:
     if getattr(args, "fuel", 1) < 1:
         print("usage error: --fuel must be at least 1", file=sys.stderr)
         return EX_USAGE
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except RecursionError:
+        print("resource limit: the term nests deeper than the Python stack allows", file=sys.stderr)
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
+    return EX_RESOURCE
 
 
 if __name__ == "__main__":

@@ -16,12 +16,19 @@ lockstep harness and the oracle tests use it. `erased_evaluate` is a
 refocused machine over erased nodes, written independently of the typed one:
 it resumes the redex search at the hole of the last contraction instead of at
 the root, and only `trace=True` pays to rebuild the whole term at each step.
-"""
+
+Erased terms are compared through canonical forms: binders named by de Bruijn
+levels, tags respelled canonically, every form hash-consed. `bisim_run`
+compares the whole typed and erased states after every step, but through a
+`LockstepComparer` whose erasure and canonical forms are memoized on node
+identity, so a step costs the size of the binder-free spine it rebuilt, not
+the size of the state."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from .eval import (
@@ -152,7 +159,9 @@ ETerm = Union[EAtom, EExpr]
 # Erasure
 
 
+@lru_cache(maxsize=1 << 12)
 def _norm(i: IndexExpr) -> IndexExpr:
+    """The canonical spelling of a residual tag; equal tags share it."""
     return normalize_index(i)
 
 
@@ -166,65 +175,109 @@ def erase_type(t: TypeExpr) -> IndexExpr:
     return ShapeLit(())
 
 
+class _Generations:
+    """A table that keeps only what was used at the current and the previous
+    step. A lookup tries `cur.get(key)` first, then `carry(key)`, which brings
+    the previous step's entry over; `age` (once per step) drops whatever the
+    step before the previous one used and neither step since did.
+
+    An entry keyed by an object's `id` holds that object, so the id cannot be
+    reused while the entry lives. No value is falsy."""
+
+    __slots__ = ("cur", "prev")
+
+    def __init__(self) -> None:
+        self.cur: dict = {}
+        self.prev: dict = {}
+
+    def carry(self, key):
+        hit = self.prev.get(key)
+        if hit is not None:
+            self.cur[key] = hit
+        return hit
+
+    def age(self) -> None:
+        self.prev = self.cur
+        self.cur = {}
+
+
 def erase_term(t: Term) -> ETerm:
+    return _erase(t, None)
+
+
+def _erase(t: Term, memo: Optional[_Generations]) -> ETerm:
+    """The erasure of `t`. With `memo`, each typed node's erasure is looked up
+    by its identity first and recorded after, so a subtree shared with an
+    earlier state erases to the same object as before."""
+    if memo is not None:
+        hit = memo.cur.get(id(t)) or memo.carry(id(t))
+        if hit is not None:
+            return hit[1]
     if isinstance(t, BaseVal):
-        return EBase(t.base, t.value)
-    if isinstance(t, PrimOp):
-        return EOp(t.name)
-    if isinstance(t, Lam):
-        return ELam(tuple(x for x, _ in t.params), erase_term(t.body))
-    if isinstance(t, (TLam, ILam)):
-        return EILam(tuple(x for x, _ in t.binders), erase_term(t.body))
-    if isinstance(t, Box):
-        return EBox(tuple(_norm(i) for i in t.indices), erase_term(t.payload))
-    if isinstance(t, Var):
-        return EVar(t.name)
-    if isinstance(t, ArrayLit):
-        return EArray(t.dims, tuple(erase_term(a) for a in t.atoms))
-    if isinstance(t, Frame):
+        e = EBase(t.base, t.value)
+    elif isinstance(t, PrimOp):
+        e = EOp(t.name)
+    elif isinstance(t, Lam):
+        e = ELam(tuple(x for x, _ in t.params), _erase(t.body, memo))
+    elif isinstance(t, (TLam, ILam)):
+        e = EILam(tuple(x for x, _ in t.binders), _erase(t.body, memo))
+    elif isinstance(t, Box):
+        e = EBox(tuple(_norm(i) for i in t.indices), _erase(t.payload, memo))
+    elif isinstance(t, Var):
+        e = EVar(t.name)
+    elif isinstance(t, ArrayLit):
+        # Base atoms inline: the bulk of most arrays, and cheap to redo.
+        e = EArray(t.dims, tuple([
+            EBase(a.base, a.value) if type(a) is BaseVal else _erase(a, memo) for a in t.atoms
+        ]))
+    elif isinstance(t, Frame):
         if t.annot is None:
             raise ValueError("erasure requires an elaborated term (frame)")
-        return EFrame(erase_type(t.annot), tuple(erase_term(c) for c in t.cells))
-    if isinstance(t, App):
+        e = EFrame(erase_type(t.annot), tuple([_erase(c, memo) for c in t.cells]))
+    elif isinstance(t, App):
         fn_annot = t.fn.annot
         if t.annot is None or fn_annot is None or not isinstance(fn_annot, ArrType):
             raise ValueError("erasure requires an elaborated term (application)")
         fun = fn_annot.elem
         if not isinstance(fun, FunType):
             raise ValueError("application head is not function-typed")
-        return EApp(
-            erase_term(t.fn),
-            tuple(erase_term(a) for a in t.args),
+        e = EApp(
+            _erase(t.fn, memo),
+            tuple([_erase(a, memo) for a in t.args]),
             tuple(erase_type(i) for i in fun.inputs),
             erase_type(t.annot),
         )
-    if isinstance(t, TApp):
+    elif isinstance(t, TApp):
         if t.annot is None:
             raise ValueError("erasure requires an elaborated term (t-app)")
-        return EIApp(
-            erase_term(t.fn),
+        e = EIApp(
+            _erase(t.fn, memo),
             tuple(_norm(erase_type(x)) for x in t.type_args),
             erase_type(t.annot),
         )
-    if isinstance(t, IApp):
+    elif isinstance(t, IApp):
         if t.annot is None:
             raise ValueError("erasure requires an elaborated term (i-app)")
-        return EIApp(
-            erase_term(t.fn),
+        e = EIApp(
+            _erase(t.fn, memo),
             tuple(_norm(i) for i in t.idx_args),
             erase_type(t.annot),
         )
-    if isinstance(t, Unbox):
+    elif isinstance(t, Unbox):
         if t.body.annot is None:
             raise ValueError("erasure requires an elaborated term (unbox)")
-        return EUnbox(
+        e = EUnbox(
             t.idx_vars,
             t.val_var,
-            erase_term(t.box),
-            erase_term(t.body),
+            _erase(t.box, memo),
+            _erase(t.body, memo),
             erase_type(t.body.annot),
         )
-    raise TypeError(t)
+    else:
+        raise TypeError(t)
+    if memo is not None:
+        memo.cur[id(t)] = (t, e)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +366,13 @@ def _egensym(base: str) -> str:
     return f"{base_name(base)}#s{next(_EGENSYM)}"
 
 
+def _subst_tag(i: IndexExpr, m: Mapping[str, IndexExpr]) -> IndexExpr:
+    return _norm(subst_idx(i, m))
+
+
 def esubst_idx(t: ETerm, m: Mapping[str, IndexExpr]) -> ETerm:
+    """Substitute indices for index variables; every tag it rewrites comes
+    out spelled canonically."""
     if not m:
         return t
     if isinstance(t, (EBase, EOp, EVar)):
@@ -338,28 +397,28 @@ def esubst_idx(t: ETerm, m: Mapping[str, IndexExpr]) -> ETerm:
         return EILam(tuple(params), esubst_idx(t.body, m3))
     if isinstance(t, EBox):
         return EBox(
-            tuple(subst_idx(i, m) for i in t.indices), esubst_idx(t.payload, m)
+            tuple(_subst_tag(i, m) for i in t.indices), esubst_idx(t.payload, m)
         )
     if isinstance(t, EArray):
         return replace(t, atoms=tuple(esubst_idx(a, m) for a in t.atoms))
     if isinstance(t, EFrame):
-        return EFrame(subst_idx(t.shape, m), tuple(esubst_idx(c, m) for c in t.cells))
+        return EFrame(_subst_tag(t.shape, m), tuple(esubst_idx(c, m) for c in t.cells))
     if isinstance(t, EApp):
         return EApp(
             esubst_idx(t.fn, m),
             tuple(esubst_idx(a, m) for a in t.args),
-            tuple(subst_idx(i, m) for i in t.arg_shapes),
-            subst_idx(t.out_shape, m),
+            tuple(_subst_tag(i, m) for i in t.arg_shapes),
+            _subst_tag(t.out_shape, m),
         )
     if isinstance(t, EIApp):
         return EIApp(
             esubst_idx(t.fn, m),
-            tuple(subst_idx(i, m) for i in t.idx_args),
-            subst_idx(t.out_shape, m),
+            tuple(_subst_tag(i, m) for i in t.idx_args),
+            _subst_tag(t.out_shape, m),
         )
     if isinstance(t, EUnbox):
         box = esubst_idx(t.box, m)
-        body_shape = subst_idx(t.body_shape, m)
+        body_shape = _subst_tag(t.body_shape, m)
         m2 = {k: v for k, v in m.items() if k not in t.idx_vars}
         if not m2:
             return replace(t, box=box, body_shape=body_shape)
@@ -456,137 +515,199 @@ def esubst_term(t: ETerm, m: Mapping[str, EExpr]) -> ETerm:
     raise TypeError(t)
 
 
-def normalize_tags(t: ETerm) -> ETerm:
-    """Respell every residual index canonically."""
-    if isinstance(t, (EBase, EOp, EVar)):
-        return t
-    if isinstance(t, ELam):
-        return replace(t, body=normalize_tags(t.body))
-    if isinstance(t, EILam):
-        return replace(t, body=normalize_tags(t.body))
-    if isinstance(t, EBox):
-        return EBox(tuple(_norm(i) for i in t.indices), normalize_tags(t.payload))
-    if isinstance(t, EArray):
-        return replace(t, atoms=tuple(normalize_tags(a) for a in t.atoms))
-    if isinstance(t, EFrame):
-        return EFrame(_norm(t.shape), tuple(normalize_tags(c) for c in t.cells))
-    if isinstance(t, EApp):
-        return EApp(
-            normalize_tags(t.fn),
-            tuple(normalize_tags(a) for a in t.args),
-            tuple(_norm(i) for i in t.arg_shapes),
-            _norm(t.out_shape),
-        )
-    if isinstance(t, EIApp):
-        return EIApp(
-            normalize_tags(t.fn),
-            tuple(_norm(i) for i in t.idx_args),
-            _norm(t.out_shape),
-        )
-    if isinstance(t, EUnbox):
-        return EUnbox(
-            t.idx_vars,
-            t.val_var,
-            normalize_tags(t.box),
-            normalize_tags(t.body),
-            _norm(t.body_shape),
-        )
-    raise TypeError(t)
-
-
 # ---------------------------------------------------------------------------
-# Canonical freshening and alpha-comparison of erased terms
+# Canonical forms of erased terms
+#
+# A canonical form is a tuple headed by the node's class, then its own data
+# (scalars and tags), then the forms of its children in the order of
+# `_ekids`. A bound variable is named by its binder's depth, counted from the
+# nearest ancestor under no binder (a de Bruijn level): a term variable
+# becomes that number, an index variable `#<level>`. Tags are respelled
+# canonically after renaming. Two erased terms are alpha-equal, with tags
+# compared as indices, exactly when their forms are `==`.
+#
+# Where no bound variable is in scope a subtree's form does not depend on its
+# position, so it is memoized on the node's identity there; and every form is
+# interned (hash-consed) on its class, its own data and the identities of its
+# children's forms, so equal forms built from different nodes are usually the
+# same object and `==` stops at them. The verdict never rests on the tables:
+# a missing entry costs time only.
+
+_BOUND_IDX = "#"  # prefix of a bound index variable's canonical name
 
 
-class _EFreshener:
+def _ekids(e: ETerm) -> tuple:
+    """The children of an erased node, in the order of its form."""
+    t = type(e)
+    if t is EArray:
+        return e.atoms
+    if t is EFrame:
+        return e.cells
+    if t is EApp:
+        return (e.fn, *e.args)
+    if t is EIApp:
+        return (e.fn,)
+    if t is EUnbox:
+        return (e.box, e.body)
+    if t is EBox:
+        return (e.payload,)
+    if t is ELam or t is EILam:
+        return (e.body,)
+    return ()
+
+
+def _ekid_label(cls: type, j: int) -> str:
+    if cls is EArray:
+        return f"atom{j}"
+    if cls is EFrame:
+        return f"cell{j}"
+    if cls is EApp:
+        return "fn" if j == 0 else f"arg{j - 1}"
+    if cls is EUnbox:
+        return ("box", "body")[j]
+    if cls is EBox:
+        return "payload"
+    return "fn" if cls is EIApp else "body"
+
+
+def erased_subterm(e: ETerm, path: str) -> ETerm:
+    """The subterm of `e` at a child path such as `arg1/atom0/body`."""
+    for label in filter(None, path.split("/")):
+        kids = _ekids(e)
+        labels = [_ekid_label(type(e), j) for j in range(len(kids))]
+        e = kids[labels.index(label)]
+    return e
+
+
+class _Canonicalizer:
+    """Builds canonical forms; its tables keep what the last two steps used."""
+
     def __init__(self) -> None:
-        self._n = 0
+        self.memo = _Generations()  # id(node) -> (node, form); no bound variable in scope
+        self.forms = _Generations()  # (class, own data, ids of child forms) -> form
+        self.tags = _Generations()  # id(tag) -> (tag, canonical tag, its variables)
 
-    def fresh(self, name: str) -> str:
-        # positional names only: (lam (x) x) and (lam (y) y) must align
-        self._n += 1
-        return f"#a{self._n}"
+    def age(self) -> None:
+        self.memo.age()
+        self.forms.age()
+        self.tags.age()
 
-    def idx(self, i: IndexExpr, ix: dict) -> IndexExpr:
-        return subst_idx(i, {k: IdxVar(v) for k, v in ix.items()})
+    def form(self, e: ETerm) -> tuple:
+        return self._term(e, {}, {}, 0)
 
-    def term(self, t: ETerm, ix: dict, tm: dict) -> ETerm:
-        if isinstance(t, (EBase, EOp)):
-            return t
-        if isinstance(t, EVar):
-            return EVar(tm.get(t.name, t.name))
-        if isinstance(t, ELam):
+    def _intern(self, key: tuple, form: Optional[tuple] = None) -> tuple:
+        forms = self.forms
+        hit = forms.cur.get(key) or forms.carry(key)
+        if hit is None:
+            hit = forms.cur[key] = key if form is None else form
+        return hit
+
+    def _tag(self, i: IndexExpr, ix: Optional[dict]) -> IndexExpr:
+        tags = self.tags
+        hit = tags.cur.get(id(i)) or tags.carry(id(i))
+        if hit is None:
+            n = _norm(i)
+            hit = tags.cur[id(i)] = (i, n, frozenset(free_idx_in_idx(i)))
+        if ix and not hit[2].isdisjoint(ix):
+            return self._tag(subst_idx(i, ix), None)
+        return hit[1]
+
+    def _term(self, t: ETerm, ix: dict, tm: dict, depth: int) -> tuple:
+        """The form of `t`; `ix` and `tm` rename the bound index and term
+        variables in scope, and `depth` counts them."""
+        cls = type(t)
+        intern = self._intern
+        if cls is EBase:
+            return intern((EBase, t.base, t.value))
+        if cls is EOp:
+            return intern((EOp, t.name))
+        if cls is EVar:
+            return intern((EVar, tm.get(t.name, t.name)))
+        top = depth == 0
+        if top:
+            memo = self.memo
+            hit = memo.cur.get(id(t)) or memo.carry(id(t))
+            if hit is not None:
+                return hit[1]
+        term, tag = self._term, self._tag
+        # `own` leads the form; `key` is `own` with each tag replaced by its id.
+        if cls is EArray:
+            kids = [
+                intern((EBase, a.base, a.value)) if type(a) is EBase else term(a, ix, tm, depth)
+                for a in t.atoms
+            ]
+            own = key = (EArray, t.dims)
+        elif cls is EFrame:
+            kids = [term(c, ix, tm, depth) for c in t.cells]
+            shape = tag(t.shape, ix)
+            own, key = (EFrame, shape), (EFrame, id(shape))
+        elif cls is EApp:
+            kids = [term(t.fn, ix, tm, depth)]
+            kids += [term(a, ix, tm, depth) for a in t.args]
+            out, shapes = tag(t.out_shape, ix), tuple([tag(i, ix) for i in t.arg_shapes])
+            own, key = (EApp, out, shapes), (EApp, id(out), len(shapes), *map(id, shapes))
+        elif cls is EIApp:
+            kids = [term(t.fn, ix, tm, depth)]
+            out, idxs = tag(t.out_shape, ix), tuple([tag(i, ix) for i in t.idx_args])
+            own, key = (EIApp, out, idxs), (EIApp, id(out), len(idxs), *map(id, idxs))
+        elif cls is EBox:
+            kids = [term(t.payload, ix, tm, depth)]
+            idxs = tuple([tag(i, ix) for i in t.indices])
+            own, key = (EBox, idxs), (EBox, len(idxs), *map(id, idxs))
+        elif cls is ELam:
             tm2 = dict(tm)
-            params = []
             for x in t.params:
-                x2 = self.fresh(x)
-                tm2[x] = x2
-                params.append(x2)
-            return ELam(tuple(params), self.term(t.body, ix, tm2))
-        if isinstance(t, EILam):
+                tm2[x] = depth
+                depth += 1
+            kids = [term(t.body, ix, tm2, depth)]
+            own = key = (ELam, len(t.params))
+        elif cls is EILam:
             ix2 = dict(ix)
-            params = []
             for x in t.params:
-                x2 = self.fresh(x)
-                ix2[x] = x2
-                params.append(x2)
-            return EILam(tuple(params), self.term(t.body, ix2, tm))
-        if isinstance(t, EBox):
-            return EBox(
-                tuple(self.idx(i, ix) for i in t.indices),
-                self.term(t.payload, ix, tm),
-            )
-        if isinstance(t, EArray):
-            return replace(t, atoms=tuple(self.term(a, ix, tm) for a in t.atoms))
-        if isinstance(t, EFrame):
-            return EFrame(
-                self.idx(t.shape, ix), tuple(self.term(c, ix, tm) for c in t.cells)
-            )
-        if isinstance(t, EApp):
-            return EApp(
-                self.term(t.fn, ix, tm),
-                tuple(self.term(a, ix, tm) for a in t.args),
-                tuple(self.idx(i, ix) for i in t.arg_shapes),
-                self.idx(t.out_shape, ix),
-            )
-        if isinstance(t, EIApp):
-            return EIApp(
-                self.term(t.fn, ix, tm),
-                tuple(self.idx(i, ix) for i in t.idx_args),
-                self.idx(t.out_shape, ix),
-            )
-        if isinstance(t, EUnbox):
-            box = self.term(t.box, ix, tm)
+                ix2[x] = IdxVar(f"{_BOUND_IDX}{depth}")
+                depth += 1
+            kids = [term(t.body, ix2, tm, depth)]
+            own = key = (EILam, len(t.params))
+        elif cls is EUnbox:
+            box = term(t.box, ix, tm, depth)
+            body_shape = tag(t.body_shape, ix)
             ix2 = dict(ix)
-            idx_vars = []
             for x in t.idx_vars:
-                x2 = self.fresh(x)
-                ix2[x] = x2
-                idx_vars.append(x2)
+                ix2[x] = IdxVar(f"{_BOUND_IDX}{depth}")
+                depth += 1
             tm2 = dict(tm)
-            v2 = self.fresh(t.val_var)
-            tm2[t.val_var] = v2
-            return EUnbox(
-                tuple(idx_vars),
-                v2,
-                box,
-                self.term(t.body, ix2, tm2),
-                self.idx(t.body_shape, ix),
-            )
-        raise TypeError(t)
+            tm2[t.val_var] = depth
+            kids = [box, term(t.body, ix2, tm2, depth + 1)]
+            own = (EUnbox, len(t.idx_vars), body_shape)
+            key = (EUnbox, len(t.idx_vars), id(body_shape))
+        else:
+            raise TypeError(t)
+        form = intern(key + tuple(map(id, kids)), own + tuple(kids))
+        if top:
+            self.memo.cur[id(t)] = (t, form)
+        return form
 
 
-def efreshen(t: ETerm) -> ETerm:
-    return _EFreshener().term(t, {}, {})
+def _first_difference(a: tuple, b: tuple, ea: ETerm, eb: ETerm) -> str:
+    """The child path to the leftmost-outermost pair of subterms that differ
+    in their own data (class, scalars, tags or arity), walking two unequal
+    forms and the terms `ea`, `eb` they came from, always into the leftmost
+    unequal child."""
+    path = []
+    while True:
+        kids_a, kids_b = _ekids(ea), _ekids(eb)
+        own = len(a) - len(kids_a)
+        if a[0] is not b[0] or len(kids_a) != len(kids_b) or a[:own] != b[:own]:
+            return "/".join(path)
+        j = next(j for j in range(len(kids_a)) if a[own + j] != b[own + j])
+        path.append(_ekid_label(a[0], j))
+        a, b, ea, eb = a[own + j], b[own + j], kids_a[j], kids_b[j]
 
 
 def erased_alpha_equal(a: ETerm, b: ETerm) -> bool:
-    """Alpha-equivalence with residual indices compared by canonical form.
-
-    Freshening first aligns binder names positionally, so re-canonicalizing
-    the tags afterwards produces identical spellings exactly when the tags
-    are index-equal."""
-    return normalize_tags(efreshen(a)) == normalize_tags(efreshen(b))
+    """Alpha-equivalence with residual indices compared as indices."""
+    c = _Canonicalizer()
+    return c.form(a) == c.form(b)
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +874,7 @@ def _eibeta(e: EIApp) -> Union[Stepped, Stuck]:
             if len(atom.params) != len(e.idx_args):
                 return Stuck("internal", detail="ibeta arity mismatch")
             m = {x: i for x, i in zip(atom.params, e.idx_args)}
-            cells.append(normalize_tags(esubst_idx(atom.body, m)))
+            cells.append(esubst_idx(atom.body, m))
         elif isinstance(atom, EOp):
             cells.append(EArray((), (atom,)))
         else:
@@ -771,7 +892,7 @@ def _eunbox(e: EUnbox) -> Union[Stepped, Stuck]:
         if len(atom.indices) != len(e.idx_vars):
             return Stuck("internal", detail="unbox arity mismatch")
         m = {x: i for x, i in zip(e.idx_vars, atom.indices)}
-        body = normalize_tags(esubst_idx(e.body, m))
+        body = esubst_idx(e.body, m)
         cells.append(esubst_term(body, {e.val_var: atom.payload}))
     tag = _norm(IdxAppend((shape_of_dims(arr.dims), e.body_shape)))
     return Stepped(EFrame(tag, tuple(cells)), "unbox")
@@ -1053,45 +1174,77 @@ class BisimReport:
     typed_term: Optional[ExprTerm] = None
     erased_term: Optional[EExpr] = None
     trace: Optional[list[tuple[str, str]]] = None  # (typed rule, erased rule)
+    # On a mismatch whose states differ: the child path, e.g. `arg1/atom0/body`,
+    # to the first differing subterm (see `erased_subterm`); "" is the root.
+    mismatch_path: Optional[str] = None
+
+
+class LockstepComparer:
+    """Decides, state after state, whether erasing the typed state gives the
+    erased state up to alpha-renaming, with tags compared as indices.
+
+    Each call compares the whole states, but call-by-value rewrites only a
+    binder-free spine from the root to the redex and shares every other
+    subtree with the previous state, so erasure (memoized on typed nodes) and
+    canonical forms (memoized on erased nodes) are rebuilt for that spine
+    only. The tables keep what the last two calls used."""
+
+    def __init__(self) -> None:
+        self._erasure = _Generations()  # id(typed node) -> (node, erased node)
+        self._canon = _Canonicalizer()
+
+    def erase(self, t: Term) -> ETerm:
+        return _erase(t, self._erasure)
+
+    def same(self, typed: ExprTerm, erased: EExpr) -> bool:
+        a = self._canon.form(self.erase(typed))
+        b = self._canon.form(erased)
+        self._erasure.age()
+        self._canon.age()
+        return a == b
+
+    def mismatch_path(self, typed: ExprTerm, erased: EExpr) -> Optional[str]:
+        """None if the states agree, else the child path to their first
+        differing subterms."""
+        ea = self.erase(typed)
+        a, b = self._canon.form(ea), self._canon.form(erased)
+        return None if a == b else _first_difference(a, b, ea, erased)
 
 
 def bisim_run(t: ExprTerm, fuel: int = 10_000, trace: bool = False) -> BisimReport:
     """Run the typed and erased machines side by side, asserting after each
     typed step that erasing the new typed state reproduces the erased
     machine's next state up to alpha-renaming of binders."""
+    lockstep = LockstepComparer()
     typed = t
-    erased = erase_term(t)
+    erased = lockstep.erase(t)
     log: Optional[list[tuple[str, str]]] = [] if trace else None
+
+    def mismatch(n: int) -> BisimReport:
+        return BisimReport(
+            "mismatch", n, mismatch_step=n, typed_term=typed, erased_term=erased,
+            trace=log, mismatch_path=lockstep.mismatch_path(typed, erased),
+        )
+
     for n in range(fuel + 1):
         rt = typed_step(typed)
         re = erased_step(erased)
         if isinstance(rt, AlreadyValue):
-            ok = isinstance(re, AlreadyValue) and erased_alpha_equal(
-                erase_term(typed), erased
-            )
-            if ok:
+            if isinstance(re, AlreadyValue) and lockstep.same(typed, erased):
                 return BisimReport("both-value", n, trace=log)
-            return BisimReport(
-                "mismatch", n, mismatch_step=n, typed_term=typed, erased_term=erased, trace=log
-            )
+            return mismatch(n)
         if isinstance(rt, Stuck):
             if isinstance(re, Stuck) and re.reason == rt.reason == "misapplied":
                 return BisimReport("both-stuck", n, trace=log)
-            return BisimReport(
-                "mismatch", n, mismatch_step=n, typed_term=typed, erased_term=erased, trace=log
-            )
+            return mismatch(n)
         if not isinstance(re, Stepped):
-            return BisimReport(
-                "mismatch", n, mismatch_step=n, typed_term=typed, erased_term=erased, trace=log
-            )
+            return mismatch(n)
         typed = rt.term
         erased = re.term
         if log is not None:
             log.append((rt.rule, re.rule))
-        if not erased_alpha_equal(erase_term(typed), erased):
-            return BisimReport(
-                "mismatch", n + 1, mismatch_step=n + 1, typed_term=typed, erased_term=erased, trace=log
-            )
+        if not lockstep.same(typed, erased):
+            return mismatch(n + 1)
     return BisimReport("diverged", fuel, trace=log)
 
 

@@ -5,10 +5,12 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import remora
 from remora.cli import main
 
-from .util import reduce_source
+from .util import TWO_LAMS_SOURCE, atom_in_surviving_lam, plant_divergence, reduce_source
 
 PROGRAMS = "programs"
 
@@ -119,17 +121,48 @@ class TestExitCodes:
             assert code in (0, 2, 3)
 
 
+class TestBisimMismatchReport:
+    def test_planted_divergence_names_first_difference(self, capsys, monkeypatch, tmp_path):
+        p = tmp_path / "two-lams.remora"
+        p.write_text(TWO_LAMS_SOURCE)
+        planted = plant_divergence(monkeypatch, 2, atom_in_surviving_lam)
+        code, out, err = run(capsys, "bisim", str(p))
+        assert code == 1 and out == "mismatch step=2\n"
+        assert planted["path"] == "cell1/fn/atom0/body/arg1/atom0"
+        assert err == (
+            "first difference at cell1/fn/atom0/body/arg1/atom0:"
+            " typed state erases to 3, erased machine has 4\n"
+        )
+
+
+def run_fresh(tmp_path, source: str, *argv):
+    """`remora <argv> <file holding source>` in a fresh process, so that a
+    host RecursionError would show on stderr."""
+    path = tmp_path / "prog.remora"
+    path.write_text(source + "\n", encoding="utf-8")
+    src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", "remora.cli", *argv, str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 class TestDeepEvaluation:
     def test_deep_reduce_evaluates_without_traceback(self, tmp_path):
-        # A fresh process, so a host RecursionError would show on stderr.
-        path = tmp_path / "reduce.remora"
-        path.write_text(reduce_source(10_000) + "\n", encoding="utf-8")
-        src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "remora.cli", "eval", str(path)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_fresh(tmp_path, reduce_source(10_000), "eval")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "(array () 49995000)\n"
         assert "Traceback" not in proc.stderr
+
+
+class TestResourceLimit:
+    """Input that nests deeper than the Python stack allows exits 4 with a
+    one-line diagnostic, never a traceback."""
+
+    @pytest.mark.parametrize("argv, n", [(("bisim",), 10_000), (("eval", "--trace"), 2_000)])
+    def test_deep_reduce_exits_4(self, tmp_path, argv, n):
+        proc = run_fresh(tmp_path, reduce_source(n), *argv)
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1

@@ -14,18 +14,20 @@ from remora.erase import (
     EILam,
     ELam,
     EVar,
+    LockstepComparer,
     bisim_run,
     erase_term,
     erase_type,
     erased_alpha_equal,
     erased_evaluate,
     erased_step,
+    erased_subterm,
     esubst_idx,
     esubst_term,
     is_evalue,
     print_erased,
 )
-from remora.eval import AlreadyValue, EvalResult, Stuck, evaluate, is_value
+from remora.eval import AlreadyValue, EvalResult, Stepped, Stuck, evaluate, is_value, step as typed_step
 from remora.gen import GenConfig, generate_programs
 from remora.names import (
     free_term_vars,
@@ -38,7 +40,25 @@ from remora.printer import print_term
 from remora.prims import SIGNATURE
 from remora.syntax import IdxVar, NatLit, NUM, ShapeLit
 
-from .util import ORACLE_GROUPS, oracle_programs, reduce_source
+from .util import (
+    ORACLE_GROUPS,
+    TWO_LAMS_SOURCE,
+    atom_in_surviving_lam,
+    change_atom,
+    erased_sites,
+    first_free_atom,
+    first_free_tag,
+    oracle_programs,
+    plant_divergence,
+    reduce_source,
+    reference_erased_alpha_equal,
+    reference_form,
+    rename_index_binder,
+    reshape_tag,
+    respell_tag,
+    rewrite_at,
+    swap_params,
+)
 
 
 def elab(src: str):
@@ -280,6 +300,92 @@ class TestBisim:
             assert rep.outcome in ("both-value", "both-stuck"), print_term(prog)
 
 
+class TestLockstepComparer:
+    """The incremental comparer `bisim_run` uses, driven state by state
+    against the whole-term reference, on the real states and on one-site
+    mutations of the erased state."""
+
+    GROUPS = ("batch", "corpus", "lift100", "frame100")
+    # Mutation, and the verdict it must get (None: the reference decides).
+    MUTATIONS = {
+        change_atom: False,
+        reshape_tag: False,
+        respell_tag: True,
+        rename_index_binder: True,
+        swap_params: None,
+    }
+    MUTATE_EVERY = 16  # steps between mutation rounds
+
+    @staticmethod
+    def check(lockstep, typed, erased, typed_erasure, typed_reference_form):
+        verdict = typed_reference_form == reference_form(erased)
+        assert erased_alpha_equal(typed_erasure, erased) == verdict
+        assert lockstep.same(typed, erased) == verdict
+        return verdict
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_agrees_with_reference(self, group):
+        rng = random.Random(91)
+        verdicts: dict = {m: [] for m in self.MUTATIONS}
+        for term in oracle_programs(group):
+            lockstep = LockstepComparer()
+            typed, erased = term, lockstep.erase(term)
+            for n in range(10_000):
+                e = erase_term(typed)
+                ref = reference_form(e)
+                assert self.check(lockstep, typed, erased, e, ref)
+                if n % self.MUTATE_EVERY == 0:
+                    sites = erased_sites(erased)
+                    for mutation, expected in self.MUTATIONS.items():
+                        where = [(p, x) for p, _, x in sites if mutation(x) is not None]
+                        if not where:
+                            continue
+                        path, node = rng.choice(where)
+                        bad = rewrite_at(erased, path, mutation(node))
+                        verdict = self.check(lockstep, typed, bad, e, ref)
+                        assert expected is None or verdict == expected
+                        verdicts[mutation].append(verdict)
+                rt, re = typed_step(typed), erased_step(erased)
+                if not (isinstance(rt, Stepped) and isinstance(re, Stepped)):
+                    break
+                typed, erased = rt.term, re.term
+        assert verdicts[change_atom] and verdicts[respell_tag] and verdicts[reshape_tag]
+        if group in ("batch", "corpus"):
+            assert verdicts[rename_index_binder]
+        if group == "batch":
+            assert False in verdicts[swap_params]
+
+
+class TestPlantedDivergence:
+    """A memo must not hide a real difference: the erased machine's k-th step
+    returns its term with one site changed, and bisim must report a mismatch
+    at step k whose path names that site. The two-lam program takes 6 steps."""
+
+    def test_unplanted_run_agrees(self):
+        rep = bisim_run(elab(TWO_LAMS_SOURCE))
+        assert (rep.outcome, rep.steps, rep.mismatch_path) == ("both-value", 6, None)
+
+    @pytest.mark.parametrize(
+        "choose, k",
+        [(first_free_atom, k) for k in range(1, 7)]
+        + [(first_free_tag, k) for k in range(1, 6)],  # the final value has no tag
+    )
+    def test_changed_site_is_caught_at_its_step(self, monkeypatch, choose, k):
+        planted = plant_divergence(monkeypatch, k, choose)
+        rep = bisim_run(elab(TWO_LAMS_SOURCE))
+        assert (rep.outcome, rep.mismatch_step) == ("mismatch", k)
+        assert rep.mismatch_path == planted["path"]
+
+    def test_change_under_a_surviving_binder_is_caught(self, monkeypatch):
+        planted = plant_divergence(monkeypatch, 2, atom_in_surviving_lam)
+        rep = bisim_run(elab(TWO_LAMS_SOURCE))
+        assert (rep.outcome, rep.mismatch_step) == ("mismatch", 2)
+        assert rep.mismatch_path == planted["path"] == "cell1/fn/atom0/body/arg1/atom0"
+        typed_side = erased_subterm(erase_term(rep.typed_term), rep.mismatch_path)
+        assert typed_side == EBase("Num", 3.0)
+        assert erased_subterm(rep.erased_term, rep.mismatch_path) == EBase("Num", 4.0)
+
+
 def _context_positions(t, under_binder=False):
     """Expression positions reachable without crossing a binder (the shape of
     evaluation contexts), as (replace-fn, subexpr) pairs."""
@@ -379,3 +485,34 @@ class TestErasedAlpha:
         a = EFrame(ShapeLit((NatLit(2),)), ())
         b = EFrame(ShapeLit((NatLit(3),)), ())
         assert not erased_alpha_equal(a, b)
+
+    def test_binders_by_position(self):
+        from remora.erase import EApp, EUnbox
+        from remora.syntax import IdxAppend
+
+        def app(f, x):
+            return EApp(EVar(f), (EVar(x),), (ShapeLit(()),), ShapeLit(()))
+
+        def shape(*names):
+            return EFrame(IdxAppend(tuple(IdxVar(n) for n in names)), ())
+
+        def unbox(names, body):
+            return EUnbox(names, "v", EVar("b"), body, ShapeLit(()))
+
+        pairs = [
+            # shadowing, then a third binder at the same dictionary size
+            (ELam(("x",), ELam(("x",), ELam(("y",), app("x", "y")))),
+             ELam(("x",), ELam(("x",), ELam(("y",), app("y", "y")))), False),
+            (ELam(("x",), ELam(("x",), ELam(("y",), app("x", "y")))),
+             ELam(("a",), ELam(("b",), ELam(("c",), app("b", "c")))), True),
+            (EILam(("a", "b"), shape("a", "b")), EILam(("c", "d"), shape("c", "d")), True),
+            (EILam(("a", "b"), shape("a", "b")), EILam(("b", "a"), shape("a", "b")), False),
+            (unbox(("a", "b"), shape("a", "b")), unbox(("b", "a"), shape("a", "b")), False),
+            (unbox(("a", "b"), shape("a", "b")), unbox(("p", "q"), shape("p", "q")), True),
+            # term and index variables live in separate namespaces
+            (EILam(("x",), ELam(("x",), app("x", "x"))), EILam(("i",), ELam(("x",), app("x", "x"))), True),
+            (ELam(("f",), app("f", "g")), ELam(("f",), app("f", "h")), False),
+        ]
+        for a, b, expected in pairs:
+            assert reference_erased_alpha_equal(a, b) == expected
+            assert erased_alpha_equal(a, b) == expected

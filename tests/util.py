@@ -1,17 +1,37 @@
 """Shared test helpers: independent evaluators for index expressions (the
-brute-force oracle), random index/type generators, and a one-call pipeline
-from source text to a result."""
+brute-force oracle), random index/type generators, a one-call pipeline from
+source text to a result, the inputs of the machine oracle tests, the
+whole-term reference comparison of erased terms, and one-site rewrites of
+erased terms with a way to plant one in the erased machine."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import pathlib
 import random
 
+import remora.erase
 from remora.check import EMPTY_ENV, elaborate
-from remora.eval import evaluate
+from remora.erase import (
+    EApp,
+    EArray,
+    EBase,
+    EBox,
+    EFrame,
+    EIApp,
+    EILam,
+    ELam,
+    EOp,
+    EUnbox,
+    EVar,
+    esubst_idx,
+)
+from remora.eval import Stepped, evaluate
 from remora.gen import GenConfig, generate_programs
+from remora.indices import normalize_index
+from remora.names import subst_idx
 from remora.parser import parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
@@ -204,3 +224,304 @@ def oracle_programs(group: str) -> tuple:
         paths = sorted(PROGRAMS_DIR.glob("*.remora"))
         return tuple(check_src(p.read_text(encoding="utf-8"))[0] for p in paths)
     return (check_src(_family_source(*_FAMILY_GROUPS[group]))[0],)
+
+
+# ---------------------------------------------------------------------------
+# Reference alpha-equality of erased terms: freshen every binder to a name
+# given by its position in a whole-term walk, respell every tag canonically,
+# then compare the whole terms with `==`. The incremental comparer of the
+# lockstep harness is checked against it.
+
+
+class _EFreshener:
+    def __init__(self) -> None:
+        self._n = 0
+
+    def fresh(self, name: str) -> str:
+        # positional names only: (lam (x) x) and (lam (y) y) must align
+        self._n += 1
+        return f"#a{self._n}"
+
+    def idx(self, i: IndexExpr, ix: dict) -> IndexExpr:
+        return subst_idx(i, {k: IdxVar(v) for k, v in ix.items()})
+
+    def term(self, t, ix: dict, tm: dict):
+        if isinstance(t, (EBase, EOp)):
+            return t
+        if isinstance(t, EVar):
+            return EVar(tm.get(t.name, t.name))
+        if isinstance(t, ELam):
+            tm2 = dict(tm)
+            params = []
+            for x in t.params:
+                x2 = self.fresh(x)
+                tm2[x] = x2
+                params.append(x2)
+            return ELam(tuple(params), self.term(t.body, ix, tm2))
+        if isinstance(t, EILam):
+            ix2 = dict(ix)
+            params = []
+            for x in t.params:
+                x2 = self.fresh(x)
+                ix2[x] = x2
+                params.append(x2)
+            return EILam(tuple(params), self.term(t.body, ix2, tm))
+        if isinstance(t, EBox):
+            return EBox(
+                tuple(self.idx(i, ix) for i in t.indices),
+                self.term(t.payload, ix, tm),
+            )
+        if isinstance(t, EArray):
+            return dataclasses.replace(t, atoms=tuple(self.term(a, ix, tm) for a in t.atoms))
+        if isinstance(t, EFrame):
+            return EFrame(
+                self.idx(t.shape, ix), tuple(self.term(c, ix, tm) for c in t.cells)
+            )
+        if isinstance(t, EApp):
+            return EApp(
+                self.term(t.fn, ix, tm),
+                tuple(self.term(a, ix, tm) for a in t.args),
+                tuple(self.idx(i, ix) for i in t.arg_shapes),
+                self.idx(t.out_shape, ix),
+            )
+        if isinstance(t, EIApp):
+            return EIApp(
+                self.term(t.fn, ix, tm),
+                tuple(self.idx(i, ix) for i in t.idx_args),
+                self.idx(t.out_shape, ix),
+            )
+        if isinstance(t, EUnbox):
+            box = self.term(t.box, ix, tm)
+            ix2 = dict(ix)
+            idx_vars = []
+            for x in t.idx_vars:
+                x2 = self.fresh(x)
+                ix2[x] = x2
+                idx_vars.append(x2)
+            tm2 = dict(tm)
+            v2 = self.fresh(t.val_var)
+            tm2[t.val_var] = v2
+            return EUnbox(
+                tuple(idx_vars),
+                v2,
+                box,
+                self.term(t.body, ix2, tm2),
+                self.idx(t.body_shape, ix),
+            )
+        raise TypeError(t)
+
+
+def efreshen(t):
+    return _EFreshener().term(t, {}, {})
+
+
+def normalize_tags(t):
+    """Respell every residual index canonically."""
+    norm = normalize_index
+    if isinstance(t, (EBase, EOp, EVar)):
+        return t
+    if isinstance(t, (ELam, EILam)):
+        return dataclasses.replace(t, body=normalize_tags(t.body))
+    if isinstance(t, EBox):
+        return EBox(tuple(norm(i) for i in t.indices), normalize_tags(t.payload))
+    if isinstance(t, EArray):
+        return dataclasses.replace(t, atoms=tuple(normalize_tags(a) for a in t.atoms))
+    if isinstance(t, EFrame):
+        return EFrame(norm(t.shape), tuple(normalize_tags(c) for c in t.cells))
+    if isinstance(t, EApp):
+        return EApp(
+            normalize_tags(t.fn),
+            tuple(normalize_tags(a) for a in t.args),
+            tuple(norm(i) for i in t.arg_shapes),
+            norm(t.out_shape),
+        )
+    if isinstance(t, EIApp):
+        return EIApp(
+            normalize_tags(t.fn),
+            tuple(norm(i) for i in t.idx_args),
+            norm(t.out_shape),
+        )
+    if isinstance(t, EUnbox):
+        return EUnbox(
+            t.idx_vars,
+            t.val_var,
+            normalize_tags(t.box),
+            normalize_tags(t.body),
+            norm(t.body_shape),
+        )
+    raise TypeError(t)
+
+
+def reference_form(t):
+    return normalize_tags(efreshen(t))
+
+
+def reference_erased_alpha_equal(a, b) -> bool:
+    return reference_form(a) == reference_form(b)
+
+
+# ---------------------------------------------------------------------------
+# One-site rewrites of erased terms (mutations for the comparer tests)
+
+_BINDERS = (ELam, EILam, EUnbox)
+# Child fields in the order of the nodes' fields, with their path labels: a
+# name, or a prefix that takes the child's index.
+_CHILD_FIELDS = {"atoms": "atom", "cells": "cell", "fn": "fn", "args": "arg",
+                 "box": "box", "body": "body", "payload": "payload"}
+_FIELD_OF_PREFIX = {"atom": "atoms", "cell": "cells", "arg": "args"}
+
+
+def erased_sites(e) -> list:
+    """(child path, under a binder?, node) for every node of `e`, in pre-order;
+    paths are spelled as in `BisimReport.mismatch_path`."""
+    out = []
+    stack = [(e, "", False)]
+    while stack:
+        x, path, under = stack.pop()
+        out.append((path, under, x))
+        kids = []
+        for f in dataclasses.fields(x):
+            label = _CHILD_FIELDS.get(f.name)
+            if label is None:
+                continue
+            inner = under or (f.name == "body" and isinstance(x, _BINDERS))
+            v = getattr(x, f.name)
+            for i, y in enumerate(v) if isinstance(v, tuple) else ((None, v),):
+                step = label if i is None else f"{label}{i}"
+                kids.append((y, f"{path}/{step}" if path else step, inner))
+        stack.extend(reversed(kids))
+    return out
+
+
+def rewrite_at(e, path: str, new):
+    """`e` with the node at `path` replaced by `new`; every subtree off the
+    path stays the same object."""
+    if not path:
+        return new
+    label, _, rest = path.partition("/")
+    prefix = label.rstrip("0123456789")
+    field = _FIELD_OF_PREFIX.get(prefix, label)
+    v = getattr(e, field)
+    if field == label:
+        return dataclasses.replace(e, **{field: rewrite_at(v, rest, new)})
+    i = int(label[len(prefix):])
+    return dataclasses.replace(e, **{field: v[:i] + (rewrite_at(v[i], rest, new),) + v[i + 1 :]})
+
+
+def change_atom(x):
+    """A base atom with another value."""
+    if not isinstance(x, EBase):
+        return None
+    if x.base == "Num":
+        return EBase("Num", x.value + 1.0 if abs(x.value) < 1e300 else 0.0)
+    if x.base == "Bool":
+        return EBase("Bool", not x.value)
+    return EBase(x.base, chr(ord(x.value) + 1))
+
+
+def _shape_tag_field(x):
+    if isinstance(x, EFrame):
+        return "shape"
+    if isinstance(x, (EApp, EIApp)):
+        return "out_shape"
+    if isinstance(x, EUnbox):
+        return "body_shape"
+    return None
+
+
+def reshape_tag(x):
+    """The node with its result-shape tag one axis longer."""
+    f = _shape_tag_field(x)
+    if f is None:
+        return None
+    return dataclasses.replace(x, **{f: IdxAppend((getattr(x, f), ShapeLit((NatLit(7),))))})
+
+
+def respell_tag(x):
+    """The node with its result-shape tag spelled another way, same shape."""
+    f = _shape_tag_field(x)
+    if f is None:
+        return None
+    return dataclasses.replace(x, **{f: IdxAppend((ShapeLit(()), getattr(x, f)))})
+
+
+def rename_index_binder(x):
+    """An ilam or unbox with its first index variable renamed throughout its
+    body: alpha-equivalent to `x`."""
+    if isinstance(x, EILam) and x.params:
+        old, body = x.params[0], x.body
+        return EILam((old + "'",) + x.params[1:], esubst_idx(body, {old: IdxVar(old + "'")}))
+    if isinstance(x, EUnbox) and x.idx_vars:
+        old = x.idx_vars[0]
+        body = esubst_idx(x.body, {old: IdxVar(old + "'")})
+        return dataclasses.replace(x, idx_vars=(old + "'",) + x.idx_vars[1:], body=body)
+    return None
+
+
+def swap_params(x):
+    """A lam or ilam with its first two (distinct) parameters swapped."""
+    if not isinstance(x, (ELam, EILam)) or len(x.params) < 2 or x.params[0] == x.params[1]:
+        return None
+    return type(x)((x.params[1], x.params[0]) + x.params[2:], x.body)
+
+
+# ---------------------------------------------------------------------------
+# Planted divergence: an erased machine whose k-th step changes one site
+
+# Two lams mapped over a vector: after the second step the second lam is
+# still there, unchanged, next to binder-free atoms and tags.
+TWO_LAMS_SOURCE = """((array (2) (lam ((x (Arr Num (Shp)))) ((array () +) x (array () 10)))
+            (lam ((x (Arr Num (Shp)))) ((array () *) x (array () 3))))
+ (array (2) 1 2))"""
+
+
+def plant_divergence(monkeypatch, k: int, choose) -> dict:
+    """Make `remora.erase.erased_step` return, at its k-th step, its term with
+    one site rewritten: `choose(before, after)` gives the site's path and its
+    new node. The returned dict receives the path."""
+    real = remora.erase.erased_step
+    planted = {"depth": 0, "steps": 0}
+
+    def step(e):
+        planted["depth"] += 1  # the spec recurses through the patched name
+        try:
+            r = real(e)
+        finally:
+            planted["depth"] -= 1
+        if planted["depth"] == 0 and isinstance(r, Stepped):
+            planted["steps"] += 1
+            if planted["steps"] == k:
+                path, node = choose(e, r.term)
+                planted["path"] = path
+                return Stepped(rewrite_at(r.term, path, node), r.rule)
+        return r
+
+    monkeypatch.setattr(remora.erase, "erased_step", step)
+    return planted
+
+
+def first_free_atom(before, after):
+    """The first base atom under no binder, with another value."""
+    path, x = next(
+        (p, x) for p, under, x in erased_sites(after) if not under and change_atom(x) is not None
+    )
+    return path, change_atom(x)
+
+
+def first_free_tag(before, after):
+    """The first result-shape tag under no binder, one axis longer."""
+    path, x = next(
+        (p, x) for p, under, x in erased_sites(after) if not under and reshape_tag(x) is not None
+    )
+    return path, reshape_tag(x)
+
+
+def atom_in_surviving_lam(before, after):
+    """The first base atom inside the body of a lam that the step kept."""
+    kept = {id(x) for _, _, x in erased_sites(before)}
+    lam_path, lam = next(
+        (p, x) for p, under, x in erased_sites(after)
+        if not under and isinstance(x, ELam) and id(x) in kept
+    )
+    sub, x = next((p, x) for p, _, x in erased_sites(lam) if p and change_atom(x) is not None)
+    return f"{lam_path}/{sub}", change_atom(x)
