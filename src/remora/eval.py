@@ -201,21 +201,13 @@ def step(e: ExprTerm) -> StepResult:
             return r
         return _apply(e)
 
-    if isinstance(e, TApp):
+    if isinstance(e, (TApp, IApp)):
         if not is_value(e.fn):
             r = step(e.fn)
             if isinstance(r, Stepped):
                 return Stepped(replace(e, fn=r.term), r.rule)
             return r
-        return _tbeta(e)
-
-    if isinstance(e, IApp):
-        if not is_value(e.fn):
-            r = step(e.fn)
-            if isinstance(r, Stepped):
-                return Stepped(replace(e, fn=r.term), r.rule)
-            return r
-        return _ibeta(e)
+        return _CONTRACT[type(e)](e)
 
     if isinstance(e, Unbox):
         if not is_value(e.box):
@@ -358,56 +350,41 @@ def _map(e: App, fun: FunType, per_arg, principal) -> StepResult:
     return Stepped(Frame(principal, tuple(cells), annot=e.annot), "map")
 
 
-def _tbeta(e: TApp) -> StepResult:
+def _instantiate(e, args, abstraction, quantifier, in_term, in_type) -> StepResult:
+    """tbeta (TApp of TLam / Forall operators, `subst_ty_*`) or ibeta (IApp of
+    ILam / Pi operators, `subst_idx_*`): instantiate every atom of the
+    function array and frame the results."""
+    rule = "tbeta" if type(e) is TApp else "ibeta"
     fn = e.fn
     assert isinstance(fn, ArrayLit)
     cells = []
     for atom in fn.atoms:
-        if isinstance(atom, TLam):
-            if len(atom.binders) != len(e.type_args):
-                return Stuck("internal", detail="tbeta arity mismatch")
-            m = {x: t for (x, _), t in zip(atom.binders, e.type_args)}
-            cells.append(subst_ty_in_term(atom.body, m))
-        elif isinstance(atom, PrimOp) and isinstance(atom.annot, ForallType):
-            univ = atom.annot
-            if len(univ.binders) != len(e.type_args):
-                return Stuck("internal", detail="tbeta arity mismatch")
-            m = {x: t for (x, _), t in zip(univ.binders, e.type_args)}
-            body = subst_ty_in_type(univ.body, m)
-            if not isinstance(body, ArrType):
-                return Stuck("internal", detail="universal body is not an array type")
-            cells.append(
-                ArrayLit((), (replace(atom, annot=body.elem),), annot=body)
-            )
+        if isinstance(atom, abstraction):
+            q = atom
+        elif isinstance(atom, PrimOp) and isinstance(atom.annot, quantifier):
+            q = atom.annot
         else:
-            return Stuck("internal", detail="tbeta over a non-abstraction atom")
-    return Stepped(Frame(fn.dims, tuple(cells), annot=e.annot), "tbeta")
+            return Stuck("internal", detail=f"{rule} over a non-abstraction atom")
+        if len(q.binders) != len(args):
+            return Stuck("internal", detail=f"{rule} arity mismatch")
+        m = {x: a for (x, _), a in zip(q.binders, args)}
+        if q is atom:
+            cells.append(in_term(atom.body, m))
+            continue
+        body = in_type(q.body, m)
+        if not isinstance(body, ArrType):
+            what = "universal" if quantifier is ForallType else "product"
+            return Stuck("internal", detail=f"{what} body is not an array type")
+        cells.append(ArrayLit((), (replace(atom, annot=body.elem),), annot=body))
+    return Stepped(Frame(fn.dims, tuple(cells), annot=e.annot), rule)
+
+
+def _tbeta(e: TApp) -> StepResult:
+    return _instantiate(e, e.type_args, TLam, ForallType, subst_ty_in_term, subst_ty_in_type)
 
 
 def _ibeta(e: IApp) -> StepResult:
-    fn = e.fn
-    assert isinstance(fn, ArrayLit)
-    cells = []
-    for atom in fn.atoms:
-        if isinstance(atom, ILam):
-            if len(atom.binders) != len(e.idx_args):
-                return Stuck("internal", detail="ibeta arity mismatch")
-            m = {x: i for (x, _), i in zip(atom.binders, e.idx_args)}
-            cells.append(subst_idx_in_term(atom.body, m))
-        elif isinstance(atom, PrimOp) and isinstance(atom.annot, PiType):
-            prod = atom.annot
-            if len(prod.binders) != len(e.idx_args):
-                return Stuck("internal", detail="ibeta arity mismatch")
-            m = {x: i for (x, _), i in zip(prod.binders, e.idx_args)}
-            body = subst_idx_in_type(prod.body, m)
-            if not isinstance(body, ArrType):
-                return Stuck("internal", detail="product body is not an array type")
-            cells.append(
-                ArrayLit((), (replace(atom, annot=body.elem),), annot=body)
-            )
-        else:
-            return Stuck("internal", detail="ibeta over a non-abstraction atom")
-    return Stepped(Frame(fn.dims, tuple(cells), annot=e.annot), "ibeta")
+    return _instantiate(e, e.idx_args, ILam, PiType, subst_idx_in_term, subst_idx_in_type)
 
 
 def _unbox(e: Unbox) -> StepResult:

@@ -380,10 +380,6 @@ def _ivar(name: str):
     return IdxVar(name)
 
 
-def _is_scalar_num(t: ArrType) -> bool:
-    return isinstance(t.elem, BaseType) and t.elem.name == "Num" and _concrete(t) == ()
-
-
 def _div_by_zero(e: ExprTerm) -> ExprTerm:
     return App(ArrayLit((), (_op("/"),)), (e, ArrayLit((), (num(0),))))
 

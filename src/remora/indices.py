@@ -235,20 +235,6 @@ def prefix_subtract(
     return CanonicalShape(a.components[len(b.components) :])
 
 
-SYMBOLIC = object()
-
-
-def shape_length(a: CanonicalShape):
-    """Number of axes, or SYMBOLIC when shape variables (or dimensions with
-    variable coefficients) keep the rank from being read off the form."""
-    count = 0
-    for c in a.components:
-        if isinstance(c, VarC) or c.dim.coeffs:
-            return SYMBOLIC
-        count += 1
-    return count
-
-
 def element_count(dims: Iterable[int]) -> int:
     """Product of concrete dimensions; 1 for the scalar (empty) shape."""
     total = 1

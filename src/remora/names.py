@@ -1,54 +1,44 @@
-"""Binding machinery: free variables, capture-avoiding substitution for the
-three variable namespaces (term, type, index), canonical renaming, and
-alpha-equivalence.
+"""Binding machinery derived from one table: free variables, capture-avoiding
+substitution, canonical renaming (freshen) and alpha-equivalence.
 
-Index, type, and term variables live in separate namespaces, matching the
-three-part environment. A substitution in one namespace can still be
-captured by a binder of another namespace occurring in its payload (a type
-payload may mention free index variables, a term payload may mention free
-index and type variables), so every binder site guards against the payload's
-free variables of every relevant namespace.
+Variables live in three namespaces: index (bound by Pi, Sigma, ilam and the
+index variables of unbox), type (Forall, tlam) and term (lam, the value
+variable of unbox). `SCHEMA` gives each field of every index, type and term
+class of `syntax`, other than `loc`, one role:
+
+- `Child(cat, shape)`: an index, type or term (the category); one, a tuple
+  (MANY) or an optional one (OPT, the `annot` of a term);
+- `Binder(ns, form)`: names bound in namespace ns, as (name, Kind/Sort) pairs,
+  (name, type) pairs whose types lie outside the scope (TYPED, lam
+  parameters), a tuple of names, or one name;
+- `Scope(cat)`: the one child the node's binders scope over;
+- `DATA`: dims, base values, names, kinds and sorts.
+
+`IdxVar`, `TyVar` and `Var` are the variable leaves. `free_vars`, `subst`,
+`freshen` and `alpha_equal` are derived from the table; the `free_*` and
+`subst_*` names are entry points. A traversal skips a field whose category
+cannot hold its namespace's variables: an index holds only index variables, a
+type index and type variables.
+
+A payload can be captured by a binder of any namespace its free variables live
+in. `subst` renames a binder with `gensym`, in field order, exactly when its
+name is free, in the binder's namespace, in a payload still in scope there.
+Renames in the substitution's own namespace ride along in the same pass;
+those in another are substituted into the scope first. Each payload's free
+variables are computed once per substitution, and a node none of whose fields
+changed is returned as it is.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
-from typing import Callable, Mapping
+from collections import namedtuple
+from dataclasses import fields
+from operator import is_
+from typing import Mapping
 
-from .syntax import (
-    App,
-    ArrayLit,
-    ArrType,
-    BaseType,
-    BaseVal,
-    Box,
-    EmptyArray,
-    EmptyFrame,
-    ExprTerm,
-    ForallType,
-    Frame,
-    FunType,
-    IApp,
-    IdxAppend,
-    IdxVar,
-    ILam,
-    IndexExpr,
-    Lam,
-    NatLit,
-    PiType,
-    Plus,
-    PrimOp,
-    ShapeLit,
-    SigmaType,
-    TApp,
-    Term,
-    TLam,
-    TypeExpr,
-    TyVar,
-    Unbox,
-    Var,
-)
+from . import syntax as S
+from .syntax import ExprTerm, IndexExpr, Term, TypeExpr
 
 _GENSYM = itertools.count(1)
 
@@ -64,913 +54,397 @@ def gensym(base: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# The schema
+
+# Namespaces, and the categories of children: a child of category c can hold
+# variables of namespace ns exactly when ns <= c.
+IDX, TY, TM = 0, 1, 2
+ONE, MANY, OPT = "one", "many", "opt"
+PAIRS, TYPED, NAMES, NAME = "pairs", "typed", "names", "name"
+DATA = "data"
+
+Child = namedtuple("Child", "cat shape", defaults=(ONE,))
+Binder = namedtuple("Binder", "ns form")
+Scope = namedtuple("Scope", "cat")
+
+_ANNOT = Child(TY, OPT)
+
+# Fields in the order the traversals visit them: annotation first, scope last.
+SCHEMA: dict[type, dict[str, object]] = {
+    S.NatLit: {"value": DATA},
+    S.IdxVar: {"name": DATA},
+    S.Plus: {"operands": Child(IDX, MANY)},
+    S.ShapeLit: {"dims": Child(IDX, MANY)},
+    S.IdxAppend: {"operands": Child(IDX, MANY)},
+    S.BaseType: {"name": DATA},
+    S.TyVar: {"name": DATA},
+    S.FunType: {"inputs": Child(TY, MANY), "output": Child(TY)},
+    S.ArrType: {"elem": Child(TY), "shape": Child(IDX)},
+    S.ForallType: {"binders": Binder(TY, PAIRS), "body": Scope(TY)},
+    S.PiType: {"binders": Binder(IDX, PAIRS), "body": Scope(TY)},
+    S.SigmaType: {"binders": Binder(IDX, PAIRS), "body": Scope(TY)},
+    S.BaseVal: {"annot": _ANNOT, "base": DATA, "value": DATA},
+    S.PrimOp: {"annot": _ANNOT, "name": DATA},
+    S.Lam: {"annot": _ANNOT, "params": Binder(TM, TYPED), "body": Scope(TM)},
+    S.TLam: {"annot": _ANNOT, "binders": Binder(TY, PAIRS), "body": Scope(TM)},
+    S.ILam: {"annot": _ANNOT, "binders": Binder(IDX, PAIRS), "body": Scope(TM)},
+    S.Box: {
+        "annot": _ANNOT,
+        "indices": Child(IDX, MANY),
+        "payload": Child(TM),
+        "box_type": Child(TY),
+    },
+    S.Var: {"annot": _ANNOT, "name": DATA},
+    S.ArrayLit: {"annot": _ANNOT, "dims": DATA, "atoms": Child(TM, MANY)},
+    S.Frame: {"annot": _ANNOT, "dims": DATA, "cells": Child(TM, MANY)},
+    S.EmptyArray: {"annot": _ANNOT, "elem_type": Child(TY), "dims": DATA},
+    S.EmptyFrame: {"annot": _ANNOT, "cell_type": Child(TY), "dims": DATA},
+    S.App: {"annot": _ANNOT, "fn": Child(TM), "args": Child(TM, MANY)},
+    S.TApp: {"annot": _ANNOT, "fn": Child(TM), "type_args": Child(TY, MANY)},
+    S.IApp: {"annot": _ANNOT, "fn": Child(TM), "idx_args": Child(IDX, MANY)},
+    S.Unbox: {
+        "annot": _ANNOT,
+        "box": Child(TM),
+        "idx_vars": Binder(IDX, NAMES),
+        "val_var": Binder(TM, NAME),
+        "body": Scope(TM),
+    },
+}
+
+LEAVES = {S.IdxVar: IDX, S.TyVar: TY, S.Var: TM}
+_LEAF = {ns: cls for cls, ns in LEAVES.items()}
 
 
-def free_idx_in_idx(i: IndexExpr) -> set[str]:
-    if isinstance(i, NatLit):
-        return set()
-    if isinstance(i, IdxVar):
-        return {i.name}
-    if isinstance(i, Plus):
-        return set().union(*(free_idx_in_idx(o) for o in i.operands), set())
-    if isinstance(i, ShapeLit):
-        return set().union(*(free_idx_in_idx(o) for o in i.dims), set())
-    if isinstance(i, IdxAppend):
-        return set().union(*(free_idx_in_idx(o) for o in i.operands), set())
-    raise TypeError(i)
+def _split(cls: type) -> tuple:
+    """(data, children, binders, scope) of a class: the data fields (a leaf's
+    name excluded), (field, shape, cat) of the children outside the scope,
+    (field, form, ns) of the binders, and the scope's (field, cat) or None."""
+    data, kids, binders, scope = [], [], [], None
+    for f, role in SCHEMA[cls].items():
+        if isinstance(role, Child):
+            kids.append((f, role.shape, role.cat))
+        elif isinstance(role, Binder):
+            binders.append((f, role.form, role.ns))
+        elif isinstance(role, Scope):
+            scope = (f, role.cat)
+        elif not (f == "name" and cls in LEAVES):
+            data.append(f)
+    return tuple(data), tuple(kids), tuple(binders), scope
 
 
-def free_idx_in_type(t: TypeExpr) -> set[str]:
-    if isinstance(t, (BaseType, TyVar)):
-        return set()
-    if isinstance(t, FunType):
-        out = free_idx_in_type(t.output)
-        return out.union(*(free_idx_in_type(x) for x in t.inputs))
-    if isinstance(t, ArrType):
-        return free_idx_in_type(t.elem) | free_idx_in_idx(t.shape)
-    if isinstance(t, ForallType):
-        return free_idx_in_type(t.body)
-    if isinstance(t, (PiType, SigmaType)):
-        bound = {x for x, _ in t.binders}
-        return free_idx_in_type(t.body) - bound
-    raise TypeError(t)
+def _plan(split: tuple, ns: int) -> tuple:
+    """What `free_vars` and `subst` visit in namespace ns: (field, shape) of the
+    children outside the scope that can hold its variables; the binders, when
+    one can capture a payload's variable (its namespace is at most ns) or has
+    types that can; the scope field, else the scope is one more child."""
+    _, kids, binders, scope = split
+    plain = tuple((f, shape) for f, shape, cat in kids if ns <= cat)
+    if scope is None or scope[1] < ns:
+        return plain, (), None
+    if not any(bns <= ns or (form == TYPED and ns <= TY) for _, form, bns in binders):
+        return plain + ((scope[0], ONE),), (), None
+    return plain, binders, scope[0]
 
 
-def free_ty_in_type(t: TypeExpr) -> set[str]:
-    if isinstance(t, BaseType):
-        return set()
-    if isinstance(t, TyVar):
-        return {t.name}
-    if isinstance(t, FunType):
-        out = free_ty_in_type(t.output)
-        return out.union(*(free_ty_in_type(x) for x in t.inputs))
-    if isinstance(t, ArrType):
-        return free_ty_in_type(t.elem)
-    if isinstance(t, ForallType):
-        bound = {x for x, _ in t.binders}
-        return free_ty_in_type(t.body) - bound
-    if isinstance(t, (PiType, SigmaType)):
-        return free_ty_in_type(t.body)
-    raise TypeError(t)
+_SPLIT = {cls: _split(cls) for cls in SCHEMA}
+_PLANS = [{cls: _plan(split, ns) for cls, split in _SPLIT.items()} for ns in (IDX, TY, TM)]
+_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in SCHEMA}
+_setattr = object.__setattr__
 
 
-def _annot_free(t: Term, f: Callable[[TypeExpr], set[str]]) -> set[str]:
-    return f(t.annot) if t.annot is not None else set()
+def _unpack(value, form: str) -> tuple:
+    """A binder field as (name, second) pairs; second is None for bare names."""
+    if form == NAME:
+        return ((value, None),)
+    if form == NAMES:
+        return tuple((x, None) for x in value)
+    return value
 
 
-def free_idx_in_term(t: Term) -> set[str]:
-    acc = _annot_free(t, free_idx_in_type)
-    if isinstance(t, (BaseVal, PrimOp, Var)):
-        return acc
-    if isinstance(t, Lam):
-        return acc.union(
-            *(free_idx_in_type(ty) for _, ty in t.params), free_idx_in_term(t.body)
-        )
-    if isinstance(t, TLam):
-        return acc | free_idx_in_term(t.body)
-    if isinstance(t, ILam):
-        bound = {x for x, _ in t.binders}
-        return acc | (free_idx_in_term(t.body) - bound)
-    if isinstance(t, Box):
-        return acc.union(
-            *(free_idx_in_idx(i) for i in t.indices),
-            free_idx_in_term(t.payload),
-            free_idx_in_type(t.box_type),
-        )
-    if isinstance(t, ArrayLit):
-        return acc.union(*(free_idx_in_term(a) for a in t.atoms), set())
-    if isinstance(t, Frame):
-        return acc.union(*(free_idx_in_term(c) for c in t.cells), set())
-    if isinstance(t, EmptyArray):
-        return acc | free_idx_in_type(t.elem_type)
-    if isinstance(t, EmptyFrame):
-        return acc | free_idx_in_type(t.cell_type)
-    if isinstance(t, App):
-        return acc.union(free_idx_in_term(t.fn), *(free_idx_in_term(a) for a in t.args))
-    if isinstance(t, TApp):
-        return acc.union(
-            free_idx_in_term(t.fn), *(free_idx_in_type(x) for x in t.type_args)
-        )
-    if isinstance(t, IApp):
-        return acc.union(
-            free_idx_in_term(t.fn), *(free_idx_in_idx(i) for i in t.idx_args)
-        )
-    if isinstance(t, Unbox):
-        bound = set(t.idx_vars)
-        return acc | free_idx_in_term(t.box) | (free_idx_in_term(t.body) - bound)
-    raise TypeError(t)
+def _pack(items, form: str):
+    if form == NAME:
+        return items[0][0]
+    if form == NAMES:
+        return tuple(x for x, _ in items)
+    return tuple(items)
 
 
-def free_ty_in_term(t: Term) -> set[str]:
-    acc = _annot_free(t, free_ty_in_type)
-    if isinstance(t, (BaseVal, PrimOp, Var)):
-        return acc
-    if isinstance(t, Lam):
-        return acc.union(
-            *(free_ty_in_type(ty) for _, ty in t.params), free_ty_in_term(t.body)
-        )
-    if isinstance(t, TLam):
-        bound = {x for x, _ in t.binders}
-        return acc | (free_ty_in_term(t.body) - bound)
-    if isinstance(t, ILam):
-        return acc | free_ty_in_term(t.body)
-    if isinstance(t, Box):
-        return acc | free_ty_in_term(t.payload) | free_ty_in_type(t.box_type)
-    if isinstance(t, ArrayLit):
-        return acc.union(*(free_ty_in_term(a) for a in t.atoms), set())
-    if isinstance(t, Frame):
-        return acc.union(*(free_ty_in_term(c) for c in t.cells), set())
-    if isinstance(t, EmptyArray):
-        return acc | free_ty_in_type(t.elem_type)
-    if isinstance(t, EmptyFrame):
-        return acc | free_ty_in_type(t.cell_type)
-    if isinstance(t, App):
-        return acc.union(free_ty_in_term(t.fn), *(free_ty_in_term(a) for a in t.args))
-    if isinstance(t, TApp):
-        return acc.union(
-            free_ty_in_term(t.fn), *(free_ty_in_type(x) for x in t.type_args)
-        )
-    if isinstance(t, IApp):
-        return acc | free_ty_in_term(t.fn)
-    if isinstance(t, Unbox):
-        return acc | free_ty_in_term(t.box) | free_ty_in_term(t.body)
-    raise TypeError(t)
-
-
-def free_term_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    if isinstance(t, (BaseVal, PrimOp, EmptyArray, EmptyFrame)):
-        return set()
-    if isinstance(t, Lam):
-        bound = {x for x, _ in t.params}
-        return free_term_vars(t.body) - bound
-    if isinstance(t, (TLam, ILam)):
-        return free_term_vars(t.body)
-    if isinstance(t, Box):
-        return free_term_vars(t.payload)
-    if isinstance(t, ArrayLit):
-        return set().union(*(free_term_vars(a) for a in t.atoms), set())
-    if isinstance(t, Frame):
-        return set().union(*(free_term_vars(c) for c in t.cells), set())
-    if isinstance(t, App):
-        return set().union(free_term_vars(t.fn), *(free_term_vars(a) for a in t.args))
-    if isinstance(t, (TApp, IApp)):
-        return free_term_vars(t.fn)
-    if isinstance(t, Unbox):
-        return free_term_vars(t.box) | (free_term_vars(t.body) - {t.val_var})
-    raise TypeError(t)
+def _rebuild(node, changes: dict):
+    # What a frozen dataclass's __init__ does, cheaper than dataclasses.replace.
+    # (Copying node.__dict__ would turn the node's inline attributes into a
+    # dict, which slows every later attribute read of the node.)
+    cls = type(node)
+    new = object.__new__(cls)
+    for f in _FIELD_NAMES[cls]:
+        _setattr(new, f, changes[f] if f in changes else getattr(node, f))
+    return new
 
 
 # ---------------------------------------------------------------------------
-# Substitution: indices into indices/types/terms
+# Free variables
+
+
+def free_vars(node, ns: int) -> set[str]:
+    """The variables of namespace ns free in an index, type or term."""
+    out: set[str] = set()
+    _free(node, ns, frozenset(), out)
+    return out
+
+
+def _free(node, ns: int, bound: frozenset, out: set) -> None:
+    cls = type(node)
+    if cls is _LEAF[ns]:
+        if node.name not in bound:
+            out.add(node.name)
+        return
+    kids, binders, scope = _PLANS[ns][cls]
+    for f, shape in kids:
+        v = getattr(node, f)
+        if shape == MANY:
+            for c in v:
+                _free(c, ns, bound, out)
+        elif v is not None:
+            _free(v, ns, bound, out)
+    if scope is None:
+        return
+    inner = bound
+    for f, form, bns in binders:
+        items = _unpack(getattr(node, f), form)
+        if form == TYPED and ns <= TY:
+            for _, t in items:
+                _free(t, ns, bound, out)
+        if bns == ns:
+            inner = inner.union(x for x, _ in items)
+    _free(getattr(node, scope), ns, inner, out)
+
+
+def free_idx_in_idx(i: IndexExpr) -> set[str]:
+    return free_vars(i, IDX)
+
+
+def free_idx_in_type(t: TypeExpr) -> set[str]:
+    return free_vars(t, IDX)
+
+
+def free_ty_in_type(t: TypeExpr) -> set[str]:
+    return free_vars(t, TY)
+
+
+def free_idx_in_term(t: Term) -> set[str]:
+    return free_vars(t, IDX)
+
+
+def free_ty_in_term(t: Term) -> set[str]:
+    return free_vars(t, TY)
+
+
+def free_term_vars(t: Term) -> set[str]:
+    return free_vars(t, TM)
+
+
+# ---------------------------------------------------------------------------
+# Capture-avoiding substitution
+
+
+def subst(node, ns: int, m: Mapping):
+    """Simultaneous capture-avoiding substitution of the payloads of m for the
+    free variables of namespace ns in node."""
+    if not m:
+        return node
+    return _Subst(ns, m, {}).go(node)
+
+
+class _Subst:
+    """The substitution of m in namespace ns; `memo` holds the payloads' free
+    variables for the whole substitution. (A class, not a closure: a recursive
+    closure is a reference cycle, and one per call keeps the collector busy.)"""
+
+    __slots__ = ("ns", "m", "memo", "plans", "leaf")
+
+    def __init__(self, ns: int, m: Mapping, memo: dict) -> None:
+        self.ns, self.m, self.memo = ns, m, memo
+        self.plans, self.leaf = _PLANS[ns], _LEAF[ns]
+
+    def go(self, node):
+        cls = type(node)
+        if cls is self.leaf:
+            return self.m.get(node.name, node)
+        kids, binders, scope = self.plans[cls]
+        changes = None
+        for f, shape in kids:
+            old = getattr(node, f)
+            if shape == MANY:
+                new = tuple(map(self.go, old))
+                if all(map(is_, new, old)):
+                    continue
+            elif old is None:
+                continue
+            else:
+                new = self.go(old)
+            if new is not old:
+                if changes is None:
+                    changes = {}
+                changes[f] = new
+        if scope is not None:
+            changes = self.bind(node, binders, scope, changes or {})
+        return _rebuild(node, changes) if changes else node
+
+    def bind(self, node, binders, scope, changes: dict) -> dict:
+        """`changes` plus the new binder fields and scope of a binding node."""
+        ns, m = self.ns, self.m
+        own = {x for f, form, bns in binders if bns == ns for x, _ in _unpack(getattr(node, f), form)}
+        m2 = m if own.isdisjoint(m) else {k: v for k, v in m.items() if k not in own}
+        renames: dict[int, dict] = {}
+        for f, form, bns in binders:
+            items = _unpack(getattr(node, f), form)
+            new = None
+            if form == TYPED and ns <= TY:
+                types = [self.go(t) for _, t in items]
+                if not all(map(is_, types, (t for _, t in items))):
+                    new = [(x, t) for (x, _), t in zip(items, types)]
+            if bns <= ns and m2:
+                free = _payload_free(m2, bns, self.memo)
+                for k, (x, _) in enumerate(items):
+                    if x in free:
+                        x2 = gensym(x)
+                        renames.setdefault(bns, {})[x] = _LEAF[bns](x2)
+                        new = new or list(items)
+                        new[k] = (x2, new[k][1])
+            if new is not None:
+                changes[f] = _pack(new, form)
+        if not m2:
+            return changes
+        old = body = getattr(node, scope)
+        for bns, r in renames.items():
+            if bns != ns:
+                body = _Subst(bns, r, self.memo).go(body)
+        if ns in renames:
+            m2 = {**m2, **renames[ns]}
+        body = (self if m2 is m else _Subst(ns, m2, self.memo)).go(body)
+        if body is not old:
+            changes[scope] = body
+        return changes
+
+
+def _payload_free(m: Mapping, ns: int, memo: dict) -> set[str]:
+    """Variables of namespace ns free in the payloads of m (not to be mutated);
+    the memo holds each payload, so its id is not reused while the memo lives."""
+    out = None
+    for v in m.values():
+        hit = memo.get((id(v), ns))
+        if hit is None:
+            hit = memo[id(v), ns] = (v, free_vars(v, ns))
+        out = hit[1] if out is None else out | hit[1]
+    return out
 
 
 def subst_idx(i: IndexExpr, m: Mapping[str, IndexExpr]) -> IndexExpr:
-    if not m:
-        return i
-    if isinstance(i, NatLit):
-        return i
-    if isinstance(i, IdxVar):
-        return m.get(i.name, i)
-    if isinstance(i, Plus):
-        return Plus(tuple(subst_idx(o, m) for o in i.operands))
-    if isinstance(i, ShapeLit):
-        return ShapeLit(tuple(subst_idx(o, m) for o in i.dims))
-    if isinstance(i, IdxAppend):
-        return IdxAppend(tuple(subst_idx(o, m) for o in i.operands))
-    raise TypeError(i)
-
-
-def _retain(m: Mapping, bound: set[str]) -> dict:
-    return {k: v for k, v in m.items() if k not in bound}
-
-
-def _guard_idx_binders(
-    binders: tuple, m: dict, payload_free: set[str]
-) -> tuple[tuple, dict]:
-    """Rename any index binder that would capture a payload variable; the
-    renames ride along in the same substitution pass."""
-    new_binders = []
-    extra: dict[str, IndexExpr] = {}
-    for x, s in binders:
-        if x in payload_free:
-            x2 = gensym(x)
-            extra[x] = IdxVar(x2)
-            new_binders.append((x2, s))
-        else:
-            new_binders.append((x, s))
-    if extra:
-        m = dict(m)
-        m.update(extra)
-    return tuple(new_binders), m
+    return subst(i, IDX, m)
 
 
 def subst_idx_in_type(t: TypeExpr, m: Mapping[str, IndexExpr]) -> TypeExpr:
-    if not m:
-        return t
-    if isinstance(t, (BaseType, TyVar)):
-        return t
-    if isinstance(t, FunType):
-        return FunType(
-            tuple(subst_idx_in_type(x, m) for x in t.inputs),
-            subst_idx_in_type(t.output, m),
-        )
-    if isinstance(t, ArrType):
-        return ArrType(subst_idx_in_type(t.elem, m), subst_idx(t.shape, m))
-    if isinstance(t, ForallType):
-        return ForallType(t.binders, subst_idx_in_type(t.body, m))
-    if isinstance(t, (PiType, SigmaType)):
-        bound = {x for x, _ in t.binders}
-        m2 = _retain(m, bound)
-        if not m2:
-            return t
-        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
-        binders, m3 = _guard_idx_binders(t.binders, m2, payload_free)
-        return type(t)(binders, subst_idx_in_type(t.body, m3))
-    raise TypeError(t)
+    return subst(t, IDX, m)
 
 
 def subst_ty_in_type(t: TypeExpr, m: Mapping[str, TypeExpr]) -> TypeExpr:
-    if not m:
-        return t
-    if isinstance(t, BaseType):
-        return t
-    if isinstance(t, TyVar):
-        return m.get(t.name, t)
-    if isinstance(t, FunType):
-        return FunType(
-            tuple(subst_ty_in_type(x, m) for x in t.inputs),
-            subst_ty_in_type(t.output, m),
-        )
-    if isinstance(t, ArrType):
-        return ArrType(subst_ty_in_type(t.elem, m), t.shape)
-    if isinstance(t, ForallType):
-        bound = {x for x, _ in t.binders}
-        m2 = _retain(m, bound)
-        if not m2:
-            return t
-        payload_free = set().union(*(free_ty_in_type(v) for v in m2.values()), set())
-        new_binders = []
-        renames: dict[str, TypeExpr] = {}
-        for x, k in t.binders:
-            if x in payload_free:
-                x2 = gensym(x)
-                renames[x] = TyVar(x2)
-                new_binders.append((x2, k))
-            else:
-                new_binders.append((x, k))
-        if renames:
-            m2 = dict(m2)
-            m2.update(renames)
-        return ForallType(tuple(new_binders), subst_ty_in_type(t.body, m2))
-    if isinstance(t, (PiType, SigmaType)):
-        # Index binders can capture index variables free in the type payloads.
-        payload_free = set().union(*(free_idx_in_type(v) for v in m.values()), set())
-        binders, extra = _guard_idx_binders(t.binders, {}, payload_free)
-        body = t.body if not extra else subst_idx_in_type(t.body, extra)
-        return type(t)(binders, subst_ty_in_type(body, m))
-    raise TypeError(t)
-
-
-def _subst_annot(t, f):
-    return None if t.annot is None else f(t.annot)
+    return subst(t, TY, m)
 
 
 def subst_idx_in_term(t: Term, m: Mapping[str, IndexExpr]) -> Term:
-    if not m:
-        return t
-    ann = _subst_annot(t, lambda a: subst_idx_in_type(a, m))
-    if isinstance(t, (BaseVal, PrimOp, Var)):
-        return replace(t, annot=ann)
-    if isinstance(t, Lam):
-        params = tuple((x, subst_idx_in_type(ty, m)) for x, ty in t.params)
-        return replace(t, params=params, body=subst_idx_in_term(t.body, m), annot=ann)
-    if isinstance(t, TLam):
-        return replace(t, body=subst_idx_in_term(t.body, m), annot=ann)
-    if isinstance(t, ILam):
-        bound = {x for x, _ in t.binders}
-        m2 = _retain(m, bound)
-        if not m2:
-            return replace(t, annot=ann)
-        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
-        binders, m3 = _guard_idx_binders(t.binders, m2, payload_free)
-        return replace(
-            t, binders=binders, body=subst_idx_in_term(t.body, m3), annot=ann
-        )
-    if isinstance(t, Box):
-        return replace(
-            t,
-            indices=tuple(subst_idx(i, m) for i in t.indices),
-            payload=subst_idx_in_term(t.payload, m),
-            box_type=subst_idx_in_type(t.box_type, m),
-            annot=ann,
-        )
-    if isinstance(t, ArrayLit):
-        return replace(
-            t, atoms=tuple(subst_idx_in_term(a, m) for a in t.atoms), annot=ann
-        )
-    if isinstance(t, Frame):
-        return replace(
-            t, cells=tuple(subst_idx_in_term(c, m) for c in t.cells), annot=ann
-        )
-    if isinstance(t, EmptyArray):
-        return replace(t, elem_type=subst_idx_in_type(t.elem_type, m), annot=ann)
-    if isinstance(t, EmptyFrame):
-        return replace(t, cell_type=subst_idx_in_type(t.cell_type, m), annot=ann)
-    if isinstance(t, App):
-        return replace(
-            t,
-            fn=subst_idx_in_term(t.fn, m),
-            args=tuple(subst_idx_in_term(a, m) for a in t.args),
-            annot=ann,
-        )
-    if isinstance(t, TApp):
-        return replace(
-            t,
-            fn=subst_idx_in_term(t.fn, m),
-            type_args=tuple(subst_idx_in_type(x, m) for x in t.type_args),
-            annot=ann,
-        )
-    if isinstance(t, IApp):
-        return replace(
-            t,
-            fn=subst_idx_in_term(t.fn, m),
-            idx_args=tuple(subst_idx(i, m) for i in t.idx_args),
-            annot=ann,
-        )
-    if isinstance(t, Unbox):
-        box = subst_idx_in_term(t.box, m)
-        bound = set(t.idx_vars)
-        m2 = _retain(m, bound)
-        if not m2:
-            return replace(t, box=box, annot=ann)
-        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
-        idx_vars = []
-        extra: dict[str, IndexExpr] = {}
-        for x in t.idx_vars:
-            if x in payload_free:
-                x2 = gensym(x)
-                extra[x] = IdxVar(x2)
-                idx_vars.append(x2)
-            else:
-                idx_vars.append(x)
-        m3 = dict(m2, **extra) if extra else m2
-        return replace(
-            t,
-            idx_vars=tuple(idx_vars),
-            box=box,
-            body=subst_idx_in_term(t.body, m3),
-            annot=ann,
-        )
-    raise TypeError(t)
+    return subst(t, IDX, m)
 
 
 def subst_ty_in_term(t: Term, m: Mapping[str, TypeExpr]) -> Term:
-    if not m:
-        return t
-    ann = _subst_annot(t, lambda a: subst_ty_in_type(a, m))
-    if isinstance(t, (BaseVal, PrimOp, Var)):
-        return replace(t, annot=ann)
-    if isinstance(t, Lam):
-        params = tuple((x, subst_ty_in_type(ty, m)) for x, ty in t.params)
-        return replace(t, params=params, body=subst_ty_in_term(t.body, m), annot=ann)
-    if isinstance(t, TLam):
-        bound = {x for x, _ in t.binders}
-        m2 = _retain(m, bound)
-        if not m2:
-            return replace(t, annot=ann)
-        payload_free = set().union(*(free_ty_in_type(v) for v in m2.values()), set())
-        new_binders = []
-        renames: dict[str, TypeExpr] = {}
-        for x, k in t.binders:
-            if x in payload_free:
-                x2 = gensym(x)
-                renames[x] = TyVar(x2)
-                new_binders.append((x2, k))
-            else:
-                new_binders.append((x, k))
-        m3 = dict(m2, **renames) if renames else m2
-        return replace(
-            t, binders=tuple(new_binders), body=subst_ty_in_term(t.body, m3), annot=ann
-        )
-    if isinstance(t, ILam):
-        # Index binders can capture index variables free in the payloads.
-        payload_free = set().union(*(free_idx_in_type(v) for v in m.values()), set())
-        binders, extra = _guard_idx_binders(t.binders, {}, payload_free)
-        body = t.body if not extra else subst_idx_in_term(t.body, extra)
-        return replace(t, binders=binders, body=subst_ty_in_term(body, m), annot=ann)
-    if isinstance(t, Box):
-        return replace(
-            t,
-            payload=subst_ty_in_term(t.payload, m),
-            box_type=subst_ty_in_type(t.box_type, m),
-            annot=ann,
-        )
-    if isinstance(t, ArrayLit):
-        return replace(
-            t, atoms=tuple(subst_ty_in_term(a, m) for a in t.atoms), annot=ann
-        )
-    if isinstance(t, Frame):
-        return replace(
-            t, cells=tuple(subst_ty_in_term(c, m) for c in t.cells), annot=ann
-        )
-    if isinstance(t, EmptyArray):
-        return replace(t, elem_type=subst_ty_in_type(t.elem_type, m), annot=ann)
-    if isinstance(t, EmptyFrame):
-        return replace(t, cell_type=subst_ty_in_type(t.cell_type, m), annot=ann)
-    if isinstance(t, App):
-        return replace(
-            t,
-            fn=subst_ty_in_term(t.fn, m),
-            args=tuple(subst_ty_in_term(a, m) for a in t.args),
-            annot=ann,
-        )
-    if isinstance(t, TApp):
-        return replace(
-            t,
-            fn=subst_ty_in_term(t.fn, m),
-            type_args=tuple(subst_ty_in_type(x, m) for x in t.type_args),
-            annot=ann,
-        )
-    if isinstance(t, IApp):
-        return replace(t, fn=subst_ty_in_term(t.fn, m), annot=ann)
-    if isinstance(t, Unbox):
-        box = subst_ty_in_term(t.box, m)
-        payload_free = set().union(*(free_idx_in_type(v) for v in m.values()), set())
-        idx_vars = []
-        extra: dict[str, IndexExpr] = {}
-        for x in t.idx_vars:
-            if x in payload_free:
-                x2 = gensym(x)
-                extra[x] = IdxVar(x2)
-                idx_vars.append(x2)
-            else:
-                idx_vars.append(x)
-        body = t.body if not extra else subst_idx_in_term(t.body, extra)
-        return replace(
-            t,
-            idx_vars=tuple(idx_vars),
-            box=box,
-            body=subst_ty_in_term(body, m),
-            annot=ann,
-        )
-    raise TypeError(t)
+    return subst(t, TY, m)
 
 
 def subst_term(t: Term, m: Mapping[str, ExprTerm]) -> Term:
-    """Simultaneous capture-avoiding substitution of expressions for term
-    variables. Annotations and types are untouched (term variables do not
-    occur in them), but binders of every namespace guard against capturing
-    the payloads' free variables."""
-    if not m:
-        return t
-    if isinstance(t, Var):
-        return m.get(t.name, t)
-    if isinstance(t, (BaseVal, PrimOp, EmptyArray, EmptyFrame)):
-        return t
-    if isinstance(t, Lam):
-        bound = {x for x, _ in t.params}
-        m2 = _retain(m, bound)
-        if not m2:
-            return t
-        payload_free = set().union(*(free_term_vars(v) for v in m2.values()), set())
-        params = []
-        renames: dict[str, ExprTerm] = {}
-        for x, ty in t.params:
-            if x in payload_free:
-                x2 = gensym(x)
-                renames[x] = Var(x2)
-                params.append((x2, ty))
-            else:
-                params.append((x, ty))
-        m3 = dict(m2, **renames) if renames else m2
-        return replace(t, params=tuple(params), body=subst_term(t.body, m3))
-    if isinstance(t, TLam):
-        payload_free = set().union(*(free_ty_in_term(v) for v in m.values()), set())
-        new_binders = []
-        renames: dict[str, TypeExpr] = {}
-        for x, k in t.binders:
-            if x in payload_free:
-                x2 = gensym(x)
-                renames[x] = TyVar(x2)
-                new_binders.append((x2, k))
-            else:
-                new_binders.append((x, k))
-        body = t.body if not renames else subst_ty_in_term(t.body, renames)
-        return replace(t, binders=tuple(new_binders), body=subst_term(body, m))
-    if isinstance(t, ILam):
-        payload_free = set().union(*(free_idx_in_term(v) for v in m.values()), set())
-        binders, extra = _guard_idx_binders(t.binders, {}, payload_free)
-        body = t.body if not extra else subst_idx_in_term(t.body, extra)
-        return replace(t, binders=binders, body=subst_term(body, m))
-    if isinstance(t, Box):
-        return replace(t, payload=subst_term(t.payload, m))
-    if isinstance(t, ArrayLit):
-        return replace(t, atoms=tuple(subst_term(a, m) for a in t.atoms))
-    if isinstance(t, Frame):
-        return replace(t, cells=tuple(subst_term(c, m) for c in t.cells))
-    if isinstance(t, App):
-        return replace(
-            t, fn=subst_term(t.fn, m), args=tuple(subst_term(a, m) for a in t.args)
-        )
-    if isinstance(t, (TApp, IApp)):
-        return replace(t, fn=subst_term(t.fn, m))
-    if isinstance(t, Unbox):
-        box = subst_term(t.box, m)
-        m2 = _retain(m, {t.val_var})
-        if not m2:
-            return replace(t, box=box)
-        payload_free_tm = set().union(*(free_term_vars(v) for v in m2.values()), set())
-        payload_free_ix = set().union(
-            *(free_idx_in_term(v) for v in m2.values()), set()
-        )
-        idx_vars = []
-        extra_ix: dict[str, IndexExpr] = {}
-        for x in t.idx_vars:
-            if x in payload_free_ix:
-                x2 = gensym(x)
-                extra_ix[x] = IdxVar(x2)
-                idx_vars.append(x2)
-            else:
-                idx_vars.append(x)
-        body = t.body if not extra_ix else subst_idx_in_term(t.body, extra_ix)
-        val_var = t.val_var
-        if val_var in payload_free_tm:
-            v2 = gensym(val_var)
-            body = subst_term(body, {val_var: Var(v2)})
-            val_var = v2
-        return replace(
-            t,
-            idx_vars=tuple(idx_vars),
-            val_var=val_var,
-            box=box,
-            body=subst_term(body, m2),
-        )
-    raise TypeError(t)
+    """Expressions for term variables; annotations and types hold no term
+    variables and are left as they are."""
+    return subst(t, TM, m)
 
 
 # ---------------------------------------------------------------------------
 # Canonical renaming (freshen) and alpha-equivalence
 
 
-class _Freshener:
-    def __init__(self, salt: str = "") -> None:
-        self._n = 0
-        self._salt = salt
-
-    def fresh(self, name: str) -> str:
-        self._n += 1
-        return f"{base_name(name)}#{self._salt}{self._n}"
-
-    # env maps: separate namespaces, old name -> new name
-    def idx(self, i: IndexExpr, ix: dict) -> IndexExpr:
-        if isinstance(i, NatLit):
-            return i
-        if isinstance(i, IdxVar):
-            return IdxVar(ix.get(i.name, i.name))
-        if isinstance(i, Plus):
-            return Plus(tuple(self.idx(o, ix) for o in i.operands))
-        if isinstance(i, ShapeLit):
-            return ShapeLit(tuple(self.idx(o, ix) for o in i.dims))
-        if isinstance(i, IdxAppend):
-            return IdxAppend(tuple(self.idx(o, ix) for o in i.operands))
-        raise TypeError(i)
-
-    def type(self, t: TypeExpr, ix: dict, ty: dict) -> TypeExpr:
-        if isinstance(t, BaseType):
-            return t
-        if isinstance(t, TyVar):
-            return TyVar(ty.get(t.name, t.name))
-        if isinstance(t, FunType):
-            return FunType(
-                tuple(self.type(x, ix, ty) for x in t.inputs),
-                self.type(t.output, ix, ty),
-            )
-        if isinstance(t, ArrType):
-            return ArrType(self.type(t.elem, ix, ty), self.idx(t.shape, ix))
-        if isinstance(t, ForallType):
-            ty2 = dict(ty)
-            binders = []
-            for x, k in t.binders:
-                x2 = self.fresh(x)
-                ty2[x] = x2
-                binders.append((x2, k))
-            return ForallType(tuple(binders), self.type(t.body, ix, ty2))
-        if isinstance(t, (PiType, SigmaType)):
-            ix2 = dict(ix)
-            binders = []
-            for x, s in t.binders:
-                x2 = self.fresh(x)
-                ix2[x] = x2
-                binders.append((x2, s))
-            return type(t)(tuple(binders), self.type(t.body, ix2, ty))
-        raise TypeError(t)
-
-    def term(self, t: Term, ix: dict, ty: dict, tm: dict) -> Term:
-        ann = None if t.annot is None else self.type(t.annot, ix, ty)
-        if isinstance(t, BaseVal):
-            return replace(t, annot=ann)
-        if isinstance(t, PrimOp):
-            return replace(t, annot=ann)
-        if isinstance(t, Var):
-            return replace(t, name=tm.get(t.name, t.name), annot=ann)
-        if isinstance(t, Lam):
-            tm2 = dict(tm)
-            params = []
-            for x, pty in t.params:
-                x2 = self.fresh(x)
-                tm2[x] = x2
-                params.append((x2, self.type(pty, ix, ty)))
-            return replace(
-                t, params=tuple(params), body=self.term(t.body, ix, ty, tm2), annot=ann
-            )
-        if isinstance(t, TLam):
-            ty2 = dict(ty)
-            binders = []
-            for x, k in t.binders:
-                x2 = self.fresh(x)
-                ty2[x] = x2
-                binders.append((x2, k))
-            return replace(
-                t, binders=tuple(binders), body=self.term(t.body, ix, ty2, tm), annot=ann
-            )
-        if isinstance(t, ILam):
-            ix2 = dict(ix)
-            binders = []
-            for x, s in t.binders:
-                x2 = self.fresh(x)
-                ix2[x] = x2
-                binders.append((x2, s))
-            return replace(
-                t, binders=tuple(binders), body=self.term(t.body, ix2, ty, tm), annot=ann
-            )
-        if isinstance(t, Box):
-            return replace(
-                t,
-                indices=tuple(self.idx(i, ix) for i in t.indices),
-                payload=self.term(t.payload, ix, ty, tm),
-                box_type=self.type(t.box_type, ix, ty),
-                annot=ann,
-            )
-        if isinstance(t, ArrayLit):
-            return replace(
-                t, atoms=tuple(self.term(a, ix, ty, tm) for a in t.atoms), annot=ann
-            )
-        if isinstance(t, Frame):
-            return replace(
-                t, cells=tuple(self.term(c, ix, ty, tm) for c in t.cells), annot=ann
-            )
-        if isinstance(t, EmptyArray):
-            return replace(t, elem_type=self.type(t.elem_type, ix, ty), annot=ann)
-        if isinstance(t, EmptyFrame):
-            return replace(t, cell_type=self.type(t.cell_type, ix, ty), annot=ann)
-        if isinstance(t, App):
-            return replace(
-                t,
-                fn=self.term(t.fn, ix, ty, tm),
-                args=tuple(self.term(a, ix, ty, tm) for a in t.args),
-                annot=ann,
-            )
-        if isinstance(t, TApp):
-            return replace(
-                t,
-                fn=self.term(t.fn, ix, ty, tm),
-                type_args=tuple(self.type(x, ix, ty) for x in t.type_args),
-                annot=ann,
-            )
-        if isinstance(t, IApp):
-            return replace(
-                t,
-                fn=self.term(t.fn, ix, ty, tm),
-                idx_args=tuple(self.idx(i, ix) for i in t.idx_args),
-                annot=ann,
-            )
-        if isinstance(t, Unbox):
-            box = self.term(t.box, ix, ty, tm)
-            ix2 = dict(ix)
-            idx_vars = []
-            for x in t.idx_vars:
-                x2 = self.fresh(x)
-                ix2[x] = x2
-                idx_vars.append(x2)
-            tm2 = dict(tm)
-            v2 = self.fresh(t.val_var)
-            tm2[t.val_var] = v2
-            return replace(
-                t,
-                idx_vars=tuple(idx_vars),
-                val_var=v2,
-                box=box,
-                body=self.term(t.body, ix2, ty, tm2),
-                annot=ann,
-            )
-        raise TypeError(t)
-
-
 def freshen(t: Term, salt: str = "") -> Term:
     """Rename every binder (term, type, and index level, including binders
-    inside types) to a canonical name#N from a per-call counter. Free
-    variables are untouched; the result is alpha-equivalent to the input and
-    freshen is idempotent up to literal equality. A salt makes two passes
-    produce disjoint name supplies."""
-    return _Freshener(salt).term(t, {}, {}, {})
+    inside types) to a canonical name#N from a per-call counter, in the order
+    the binders appear. Free variables are untouched; the result is
+    alpha-equivalent to the input and freshen is idempotent up to literal
+    equality. A salt makes two passes produce disjoint name supplies."""
+    counter = itertools.count(1)
+    return _freshen(t, ({}, {}, {}), lambda x: f"{base_name(x)}#{salt}{next(counter)}")
 
 
 def freshen_type(t: TypeExpr, salt: str = "") -> TypeExpr:
-    return _Freshener(salt).type(t, {}, {})
+    return freshen(t, salt)
 
 
-# ---------------------------------------------------------------------------
-# Alpha-equivalence (structural, binder-aware; annotations compared too)
+def _freshen(node, envs: tuple, fresh):
+    cls = type(node)
+    changes = {}
+    if cls in LEAVES and node.name in envs[LEAVES[cls]]:
+        changes["name"] = envs[LEAVES[cls]][node.name]
+    _, kids, binders, scope = _SPLIT[cls]
+    for f, shape, _ in kids:
+        old = getattr(node, f)
+        if shape == MANY:
+            changes[f] = tuple(_freshen(c, envs, fresh) for c in old)
+        elif old is not None:
+            changes[f] = _freshen(old, envs, fresh)
+    if scope is not None:
+        inner = list(envs)
+        for f, form, bns in binders:
+            env = inner[bns] = dict(inner[bns])
+            items = []
+            for x, second in _unpack(getattr(node, f), form):
+                env[x] = x2 = fresh(x)
+                items.append((x2, _freshen(second, envs, fresh) if form == TYPED else second))
+            changes[f] = _pack(items, form)
+        changes[scope[0]] = _freshen(getattr(node, scope[0]), tuple(inner), fresh)
+    return _rebuild(node, changes) if changes else node
 
 
-def _alpha_idx(a: IndexExpr, b: IndexExpr, ixa: dict, ixb: dict) -> bool:
-    if isinstance(a, NatLit) and isinstance(b, NatLit):
-        return a.value == b.value
-    if isinstance(a, IdxVar) and isinstance(b, IdxVar):
-        ra, rb = ixa.get(a.name), ixb.get(b.name)
-        if ra is None and rb is None:
-            return a.name == b.name
-        return ra is not None and ra == rb
-    if isinstance(a, Plus) and isinstance(b, Plus):
-        return len(a.operands) == len(b.operands) and all(
-            _alpha_idx(x, y, ixa, ixb) for x, y in zip(a.operands, b.operands)
-        )
-    if isinstance(a, ShapeLit) and isinstance(b, ShapeLit):
-        return len(a.dims) == len(b.dims) and all(
-            _alpha_idx(x, y, ixa, ixb) for x, y in zip(a.dims, b.dims)
-        )
-    if isinstance(a, IdxAppend) and isinstance(b, IdxAppend):
-        return len(a.operands) == len(b.operands) and all(
-            _alpha_idx(x, y, ixa, ixb) for x, y in zip(a.operands, b.operands)
-        )
-    return False
+def alpha_equal(a, b) -> bool:
+    """Structural equality up to the names of bound variables; annotations are
+    compared too."""
+    return _alpha(a, b, ({}, {}, {}), ({}, {}, {}), 0)
 
 
-def _alpha_type(a, b, ixa, ixb, tya, tyb, lvl) -> bool:
-    if isinstance(a, BaseType) and isinstance(b, BaseType):
-        return a.name == b.name
-    if isinstance(a, TyVar) and isinstance(b, TyVar):
-        ra, rb = tya.get(a.name), tyb.get(b.name)
-        if ra is None and rb is None:
-            return a.name == b.name
-        return ra is not None and ra == rb
-    if isinstance(a, FunType) and isinstance(b, FunType):
-        return (
-            len(a.inputs) == len(b.inputs)
-            and all(
-                _alpha_type(x, y, ixa, ixb, tya, tyb, lvl)
-                for x, y in zip(a.inputs, b.inputs)
-            )
-            and _alpha_type(a.output, b.output, ixa, ixb, tya, tyb, lvl)
-        )
-    if isinstance(a, ArrType) and isinstance(b, ArrType):
-        return _alpha_type(a.elem, b.elem, ixa, ixb, tya, tyb, lvl) and _alpha_idx(
-            a.shape, b.shape, ixa, ixb
-        )
-    if isinstance(a, ForallType) and isinstance(b, ForallType):
-        if len(a.binders) != len(b.binders):
-            return False
-        if any(ka != kb for (_, ka), (_, kb) in zip(a.binders, b.binders)):
-            return False
-        tya2, tyb2 = dict(tya), dict(tyb)
-        for i, ((xa, _), (xb, _)) in enumerate(zip(a.binders, b.binders)):
-            tya2[xa] = tyb2[xb] = (lvl, i)
-        return _alpha_type(a.body, b.body, ixa, ixb, tya2, tyb2, lvl + 1)
-    if type(a) is type(b) and isinstance(a, (PiType, SigmaType)):
-        if len(a.binders) != len(b.binders):
-            return False
-        if any(sa != sb for (_, sa), (_, sb) in zip(a.binders, b.binders)):
-            return False
-        ixa2, ixb2 = dict(ixa), dict(ixb)
-        for i, ((xa, _), (xb, _)) in enumerate(zip(a.binders, b.binders)):
-            ixa2[xa] = ixb2[xb] = (lvl, i)
-        return _alpha_type(a.body, b.body, ixa2, ixb2, tya, tyb, lvl + 1)
-    return False
-
-
-def _alpha_annot(a, b, ixa, ixb, tya, tyb, lvl) -> bool:
-    if (a.annot is None) != (b.annot is None):
+def _alpha(a, b, ea: tuple, eb: tuple, lvl: int) -> bool:
+    cls = type(a)
+    if cls is not type(b):
         return False
-    if a.annot is None:
+    data, kids, binders, scope = _SPLIT[cls]
+    if any(getattr(a, f) != getattr(b, f) for f in data):
+        return False
+    if cls in LEAVES:
+        # a bound variable is its binder's (level, position); a free one its name
+        ns = LEAVES[cls]
+        if ea[ns].get(a.name, a.name) != eb[ns].get(b.name, b.name):
+            return False
+    for f, shape, _ in kids:
+        x, y = getattr(a, f), getattr(b, f)
+        if shape != MANY:
+            x, y = (() if x is None else (x,)), (() if y is None else (y,))
+        if len(x) != len(y) or not all(_alpha(p, q, ea, eb, lvl) for p, q in zip(x, y)):
+            return False
+    if scope is None:
         return True
-    return _alpha_type(a.annot, b.annot, ixa, ixb, tya, tyb, lvl)
-
-
-def _alpha_term(a, b, ixa, ixb, tya, tyb, tma, tmb, lvl) -> bool:
-    if type(a) is not type(b):
-        return False
-    if not _alpha_annot(a, b, ixa, ixb, tya, tyb, lvl):
-        return False
-    if isinstance(a, BaseVal):
-        return a.base == b.base and a.value == b.value
-    if isinstance(a, PrimOp):
-        return a.name == b.name
-    if isinstance(a, Var):
-        ra, rb = tma.get(a.name), tmb.get(b.name)
-        if ra is None and rb is None:
-            return a.name == b.name
-        return ra is not None and ra == rb
-    if isinstance(a, Lam):
-        if len(a.params) != len(b.params):
+    ia, ib = list(ea), list(eb)
+    k = 0
+    for f, form, bns in binders:
+        xs, ys = _unpack(getattr(a, f), form), _unpack(getattr(b, f), form)
+        if len(xs) != len(ys):
             return False
-        for (_, ta), (_, tb) in zip(a.params, b.params):
-            if not _alpha_type(ta, tb, ixa, ixb, tya, tyb, lvl):
+        da = ia[bns] = dict(ia[bns])
+        db = ib[bns] = dict(ib[bns])
+        for (xa, sa), (xb, sb) in zip(xs, ys):
+            if not (_alpha(sa, sb, ea, eb, lvl) if form == TYPED else sa == sb):
                 return False
-        tma2, tmb2 = dict(tma), dict(tmb)
-        for i, ((xa, _), (xb, _)) in enumerate(zip(a.params, b.params)):
-            tma2[xa] = tmb2[xb] = (lvl, i)
-        return _alpha_term(a.body, b.body, ixa, ixb, tya, tyb, tma2, tmb2, lvl + 1)
-    if isinstance(a, TLam):
-        if len(a.binders) != len(b.binders) or any(
-            ka != kb for (_, ka), (_, kb) in zip(a.binders, b.binders)
-        ):
-            return False
-        tya2, tyb2 = dict(tya), dict(tyb)
-        for i, ((xa, _), (xb, _)) in enumerate(zip(a.binders, b.binders)):
-            tya2[xa] = tyb2[xb] = (lvl, i)
-        return _alpha_term(a.body, b.body, ixa, ixb, tya2, tyb2, tma, tmb, lvl + 1)
-    if isinstance(a, ILam):
-        if len(a.binders) != len(b.binders) or any(
-            sa != sb for (_, sa), (_, sb) in zip(a.binders, b.binders)
-        ):
-            return False
-        ixa2, ixb2 = dict(ixa), dict(ixb)
-        for i, ((xa, _), (xb, _)) in enumerate(zip(a.binders, b.binders)):
-            ixa2[xa] = ixb2[xb] = (lvl, i)
-        return _alpha_term(a.body, b.body, ixa2, ixb2, tya, tyb, tma, tmb, lvl + 1)
-    if isinstance(a, Box):
-        return (
-            len(a.indices) == len(b.indices)
-            and all(_alpha_idx(x, y, ixa, ixb) for x, y in zip(a.indices, b.indices))
-            and _alpha_type(a.box_type, b.box_type, ixa, ixb, tya, tyb, lvl)
-            and _alpha_term(a.payload, b.payload, ixa, ixb, tya, tyb, tma, tmb, lvl)
-        )
-    if isinstance(a, ArrayLit):
-        return (
-            a.dims == b.dims
-            and len(a.atoms) == len(b.atoms)
-            and all(
-                _alpha_term(x, y, ixa, ixb, tya, tyb, tma, tmb, lvl)
-                for x, y in zip(a.atoms, b.atoms)
-            )
-        )
-    if isinstance(a, Frame):
-        return (
-            a.dims == b.dims
-            and len(a.cells) == len(b.cells)
-            and all(
-                _alpha_term(x, y, ixa, ixb, tya, tyb, tma, tmb, lvl)
-                for x, y in zip(a.cells, b.cells)
-            )
-        )
-    if isinstance(a, EmptyArray):
-        return a.dims == b.dims and _alpha_type(
-            a.elem_type, b.elem_type, ixa, ixb, tya, tyb, lvl
-        )
-    if isinstance(a, EmptyFrame):
-        return a.dims == b.dims and _alpha_type(
-            a.cell_type, b.cell_type, ixa, ixb, tya, tyb, lvl
-        )
-    if isinstance(a, App):
-        return (
-            len(a.args) == len(b.args)
-            and _alpha_term(a.fn, b.fn, ixa, ixb, tya, tyb, tma, tmb, lvl)
-            and all(
-                _alpha_term(x, y, ixa, ixb, tya, tyb, tma, tmb, lvl)
-                for x, y in zip(a.args, b.args)
-            )
-        )
-    if isinstance(a, TApp):
-        return (
-            len(a.type_args) == len(b.type_args)
-            and _alpha_term(a.fn, b.fn, ixa, ixb, tya, tyb, tma, tmb, lvl)
-            and all(
-                _alpha_type(x, y, ixa, ixb, tya, tyb, lvl)
-                for x, y in zip(a.type_args, b.type_args)
-            )
-        )
-    if isinstance(a, IApp):
-        return (
-            len(a.idx_args) == len(b.idx_args)
-            and _alpha_term(a.fn, b.fn, ixa, ixb, tya, tyb, tma, tmb, lvl)
-            and all(_alpha_idx(x, y, ixa, ixb) for x, y in zip(a.idx_args, b.idx_args))
-        )
-    if isinstance(a, Unbox):
-        if len(a.idx_vars) != len(b.idx_vars):
-            return False
-        if not _alpha_term(a.box, b.box, ixa, ixb, tya, tyb, tma, tmb, lvl):
-            return False
-        ixa2, ixb2 = dict(ixa), dict(ixb)
-        for i, (xa, xb) in enumerate(zip(a.idx_vars, b.idx_vars)):
-            ixa2[xa] = ixb2[xb] = (lvl, i)
-        tma2, tmb2 = dict(tma), dict(tmb)
-        tma2[a.val_var] = tmb2[b.val_var] = (lvl, -1)
-        return _alpha_term(a.body, b.body, ixa2, ixb2, tya, tyb, tma2, tmb2, lvl + 1)
-    raise TypeError(a)
-
-
-def alpha_equal(a: Term, b: Term) -> bool:
-    return _alpha_term(a, b, {}, {}, {}, {}, {}, {}, 0)
+            da[xa] = db[xb] = (lvl, k)
+            k += 1
+    f = scope[0]
+    return _alpha(getattr(a, f), getattr(b, f), tuple(ia), tuple(ib), lvl + 1)

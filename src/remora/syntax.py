@@ -300,21 +300,6 @@ def num(x: float) -> BaseVal:
     return BaseVal("Num", float(x))
 
 
-def boolean(b: bool) -> BaseVal:
-    return BaseVal("Bool", bool(b))
-
-
-def char(c: str) -> BaseVal:
-    return BaseVal("Char", c)
-
-
-def scalar_array(atom: AtomTerm, annot: Optional[TypeExpr] = None) -> ArrayLit:
-    return ArrayLit((), (atom,), annot=annot)
-
-
 def is_atom(t: Term) -> bool:
     return isinstance(t, (BaseVal, PrimOp, Lam, TLam, ILam, Box))
 
-
-def is_expr(t: Term) -> bool:
-    return not is_atom(t)

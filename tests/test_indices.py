@@ -13,7 +13,6 @@ from remora.indices import (
     CanonicalShape,
     DimC,
     SortError,
-    SYMBOLIC,
     VarC,
     canonicalize_dim,
     canonicalize_shape,
@@ -25,7 +24,6 @@ from remora.indices import (
     normalize_index,
     prefix_leq,
     prefix_subtract,
-    shape_length,
     shape_of_ints,
     shape_to_index,
 )
@@ -227,16 +225,6 @@ class TestSuffixArithmetic:
 
 
 class TestLengthAndCount:
-    def test_concrete(self):
-        assert shape_length(cs("(Shp 2 3)")) == 2
-
-    def test_empty_maps_to_zero(self):
-        assert shape_length(cs("(Shp)")) == 0
-
-    def test_variable_blocks_rank(self):
-        assert shape_length(cs("(++ s (Shp 3))")) is SYMBOLIC
-        assert shape_length(cs("(Shp (+ x 1))")) is SYMBOLIC
-
     def test_element_count(self):
         assert element_count([3, 2]) == 6
         assert element_count([]) == 1

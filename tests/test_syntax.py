@@ -1,14 +1,30 @@
 """Concrete grammar, printing, and canonical renaming."""
 
+import dataclasses
 import random
+import typing
 
 import pytest
 
+from remora import names, syntax
 from remora.gen import GenConfig, generate_programs
-from remora.names import alpha_equal, freshen, free_term_vars, subst_term
-from remora.parser import ParseError, parse_term, parse_type
+from remora.names import (
+    alpha_equal,
+    free_idx_in_term,
+    free_idx_in_type,
+    free_term_vars,
+    free_ty_in_term,
+    free_ty_in_type,
+    freshen,
+    subst_idx_in_term,
+    subst_idx_in_type,
+    subst_term,
+    subst_ty_in_term,
+    subst_ty_in_type,
+)
+from remora.parser import ParseError, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
-from remora.syntax import ArrayLit, Frame, Lam, NUM, Var, num, scalar_of
+from remora.syntax import ArrayLit, EmptyArray, Frame, Lam, NUM, Var, num, scalar_of
 
 
 class TestParse:
@@ -170,3 +186,172 @@ class TestFreshen:
             a = subst_term(freshen(prog), {target: payload})
             b = subst_term(prog, {target: payload})
             assert alpha_equal(a, b)
+
+    def test_numbering_follows_binder_order(self):
+        # a lam parameter's type lies outside the lam's scope and is renamed
+        # before the next parameter
+        t = parse_term(
+            "(array () (lam ((f (Arr (Forall ((a Atom)) (Arr a (Shp))) (Shp))) "
+            "(g (Arr Num (Shp)))) f))"
+        )
+        lam = freshen(t).atoms[0]
+        assert [x for x, _ in lam.params] == ["f#1", "g#3"]
+        assert lam.params[0][1].elem.binders[0][0] == "a#2"
+
+
+# ---------------------------------------------------------------------------
+# Capture avoidance at every binder site, for every substitution namespace
+# whose payload can be captured there. Each payload's free variable has the
+# name of the binder, which must be renamed so that the variable stays free.
+
+SUBST = {
+    ("idx", "term"): subst_idx_in_term,
+    ("idx", "type"): subst_idx_in_type,
+    ("ty", "term"): subst_ty_in_term,
+    ("ty", "type"): subst_ty_in_type,
+    ("tm", "term"): subst_term,
+}
+FREE = {
+    ("idx", "term"): free_idx_in_term,
+    ("idx", "type"): free_idx_in_type,
+    ("ty", "term"): free_ty_in_term,
+    ("ty", "type"): free_ty_in_type,
+    ("tm", "term"): free_term_vars,
+}
+PARSE = {"idx": parse_index, "ty": parse_type, "tm": parse_term, "term": parse_term, "type": parse_type}
+
+# (site, substituted namespace, term or type, source, key, payload, expected,
+# namespace of the binder and of the payload's free variable, its name)
+CAPTURE = [
+    ("lam", "tm", "term", "(array () (lam ((y (Arr Num (Shp)))) (x y)))", "x", "y",
+     "(array () (lam ((z (Arr Num (Shp)))) (y z)))", "tm", "y"),
+    ("tlam", "ty", "term", "(array () (tlam ((b Atom)) (t-app f a b)))", "a", "b",
+     "(array () (tlam ((c Atom)) (t-app f b c)))", "ty", "b"),
+    ("tlam", "tm", "term", "(array () (tlam ((b Atom)) (x (t-app g b))))", "x", "(t-app h b)",
+     "(array () (tlam ((c Atom)) ((t-app h b) (t-app g c))))", "ty", "b"),
+    ("ilam", "idx", "term", "(array () (ilam ((m Dim)) (i-app f n m)))", "n", "m",
+     "(array () (ilam ((k Dim)) (i-app f m k)))", "idx", "m"),
+    ("ilam", "ty", "term", "(array () (ilam ((m Dim)) (t-app f a (Arr Num (Shp m)))))", "a",
+     "(Arr Num (Shp m))", "(array () (ilam ((k Dim)) (t-app f (Arr Num (Shp m)) (Arr Num (Shp k)))))",
+     "idx", "m"),
+    ("ilam", "tm", "term", "(array () (ilam ((m Dim)) (x (i-app g m))))", "x", "(i-app h m)",
+     "(array () (ilam ((k Dim)) ((i-app h m) (i-app g k))))", "idx", "m"),
+    ("forall", "ty", "type", "(Forall ((b Atom)) (-> ((Arr a (Shp))) (Arr b (Shp))))", "a", "b",
+     "(Forall ((c Atom)) (-> ((Arr b (Shp))) (Arr c (Shp))))", "ty", "b"),
+    ("pi", "idx", "type", "(Pi ((m Dim)) (Arr Num (Shp n m)))", "n", "m",
+     "(Pi ((k Dim)) (Arr Num (Shp m k)))", "idx", "m"),
+    ("pi", "ty", "type", "(Pi ((m Dim)) (Arr a (Shp m)))", "a", "(-> ((Arr Num (Shp m))) (Arr Num (Shp)))",
+     "(Pi ((k Dim)) (Arr (-> ((Arr Num (Shp m))) (Arr Num (Shp))) (Shp k)))", "idx", "m"),
+    ("sigma", "idx", "type", "(Sigma ((m Dim)) (Arr Num (Shp n m)))", "n", "m",
+     "(Sigma ((k Dim)) (Arr Num (Shp m k)))", "idx", "m"),
+    ("sigma", "ty", "type", "(Sigma ((m Dim)) (Arr a (Shp m)))", "a", "(-> ((Arr Num (Shp m))) (Arr Num (Shp)))",
+     "(Sigma ((k Dim)) (Arr (-> ((Arr Num (Shp m))) (Arr Num (Shp))) (Shp k)))", "idx", "m"),
+    ("unbox-index", "idx", "term", "(unbox (m v e) (i-app f n m))", "n", "m",
+     "(unbox (k v e) (i-app f m k))", "idx", "m"),
+    ("unbox-index", "ty", "term", "(unbox (m v e) (t-app f a (Arr Num (Shp m))))", "a", "(Arr Num (Shp m))",
+     "(unbox (k v e) (t-app f (Arr Num (Shp m)) (Arr Num (Shp k))))", "idx", "m"),
+    ("unbox-index", "tm", "term", "(unbox (m v e) (x (i-app g m)))", "x", "(i-app h m)",
+     "(unbox (k v e) ((i-app h m) (i-app g k)))", "idx", "m"),
+    ("unbox-value", "tm", "term", "(unbox (m v e) (x v))", "x", "v", "(unbox (m w e) (v w))", "tm", "v"),
+]
+
+# (site, namespace, term or type, source, the binder's own name, payload)
+SHADOW = [
+    ("lam", "tm", "term", "(array () (lam ((y (Arr Num (Shp)))) (x y)))", "y", "z"),
+    ("tlam", "ty", "term", "(array () (tlam ((b Atom)) (t-app f a b)))", "b", "Num"),
+    ("ilam", "idx", "term", "(array () (ilam ((m Dim)) (i-app f n m)))", "m", "3"),
+    ("forall", "ty", "type", "(Forall ((b Atom)) (Arr b (Shp)))", "b", "Num"),
+    ("pi", "idx", "type", "(Pi ((m Dim)) (Arr Num (Shp m)))", "m", "3"),
+    ("sigma", "idx", "type", "(Sigma ((m Dim)) (Arr Num (Shp m)))", "m", "3"),
+    ("unbox-index", "idx", "term", "(unbox (m v e) (i-app f n m))", "m", "3"),
+    ("unbox-value", "tm", "term", "(unbox (m v e) (x v))", "v", "z"),
+]
+
+
+def _comparable(t, kind):
+    # alpha_equal compares terms; a type is compared inside an empty array
+    return EmptyArray(t, (0,)) if kind == "type" else t
+
+
+class TestCaptureAvoidance:
+    @pytest.mark.parametrize(
+        "site,ns,kind,src,key,payload,expected,binder_ns,name",
+        CAPTURE,
+        ids=[f"{c[0]}-{c[1]}" for c in CAPTURE],
+    )
+    def test_binder_renamed(self, site, ns, kind, src, key, payload, expected, binder_ns, name):
+        t = PARSE[kind](src)
+        got = SUBST[ns, kind](t, {key: PARSE[ns](payload)})
+        assert name in FREE[binder_ns, kind](got)
+        assert alpha_equal(_comparable(got, kind), _comparable(PARSE[kind](expected), kind))
+
+    @pytest.mark.parametrize(
+        "site,ns,kind,src,key,payload", SHADOW, ids=[f"{c[0]}-{c[1]}" for c in SHADOW]
+    )
+    def test_shadowed_key_leaves_scope(self, site, ns, kind, src, key, payload):
+        t = PARSE[kind](src)
+        assert SUBST[ns, kind](t, {key: PARSE[ns](payload)}) == t
+
+
+# ---------------------------------------------------------------------------
+# The binding schema covers every syntax class and field, with the role each
+# field's declared type implies, so that a class or field added later cannot
+# fall out of substitution or alpha-equality.
+
+SYNTAX_CLASSES = sorted(
+    {c for u in (syntax.IndexExpr, syntax.TypeExpr, syntax.Term) for c in typing.get_args(u)},
+    key=lambda c: c.__name__,
+)
+
+
+def _implied_roles(cls, field: str, declared: str) -> list:
+    n = names
+    children = {
+        "IndexExpr": (n.IDX, n.ONE),
+        "tuple[IndexExpr, ...]": (n.IDX, n.MANY),
+        "TypeExpr": (n.TY, n.ONE),
+        "tuple[TypeExpr, ...]": (n.TY, n.MANY),
+        "Optional[TypeExpr]": (n.TY, n.OPT),
+        "ExprTerm": (n.TM, n.ONE),
+        "tuple[ExprTerm, ...]": (n.TM, n.MANY),
+        "tuple[AtomTerm, ...]": (n.TM, n.MANY),
+    }
+    binders = {
+        "tuple[tuple[str, Kind], ...]": n.Binder(n.TY, n.PAIRS),
+        "tuple[tuple[str, Sort], ...]": n.Binder(n.IDX, n.PAIRS),
+        "tuple[tuple[str, TypeExpr], ...]": n.Binder(n.TM, n.TYPED),
+    }
+    # unbox binds bare names; their field types do not say in which namespace
+    if (cls, field) == (syntax.Unbox, "idx_vars"):
+        return [n.Binder(n.IDX, n.NAMES)]
+    if (cls, field) == (syntax.Unbox, "val_var"):
+        return [n.Binder(n.TM, n.NAME)]
+    if declared in binders:
+        return [binders[declared]]
+    if declared in children:
+        cat, shape = children[declared]
+        return [n.Child(cat, shape)] + ([n.Scope(cat)] if shape == n.ONE else [])
+    return [n.DATA]
+
+
+class TestSchema:
+    def test_every_syntax_class_has_an_entry(self):
+        defined = {
+            c
+            for c in vars(syntax).values()
+            if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == syntax.__name__
+        }
+        assert set(SYNTAX_CLASSES) == defined - {syntax.SourceLocation}
+        assert set(names.SCHEMA) == set(SYNTAX_CLASSES)
+
+    @pytest.mark.parametrize("cls", SYNTAX_CLASSES, ids=lambda c: c.__name__)
+    def test_every_field_classified_once_by_its_type(self, cls):
+        roles = names.SCHEMA[cls]
+        declared = {f.name: f.type for f in dataclasses.fields(cls)}
+        assert set(roles) == set(declared) - {"loc"}
+        for f, role in roles.items():
+            implied = _implied_roles(cls, f, declared[f])
+            assert (type(role), role) in [(type(r), r) for r in implied], (cls.__name__, f)
+        scopes = [r for r in roles.values() if isinstance(r, names.Scope)]
+        binders = [r for r in roles.values() if isinstance(r, names.Binder)]
+        assert len(scopes) == (1 if binders else 0)
