@@ -5,11 +5,21 @@ Elaboration is algorithmic: the declarative equivalence rule is absorbed
 into explicit types_equal comparisons at each premise that demands a type of
 a particular shape, and array shapes are reconciled through their canonical
 forms.
+
+`elaborate` remembers what it did across calls. It keys every node at a
+binder-free position (one elaborated under the root environment, so a
+lam/tlam/ilam atom as a whole but nothing under a binder or inside an unbox
+body) by its identity, and keeps the nodes the current and the previous call
+used. A small-step state shares all but the spine from the root to the redex
+with the state it came from, so re-elaborating it after each step costs that
+spine. The memo belongs to one signature object and one root environment
+object, which are treated as immutable; a call with another object of either
+starts a new memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -43,6 +53,7 @@ from .syntax import (
     ForallType,
     Frame,
     FunType,
+    Generations,
     IApp,
     IdxAppend,
     IdxVar,
@@ -304,42 +315,55 @@ def _as_array_type(t: TypeExpr) -> Optional[ArrType]:
 
 
 class _Elaborator:
-    def __init__(self, sig: Signature):
-        self.sig = sig
+    """Elaborates under one signature and one root environment. `memo` maps
+    id(input node) -> (input node, output node, type) for the nodes
+    elaborated under `root`, completed ones only. The lookup is folded into
+    `atom` and `expr`, so the memo adds no Python frame per nesting level."""
+
+    __slots__ = ("sig", "root", "memo")
+
+    def __init__(self, sig: Signature, root: Env):
+        self.sig, self.root, self.memo = sig, root, Generations()
 
     # -- atoms --------------------------------------------------------------
 
     def atom(self, a: AtomTerm, env: Env) -> tuple[AtomTerm, TypeExpr]:
+        memo = self.memo if env is self.root else None
+        if memo is not None:
+            hit = memo.carry(id(a))
+            if hit is not None:
+                return hit[1], hit[2]
         if isinstance(a, BaseVal):
             t = BaseType(a.base)
-            return replace(a, annot=t), t
-        if isinstance(a, PrimOp):
+            out = BaseVal(a.base, a.value, annot=t, loc=a.loc)
+        elif isinstance(a, PrimOp):
             if a.annot is not None:
                 # Mid-instantiation operators only arise from evaluator
                 # output; trust the annotation so stepped terms re-elaborate.
                 check_kind(env, a.annot, Kind.ATOM, a.loc)
-                return a, a.annot
-            t = self.sig.get(a.name)
-            if t is None:
-                raise TypeCheckError(
-                    ErrorKind.UNBOUND_VAR, f"unknown operator {a.name}", a.loc
-                )
-            return replace(a, annot=t), t
-        if isinstance(a, Lam):
+                out, t = a, a.annot
+            else:
+                t = self.sig.get(a.name)
+                if t is None:
+                    raise TypeCheckError(
+                        ErrorKind.UNBOUND_VAR, f"unknown operator {a.name}", a.loc
+                    )
+                out = PrimOp(a.name, annot=t, loc=a.loc)
+        elif isinstance(a, Lam):
             for _, pt in a.params:
                 check_kind(env, pt, Kind.ARRAY, a.loc)
             body, bt = self.expr(a.body, env.with_types(a.params))
             t = FunType(tuple(pt for _, pt in a.params), bt)
-            return replace(a, body=body, annot=t), t
-        if isinstance(a, TLam):
+            out = Lam(a.params, body, annot=t, loc=a.loc)
+        elif isinstance(a, TLam):
             body, bt = self.expr(a.body, env.with_kinds(a.binders))
             t = ForallType(a.binders, bt)
-            return replace(a, body=body, annot=t), t
-        if isinstance(a, ILam):
+            out = TLam(a.binders, body, annot=t, loc=a.loc)
+        elif isinstance(a, ILam):
             body, bt = self.expr(a.body, env.with_sorts(a.binders))
             t = PiType(a.binders, bt)
-            return replace(a, body=body, annot=t), t
-        if isinstance(a, Box):
+            out = ILam(a.binders, body, annot=t, loc=a.loc)
+        elif isinstance(a, Box):
             if not isinstance(a.box_type, SigmaType):
                 raise TypeCheckError(
                     ErrorKind.ANNOTATION_MISMATCH, "box annotation must be a Sigma type", a.loc
@@ -364,53 +388,70 @@ class _Elaborator:
                     "box payload type does not match the annotated Sigma body",
                     a.loc,
                 )
-            return replace(a, payload=payload, annot=a.box_type), a.box_type
-        raise TypeError(a)
+            t = a.box_type
+            out = Box(a.indices, payload, t, annot=t, loc=a.loc)
+        else:
+            raise TypeError(a)
+        if memo is not None:
+            memo.cur[id(a)] = (a, out, t)
+        return out, t
 
     # -- expressions ---------------------------------------------------------
 
     def expr(self, e: ExprTerm, env: Env) -> tuple[ExprTerm, TypeExpr]:
+        memo = self.memo if env is self.root else None
+        if memo is not None:
+            hit = memo.carry(id(e))
+            if hit is not None:
+                return hit[1], hit[2]
         if isinstance(e, Var):
             t = env.types.get(e.name)
             if t is None:
                 raise TypeCheckError(
                     ErrorKind.UNBOUND_VAR, f"unbound variable {e.name}", e.loc
                 )
-            return replace(e, annot=t), t
+            out = Var(e.name, annot=t, loc=e.loc)
 
-        if isinstance(e, ArrayLit):
-            if not e.atoms:
-                if e.annot is None:
-                    raise TypeCheckError(
-                        ErrorKind.CELL_MISMATCH,
-                        "empty array literal needs a type annotation",
-                        e.loc,
-                    )
-                arr = _as_array_type(e.annot)
-                if arr is None:
-                    raise TypeCheckError(
-                        ErrorKind.ANNOTATION_MISMATCH,
-                        "array annotation must be an array type",
-                        e.loc,
-                    )
-                check_kind(env, arr, Kind.ARRAY, e.loc)
-                if not indices_equal(arr.shape, shape_of_dims(e.dims), shape=True):
-                    raise TypeCheckError(
-                        ErrorKind.ANNOTATION_MISMATCH,
-                        "annotated shape disagrees with the literal dimensions",
-                        e.loc,
-                    )
-                if element_count(e.dims) != 0:
-                    raise TypeCheckError(
-                        ErrorKind.LENGTH_MISMATCH,
-                        f"0 atoms for dimensions {list(e.dims)}",
-                        e.loc,
-                    )
-                t = ArrType(arr.elem, shape_of_dims(e.dims))
-                return replace(e, annot=t), t
-            pairs = [self.atom(a, env) for a in e.atoms]
-            t0 = pairs[0][1]
-            for _, ti in pairs[1:]:
+        elif isinstance(e, ArrayLit) and not e.atoms:
+            if e.annot is None:
+                raise TypeCheckError(
+                    ErrorKind.CELL_MISMATCH,
+                    "empty array literal needs a type annotation",
+                    e.loc,
+                )
+            arr = _as_array_type(e.annot)
+            if arr is None:
+                raise TypeCheckError(
+                    ErrorKind.ANNOTATION_MISMATCH,
+                    "array annotation must be an array type",
+                    e.loc,
+                )
+            check_kind(env, arr, Kind.ARRAY, e.loc)
+            if not indices_equal(arr.shape, shape_of_dims(e.dims), shape=True):
+                raise TypeCheckError(
+                    ErrorKind.ANNOTATION_MISMATCH,
+                    "annotated shape disagrees with the literal dimensions",
+                    e.loc,
+                )
+            if element_count(e.dims) != 0:
+                raise TypeCheckError(
+                    ErrorKind.LENGTH_MISMATCH,
+                    f"0 atoms for dimensions {list(e.dims)}",
+                    e.loc,
+                )
+            t = ArrType(arr.elem, shape_of_dims(e.dims))
+            out = ArrayLit(e.dims, (), annot=t, loc=e.loc)
+
+        elif isinstance(e, ArrayLit):
+            # Loops, not comprehensions: a comprehension is one more frame
+            # per nesting level.
+            atoms, types = [], []
+            for a in e.atoms:
+                a2, ta = self.atom(a, env)
+                atoms.append(a2)
+                types.append(ta)
+            t0 = types[0]
+            for ti in types[1:]:
                 if not types_equal(t0, ti):
                     raise TypeCheckError(
                         ErrorKind.CELL_MISMATCH,
@@ -425,44 +466,50 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(t0, shape_of_dims(e.dims))
-            return replace(e, atoms=tuple(p[0] for p in pairs), annot=t), t
+            out = ArrayLit(e.dims, tuple(atoms), annot=t, loc=e.loc)
 
-        if isinstance(e, Frame):
-            if not e.cells:
-                if e.annot is None:
-                    raise TypeCheckError(
-                        ErrorKind.CELL_MISMATCH,
-                        "empty frame needs a type annotation",
-                        e.loc,
-                    )
-                arr = _as_array_type(e.annot)
-                if arr is None:
-                    raise TypeCheckError(
-                        ErrorKind.ANNOTATION_MISMATCH,
-                        "frame annotation must be an array type",
-                        e.loc,
-                    )
-                check_kind(env, arr, Kind.ARRAY, e.loc)
-                if element_count(e.dims) != 0:
-                    raise TypeCheckError(
-                        ErrorKind.LENGTH_MISMATCH,
-                        f"0 cells for dimensions {list(e.dims)}",
-                        e.loc,
-                    )
-                cell = prefix_subtract(
-                    canonicalize_shape(arr.shape),
-                    canonicalize_shape(shape_of_dims(e.dims)),
+        elif isinstance(e, Frame) and not e.cells:
+            if e.annot is None:
+                raise TypeCheckError(
+                    ErrorKind.CELL_MISMATCH,
+                    "empty frame needs a type annotation",
+                    e.loc,
                 )
-                if cell is None:
-                    raise TypeCheckError(
-                        ErrorKind.ANNOTATION_MISMATCH,
-                        "annotated shape does not start with the frame dimensions",
-                        e.loc,
-                    )
-                return replace(e, annot=arr), arr
-            pairs = [self.expr(c, env) for c in e.cells]
-            t0 = pairs[0][1]
-            for _, ti in pairs[1:]:
+            arr = _as_array_type(e.annot)
+            if arr is None:
+                raise TypeCheckError(
+                    ErrorKind.ANNOTATION_MISMATCH,
+                    "frame annotation must be an array type",
+                    e.loc,
+                )
+            check_kind(env, arr, Kind.ARRAY, e.loc)
+            if element_count(e.dims) != 0:
+                raise TypeCheckError(
+                    ErrorKind.LENGTH_MISMATCH,
+                    f"0 cells for dimensions {list(e.dims)}",
+                    e.loc,
+                )
+            cell = prefix_subtract(
+                canonicalize_shape(arr.shape),
+                canonicalize_shape(shape_of_dims(e.dims)),
+            )
+            if cell is None:
+                raise TypeCheckError(
+                    ErrorKind.ANNOTATION_MISMATCH,
+                    "annotated shape does not start with the frame dimensions",
+                    e.loc,
+                )
+            t = arr
+            out = Frame(e.dims, (), annot=t, loc=e.loc)
+
+        elif isinstance(e, Frame):
+            cells, types = [], []
+            for c in e.cells:
+                c2, tc = self.expr(c, env)
+                cells.append(c2)
+                types.append(tc)
+            t0 = types[0]
+            for ti in types[1:]:
                 if not types_equal(t0, ti):
                     raise TypeCheckError(
                         ErrorKind.CELL_MISMATCH,
@@ -481,9 +528,9 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(arr.elem, idx_append(shape_of_dims(e.dims), arr.shape))
-            return replace(e, cells=tuple(p[0] for p in pairs), annot=t), t
+            out = Frame(e.dims, tuple(cells), annot=t, loc=e.loc)
 
-        if isinstance(e, EmptyArray):
+        elif isinstance(e, EmptyArray):
             check_kind(env, e.elem_type, Kind.ATOM, e.loc)
             if element_count(e.dims) != 0:
                 raise TypeCheckError(
@@ -492,9 +539,9 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(e.elem_type, shape_of_dims(e.dims))
-            return ArrayLit(e.dims, (), annot=t, loc=e.loc), t
+            out = ArrayLit(e.dims, (), annot=t, loc=e.loc)
 
-        if isinstance(e, EmptyFrame):
+        elif isinstance(e, EmptyFrame):
             check_kind(env, e.cell_type, Kind.ARRAY, e.loc)
             arr = _as_array_type(e.cell_type)
             if arr is None:
@@ -508,9 +555,9 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(arr.elem, idx_append(shape_of_dims(e.dims), arr.shape))
-            return Frame(e.dims, (), annot=t, loc=e.loc), t
+            out = Frame(e.dims, (), annot=t, loc=e.loc)
 
-        if isinstance(e, App):
+        elif isinstance(e, App):
             fn, ft = self.expr(e.fn, env)
             arr = _as_array_type(ft)
             if arr is None or not isinstance(arr.elem, FunType):
@@ -526,8 +573,8 @@ class _Elaborator:
                     f"function expects {len(fun.inputs)} arguments, got {len(e.args)}",
                     e.loc,
                 )
-            out = _as_array_type(fun.output)
-            if out is None:
+            out_arr = _as_array_type(fun.output)
+            if out_arr is None:
                 raise TypeCheckError(
                     ErrorKind.NOT_A_FUNCTION,
                     "function output type is not an array type",
@@ -575,10 +622,10 @@ class _Elaborator:
                     "function and argument frames are not prefix-ordered",
                     e.loc,
                 )
-            t = ArrType(out.elem, idx_append(shape_to_index(join.shape), out.shape))
-            return replace(e, fn=fn, args=tuple(new_args), annot=t), t
+            t = ArrType(out_arr.elem, idx_append(shape_to_index(join.shape), out_arr.shape))
+            out = App(fn, tuple(new_args), annot=t, loc=e.loc)
 
-        if isinstance(e, TApp):
+        elif isinstance(e, TApp):
             fn, ft = self.expr(e.fn, env)
             arr = _as_array_type(ft)
             if arr is None or not isinstance(arr.elem, ForallType):
@@ -611,9 +658,9 @@ class _Elaborator:
                 )
             m = {x: targ for (x, _), targ in zip(univ.binders, e.type_args)}
             t = ArrType(subst_ty_in_type(body.elem, m), idx_append(arr.shape, body.shape))
-            return replace(e, fn=fn, annot=t), t
+            out = TApp(fn, e.type_args, annot=t, loc=e.loc)
 
-        if isinstance(e, IApp):
+        elif isinstance(e, IApp):
             fn, ft = self.expr(e.fn, env)
             arr = _as_array_type(ft)
             if arr is None or not isinstance(arr.elem, PiType):
@@ -643,9 +690,9 @@ class _Elaborator:
                 subst_idx_in_type(body.elem, m),
                 idx_append(arr.shape, subst_idx(body.shape, m)),
             )
-            return replace(e, fn=fn, annot=t), t
+            out = IApp(fn, e.idx_args, annot=t, loc=e.loc)
 
-        if isinstance(e, Unbox):
+        elif isinstance(e, Unbox):
             box, bt = self.expr(e.box, env)
             arr = _as_array_type(bt)
             if arr is None or not isinstance(arr.elem, SigmaType):
@@ -681,17 +728,32 @@ class _Elaborator:
                     ErrorKind.NOT_A_BOX, "unbox body type is not an array type", e.loc
                 )
             t = ArrType(body_arr.elem, idx_append(arr.shape, body_arr.shape))
-            return replace(e, box=box, body=body, annot=t), t
+            out = Unbox(e.idx_vars, e.val_var, box, body, annot=t, loc=e.loc)
 
-        raise TypeError(e)
+        else:
+            raise TypeError(e)
+        if memo is not None:
+            memo.cur[id(e)] = (e, out, t)
+        return out, t
+
+
+_last: Optional[_Elaborator] = None
 
 
 def elaborate(env: Env, sig: Signature, t: Term) -> tuple[Term, TypeExpr]:
     """Type-check ``t`` under a well-formed environment, returning the term
     with every annotation slot filled and its (unique up to equivalence)
-    type. Raises TypeCheckError on any rule violation."""
+    type. Raises TypeCheckError on any rule violation.
+
+    Consecutive calls with the same `sig` and `env` objects share the memo
+    the module docstring describes; both are treated as immutable."""
+    global _last
     check_env(env)
-    el = _Elaborator(sig)
+    el = _last
+    if el is None or el.sig is not sig or el.root is not env:
+        el = _last = _Elaborator(sig, env)
+    else:
+        el.memo.age()
     if is_atom(t):
         return el.atom(t, env)
     return el.expr(t, env)

@@ -55,6 +55,7 @@ from .syntax import (
     ExprTerm,
     Frame,
     FunType,
+    Generations,
     IApp,
     IdxAppend,
     IdxVar,
@@ -175,37 +176,11 @@ def erase_type(t: TypeExpr) -> IndexExpr:
     return ShapeLit(())
 
 
-class _Generations:
-    """A table that keeps only what was used at the current and the previous
-    step. A lookup tries `cur.get(key)` first, then `carry(key)`, which brings
-    the previous step's entry over; `age` (once per step) drops whatever the
-    step before the previous one used and neither step since did.
-
-    An entry keyed by an object's `id` holds that object, so the id cannot be
-    reused while the entry lives. No value is falsy."""
-
-    __slots__ = ("cur", "prev")
-
-    def __init__(self) -> None:
-        self.cur: dict = {}
-        self.prev: dict = {}
-
-    def carry(self, key):
-        hit = self.prev.get(key)
-        if hit is not None:
-            self.cur[key] = hit
-        return hit
-
-    def age(self) -> None:
-        self.prev = self.cur
-        self.cur = {}
-
-
 def erase_term(t: Term) -> ETerm:
     return _erase(t, None)
 
 
-def _erase(t: Term, memo: Optional[_Generations]) -> ETerm:
+def _erase(t: Term, memo: Optional[Generations]) -> ETerm:
     """The erasure of `t`. With `memo`, each typed node's erasure is looked up
     by its identity first and recorded after, so a subtree shared with an
     earlier state erases to the same object as before."""
@@ -583,9 +558,9 @@ class _Canonicalizer:
     """Builds canonical forms; its tables keep what the last two steps used."""
 
     def __init__(self) -> None:
-        self.memo = _Generations()  # id(node) -> (node, form); no bound variable in scope
-        self.forms = _Generations()  # (class, own data, ids of child forms) -> form
-        self.tags = _Generations()  # id(tag) -> (tag, canonical tag, its variables)
+        self.memo = Generations()  # id(node) -> (node, form); no bound variable in scope
+        self.forms = Generations()  # (class, own data, ids of child forms) -> form
+        self.tags = Generations()  # id(tag) -> (tag, canonical tag, its variables)
 
     def age(self) -> None:
         self.memo.age()
@@ -1190,7 +1165,7 @@ class LockstepComparer:
     only. The tables keep what the last two calls used."""
 
     def __init__(self) -> None:
-        self._erasure = _Generations()  # id(typed node) -> (node, erased node)
+        self._erasure = Generations()  # id(typed node) -> (node, erased node)
         self._canon = _Canonicalizer()
 
     def erase(self, t: Term) -> ETerm:

@@ -22,7 +22,8 @@ type index and type variables.
 
 A payload can be captured by a binder of any namespace its free variables live
 in. `subst` renames a binder with `gensym`, in field order, exactly when its
-name is free, in the binder's namespace, in a payload still in scope there.
+name is free, in the binder's namespace, in a payload still in scope there;
+each occurrence of a renamed variable keeps its annotation and location.
 Renames in the substitution's own namespace ride along in the same pass;
 those in another are substituted into the scope first. Each payload's free
 variables are computed once per substitution, and a node none of whose fields
@@ -268,7 +269,10 @@ class _Subst:
     def go(self, node):
         cls = type(node)
         if cls is self.leaf:
-            return self.m.get(node.name, node)
+            v = self.m.get(node.name, node)
+            # A renamed binder maps to its new name: the occurrence keeps its
+            # annotation and location.
+            return _rebuild(node, {"name": v}) if v.__class__ is str else v
         kids, binders, scope = self.plans[cls]
         changes = None
         for f, shape in kids:
@@ -303,11 +307,11 @@ class _Subst:
                 if not all(map(is_, types, (t for _, t in items))):
                     new = [(x, t) for (x, _), t in zip(items, types)]
             if bns <= ns and m2:
-                free = _payload_free(m2, bns, self.memo)
+                free = _payload_free(m2, ns, bns, self.memo)
                 for k, (x, _) in enumerate(items):
                     if x in free:
                         x2 = gensym(x)
-                        renames.setdefault(bns, {})[x] = _LEAF[bns](x2)
+                        renames.setdefault(bns, {})[x] = x2
                         new = new or list(items)
                         new[k] = (x2, new[k][1])
             if new is not None:
@@ -326,14 +330,16 @@ class _Subst:
         return changes
 
 
-def _payload_free(m: Mapping, ns: int, memo: dict) -> set[str]:
-    """Variables of namespace ns free in the payloads of m (not to be mutated);
-    the memo holds each payload, so its id is not reused while the memo lives."""
+def _payload_free(m: Mapping, m_ns: int, ns: int, memo: dict) -> set[str]:
+    """Variables of namespace ns free in the payloads of m, a map of namespace
+    m_ns (not to be mutated); a renamed binder's payload is its new name. The
+    memo holds each payload, so its id is not reused while the memo lives."""
     out = None
     for v in m.values():
         hit = memo.get((id(v), ns))
         if hit is None:
-            hit = memo[id(v), ns] = (v, free_vars(v, ns))
+            free = ({v} if ns == m_ns else set()) if v.__class__ is str else free_vars(v, ns)
+            hit = memo[id(v), ns] = (v, free)
         out = hit[1] if out is None else out | hit[1]
     return out
 

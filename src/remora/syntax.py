@@ -3,7 +3,8 @@ two-layer term language (atoms and array expressions).
 
 All nodes are immutable dataclasses. Term nodes carry an optional type
 annotation slot (``annot``) which elaboration fills in on every node, and a
-source location that never participates in equality.
+source location that never participates in equality. `Generations` is the
+memo table the checker and the lockstep harness key on node identity.
 """
 
 from __future__ import annotations
@@ -303,3 +304,34 @@ def num(x: float) -> BaseVal:
 def is_atom(t: Term) -> bool:
     return isinstance(t, (BaseVal, PrimOp, Lam, TLam, ILam, Box))
 
+
+# ---------------------------------------------------------------------------
+# Memo tables keyed on node identity
+
+
+class Generations:
+    """A memo table that keeps only what was used at the current and the
+    previous step (or call). `carry(key)` looks the key up in the previous
+    generation and brings a hit over into the current one; `age` (once per
+    step) drops whatever the step before the previous one used and neither
+    step since did. A user that can meet a key twice in one step tries
+    `cur.get(key)` first.
+
+    An entry keyed by an object's `id` holds that object, so the id cannot be
+    reused while the entry lives. No value is falsy."""
+
+    __slots__ = ("cur", "prev")
+
+    def __init__(self) -> None:
+        self.cur: dict = {}
+        self.prev: dict = {}
+
+    def carry(self, key):
+        hit = self.prev.get(key)
+        if hit is not None:
+            self.cur[key] = hit
+        return hit
+
+    def age(self) -> None:
+        self.prev = self.cur
+        self.cur = {}

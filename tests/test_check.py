@@ -1,8 +1,13 @@
 """Static semantics: sorting, kinding, equivalence, elaboration goldens from
-real programs, metatheory properties at test scale, and the ill-typed
-program suite with its designated error kinds."""
+real programs, metatheory properties at test scale, the ill-typed program
+suite with its designated error kinds, and the elaborator's memo across
+consecutive calls."""
 
+import copy
+import dataclasses
 import random
+import sys
+import threading
 
 import pytest
 
@@ -16,14 +21,25 @@ from remora.check import (
     sort_of,
     types_equal,
 )
+from remora.eval import Stepped, step
 from remora.gen import generate_programs
-from remora.names import freshen, freshen_type, subst_idx_in_term, subst_idx_in_type
+from remora.names import (
+    MANY,
+    SCHEMA,
+    TM,
+    Child,
+    Scope,
+    freshen,
+    freshen_type,
+    subst_idx_in_term,
+    subst_idx_in_type,
+)
 from remora.parser import parse_index, parse_term, parse_type
-from remora.printer import print_type
+from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import Kind, NatLit, NUM, Sort
+from remora.syntax import ArrayLit, Frame, Kind, NatLit, NUM, PrimOp, Sort, num, scalar_of
 
-from .util import random_type
+from .util import oracle_programs, random_type
 
 
 def sort_src(env, text):
@@ -330,3 +346,177 @@ class TestMetatheoryProperties:
                 closed = subst_idx_in_term(t, {"n": NatLit(k)})
                 _, closed_ty = elaborate(EMPTY_ENV, SIGNATURE, closed)
                 assert types_equal(closed_ty, subst_idx_in_type(open_ty, {"n": NatLit(k)}))
+
+
+# ---------------------------------------------------------------------------
+# The memo across consecutive calls: a stepped state re-elaborated with the
+# memo of the previous state gives exactly what a from-scratch elaboration
+# gives, and nothing remembered under one signature or environment leaks into
+# another.
+
+_TERM_FIELDS = {
+    cls: tuple(f for f, role in roles.items() if role in (Child(TM), Child(TM, MANY), Scope(TM)))
+    for cls, roles in SCHEMA.items()
+}
+
+
+def _term_nodes(t):
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        for f in _TERM_FIELDS[type(node)]:
+            v = getattr(node, f)
+            stack.extend(v if isinstance(v, tuple) else (v,))
+
+
+def _with_new_nodes(t):
+    """A copy of a term whose term nodes are all new objects (types shared),
+    so no entry of a memo keyed by node identity can match any of them."""
+    changes = {}
+    for f in _TERM_FIELDS[type(t)]:
+        v = getattr(t, f)
+        changes[f] = tuple(map(_with_new_nodes, v)) if isinstance(v, tuple) else _with_new_nodes(v)
+    return dataclasses.replace(t, **changes)
+
+
+def _states(prog):
+    cur, out = prog, []
+    for _ in range(10_000):
+        r = step(cur)
+        if not isinstance(r, Stepped):
+            return out
+        cur = r.term
+        out.append(cur)
+    raise AssertionError("no verdict in 10000 steps")
+
+
+def _printed(state, env=EMPTY_ENV):
+    t, ty = elaborate(env, SIGNATURE, state)
+    return print_term(t, annotations=True), print_type(ty)
+
+
+class TestElaborationMemo:
+    @pytest.mark.parametrize("group", ["batch", "corpus", "lift100", "reduce100", "frame100"])
+    def test_preservation_loop_matches_fresh_elaboration(self, group):
+        reused = 0
+        for prog in oracle_programs(group):
+            states = _states(prog)
+            memoized, prev_ids = [], set()
+            for s in states:
+                t, ty = elaborate(EMPTY_ENV, SIGNATURE, s)
+                memoized.append((t, print_type(ty)))  # keeps t, so its ids stay unique
+                # PrimOps with an annotation are returned as they are, memo or not
+                ids = {id(n) for n in _term_nodes(t) if not isinstance(n, PrimOp)}
+                reused += len(ids & prev_ids)
+                prev_ids = ids
+            # Each state with new nodes throughout: no memo hit is possible.
+            # Dataclass equality compares every field but `loc`, annotations
+            # included, so it is at least as strict as comparing the printed
+            # terms; the printed terms are compared at the last state.
+            for s, want in zip(states, memoized):
+                t, ty = elaborate(EMPTY_ENV, SIGNATURE, _with_new_nodes(s))
+                assert (t, print_type(ty)) == want
+            if states:
+                assert print_term(t, annotations=True) == print_term(want[0], annotations=True)
+        assert reused > 0
+
+    def test_new_nodes_copy_matches_deepcopy(self):
+        for s in _states(oracle_programs("corpus")[0])[:5]:
+            assert _printed(_with_new_nodes(s)) == _printed(copy.deepcopy(s))
+
+    def test_second_signature_gets_its_own_annotation(self):
+        t = parse_term("((array () +) (array () 1) (array () 2))")
+        other = {**SIGNATURE, "+": SIGNATURE["<"]}
+        assert _printed(t)[1] == "(Arr Num (Shp))"
+        out, ty = elaborate(EMPTY_ENV, other, t)
+        assert print_type(ty) == "(Arr Bool (Shp))"
+        assert out.fn.atoms[0].annot is other["+"]
+        assert _printed(t)[1] == "(Arr Num (Shp))"
+
+    def test_second_root_env_gets_its_own_annotation(self):
+        t = parse_term("(frame (2) x (array () 1))")
+        num_env = EMPTY_ENV.with_types([("x", scalar_of(NUM))])
+        bool_env = EMPTY_ENV.with_types([("x", parse_type("(Arr Bool (Shp))"))])
+        assert _printed(t, num_env)[1] == "(Arr Num (Shp 2))"
+        with pytest.raises(TypeCheckError) as e:
+            elaborate(bool_env, SIGNATURE, t)
+        assert e.value.kind is ErrorKind.CELL_MISMATCH
+        out, _ = elaborate(bool_env, SIGNATURE, t.cells[0])
+        assert print_type(out.annot) == "(Arr Bool (Shp))"
+
+    def test_failure_is_not_remembered(self):
+        t = parse_term("((array () +) (array () 1) x)", "f.remora")
+        env = EMPTY_ENV.with_types([("x", scalar_of(NUM))])
+        errors = []
+        for e in (EMPTY_ENV, EMPTY_ENV, env, EMPTY_ENV):
+            try:
+                elaborate(e, SIGNATURE, t)
+            except TypeCheckError as exc:
+                errors.append((exc.kind, exc.loc, exc.detail))
+        assert errors == [(ErrorKind.UNBOUND_VAR, t.args[1].loc, "unbound variable x")] * 3
+
+    def test_node_whose_own_check_failed_fails_again(self):
+        # its cells elaborate, so they are remembered; the frame is not
+        t = parse_term("(frame () (frame (2) (array () 1) (array () #t)))", "f.remora")
+        for _ in range(2):
+            with pytest.raises(TypeCheckError) as e:
+                elaborate(EMPTY_ENV, SIGNATURE, t)
+            assert (e.value.kind, e.value.loc) == (ErrorKind.CELL_MISMATCH, t.cells[0].loc)
+
+    def test_ill_typed_new_spine_raises_at_its_location(self):
+        src = "((array () +) ((array () +) (array () 1) (array () 2)) (array () 5))"
+        t, _ = elaborate(EMPTY_ENV, SIGNATURE, parse_term(src, "s.remora"))
+        r = step(t)
+        assert isinstance(r, Stepped) and r.term.args[1] is t.args[1]
+        elaborate(EMPTY_ENV, SIGNATURE, r.term)
+        bad_arg = parse_term("(array () #t)", "bad.remora")
+        bad = dataclasses.replace(r.term, args=(bad_arg, r.term.args[1]))
+        raised = []
+        for state in (bad, copy.deepcopy(bad)):
+            with pytest.raises(TypeCheckError) as e:
+                elaborate(EMPTY_ENV, SIGNATURE, state)
+            raised.append((e.value.kind, e.value.loc, e.value.detail))
+        assert raised[0] == raised[1]
+        assert raised[0][:2] == (ErrorKind.CELL_MISMATCH, bad_arg.loc)
+        assert _printed(r.term) == _printed(_with_new_nodes(r.term))
+
+    def test_threads_sharing_the_memo_get_fresh_results(self):
+        # Threads interleave calls with the same and with different root
+        # environments; every result must still be the from-scratch one.
+        progs = oracle_programs("corpus")[:4]
+        envs = [EMPTY_ENV, EMPTY_ENV, EMPTY_ENV.with_sorts([("n", Sort.DIM)]), EMPTY_ENV]
+        cases = [[(s, env, _printed(_with_new_nodes(s), env)) for s in _states(p)[:40]] for p, env in zip(progs, envs)]
+        bad = []
+
+        def run(case):
+            for _ in range(3):
+                for s, env, want in case:
+                    if _printed(s, env) != want:
+                        bad.append(s)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(c,)) for c in cases]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert not bad
+
+    def test_deep_frame_within_default_recursion_limit(self):
+        # The memo lookup lives inside `expr`: one Python frame per level.
+        t = ArrayLit((), (num(7),))
+        for _ in range(400):
+            t = Frame((), (t,))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            _, ty = elaborate(EMPTY_ENV, SIGNATURE, t)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert ty.elem == NUM

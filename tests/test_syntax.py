@@ -7,6 +7,7 @@ import typing
 import pytest
 
 from remora import names, syntax
+from remora.check import EMPTY_ENV, elaborate
 from remora.gen import GenConfig, generate_programs
 from remora.names import (
     alpha_equal,
@@ -24,6 +25,7 @@ from remora.names import (
 )
 from remora.parser import ParseError, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
+from remora.prims import SIGNATURE
 from remora.syntax import ArrayLit, EmptyArray, Frame, Lam, NUM, Var, num, scalar_of
 
 
@@ -291,6 +293,20 @@ class TestCaptureAvoidance:
     def test_shadowed_key_leaves_scope(self, site, ns, kind, src, key, payload):
         t = PARSE[kind](src)
         assert SUBST[ns, kind](t, {key: PARSE[ns](payload)}) == t
+
+    def test_renamed_occurrence_keeps_annotation_and_location(self):
+        scalar = scalar_of(NUM)
+        env = EMPTY_ENV.with_types([("x", scalar), ("y", scalar)])
+        src = "(array () (lam ((y (Arr Num (Shp)))) ((array () +) x y)))"
+        t, _ = elaborate(env, SIGNATURE, parse_term(src, "f.remora"))
+        before = t.atoms[0].body.args[1]
+        got = subst_term(t, {"x": Var("y", annot=scalar)})
+        lam = got.atoms[0]
+        after = lam.body.args[1]
+        assert after.name == lam.params[0][0] != "y"
+        assert after.annot == before.annot == scalar
+        assert after.loc == before.loc is not None
+        assert print_term(got, annotations=True).count(" : ") == print_term(t, annotations=True).count(" : ")
 
 
 # ---------------------------------------------------------------------------
