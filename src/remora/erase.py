@@ -12,17 +12,31 @@ list metafunctions with the typed evaluator, so the lockstep check compares
 two genuinely independent machines.
 
 `erased_step` is the executable specification of the erased machine; the
-lockstep harness and the oracle tests use it. `erased_evaluate` is a
+oracle tests hold the refocused machine to it. `ErasedMachine` is that
 refocused machine over erased nodes, written independently of the typed one:
 it resumes the redex search at the hole of the last contraction instead of at
-the root, and only `trace=True` pays to rebuild the whole term at each step.
+the root. `erased_evaluate` runs it to the end, and only `trace=True` pays to
+rebuild the whole term at each step.
+
+`bisim_run` steps the typed `Machine` and the `ErasedMachine` side by side.
+Call-by-value never reduces under a binder, so each context stack is
+binder-free, and erasure and canonical forms are compositional over it: a
+state agrees with its partner when the two stacks have the same depth, the
+same hole kinds (typed t-app and i-app both face erased i-app) and the same
+hole indices, each layer agrees with its partner, and the two foci agree.
+By induction over the steps, only what a step changed needs a look. A
+refocus only pops and pushes, and the layers it left alone agreed before, so
+`LockstepComparer.stepped` checks the levels it changed (a node it pushed, as
+a whole or as the very child in the hole below it; the value it put where a
+hole was, with any other child it replaced) and the two contracta. Each check compares hash-consed canonical
+forms of memoized erasures, so a step costs O(1) amortised plus the
+contraction. The fast checks can only confirm agreement; when one fails, the
+whole states decide, so the report is the one a whole-state comparison after
+every step would give.
 
 Erased terms are compared through canonical forms: binders named by de Bruijn
-levels, tags respelled canonically, every form hash-consed. `bisim_run`
-compares the whole typed and erased states after every step, but through a
-`LockstepComparer` whose erasure and canonical forms are memoized on node
-identity, so a step costs the size of the binder-free spine it rebuilt, not
-the size of the state."""
+levels, tags respelled canonically, every form hash-consed, and memoized on
+node identity where no bound variable is in scope."""
 
 from __future__ import annotations
 
@@ -34,12 +48,13 @@ from typing import Mapping, Optional, Union
 from .eval import (
     AlreadyValue,
     EvalResult,
+    Machine,
     Stepped,
     Stuck,
     concat_list,
     rep_list,
     split_list,
-    step as typed_step,
+    step as typed_step,  # the typed spec, unused here; benchmark tools wrap this name
     transpose_list,
 )
 from .indices import canonicalize_shape, element_count, normalize_index
@@ -1113,28 +1128,60 @@ def _edecompose(e: EExpr, stack: list[_EHole]) -> tuple[EExpr, Optional[Stuck]]:
                 break
 
 
+_EVALUE = AlreadyValue()
+
+
+class ErasedMachine:
+    """The refocused erased machine, one step at a time: the term it holds is
+    `stack` plugged with `focus`. A step is `refocus` then `contract`;
+    `erased_evaluate` and the lockstep harness both drive it through these two
+    methods."""
+
+    __slots__ = ("stack", "focus")
+
+    def __init__(self, e: EExpr) -> None:
+        self.stack: list[_EHole] = []
+        self.focus = e
+
+    def refocus(self) -> Union[AlreadyValue, Stuck, None]:
+        """Search for the next redex. None: `focus` is the redex and `stack`
+        its context. AlreadyValue: `focus` is the whole value. Stuck: `focus`
+        is the subterm the search got stuck on."""
+        node, stuck = _edecompose(self.focus, self.stack)
+        self.focus = node
+        if stuck is not None:
+            return stuck
+        return _EVALUE if type(node) is EArray else None
+
+    def contract(self) -> Union[Stepped, Stuck]:
+        """Fire the rule of the redex in focus; after Stepped, `focus` is the
+        contractum."""
+        r = _ECONTRACT[type(self.focus)](self.focus)
+        if type(r) is Stepped:
+            self.focus = r.term
+        return r
+
+    def term(self) -> EExpr:
+        return _eplug(self.stack, self.focus)
+
+
 def erased_evaluate(e: EExpr, fuel: int = 100_000, trace: bool = False) -> EvalResult:
     """Take up to fuel steps, reporting value / stuck / out-of-fuel; the result
     equals that of iterating `erased_step`."""
     log: Optional[list[tuple[str, EExpr]]] = [] if trace else None
-    stack: list[_EHole] = []
-    focus = e
-    n = 0
-    while n < fuel:
-        node, stuck = _edecompose(focus, stack)
-        if stuck is None:
-            if type(node) is EArray:
-                return EvalResult("value", node, n, trace=log)
-            r = _ECONTRACT[type(node)](node)
+    m = ErasedMachine(e)
+    for n in range(fuel):
+        r = m.refocus()
+        if r is None:
+            r = m.contract()
             if type(r) is Stepped:
-                n += 1
-                focus = r.term
                 if log is not None:
-                    log.append((r.rule, _eplug(stack, focus)))
+                    log.append((r.rule, m.term()))
                 continue
-            stuck = r
-        return EvalResult("stuck", _eplug(stack, node), n, stuck=stuck, trace=log)
-    return EvalResult("fuel", _eplug(stack, focus), fuel, trace=log)
+        if r is _EVALUE:
+            return EvalResult("value", m.focus, n, trace=log)
+        return EvalResult("stuck", m.term(), n, stuck=r, trace=log)
+    return EvalResult("fuel", m.term(), fuel, trace=log)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,29 +1201,79 @@ class BisimReport:
     mismatch_path: Optional[str] = None
 
 
-class LockstepComparer:
-    """Decides, state after state, whether erasing the typed state gives the
-    erased state up to alpha-renaming, with tags compared as indices.
+# The erased class of each typed node that can hold a hole: t-app and i-app
+# both erase to i-app.
+_HOLE_KIND = {ArrayLit: EArray, Frame: EFrame, App: EApp, TApp: EIApp, IApp: EIApp, Unbox: EUnbox}
+# The field whose children a layer's hole index counts, in both languages.
+_LAYER_KIDS = {ArrayLit: "atoms", Frame: "cells", App: "args",
+               EArray: "atoms", EFrame: "cells", EApp: "args"}
 
-    Each call compares the whole states, but call-by-value rewrites only a
-    binder-free spine from the root to the redex and shares every other
-    subtree with the previous state, so erasure (memoized on typed nodes) and
-    canonical forms (memoized on erased nodes) are rebuilt for that spine
-    only. The tables keep what the last two calls used."""
+
+def _layer_kid(h, j: int):
+    """Child `j` of a typed or erased context layer as the layer holds it now:
+    an atom (a box, for the hole) of an array, a cell, an arg, or with -1 the
+    head (fn or box)."""
+    node = h.node
+    if j == -1:
+        return node.box if type(node) is Unbox or type(node) is EUnbox else node.fn
+    return (getattr(node, _LAYER_KIDS[type(node)]) if h.kids is None else h.kids)[j]
+
+
+def _hole_child(h):
+    """The child in the hole of a typed or erased context layer."""
+    kid = _layer_kid(h, h.i)
+    return kid.payload if type(h.node) is ArrayLit or type(h.node) is EArray else kid
+
+
+def _unchanged(stack: list, levels: list, side: int) -> int:
+    """How many levels at the bottom of `stack` are as they were checked.
+
+    A refocus only pops and pushes, so the levels it left alone are a prefix,
+    and above it are the one level it popped and pushed again (its hole moved
+    right) and levels it pushed new; the walk down from the top stops at the
+    first level that is the same hole at the same index."""
+    k = min(len(stack), len(levels))
+    while k and (stack[k - 1] is not levels[k - 1][side] or stack[k - 1].i != levels[k - 1][2]):
+        k -= 1
+    return k
+
+
+class LockstepComparer:
+    """Decides whether erasing a typed state gives an erased state up to
+    alpha-renaming, with tags compared as indices.
+
+    `same` compares whole states. Call-by-value rewrites only a binder-free
+    spine from the root to the redex and shares every other subtree with the
+    previous state, so erasure (memoized on typed nodes) and canonical forms
+    (memoized on erased nodes) are rebuilt for that spine only.
+
+    `stepped` decides after one step of two machines whose states agreed,
+    from what the step changed: the levels of the two context stacks that the
+    refocus popped or pushed, and the contracta. The tables keep what the last
+    two steps used."""
 
     def __init__(self) -> None:
         self._erasure = Generations()  # id(typed node) -> (node, erased node)
         self._canon = _Canonicalizer()
+        # Per context level checked: (typed hole, erased hole, their index).
+        self._levels: list[tuple] = []
 
     def erase(self, t: Term) -> ETerm:
         return _erase(t, self._erasure)
 
-    def same(self, typed: ExprTerm, erased: EExpr) -> bool:
+    def _agree(self, typed: Term, erased: ETerm) -> bool:
         a = self._canon.form(self.erase(typed))
         b = self._canon.form(erased)
+        return a is b or a == b
+
+    def _age(self) -> None:
         self._erasure.age()
         self._canon.age()
-        return a == b
+
+    def same(self, typed: ExprTerm, erased: EExpr) -> bool:
+        agree = self._agree(typed, erased)
+        self._age()
+        return agree
 
     def mismatch_path(self, typed: ExprTerm, erased: EExpr) -> Optional[str]:
         """None if the states agree, else the child path to their first
@@ -1185,41 +1282,94 @@ class LockstepComparer:
         a, b = self._canon.form(ea), self._canon.form(erased)
         return None if a == b else _first_difference(a, b, ea, erased)
 
+    def stepped(self, typed: Machine, erased: ErasedMachine) -> bool:
+        """After both machines contracted a redex in states that agreed: True
+        if the stacks still correspond and the contracta agree, so that the
+        new states agree; False if a check failed, which decides nothing."""
+        agree = self._stepped(typed.stack, erased.stack) and self._agree(typed.focus, erased.focus)
+        self._age()
+        return agree
+
+    def _stepped(self, st: list, se: list) -> bool:
+        levels = self._levels
+        if len(st) != len(se):
+            return False
+        low = min(_unchanged(st, levels, 0), _unchanged(se, levels, 1))
+        for k in range(low, len(st)):
+            ht, he = st[k], se[k]
+            if _HOLE_KIND[type(ht.node)] is not type(he.node) or he.i != ht.i:
+                return False
+            old = levels[k] if k < len(levels) else (None, None, 0)
+            if ht is old[0] and he is old[1]:
+                # Popped and pushed again: the value put where the hole was.
+                lo = old[2] + 1
+                if not self._agree(_layer_kid(ht, old[2]), _layer_kid(he, old[2])):
+                    return False
+            elif ht is not old[0] and he is not old[1]:
+                # Pushed new: the node as a whole, unless it is the very child
+                # in the hole of the level below, which agrees already.
+                lo = 0
+                if not (k > low and ht.node is _hole_child(st[k - 1]) and he.node is _hole_child(se[k - 1])) \
+                        and not self._agree(ht.node, he.node):
+                    return False
+            else:
+                return False
+            if (ht.kids is not None or he.kids is not None) and not self._puts_agree(ht, he, lo):
+                return False
+        del levels[low:]
+        levels.extend((ht, he, ht.i) for ht, he in zip(st[low:], se[low:]))
+        return True
+
+    def _puts_agree(self, ht, he, lo: int) -> bool:
+        """The children from `lo` up to the hole that a put replaced agree."""
+        field = _LAYER_KIDS[type(he.node)]
+        orig_t, orig_e = getattr(ht.node, field), getattr(he.node, field)
+        kids_t, kids_e = ht.kids or orig_t, he.kids or orig_e
+        return all(
+            (kids_t[j] is orig_t[j] and kids_e[j] is orig_e[j]) or self._agree(kids_t[j], kids_e[j])
+            for j in range(lo, ht.i)
+        )
+
 
 def bisim_run(t: ExprTerm, fuel: int = 10_000, trace: bool = False) -> BisimReport:
     """Run the typed and erased machines side by side, asserting after each
-    typed step that erasing the new typed state reproduces the erased
-    machine's next state up to alpha-renaming of binders."""
+    step that erasing the new typed state reproduces the erased machine's new
+    state up to alpha-renaming of binders.
+
+    Both machines are the refocused ones. When the step checks of
+    `LockstepComparer.stepped` all pass, the states agree; when one fails,
+    the whole states decide. The report is the one a whole-state comparison
+    after every step would give."""
     lockstep = LockstepComparer()
-    typed = t
-    erased = lockstep.erase(t)
+    typed, erased = Machine(t), ErasedMachine(lockstep.erase(t))
     log: Optional[list[tuple[str, str]]] = [] if trace else None
 
     def mismatch(n: int) -> BisimReport:
+        typed_term, erased_term = typed.term(), erased.term()
         return BisimReport(
-            "mismatch", n, mismatch_step=n, typed_term=typed, erased_term=erased,
-            trace=log, mismatch_path=lockstep.mismatch_path(typed, erased),
+            "mismatch", n, mismatch_step=n, typed_term=typed_term, erased_term=erased_term,
+            trace=log, mismatch_path=lockstep.mismatch_path(typed_term, erased_term),
         )
 
     for n in range(fuel + 1):
-        rt = typed_step(typed)
-        re = erased_step(erased)
-        if isinstance(rt, AlreadyValue):
-            if isinstance(re, AlreadyValue) and lockstep.same(typed, erased):
+        rt, re = typed.refocus(), erased.refocus()
+        if rt is None and re is None:
+            redexes = typed.focus, erased.focus
+            rt, re = typed.contract(), erased.contract()
+            if type(rt) is Stepped and type(re) is Stepped:
+                if log is not None:
+                    log.append((rt.rule, re.rule))
+                if not lockstep.stepped(typed, erased) and not lockstep.same(typed.term(), erased.term()):
+                    return mismatch(n + 1)
+                continue
+            # The report shows both states as they were before this step.
+            typed.focus, erased.focus = redexes
+        if type(rt) is AlreadyValue and type(re) is AlreadyValue:
+            if lockstep.same(typed.focus, erased.focus):
                 return BisimReport("both-value", n, trace=log)
-            return mismatch(n)
-        if isinstance(rt, Stuck):
-            if isinstance(re, Stuck) and re.reason == rt.reason == "misapplied":
-                return BisimReport("both-stuck", n, trace=log)
-            return mismatch(n)
-        if not isinstance(re, Stepped):
-            return mismatch(n)
-        typed = rt.term
-        erased = re.term
-        if log is not None:
-            log.append((rt.rule, re.rule))
-        if not lockstep.same(typed, erased):
-            return mismatch(n + 1)
+        elif type(rt) is Stuck and type(re) is Stuck and rt.reason == re.reason == "misapplied":
+            return BisimReport("both-stuck", n, trace=log)
+        return mismatch(n)
     return BisimReport("diverged", fuel, trace=log)
 
 

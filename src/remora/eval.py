@@ -8,11 +8,13 @@ lift / map / beta / delta; type and index application fire tbeta / ibeta;
 frames of literals collapse; unbox substitutes per box.
 
 `step` is the executable specification: one step, searching from the root.
-The lockstep harness and the oracle tests use it. `evaluate` is a refocused
-machine that fires the same rule on the same redex at every step but resumes
-the search at the hole of the last contraction, so a step costs O(1)
-amortised plus the contraction, and a deep evaluation context needs no Python
-recursion. Only `trace=True` pays to rebuild the whole term at each step.
+The oracle tests hold the machine to it. `Machine` is a refocused machine
+that fires the same rule on the same redex at every step but resumes the
+search at the hole of the last contraction, so a step costs O(1) amortised
+plus the contraction, and a deep evaluation context needs no Python
+recursion. `evaluate` runs it to the end, and the lockstep harness in
+`erase` steps it next to the erased machine. Only `trace=True` pays to
+rebuild the whole term at each step.
 """
 
 from __future__ import annotations
@@ -558,6 +560,39 @@ def _decompose(e: ExprTerm, stack: list[_Hole]) -> tuple[ExprTerm, Optional[Stuc
                 break
 
 
+class Machine:
+    """The refocused machine, one step at a time: the term it holds is `stack`
+    plugged with `focus`. A step is `refocus` then `contract`; `evaluate` and
+    the lockstep harness both drive it through these two methods."""
+
+    __slots__ = ("stack", "focus")
+
+    def __init__(self, e: ExprTerm) -> None:
+        self.stack: list[_Hole] = []
+        self.focus = e
+
+    def refocus(self) -> Union[AlreadyValue, Stuck, None]:
+        """Search for the next redex. None: `focus` is the redex and `stack`
+        its context. AlreadyValue: `focus` is the whole value. Stuck: `focus`
+        is the subterm the search got stuck on."""
+        node, stuck = _decompose(self.focus, self.stack)
+        self.focus = node
+        if stuck is not None:
+            return stuck
+        return _VALUE if type(node) is ArrayLit else None
+
+    def contract(self) -> Union[Stepped, Stuck]:
+        """Fire the rule of the redex in focus; after Stepped, `focus` is the
+        contractum."""
+        r = _CONTRACT[type(self.focus)](self.focus)
+        if type(r) is Stepped:
+            self.focus = r.term
+        return r
+
+    def term(self) -> ExprTerm:
+        return _plug(self.stack, self.focus)
+
+
 @dataclass
 class EvalResult:
     outcome: str  # "value" | "stuck" | "fuel"
@@ -571,21 +606,16 @@ def evaluate(e: ExprTerm, fuel: int = DEFAULT_FUEL, trace: bool = False) -> Eval
     """Take up to fuel steps, reporting value / stuck / out-of-fuel; the result
     equals that of iterating `step`."""
     log: Optional[list[tuple[str, ExprTerm]]] = [] if trace else None
-    stack: list[_Hole] = []
-    focus = e
-    n = 0
-    while n < fuel:
-        node, stuck = _decompose(focus, stack)
-        if stuck is None:
-            if type(node) is ArrayLit:
-                return EvalResult("value", node, n, trace=log)
-            r = _CONTRACT[type(node)](node)
+    m = Machine(e)
+    for n in range(fuel):
+        r = m.refocus()
+        if r is None:
+            r = m.contract()
             if type(r) is Stepped:
-                n += 1
-                focus = r.term
                 if log is not None:
-                    log.append((r.rule, _plug(stack, focus)))
+                    log.append((r.rule, m.term()))
                 continue
-            stuck = r
-        return EvalResult("stuck", _plug(stack, node), n, stuck=stuck, trace=log)
-    return EvalResult("fuel", _plug(stack, focus), fuel, trace=log)
+        if r is _VALUE:
+            return EvalResult("value", m.focus, n, trace=log)
+        return EvalResult("stuck", m.term(), n, stuck=r, trace=log)
+    return EvalResult("fuel", m.term(), fuel, trace=log)

@@ -1,8 +1,12 @@
 """Type erasure, the erased evaluator, and lockstep execution."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
+
+import remora.erase
 
 from remora.check import EMPTY_ENV, elaborate
 from remora.erase import (
@@ -30,6 +34,7 @@ from remora.erase import (
 from remora.eval import AlreadyValue, EvalResult, Stepped, Stuck, evaluate, is_value, step as typed_step
 from remora.gen import GenConfig, generate_programs
 from remora.names import (
+    alpha_equal,
     free_term_vars,
     subst_idx_in_term,
     subst_term,
@@ -45,12 +50,16 @@ from .util import (
     TWO_LAMS_SOURCE,
     atom_in_surviving_lam,
     change_atom,
+    check_src,
     erased_sites,
+    family_source,
     first_free_atom,
     first_free_tag,
+    frame_cell_right_of_hole,
     oracle_programs,
     plant_divergence,
     reduce_source,
+    reference_bisim,
     reference_erased_alpha_equal,
     reference_form,
     rename_index_binder,
@@ -58,6 +67,7 @@ from .util import (
     respell_tag,
     rewrite_at,
     swap_params,
+    value_left_of_hole,
 )
 
 
@@ -384,6 +394,176 @@ class TestPlantedDivergence:
         typed_side = erased_subterm(erase_term(rep.typed_term), rep.mismatch_path)
         assert typed_side == EBase("Num", 3.0)
         assert erased_subterm(rep.erased_term, rep.mismatch_path) == EBase("Num", 4.0)
+
+
+    @pytest.mark.parametrize(
+        "choose, k, path",
+        [(frame_cell_right_of_hole, 2, "cell1/arg0/atom0"), (value_left_of_hole, 4, "cell0/atom0")],
+    )
+    def test_changed_context_site_is_caught_at_its_step(self, monkeypatch, choose, k, path):
+        planted = plant_divergence(monkeypatch, k, choose)
+        rep = bisim_run(elab(TWO_LAMS_SOURCE))
+        assert (rep.outcome, rep.mismatch_step) == ("mismatch", k)
+        assert rep.mismatch_path == planted["path"] == path
+
+
+class TestContextChecks:
+    """A change the erased machine makes to its own context while it refocuses,
+    with no re-seating, is caught at its step by the per-step checks: a node
+    that `_eadvance` hands over to be pushed, a hole it moves to the wrong
+    child, the value that `_eput` plugs left of the hole, and the node that
+    `_eleave` rebuilds."""
+
+    def test_wrong_push_is_caught(self, monkeypatch):
+        real = remora.erase._eadvance
+
+        def advance(h):
+            child = real(h)
+            if isinstance(child, EFrame) and len(child.cells) == 2:
+                child = EFrame(child.shape, (child.cells[0], EArray((), (EBase("Num", 6.0),))))
+            return child
+
+        monkeypatch.setattr(remora.erase, "_eadvance", advance)
+        src = "(frame (1) (frame (2) ((array () +) (array () 1) (array () 2)) (array () 5)))"
+        rep = bisim_run(elab(src))
+        # The inner frame is pushed before step 1; without the check on what is
+        # pushed, the change would first show in step 2's collapse.
+        assert (rep.outcome, rep.mismatch_step, rep.mismatch_path) == ("mismatch", 1, "cell0/cell1/atom0")
+
+    def test_wrong_hole_is_caught(self, monkeypatch):
+        real = remora.erase._eadvance
+
+        def advance(h):
+            child = real(h)
+            if isinstance(h.node, EFrame) and h.i == 0:
+                h.i, child = 1, h.node.cells[1]
+            return child
+
+        monkeypatch.setattr(remora.erase, "_eadvance", advance)
+        cell = "((array () +) (array () 1) (array () 2))"
+        rep = bisim_run(elab(f"(frame (2) {cell} {cell})"))
+        # Both machines contract an equal redex at step 1, in different cells.
+        assert (rep.outcome, rep.mismatch_step, rep.mismatch_path) == ("mismatch", 1, "cell0")
+
+    def test_wrong_put_is_caught(self, monkeypatch):
+        real = remora.erase._eput
+
+        def put(h, v):
+            if isinstance(h.node, EFrame) and h.i == 0:
+                v = EArray(v.dims, (EBase("Num", v.atoms[0].value + 1.0),))
+            real(h, v)
+
+        monkeypatch.setattr(remora.erase, "_eput", put)
+        rep = bisim_run(elab(TWO_LAMS_SOURCE))
+        # The first put plugs cell0's value 11 before the beta of step 4.
+        assert (rep.outcome, rep.mismatch_step, rep.mismatch_path) == ("mismatch", 4, "cell0/atom0")
+        assert erased_subterm(rep.erased_term, "cell0/atom0") == EBase("Num", 12.0)
+
+    def test_wrong_rebuild_is_caught(self, monkeypatch):
+        real = remora.erase._eleave
+        seven = EArray((2,), (EBase("Num", 7.0), EBase("Num", 8.0)))
+        nine = EArray((2,), (EBase("Num", 9.0), EBase("Num", 8.0)))
+
+        def leave(h):
+            node = real(h)
+            if isinstance(node, EArray) and node.atoms and isinstance(node.atoms[0], EBox) \
+                    and node.atoms[0].payload == seven:
+                node = EArray((), (EBox(node.atoms[0].indices, nine),))
+            return node
+
+        monkeypatch.setattr(remora.erase, "_eleave", leave)
+        box = "(array () (box 2 {} (Sigma ((n Dim)) (Arr Num (Shp n)))))"
+        add = "((array () +) (array (2) {}) (array () 0))"
+        cells = (box.format(add.format("1 2")), box.format("(array (2) 7 8)"), box.format(add.format("3 4")))
+        rep = bisim_run(elab(f"(frame (3) {' '.join(cells)})"))
+        # The refocus after step 5 passes through cell1, a value holding a
+        # box, on its way to cell2, and plugs it back rebuilt.
+        assert (rep.outcome, rep.mismatch_step) == ("mismatch", 6)
+        assert rep.mismatch_path == "cell1/atom0/payload/atom0"
+
+
+def assert_same_report(got, want):
+    """Equal reports: the states are compared up to alpha-renaming, since the
+    machines and the specs draw fresh names from one global counter."""
+    assert (got.outcome, got.steps, got.mismatch_step, got.mismatch_path, got.trace) == (
+        want.outcome, want.steps, want.mismatch_step, want.mismatch_path, want.trace
+    )
+    assert (got.typed_term is None) == (want.typed_term is None)
+    if got.typed_term is not None:
+        assert alpha_equal(got.typed_term, want.typed_term)
+        assert erased_alpha_equal(got.erased_term, want.erased_term)
+
+
+class _Mutate:
+    """Each call rewrites one random binder-free site of the erased state with
+    one of `TestLockstepComparer.MUTATIONS`, chosen at random where one
+    applies."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+
+    def __call__(self, before, after, hole):
+        mutation = self.rng.choice(list(TestLockstepComparer.MUTATIONS))
+        where = [(p, x) for p, under, x in erased_sites(after) if not under and mutation(x) is not None]
+        if not where:
+            return None
+        path, x = self.rng.choice(where)
+        return path, mutation(x)
+
+
+class TestBisimOracle:
+    """`bisim_run` checks each step through the two machines' context stacks;
+    its reports equal those of `reference_bisim`, which compares the whole
+    states after every step of the spec steppers, on the real runs and with a
+    mutation planted every 16 steps."""
+
+    MUTATE_EVERY = 16
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_matches_whole_state_reference(self, monkeypatch, group):
+        for j, term in enumerate(oracle_programs(group)):
+            assert_same_report(bisim_run(term, trace=True), reference_bisim(term, trace=True))
+            want = reference_bisim(term, trace=True, plant=(self.MUTATE_EVERY, _Mutate(j), True))
+            with monkeypatch.context() as mp:
+                plant_divergence(mp, self.MUTATE_EVERY, _Mutate(j), every=True)
+                got = bisim_run(term, trace=True)
+            assert_same_report(got, want)
+
+
+class TestBisimCost:
+    """Work per bisim step does not grow with the size of the term: erasures
+    and canonical-form calls, counted per step, for a deeper member of a
+    family against its n=100 member."""
+
+    @staticmethod
+    def work_per_step(monkeypatch, family: str, n: int) -> dict:
+        counts: Counter = Counter()
+        for owner, name in ((remora.erase, "_erase"), (remora.erase._Canonicalizer, "_term")):
+            real = getattr(owner, name)
+
+            def counted(*args, real=real, name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        term = check_src(family_source(family, n))[0]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(4 * limit)  # each counted call adds a frame
+        try:
+            rep = bisim_run(term)
+        finally:
+            sys.setrecursionlimit(limit)
+            monkeypatch.undo()
+        assert rep.outcome == "both-value"
+        return {name: c / rep.steps for name, c in counts.items()}
+
+    @pytest.mark.parametrize("family, n", [("frame", 400), ("reduce", 300)])
+    def test_work_per_step_is_flat(self, monkeypatch, family, n):
+        small = self.work_per_step(monkeypatch, family, 100)
+        large = self.work_per_step(monkeypatch, family, n)
+        assert set(large) == {"_erase", "_term"}
+        for name, per_step in large.items():
+            assert per_step <= 1.5 * small[name], (name, per_step, small[name])
 
 
 def _context_positions(t, under_binder=False):

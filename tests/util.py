@@ -1,8 +1,9 @@
 """Shared test helpers: independent evaluators for index expressions (the
 brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the inputs of the machine oracle tests, the
-whole-term reference comparison of erased terms, and one-site rewrites of
-erased terms with a way to plant one in the erased machine."""
+whole-term reference comparison of erased terms, the whole-state reference
+lockstep check, and one-site rewrites of erased terms with a way to plant one
+in the erased machine."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import random
 import remora.erase
 from remora.check import EMPTY_ENV, elaborate
 from remora.erase import (
+    BisimReport,
     EApp,
     EArray,
     EBase,
@@ -26,9 +28,12 @@ from remora.erase import (
     EOp,
     EUnbox,
     EVar,
+    LockstepComparer,
+    erased_step,
+    erased_subterm,
     esubst_idx,
 )
-from remora.eval import Stepped, evaluate
+from remora.eval import AlreadyValue, Stepped, Stuck, evaluate, step as typed_step
 from remora.gen import GenConfig, generate_programs
 from remora.indices import normalize_index
 from remora.names import subst_idx
@@ -190,7 +195,7 @@ def reduce_source(n: int) -> str:
     )
 
 
-def _family_source(family: str, n: int) -> str:
+def family_source(family: str, n: int) -> str:
     if family == "lift":
         vec = f"(array ({n}) {' '.join(str(i % 97) for i in range(n))})"
         return f"((array () +) {vec} {vec})"
@@ -223,7 +228,7 @@ def oracle_programs(group: str) -> tuple:
     if group == "corpus":
         paths = sorted(PROGRAMS_DIR.glob("*.remora"))
         return tuple(check_src(p.read_text(encoding="utf-8"))[0] for p in paths)
-    return (check_src(_family_source(*_FAMILY_GROUPS[group]))[0],)
+    return (check_src(family_source(*_FAMILY_GROUPS[group]))[0],)
 
 
 # ---------------------------------------------------------------------------
@@ -475,32 +480,103 @@ TWO_LAMS_SOURCE = """((array (2) (lam ((x (Arr Num (Shp)))) ((array () +) x (arr
  (array (2) 1 2))"""
 
 
-def plant_divergence(monkeypatch, k: int, choose) -> dict:
-    """Make `remora.erase.erased_step` return, at its k-th step, its term with
-    one site rewritten: `choose(before, after)` gives the site's path and its
-    new node. The returned dict receives the path."""
-    real = remora.erase.erased_step
-    planted = {"depth": 0, "steps": 0}
+def erased_hole_path(stack) -> str:
+    """The child path from the root of an erased machine's term to its focus,
+    spelled as in `BisimReport.mismatch_path`."""
+    labels = []
+    for h in stack:
+        node, i = h.node, h.i
+        if isinstance(node, EArray):
+            labels += [f"atom{i}", "payload"]
+        elif isinstance(node, EFrame):
+            labels.append(f"cell{i}")
+        elif isinstance(node, EApp):
+            labels.append("fn" if i == -1 else f"arg{i}")
+        else:
+            labels.append("box" if isinstance(node, EUnbox) else "fn")
+    return "/".join(labels)
 
-    def step(e):
-        planted["depth"] += 1  # the spec recurses through the patched name
-        try:
-            r = real(e)
-        finally:
-            planted["depth"] -= 1
-        if planted["depth"] == 0 and isinstance(r, Stepped):
-            planted["steps"] += 1
-            if planted["steps"] == k:
-                path, node = choose(e, r.term)
-                planted["path"] = path
-                return Stepped(rewrite_at(r.term, path, node), r.rule)
-        return r
 
-    monkeypatch.setattr(remora.erase, "erased_step", step)
+def _due(n: int, k: int, every: bool) -> bool:
+    return n % k == 0 if every else n == k
+
+
+def plant_divergence(monkeypatch, k: int, choose, every: bool = False) -> dict:
+    """Make the erased machine's k-th step (with `every`, each k-th step)
+    rewrite one site of its whole next state, in the context or in the
+    contractum: `choose(before, after, hole)` gives the site's path and new
+    node, or None to leave the state as it is; `before` and `after` are the
+    whole states around the step and `hole` the path to the contractum in
+    `after`. The step plugs the state, rewrites the site, then re-seats the
+    machine on the rewritten state with an empty context. The returned dict
+    receives the path of the last site rewritten."""
+    real = remora.erase.ErasedMachine.contract
+    planted = {"path": None, "steps": 0}
+
+    def contract(machine):
+        n = planted["steps"] + 1
+        due = _due(n, k, every)
+        before = machine.term() if due else None
+        r = real(machine)
+        if not isinstance(r, Stepped):
+            return r
+        planted["steps"] = n
+        after = machine.term() if due else None
+        site = choose(before, after, erased_hole_path(machine.stack)) if due else None
+        if site is None:
+            return r
+        planted["path"] = site[0]
+        machine.focus = rewrite_at(after, *site)
+        machine.stack.clear()
+        return Stepped(machine.focus, r.rule)
+
+    monkeypatch.setattr(remora.erase.ErasedMachine, "contract", contract)
     return planted
 
 
-def first_free_atom(before, after):
+def reference_bisim(t, fuel: int = 10_000, trace: bool = False, plant=None) -> BisimReport:
+    """The lockstep check as a whole-state comparison after every step: the
+    spec steppers `step` and `erased_step` from the root, and a
+    `LockstepComparer` over the whole states. `plant=(k, choose, every)`
+    rewrites the erased state as `plant_divergence` does (`hole` is None)."""
+    lockstep = LockstepComparer()
+    typed = t
+    erased = lockstep.erase(t)
+    log = [] if trace else None
+
+    def mismatch(n: int) -> BisimReport:
+        return BisimReport(
+            "mismatch", n, mismatch_step=n, typed_term=typed, erased_term=erased,
+            trace=log, mismatch_path=lockstep.mismatch_path(typed, erased),
+        )
+
+    for n in range(fuel + 1):
+        rt = typed_step(typed)
+        re = erased_step(erased)
+        if isinstance(rt, AlreadyValue):
+            if isinstance(re, AlreadyValue) and lockstep.same(typed, erased):
+                return BisimReport("both-value", n, trace=log)
+            return mismatch(n)
+        if isinstance(rt, Stuck):
+            if isinstance(re, Stuck) and re.reason == rt.reason == "misapplied":
+                return BisimReport("both-stuck", n, trace=log)
+            return mismatch(n)
+        if not isinstance(re, Stepped):
+            return mismatch(n)
+        typed = rt.term
+        if plant is not None and _due(n + 1, plant[0], plant[2]):
+            site = plant[1](erased, re.term, None)
+            erased = re.term if site is None else rewrite_at(re.term, *site)
+        else:
+            erased = re.term
+        if log is not None:
+            log.append((rt.rule, re.rule))
+        if not lockstep.same(typed, erased):
+            return mismatch(n + 1)
+    return BisimReport("diverged", fuel, trace=log)
+
+
+def first_free_atom(before, after, hole):
     """The first base atom under no binder, with another value."""
     path, x = next(
         (p, x) for p, under, x in erased_sites(after) if not under and change_atom(x) is not None
@@ -508,7 +584,7 @@ def first_free_atom(before, after):
     return path, change_atom(x)
 
 
-def first_free_tag(before, after):
+def first_free_tag(before, after, hole):
     """The first result-shape tag under no binder, one axis longer."""
     path, x = next(
         (p, x) for p, under, x in erased_sites(after) if not under and reshape_tag(x) is not None
@@ -516,7 +592,7 @@ def first_free_tag(before, after):
     return path, reshape_tag(x)
 
 
-def atom_in_surviving_lam(before, after):
+def atom_in_surviving_lam(before, after, hole):
     """The first base atom inside the body of a lam that the step kept."""
     kept = {id(x) for _, _, x in erased_sites(before)}
     lam_path, lam = next(
@@ -525,3 +601,48 @@ def atom_in_surviving_lam(before, after):
     )
     sub, x = next((p, x) for p, _, x in erased_sites(lam) if p and change_atom(x) is not None)
     return f"{lam_path}/{sub}", change_atom(x)
+
+
+def _join(*labels: str) -> str:
+    return "/".join(filter(None, labels))
+
+
+def _free_atom_site(e, prefix: str):
+    """The first base atom under no binder in `e`, with another value, as a
+    site below `prefix`; None if there is none."""
+    for p, under, x in erased_sites(e):
+        if not under and change_atom(x) is not None:
+            return _join(prefix, p), change_atom(x)
+    return None
+
+
+def _hole_siblings(after, hole: str, right: bool) -> list:
+    """(path, node) of the children beside the hole path in `after`, outermost
+    level first: the frame cells right of it, or the values left of it (the
+    earlier cells and args, and an app's fn)."""
+    out = []
+    node, here = after, ""
+    for label in filter(None, hole.split("/")):
+        prefix = label.rstrip("0123456789")
+        if prefix in ("cell", "arg"):
+            j = int(label[len(prefix):])
+            kids = node.cells if prefix == "cell" else node.args
+            if not right and prefix == "arg":
+                out.append((_join(here, "fn"), node.fn))
+            out += [
+                (_join(here, f"{prefix}{i}"), x) for i, x in enumerate(kids)
+                if (right and prefix == "cell" and i > j) or (not right and i < j)
+            ]
+        node = erased_subterm(node, label)
+        here = _join(here, label)
+    return out
+
+
+def frame_cell_right_of_hole(before, after, hole):
+    """The first base atom under no binder in a frame cell right of the hole."""
+    return next(filter(None, (_free_atom_site(x, p) for p, x in _hole_siblings(after, hole, True))))
+
+
+def value_left_of_hole(before, after, hole):
+    """The first base atom under no binder in a value left of the hole."""
+    return next(filter(None, (_free_atom_site(x, p) for p, x in _hole_siblings(after, hole, False))))
