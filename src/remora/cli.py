@@ -35,7 +35,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         print(f"cannot read {path}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(EX_NOINPUT)
+    except UnicodeDecodeError:
+        print(f"cannot read {path}: not UTF-8 text", file=sys.stderr)
+    raise SystemExit(EX_NOINPUT)
 
 
 def _load(path: str):

@@ -7,6 +7,10 @@ semantics needs them: frames carry their result shape, applications carry
 per-argument cell shapes and a result shape, index applications and unbox
 carry result/body shapes. All emitted tags are spelled canonically.
 
+The erased nodes, re-exported here, live in `syntax`. Their free variables,
+substitution (`esubst_idx` and `esubst_term`, which respell canonically each
+tag they rewrite) and child paths derive from `names.SCHEMA`, as typed ones do.
+
 The erased stepper is written against those tags alone; it shares only the
 list metafunctions with the typed evaluator, so the lockstep check compares
 two genuinely independent machines.
@@ -40,9 +44,7 @@ node identity where no bound variable is in scope."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Mapping, Optional, Union
 
 from .eval import (
@@ -57,8 +59,8 @@ from .eval import (
     step as typed_step,  # the typed spec, unused here; benchmark tools wrap this name
     transpose_list,
 )
-from .indices import canonicalize_shape, element_count, normalize_index
-from .names import base_name, free_idx_in_idx, subst_idx
+from .indices import canonicalize_shape, element_count, normalize_tag
+from .names import IDX, TM, free_idx_in_idx, subst, subst_idx, term_children
 from .prims import Misapplied, _shape_entry
 from .printer import print_index, print_num
 from .syntax import (
@@ -67,6 +69,20 @@ from .syntax import (
     ArrType,
     BaseVal,
     Box,
+    EApp,
+    EArray,
+    EAtom,
+    EBase,
+    EBox,
+    EExpr,
+    EFrame,
+    EIApp,
+    EILam,
+    ELam,
+    EOp,
+    ETerm,
+    EUnbox,
+    EVar,
     ExprTerm,
     Frame,
     FunType,
@@ -91,101 +107,14 @@ from .syntax import (
 )
 
 # ---------------------------------------------------------------------------
-# Erased abstract syntax
-
-
-@dataclass(frozen=True)
-class EBase:
-    base: str
-    value: object
-
-
-@dataclass(frozen=True)
-class EOp:
-    name: str
-
-
-@dataclass(frozen=True)
-class ELam:
-    params: tuple[str, ...]
-    body: "EExpr"
-
-
-@dataclass(frozen=True)
-class EILam:
-    params: tuple[str, ...]
-    body: "EExpr"
-
-
-@dataclass(frozen=True)
-class EBox:
-    indices: tuple[IndexExpr, ...]
-    payload: "EExpr"
-
-
-EAtom = Union[EBase, EOp, ELam, EILam, EBox]
-
-
-@dataclass(frozen=True)
-class EVar:
-    name: str
-
-
-@dataclass(frozen=True)
-class EArray:
-    dims: tuple[int, ...]
-    atoms: tuple[EAtom, ...]
-
-
-@dataclass(frozen=True)
-class EFrame:
-    shape: IndexExpr  # full result shape
-    cells: tuple["EExpr", ...]
-
-
-@dataclass(frozen=True)
-class EApp:
-    fn: "EExpr"
-    args: tuple["EExpr", ...]
-    arg_shapes: tuple[IndexExpr, ...]  # expected cell shape per argument
-    out_shape: IndexExpr
-
-
-@dataclass(frozen=True)
-class EIApp:
-    fn: "EExpr"
-    idx_args: tuple[IndexExpr, ...]
-    out_shape: IndexExpr
-
-
-@dataclass(frozen=True)
-class EUnbox:
-    idx_vars: tuple[str, ...]
-    val_var: str
-    box: "EExpr"
-    body: "EExpr"
-    body_shape: IndexExpr
-
-
-EExpr = Union[EVar, EArray, EFrame, EApp, EIApp, EUnbox]
-ETerm = Union[EAtom, EExpr]
-
-
-# ---------------------------------------------------------------------------
 # Erasure
-
-
-@lru_cache(maxsize=1 << 12)
-def _norm(i: IndexExpr) -> IndexExpr:
-    """The canonical spelling of a residual tag; equal tags share it."""
-    return normalize_index(i)
 
 
 def erase_type(t: TypeExpr) -> IndexExpr:
     """Dynamic residue of a type: array types keep their shape, type
     variables become index variables, everything else is scalar."""
     if isinstance(t, ArrType):
-        return _norm(t.shape)
+        return normalize_tag(t.shape)
     if isinstance(t, TyVar):
         return IdxVar(t.name)
     return ShapeLit(())
@@ -212,7 +141,7 @@ def _erase(t: Term, memo: Optional[Generations]) -> ETerm:
     elif isinstance(t, (TLam, ILam)):
         e = EILam(tuple(x for x, _ in t.binders), _erase(t.body, memo))
     elif isinstance(t, Box):
-        e = EBox(tuple(_norm(i) for i in t.indices), _erase(t.payload, memo))
+        e = EBox(tuple(normalize_tag(i) for i in t.indices), _erase(t.payload, memo))
     elif isinstance(t, Var):
         e = EVar(t.name)
     elif isinstance(t, ArrayLit):
@@ -242,7 +171,7 @@ def _erase(t: Term, memo: Optional[Generations]) -> ETerm:
             raise ValueError("erasure requires an elaborated term (t-app)")
         e = EIApp(
             _erase(t.fn, memo),
-            tuple(_norm(erase_type(x)) for x in t.type_args),
+            tuple(normalize_tag(erase_type(x)) for x in t.type_args),
             erase_type(t.annot),
         )
     elif isinstance(t, IApp):
@@ -250,7 +179,7 @@ def _erase(t: Term, memo: Optional[Generations]) -> ETerm:
             raise ValueError("erasure requires an elaborated term (i-app)")
         e = EIApp(
             _erase(t.fn, memo),
-            tuple(_norm(i) for i in t.idx_args),
+            tuple(normalize_tag(i) for i in t.idx_args),
             erase_type(t.annot),
         )
     elif isinstance(t, Unbox):
@@ -271,7 +200,7 @@ def _erase(t: Term, memo: Optional[Generations]) -> ETerm:
 
 
 # ---------------------------------------------------------------------------
-# Erased values, free variables, substitution
+# Erased values and substitution
 
 
 def is_evalue_atom(a: EAtom) -> bool:
@@ -286,223 +215,12 @@ def is_evalue(e: EExpr) -> bool:
     return isinstance(e, EArray) and all(is_evalue_atom(a) for a in e.atoms)
 
 
-def _efree_term(t: ETerm) -> set[str]:
-    if isinstance(t, EVar):
-        return {t.name}
-    if isinstance(t, (EBase, EOp)):
-        return set()
-    if isinstance(t, ELam):
-        return _efree_term(t.body) - set(t.params)
-    if isinstance(t, EILam):
-        return _efree_term(t.body)
-    if isinstance(t, EBox):
-        return _efree_term(t.payload)
-    if isinstance(t, EArray):
-        return set().union(*(_efree_term(a) for a in t.atoms), set())
-    if isinstance(t, EFrame):
-        return set().union(*(_efree_term(c) for c in t.cells), set())
-    if isinstance(t, EApp):
-        return set().union(_efree_term(t.fn), *(_efree_term(a) for a in t.args))
-    if isinstance(t, EIApp):
-        return _efree_term(t.fn)
-    if isinstance(t, EUnbox):
-        return _efree_term(t.box) | (_efree_term(t.body) - {t.val_var})
-    raise TypeError(t)
-
-
-def _efree_idx(t: ETerm) -> set[str]:
-    if isinstance(t, (EBase, EOp, EVar)):
-        return set()
-    if isinstance(t, ELam):
-        return _efree_idx(t.body)
-    if isinstance(t, EILam):
-        return _efree_idx(t.body) - set(t.params)
-    if isinstance(t, EBox):
-        return set().union(
-            *(free_idx_in_idx(i) for i in t.indices), _efree_idx(t.payload)
-        )
-    if isinstance(t, EArray):
-        return set().union(*(_efree_idx(a) for a in t.atoms), set())
-    if isinstance(t, EFrame):
-        return set().union(
-            free_idx_in_idx(t.shape), *(_efree_idx(c) for c in t.cells)
-        )
-    if isinstance(t, EApp):
-        return set().union(
-            _efree_idx(t.fn),
-            *(_efree_idx(a) for a in t.args),
-            *(free_idx_in_idx(i) for i in t.arg_shapes),
-            free_idx_in_idx(t.out_shape),
-        )
-    if isinstance(t, EIApp):
-        return set().union(
-            _efree_idx(t.fn),
-            *(free_idx_in_idx(i) for i in t.idx_args),
-            free_idx_in_idx(t.out_shape),
-        )
-    if isinstance(t, EUnbox):
-        return (
-            _efree_idx(t.box)
-            | free_idx_in_idx(t.body_shape)
-            | (_efree_idx(t.body) - set(t.idx_vars))
-        )
-    raise TypeError(t)
-
-
-_EGENSYM = itertools.count(1)
-
-
-def _egensym(base: str) -> str:
-    return f"{base_name(base)}#s{next(_EGENSYM)}"
-
-
-def _subst_tag(i: IndexExpr, m: Mapping[str, IndexExpr]) -> IndexExpr:
-    return _norm(subst_idx(i, m))
-
-
 def esubst_idx(t: ETerm, m: Mapping[str, IndexExpr]) -> ETerm:
-    """Substitute indices for index variables; every tag it rewrites comes
-    out spelled canonically."""
-    if not m:
-        return t
-    if isinstance(t, (EBase, EOp, EVar)):
-        return t
-    if isinstance(t, ELam):
-        return replace(t, body=esubst_idx(t.body, m))
-    if isinstance(t, EILam):
-        m2 = {k: v for k, v in m.items() if k not in t.params}
-        if not m2:
-            return t
-        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
-        params = []
-        extra: dict[str, IndexExpr] = {}
-        for x in t.params:
-            if x in payload_free:
-                x2 = _egensym(x)
-                extra[x] = IdxVar(x2)
-                params.append(x2)
-            else:
-                params.append(x)
-        m3 = dict(m2, **extra) if extra else m2
-        return EILam(tuple(params), esubst_idx(t.body, m3))
-    if isinstance(t, EBox):
-        return EBox(
-            tuple(_subst_tag(i, m) for i in t.indices), esubst_idx(t.payload, m)
-        )
-    if isinstance(t, EArray):
-        return replace(t, atoms=tuple(esubst_idx(a, m) for a in t.atoms))
-    if isinstance(t, EFrame):
-        return EFrame(_subst_tag(t.shape, m), tuple(esubst_idx(c, m) for c in t.cells))
-    if isinstance(t, EApp):
-        return EApp(
-            esubst_idx(t.fn, m),
-            tuple(esubst_idx(a, m) for a in t.args),
-            tuple(_subst_tag(i, m) for i in t.arg_shapes),
-            _subst_tag(t.out_shape, m),
-        )
-    if isinstance(t, EIApp):
-        return EIApp(
-            esubst_idx(t.fn, m),
-            tuple(_subst_tag(i, m) for i in t.idx_args),
-            _subst_tag(t.out_shape, m),
-        )
-    if isinstance(t, EUnbox):
-        box = esubst_idx(t.box, m)
-        body_shape = _subst_tag(t.body_shape, m)
-        m2 = {k: v for k, v in m.items() if k not in t.idx_vars}
-        if not m2:
-            return replace(t, box=box, body_shape=body_shape)
-        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
-        idx_vars = []
-        extra: dict[str, IndexExpr] = {}
-        for x in t.idx_vars:
-            if x in payload_free:
-                x2 = _egensym(x)
-                extra[x] = IdxVar(x2)
-                idx_vars.append(x2)
-            else:
-                idx_vars.append(x)
-        m3 = dict(m2, **extra) if extra else m2
-        return EUnbox(
-            tuple(idx_vars), t.val_var, box, esubst_idx(t.body, m3), body_shape
-        )
-    raise TypeError(t)
+    return subst(t, IDX, m)
 
 
 def esubst_term(t: ETerm, m: Mapping[str, EExpr]) -> ETerm:
-    if not m:
-        return t
-    if isinstance(t, EVar):
-        return m.get(t.name, t)
-    if isinstance(t, (EBase, EOp)):
-        return t
-    if isinstance(t, ELam):
-        m2 = {k: v for k, v in m.items() if k not in t.params}
-        if not m2:
-            return t
-        payload_free = set().union(*(_efree_term(v) for v in m2.values()), set())
-        params = []
-        renames: dict[str, EExpr] = {}
-        for x in t.params:
-            if x in payload_free:
-                x2 = _egensym(x)
-                renames[x] = EVar(x2)
-                params.append(x2)
-            else:
-                params.append(x)
-        m3 = dict(m2, **renames) if renames else m2
-        return ELam(tuple(params), esubst_term(t.body, m3))
-    if isinstance(t, EILam):
-        payload_free = set().union(*(_efree_idx(v) for v in m.values()), set())
-        params = []
-        extra: dict[str, IndexExpr] = {}
-        for x in t.params:
-            if x in payload_free:
-                x2 = _egensym(x)
-                extra[x] = IdxVar(x2)
-                params.append(x2)
-            else:
-                params.append(x)
-        body = t.body if not extra else esubst_idx(t.body, extra)
-        return EILam(tuple(params), esubst_term(body, m))
-    if isinstance(t, EBox):
-        return replace(t, payload=esubst_term(t.payload, m))
-    if isinstance(t, EArray):
-        return replace(t, atoms=tuple(esubst_term(a, m) for a in t.atoms))
-    if isinstance(t, EFrame):
-        return replace(t, cells=tuple(esubst_term(c, m) for c in t.cells))
-    if isinstance(t, EApp):
-        return replace(
-            t,
-            fn=esubst_term(t.fn, m),
-            args=tuple(esubst_term(a, m) for a in t.args),
-        )
-    if isinstance(t, EIApp):
-        return replace(t, fn=esubst_term(t.fn, m))
-    if isinstance(t, EUnbox):
-        box = esubst_term(t.box, m)
-        m2 = {k: v for k, v in m.items() if k != t.val_var}
-        if not m2:
-            return replace(t, box=box)
-        payload_free_tm = set().union(*(_efree_term(v) for v in m2.values()), set())
-        payload_free_ix = set().union(*(_efree_idx(v) for v in m2.values()), set())
-        idx_vars = []
-        extra: dict[str, IndexExpr] = {}
-        for x in t.idx_vars:
-            if x in payload_free_ix:
-                x2 = _egensym(x)
-                extra[x] = IdxVar(x2)
-                idx_vars.append(x2)
-            else:
-                idx_vars.append(x)
-        body = t.body if not extra else esubst_idx(t.body, extra)
-        val_var = t.val_var
-        if val_var in payload_free_tm:
-            v2 = _egensym(val_var)
-            body = esubst_term(body, {val_var: EVar(v2)})
-            val_var = v2
-        return EUnbox(tuple(idx_vars), val_var, box, esubst_term(body, m2), t.body_shape)
-    raise TypeError(t)
+    return subst(t, TM, m)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +228,9 @@ def esubst_term(t: ETerm, m: Mapping[str, EExpr]) -> ETerm:
 #
 # A canonical form is a tuple headed by the node's class, then its own data
 # (scalars and tags), then the forms of its children in the order of
-# `_ekids`. A bound variable is named by its binder's depth, counted from the
-# nearest ancestor under no binder (a de Bruijn level): a term variable
-# becomes that number, an index variable `#<level>`. Tags are respelled
+# `names.term_children`. A bound variable is named by its binder's depth,
+# counted from the nearest ancestor under no binder (a de Bruijn level): a
+# term variable becomes that number, an index variable `#<level>`. Tags are respelled
 # canonically after renaming. Two erased terms are alpha-equal, with tags
 # compared as indices, exactly when their forms are `==`.
 #
@@ -526,46 +244,10 @@ def esubst_term(t: ETerm, m: Mapping[str, EExpr]) -> ETerm:
 _BOUND_IDX = "#"  # prefix of a bound index variable's canonical name
 
 
-def _ekids(e: ETerm) -> tuple:
-    """The children of an erased node, in the order of its form."""
-    t = type(e)
-    if t is EArray:
-        return e.atoms
-    if t is EFrame:
-        return e.cells
-    if t is EApp:
-        return (e.fn, *e.args)
-    if t is EIApp:
-        return (e.fn,)
-    if t is EUnbox:
-        return (e.box, e.body)
-    if t is EBox:
-        return (e.payload,)
-    if t is ELam or t is EILam:
-        return (e.body,)
-    return ()
-
-
-def _ekid_label(cls: type, j: int) -> str:
-    if cls is EArray:
-        return f"atom{j}"
-    if cls is EFrame:
-        return f"cell{j}"
-    if cls is EApp:
-        return "fn" if j == 0 else f"arg{j - 1}"
-    if cls is EUnbox:
-        return ("box", "body")[j]
-    if cls is EBox:
-        return "payload"
-    return "fn" if cls is EIApp else "body"
-
-
 def erased_subterm(e: ETerm, path: str) -> ETerm:
     """The subterm of `e` at a child path such as `arg1/atom0/body`."""
     for label in filter(None, path.split("/")):
-        kids = _ekids(e)
-        labels = [_ekid_label(type(e), j) for j in range(len(kids))]
-        e = kids[labels.index(label)]
+        e = dict(term_children(e))[label]
     return e
 
 
@@ -596,7 +278,7 @@ class _Canonicalizer:
         tags = self.tags
         hit = tags.cur.get(id(i)) or tags.carry(id(i))
         if hit is None:
-            n = _norm(i)
+            n = normalize_tag(i)
             hit = tags.cur[id(i)] = (i, n, frozenset(free_idx_in_idx(i)))
         if ix and not hit[2].isdisjoint(ix):
             return self._tag(subst_idx(i, ix), None)
@@ -685,13 +367,13 @@ def _first_difference(a: tuple, b: tuple, ea: ETerm, eb: ETerm) -> str:
     unequal child."""
     path = []
     while True:
-        kids_a, kids_b = _ekids(ea), _ekids(eb)
+        kids_a, kids_b = term_children(ea), term_children(eb)
         own = len(a) - len(kids_a)
         if a[0] is not b[0] or len(kids_a) != len(kids_b) or a[:own] != b[:own]:
             return "/".join(path)
         j = next(j for j in range(len(kids_a)) if a[own + j] != b[own + j])
-        path.append(_ekid_label(a[0], j))
-        a, b, ea, eb = a[own + j], b[own + j], kids_a[j], kids_b[j]
+        path.append(kids_a[j][0])
+        a, b, ea, eb = a[own + j], b[own + j], kids_a[j][1], kids_b[j][1]
 
 
 def erased_alpha_equal(a: ETerm, b: ETerm) -> bool:
@@ -884,7 +566,7 @@ def _eunbox(e: EUnbox) -> Union[Stepped, Stuck]:
         m = {x: i for x, i in zip(e.idx_vars, atom.indices)}
         body = esubst_idx(e.body, m)
         cells.append(esubst_term(body, {e.val_var: atom.payload}))
-    tag = _norm(IdxAppend((shape_of_dims(arr.dims), e.body_shape)))
+    tag = normalize_tag(IdxAppend((shape_of_dims(arr.dims), e.body_shape)))
     return Stepped(EFrame(tag, tuple(cells)), "unbox")
 
 

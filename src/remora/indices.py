@@ -85,9 +85,6 @@ class CanonicalShape:
         return f"[{inner}]"
 
 
-EMPTY_SHAPE = CanonicalShape(())
-
-
 @dataclass(frozen=True)
 class FrameJoin:
     """Result of joining frames under prefix order: either one of the input
@@ -105,14 +102,6 @@ class FrameJoin:
 
 
 INCOMPATIBLE = FrameJoin(None)
-
-
-def dim_of_nat(n: int) -> CanonicalDim:
-    return CanonicalDim(n, ())
-
-
-def shape_of_ints(dims: Iterable[int]) -> CanonicalShape:
-    return CanonicalShape(tuple(DimC(dim_of_nat(n)) for n in dims))
 
 
 @lru_cache(maxsize=None)
@@ -287,3 +276,10 @@ def normalize_index(i: IndexExpr, *, shape: Optional[bool] = None) -> IndexExpr:
     if shape:
         return shape_to_index(canonicalize_shape(i))
     return dim_to_index(canonicalize_dim(i))
+
+
+@lru_cache(maxsize=1 << 12)
+def normalize_tag(i: IndexExpr) -> IndexExpr:
+    """The canonical spelling of a residual tag of an erased term; equal tags
+    share it."""
+    return normalize_index(i)

@@ -1,24 +1,27 @@
-"""Binding machinery derived from one table: free variables, capture-avoiding
-substitution, canonical renaming (freshen) and alpha-equivalence.
+"""Binding machinery of the typed and the erased language, derived from one
+table: free variables, capture-avoiding substitution, canonical renaming
+(freshen), alpha-equivalence and named term children.
 
 Variables live in three namespaces: index (bound by Pi, Sigma, ilam and the
 index variables of unbox), type (Forall, tlam) and term (lam, the value
-variable of unbox). `SCHEMA` gives each field of every index, type and term
-class of `syntax`, other than `loc`, one role:
+variable of unbox); erased terms keep the index and term ones. `SCHEMA` gives
+each field of every index, type, term and erased class of `syntax`, other
+than `loc`, one role:
 
-- `Child(cat, shape)`: an index, type or term (the category); one, a tuple
-  (MANY) or an optional one (OPT, the `annot` of a term);
+- `Child(cat, shape, tag)`: an index, type or term (the category); one, a
+  tuple (MANY) or an optional one (OPT, the `annot` of a term). `subst`
+  respells canonically each residual tag of an erased term (TAG) it rewrites;
 - `Binder(ns, form)`: names bound in namespace ns, as (name, Kind/Sort) pairs,
   (name, type) pairs whose types lie outside the scope (TYPED, lam
   parameters), a tuple of names, or one name;
 - `Scope(cat)`: the one child the node's binders scope over;
 - `DATA`: dims, base values, names, kinds and sorts.
 
-`IdxVar`, `TyVar` and `Var` are the variable leaves. `free_vars`, `subst`,
-`freshen` and `alpha_equal` are derived from the table; the `free_*` and
-`subst_*` names are entry points. A traversal skips a field whose category
-cannot hold its namespace's variables: an index holds only index variables, a
-type index and type variables.
+`IdxVar`, `TyVar`, `Var` and `EVar` are the variable leaves. `free_vars`,
+`subst`, `freshen`, `alpha_equal` and `term_children` are derived from the
+table; the `free_*` and `subst_*` names are entry points. A traversal skips a
+field whose category cannot hold its namespace's variables: an index holds
+only index variables, a type index and type variables.
 
 A payload can be captured by a binder of any namespace its free variables live
 in. `subst` renames a binder with `gensym`, in field order, exactly when its
@@ -39,6 +42,7 @@ from operator import is_
 from typing import Mapping
 
 from . import syntax as S
+from .indices import normalize_tag
 from .syntax import ExprTerm, IndexExpr, Term, TypeExpr
 
 _GENSYM = itertools.count(1)
@@ -64,11 +68,12 @@ ONE, MANY, OPT = "one", "many", "opt"
 PAIRS, TYPED, NAMES, NAME = "pairs", "typed", "names", "name"
 DATA = "data"
 
-Child = namedtuple("Child", "cat shape", defaults=(ONE,))
+Child = namedtuple("Child", "cat shape tag", defaults=(ONE, False))
 Binder = namedtuple("Binder", "ns form")
 Scope = namedtuple("Scope", "cat")
 
 _ANNOT = Child(TY, OPT)
+TAG, TAGS = Child(IDX, ONE, True), Child(IDX, MANY, True)
 
 # Fields in the order the traversals visit them: annotation first, scope last.
 SCHEMA: dict[type, dict[str, object]] = {
@@ -110,20 +115,37 @@ SCHEMA: dict[type, dict[str, object]] = {
         "val_var": Binder(TM, NAME),
         "body": Scope(TM),
     },
+    S.EBase: {"base": DATA, "value": DATA},
+    S.EOp: {"name": DATA},
+    S.ELam: {"params": Binder(TM, NAMES), "body": Scope(TM)},
+    S.EILam: {"params": Binder(IDX, NAMES), "body": Scope(TM)},
+    S.EBox: {"indices": TAGS, "payload": Child(TM)},
+    S.EVar: {"name": DATA},
+    S.EArray: {"dims": DATA, "atoms": Child(TM, MANY)},
+    S.EFrame: {"shape": TAG, "cells": Child(TM, MANY)},
+    S.EApp: {"fn": Child(TM), "args": Child(TM, MANY), "arg_shapes": TAGS, "out_shape": TAG},
+    S.EIApp: {"fn": Child(TM), "idx_args": TAGS, "out_shape": TAG},
+    S.EUnbox: {
+        "idx_vars": Binder(IDX, NAMES),
+        "val_var": Binder(TM, NAME),
+        "box": Child(TM),
+        "body_shape": TAG,
+        "body": Scope(TM),
+    },
 }
 
-LEAVES = {S.IdxVar: IDX, S.TyVar: TY, S.Var: TM}
-_LEAF = {ns: cls for cls, ns in LEAVES.items()}
+LEAVES = {S.IdxVar: IDX, S.TyVar: TY, S.Var: TM, S.EVar: TM}
 
 
 def _split(cls: type) -> tuple:
     """(data, children, binders, scope) of a class: the data fields (a leaf's
-    name excluded), (field, shape, cat) of the children outside the scope,
-    (field, form, ns) of the binders, and the scope's (field, cat) or None."""
+    name excluded), (field, shape, cat, tag) of the children outside the
+    scope, (field, form, ns) of the binders, and the scope's (field, cat) or
+    None."""
     data, kids, binders, scope = [], [], [], None
     for f, role in SCHEMA[cls].items():
         if isinstance(role, Child):
-            kids.append((f, role.shape, role.cat))
+            kids.append((f, role.shape, role.cat, role.tag))
         elif isinstance(role, Binder):
             binders.append((f, role.form, role.ns))
         elif isinstance(role, Scope):
@@ -133,22 +155,25 @@ def _split(cls: type) -> tuple:
     return tuple(data), tuple(kids), tuple(binders), scope
 
 
-def _plan(split: tuple, ns: int) -> tuple:
-    """What `free_vars` and `subst` visit in namespace ns: (field, shape) of the
-    children outside the scope that can hold its variables; the binders, when
-    one can capture a payload's variable (its namespace is at most ns) or has
-    types that can; the scope field, else the scope is one more child."""
-    _, kids, binders, scope = split
-    plain = tuple((f, shape) for f, shape, cat in kids if ns <= cat)
+def _plan(cls: type, ns: int):
+    """What `free_vars` and `subst` visit in namespace ns: None for a variable
+    of ns; else (field, shape, tag) of the children outside the scope that can
+    hold its variables; the binders, when one can capture a payload's variable
+    (its namespace is at most ns) or has types that can; the scope field, else
+    the scope is one more child."""
+    if LEAVES.get(cls) == ns:
+        return None
+    _, kids, binders, scope = _SPLIT[cls]
+    plain = tuple((f, shape, tag) for f, shape, cat, tag in kids if ns <= cat)
     if scope is None or scope[1] < ns:
         return plain, (), None
     if not any(bns <= ns or (form == TYPED and ns <= TY) for _, form, bns in binders):
-        return plain + ((scope[0], ONE),), (), None
+        return plain + ((scope[0], ONE, False),), (), None
     return plain, binders, scope[0]
 
 
 _SPLIT = {cls: _split(cls) for cls in SCHEMA}
-_PLANS = [{cls: _plan(split, ns) for cls, split in _SPLIT.items()} for ns in (IDX, TY, TM)]
+_PLANS = [{cls: _plan(cls, ns) for cls in SCHEMA} for ns in (IDX, TY, TM)]
 _FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in SCHEMA}
 _setattr = object.__setattr__
 
@@ -193,13 +218,13 @@ def free_vars(node, ns: int) -> set[str]:
 
 
 def _free(node, ns: int, bound: frozenset, out: set) -> None:
-    cls = type(node)
-    if cls is _LEAF[ns]:
+    plan = _PLANS[ns][type(node)]
+    if plan is None:
         if node.name not in bound:
             out.add(node.name)
         return
-    kids, binders, scope = _PLANS[ns][cls]
-    for f, shape in kids:
+    kids, binders, scope = plan
+    for f, shape, _ in kids:
         v = getattr(node, f)
         if shape == MANY:
             for c in v:
@@ -227,18 +252,6 @@ def free_idx_in_type(t: TypeExpr) -> set[str]:
     return free_vars(t, IDX)
 
 
-def free_ty_in_type(t: TypeExpr) -> set[str]:
-    return free_vars(t, TY)
-
-
-def free_idx_in_term(t: Term) -> set[str]:
-    return free_vars(t, IDX)
-
-
-def free_ty_in_term(t: Term) -> set[str]:
-    return free_vars(t, TY)
-
-
 def free_term_vars(t: Term) -> set[str]:
     return free_vars(t, TM)
 
@@ -260,31 +273,35 @@ class _Subst:
     variables for the whole substitution. (A class, not a closure: a recursive
     closure is a reference cycle, and one per call keeps the collector busy.)"""
 
-    __slots__ = ("ns", "m", "memo", "plans", "leaf")
+    __slots__ = ("ns", "m", "memo", "plans")
 
     def __init__(self, ns: int, m: Mapping, memo: dict) -> None:
         self.ns, self.m, self.memo = ns, m, memo
-        self.plans, self.leaf = _PLANS[ns], _LEAF[ns]
+        self.plans = _PLANS[ns]
 
     def go(self, node):
-        cls = type(node)
-        if cls is self.leaf:
+        plan = self.plans[type(node)]
+        if plan is None:
             v = self.m.get(node.name, node)
             # A renamed binder maps to its new name: the occurrence keeps its
             # annotation and location.
             return _rebuild(node, {"name": v}) if v.__class__ is str else v
-        kids, binders, scope = self.plans[cls]
+        kids, binders, scope = plan
         changes = None
-        for f, shape in kids:
+        for f, shape, tag in kids:
             old = getattr(node, f)
             if shape == MANY:
                 new = tuple(map(self.go, old))
                 if all(map(is_, new, old)):
                     continue
+                if tag:
+                    new = tuple([x if x is o else normalize_tag(x) for x, o in zip(new, old)])
             elif old is None:
                 continue
             else:
                 new = self.go(old)
+                if tag and new is not old:
+                    new = normalize_tag(new)
             if new is not old:
                 if changes is None:
                     changes = {}
@@ -384,17 +401,13 @@ def freshen(t: Term, salt: str = "") -> Term:
     return _freshen(t, ({}, {}, {}), lambda x: f"{base_name(x)}#{salt}{next(counter)}")
 
 
-def freshen_type(t: TypeExpr, salt: str = "") -> TypeExpr:
-    return freshen(t, salt)
-
-
 def _freshen(node, envs: tuple, fresh):
     cls = type(node)
     changes = {}
     if cls in LEAVES and node.name in envs[LEAVES[cls]]:
         changes["name"] = envs[LEAVES[cls]][node.name]
     _, kids, binders, scope = _SPLIT[cls]
-    for f, shape, _ in kids:
+    for f, shape, _, _ in kids:
         old = getattr(node, f)
         if shape == MANY:
             changes[f] = tuple(_freshen(c, envs, fresh) for c in old)
@@ -431,7 +444,7 @@ def _alpha(a, b, ea: tuple, eb: tuple, lvl: int) -> bool:
         ns = LEAVES[cls]
         if ea[ns].get(a.name, a.name) != eb[ns].get(b.name, b.name):
             return False
-    for f, shape, _ in kids:
+    for f, shape, _, _ in kids:
         x, y = getattr(a, f), getattr(b, f)
         if shape != MANY:
             x, y = (() if x is None else (x,)), (() if y is None else (y,))
@@ -454,3 +467,27 @@ def _alpha(a, b, ea: tuple, eb: tuple, lvl: int) -> bool:
             k += 1
     f = scope[0]
     return _alpha(getattr(a, f), getattr(b, f), tuple(ia), tuple(ib), lvl + 1)
+
+
+# ---------------------------------------------------------------------------
+# Term children, labelled as in the child paths of `erase.erased_subterm`
+
+_TERM_KIDS = {
+    cls: tuple((f, getattr(role, "shape", ONE)) for f, role in roles.items()
+               if isinstance(role, (Child, Scope)) and role.cat == TM)
+    for cls, roles in SCHEMA.items()
+}
+
+
+def term_children(node) -> list[tuple[str, object]]:
+    """(label, child) for each term child of a node, in field order: the j-th
+    of a tuple field is labelled by the field's singular (`atom<j>`, `cell<j>`,
+    `arg<j>`), a lone child by its field (`fn`, `box`, `body`, `payload`)."""
+    out = []
+    for f, shape in _TERM_KIDS[type(node)]:
+        v = getattr(node, f)
+        if shape == MANY:
+            out += [(f"{f[:-1]}{j}", c) for j, c in enumerate(v)]
+        else:
+            out.append((f, v))
+    return out

@@ -79,8 +79,6 @@ KEYWORDS = {
     "i-app",
 }
 
-_TYPE_KEYWORDS = {"Arr", "->", "Forall", "Pi", "Sigma"}
-
 
 @dataclass(frozen=True)
 class SAtom:

@@ -1,7 +1,8 @@
-"""Abstract syntax shared by every stage: type indices, types, and the
-two-layer term language (atoms and array expressions).
+"""Abstract syntax shared by every stage: type indices, types, the two-layer
+term language (atoms and array expressions), and the erased terms that type
+erasure produces.
 
-All nodes are immutable dataclasses. Term nodes carry an optional type
+All nodes are immutable dataclasses. Typed term nodes carry an optional type
 annotation slot (``annot``) which elaboration fills in on every node, and a
 source location that never participates in equality. `Generations` is the
 memo table the checker and the lockstep harness key on node identity.
@@ -146,7 +147,6 @@ TypeExpr = Union[BaseType, TyVar, FunType, ArrType, ForallType, PiType, SigmaTyp
 
 NUM = BaseType("Num")
 BOOL = BaseType("Bool")
-CHAR = BaseType("Char")
 BASE_TYPE_NAMES = ("Num", "Bool", "Char")
 
 
@@ -303,6 +303,90 @@ def num(x: float) -> BaseVal:
 
 def is_atom(t: Term) -> bool:
     return isinstance(t, (BaseVal, PrimOp, Lam, TLam, ILam, Box))
+
+
+# ---------------------------------------------------------------------------
+# Erased terms: the term and index levels of the language, with residual
+# shape tags where the dynamic semantics needs them (see `erase`)
+
+Tag = IndexExpr  # a residual tag, spelled canonically
+
+
+@dataclass(frozen=True)
+class EBase:
+    base: str
+    value: object
+
+
+@dataclass(frozen=True)
+class EOp:
+    name: str
+
+
+@dataclass(frozen=True)
+class ELam:
+    params: tuple[str, ...]
+    body: EExpr
+
+
+@dataclass(frozen=True)
+class EILam:
+    params: tuple[str, ...]
+    body: EExpr
+
+
+@dataclass(frozen=True)
+class EBox:
+    indices: tuple[Tag, ...]
+    payload: EExpr
+
+
+EAtom = Union[EBase, EOp, ELam, EILam, EBox]
+
+
+@dataclass(frozen=True)
+class EVar:
+    name: str
+
+
+@dataclass(frozen=True)
+class EArray:
+    dims: tuple[int, ...]
+    atoms: tuple[EAtom, ...]
+
+
+@dataclass(frozen=True)
+class EFrame:
+    shape: Tag  # full result shape
+    cells: tuple[EExpr, ...]
+
+
+@dataclass(frozen=True)
+class EApp:
+    fn: EExpr
+    args: tuple[EExpr, ...]
+    arg_shapes: tuple[Tag, ...]  # expected cell shape per argument
+    out_shape: Tag
+
+
+@dataclass(frozen=True)
+class EIApp:
+    fn: EExpr
+    idx_args: tuple[Tag, ...]
+    out_shape: Tag
+
+
+@dataclass(frozen=True)
+class EUnbox:
+    idx_vars: tuple[str, ...]
+    val_var: str
+    box: EExpr
+    body: EExpr
+    body_shape: Tag
+
+
+EExpr = Union[EVar, EArray, EFrame, EApp, EIApp, EUnbox]
+ETerm = Union[EAtom, EExpr]
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from remora.names import (
     Child,
     Scope,
     freshen,
-    freshen_type,
     subst_idx_in_term,
     subst_idx_in_type,
 )
@@ -121,7 +120,7 @@ class TestTypesEqual:
     def test_equivalence_relation_on_random_types(self):
         rng = random.Random(3)
         types = [random_type(rng, depth=4) for _ in range(40)]
-        types += [freshen_type(t, salt="v") for t in types[:10]]
+        types += [freshen(t, salt="v") for t in types[:10]]
         for a in types:
             assert types_equal(a, a)
         for a in types:
@@ -138,7 +137,7 @@ class TestTypesEqual:
         env = EMPTY_ENV
         for _ in range(150):
             t = random_type(rng, depth=3)
-            t2 = freshen_type(t, salt="w")
+            t2 = freshen(t, salt="w")
             assert types_equal(t, t2)
             assert kind_of(env, t) is kind_of(env, t2)
 

@@ -113,6 +113,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "eval", "no/such/file.remora")
         assert code == 66
 
+    def test_file_not_utf8_is_66(self, capsys, tmp_path):
+        p = tmp_path / "bytes.remora"
+        p.write_bytes(b"\xff\xfe(array () 1)")
+        code, out, err = run(capsys, "eval", str(p))
+        assert code == 66 and out == ""
+        assert err == f"cannot read {p}: not UTF-8 text\n" and "Traceback" not in err
+
     def test_outcomes_disjoint_over_corpus(self, capsys):
         import pathlib
 

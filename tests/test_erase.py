@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import remora.erase
+import remora.names
 
 from remora.check import EMPTY_ENV, elaborate
 from remora.erase import (
@@ -33,9 +34,13 @@ from remora.erase import (
 )
 from remora.eval import AlreadyValue, EvalResult, Stepped, Stuck, evaluate, is_value, step as typed_step
 from remora.gen import GenConfig, generate_programs
+from remora.indices import normalize_tag
 from remora.names import (
+    IDX,
+    TM,
     alpha_equal,
     free_term_vars,
+    free_vars,
     subst_idx_in_term,
     subst_term,
     subst_ty_in_term,
@@ -46,21 +51,31 @@ from remora.prims import SIGNATURE
 from remora.syntax import IdxVar, NatLit, NUM, ShapeLit
 
 from .util import (
+    E_DIM_VARS,
+    E_SHAPE_VARS,
+    E_TERM_VARS,
     ORACLE_GROUPS,
     TWO_LAMS_SOURCE,
     atom_in_surviving_lam,
     change_atom,
     check_src,
+    efree_idx,
+    efree_term,
     erased_sites,
+    erased_tags,
     family_source,
     first_free_atom,
     first_free_tag,
     frame_cell_right_of_hole,
     oracle_programs,
     plant_divergence,
+    random_erased_expr,
+    random_erased_tag,
     reduce_source,
     reference_bisim,
     reference_erased_alpha_equal,
+    reference_esubst_idx,
+    reference_esubst_term,
     reference_form,
     rename_index_binder,
     reshape_tag,
@@ -191,6 +206,42 @@ class TestSubstitutionCommutes:
                 lhs = erase_term(subst_ty_in_term(t, {"t": payload}))
                 rhs = esubst_idx(erase_term(t), {"t": erase_type(payload)})
                 assert erased_alpha_equal(lhs, rhs)
+
+
+class TestDerivedSubstitution:
+    """Free variables and substitution on erased terms, derived from
+    `names.SCHEMA`, against the hand-written reference in `tests/util.py`, on
+    random erased terms with well-sorted tags whose binders' names, in both
+    namespaces, also occur free in the payloads."""
+
+    def test_agrees_with_reference(self, monkeypatch):
+        renames = 0
+        gensym = remora.names.gensym
+
+        def counted(base):
+            nonlocal renames
+            renames += 1
+            return gensym(base)
+
+        monkeypatch.setattr(remora.names, "gensym", counted)
+        rng = random.Random(71)
+        for _ in range(1500):
+            t = random_erased_expr(rng, 4)
+            assert free_vars(t, TM) == efree_term(t) and free_vars(t, IDX) == efree_idx(t)
+            idx_keys = rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(1, 3))
+            by_idx = {x: random_erased_tag(rng, x in E_DIM_VARS) for x in idx_keys}
+            by_term = {x: random_erased_expr(rng, 2) for x in rng.sample(E_TERM_VARS, rng.randint(1, 2))}
+            # A tag of the result that is neither the term's nor a term
+            # payload's was rewritten by the substitution.
+            kept = {id(i) for v in (t, *by_term.values()) for i in erased_tags(v)}
+            for derived, reference, m in (
+                (esubst_idx, reference_esubst_idx, by_idx),
+                (esubst_term, reference_esubst_term, by_term),
+            ):
+                got = derived(t, m)
+                assert erased_alpha_equal(got, reference(t, m)), (print_erased(t), m)
+                assert all(i == normalize_tag(i) for i in erased_tags(got) if id(i) not in kept)
+        assert renames >= 500
 
 
 class TestValuesEraseToValues:

@@ -24,12 +24,11 @@ from remora.indices import (
     normalize_index,
     prefix_leq,
     prefix_subtract,
-    shape_of_ints,
     shape_to_index,
 )
 from remora.parser import parse_index
 
-from .util import all_assignments, eval_dim, eval_shape, random_dim, random_shape
+from .util import all_assignments, eval_dim, eval_shape, random_dim, random_shape, shape_of_ints
 
 
 def cd(text: str) -> CanonicalDim:

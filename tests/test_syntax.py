@@ -10,12 +10,11 @@ from remora import names, syntax
 from remora.check import EMPTY_ENV, elaborate
 from remora.gen import GenConfig, generate_programs
 from remora.names import (
+    IDX,
+    TM,
+    TY,
     alpha_equal,
-    free_idx_in_term,
-    free_idx_in_type,
-    free_term_vars,
-    free_ty_in_term,
-    free_ty_in_type,
+    free_vars,
     freshen,
     subst_idx_in_term,
     subst_idx_in_type,
@@ -152,7 +151,7 @@ class TestFreshen:
     def test_free_vars_untouched(self):
         t = parse_term("(array () (lam ((x (Arr Num (Shp)))) y))")
         f = freshen(t)
-        assert free_term_vars(f) == {"y"}
+        assert free_vars(f, TM) == {"y"}
 
     def test_idempotent(self):
         for src in TestRoundTrip.CASES:
@@ -182,7 +181,7 @@ class TestFreshen:
     def test_substituting_after_freshen_matches_direct(self):
         rng = random.Random(11)
         for prog in generate_programs(40, seed=13):
-            fvs = sorted(free_term_vars(prog))
+            fvs = sorted(free_vars(prog, TM))
             target = rng.choice(fvs) if fvs else "zz"
             payload = ArrayLit((), (num(7),))
             a = subst_term(freshen(prog), {target: payload})
@@ -213,13 +212,7 @@ SUBST = {
     ("ty", "type"): subst_ty_in_type,
     ("tm", "term"): subst_term,
 }
-FREE = {
-    ("idx", "term"): free_idx_in_term,
-    ("idx", "type"): free_idx_in_type,
-    ("ty", "term"): free_ty_in_term,
-    ("ty", "type"): free_ty_in_type,
-    ("tm", "term"): free_term_vars,
-}
+NAMESPACE = {"idx": IDX, "ty": TY, "tm": TM}
 PARSE = {"idx": parse_index, "ty": parse_type, "tm": parse_term, "term": parse_term, "type": parse_type}
 
 # (site, substituted namespace, term or type, source, key, payload, expected,
@@ -284,7 +277,7 @@ class TestCaptureAvoidance:
     def test_binder_renamed(self, site, ns, kind, src, key, payload, expected, binder_ns, name):
         t = PARSE[kind](src)
         got = SUBST[ns, kind](t, {key: PARSE[ns](payload)})
-        assert name in FREE[binder_ns, kind](got)
+        assert name in free_vars(got, NAMESPACE[binder_ns])
         assert alpha_equal(_comparable(got, kind), _comparable(PARSE[kind](expected), kind))
 
     @pytest.mark.parametrize(
@@ -310,12 +303,12 @@ class TestCaptureAvoidance:
 
 
 # ---------------------------------------------------------------------------
-# The binding schema covers every syntax class and field, with the role each
-# field's declared type implies, so that a class or field added later cannot
-# fall out of substitution or alpha-equality.
+# The binding schema covers every syntax class and field, typed and erased,
+# with the role each field's declared type implies, so that a class or field
+# added later cannot fall out of substitution or alpha-equality.
 
 SYNTAX_CLASSES = sorted(
-    {c for u in (syntax.IndexExpr, syntax.TypeExpr, syntax.Term) for c in typing.get_args(u)},
+    {c for u in (syntax.IndexExpr, syntax.TypeExpr, syntax.Term, syntax.ETerm) for c in typing.get_args(u)},
     key=lambda c: c.__name__,
 )
 
@@ -331,17 +324,29 @@ def _implied_roles(cls, field: str, declared: str) -> list:
         "ExprTerm": (n.TM, n.ONE),
         "tuple[ExprTerm, ...]": (n.TM, n.MANY),
         "tuple[AtomTerm, ...]": (n.TM, n.MANY),
+        "EExpr": (n.TM, n.ONE),
+        "tuple[EExpr, ...]": (n.TM, n.MANY),
+        "tuple[EAtom, ...]": (n.TM, n.MANY),
     }
+    tags = {"Tag": n.TAG, "tuple[Tag, ...]": n.TAGS}
     binders = {
         "tuple[tuple[str, Kind], ...]": n.Binder(n.TY, n.PAIRS),
         "tuple[tuple[str, Sort], ...]": n.Binder(n.IDX, n.PAIRS),
         "tuple[tuple[str, TypeExpr], ...]": n.Binder(n.TM, n.TYPED),
     }
-    # unbox binds bare names; their field types do not say in which namespace
-    if (cls, field) == (syntax.Unbox, "idx_vars"):
-        return [n.Binder(n.IDX, n.NAMES)]
-    if (cls, field) == (syntax.Unbox, "val_var"):
-        return [n.Binder(n.TM, n.NAME)]
+    # bare names bound; their field types do not say in which namespace
+    bare = {
+        (syntax.Unbox, "idx_vars"): n.Binder(n.IDX, n.NAMES),
+        (syntax.Unbox, "val_var"): n.Binder(n.TM, n.NAME),
+        (syntax.EUnbox, "idx_vars"): n.Binder(n.IDX, n.NAMES),
+        (syntax.EUnbox, "val_var"): n.Binder(n.TM, n.NAME),
+        (syntax.ELam, "params"): n.Binder(n.TM, n.NAMES),
+        (syntax.EILam, "params"): n.Binder(n.IDX, n.NAMES),
+    }
+    if (cls, field) in bare:
+        return [bare[cls, field]]
+    if declared in tags:
+        return [tags[declared]]
     if declared in binders:
         return [binders[declared]]
     if declared in children:

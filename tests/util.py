@@ -35,8 +35,8 @@ from remora.erase import (
 )
 from remora.eval import AlreadyValue, Stepped, Stuck, evaluate, step as typed_step
 from remora.gen import GenConfig, generate_programs
-from remora.indices import normalize_index
-from remora.names import subst_idx
+from remora.indices import CanonicalDim, CanonicalShape, DimC, normalize_index, normalize_tag
+from remora.names import base_name, free_idx_in_idx, subst_idx
 from remora.parser import parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
@@ -363,6 +363,288 @@ def reference_form(t):
 
 def reference_erased_alpha_equal(a, b) -> bool:
     return reference_form(a) == reference_form(b)
+
+
+# ---------------------------------------------------------------------------
+# Reference substitution on erased terms: hand-written over each erased node,
+# independent of `names.SCHEMA`, for the derived `esubst_idx` / `esubst_term`
+# and criterion 8 to be checked against. A renamed binder is `<base>#s<n>`.
+
+_EGENSYM = itertools.count(1)
+
+
+def _egensym(base: str) -> str:
+    return f"{base_name(base)}#s{next(_EGENSYM)}"
+
+
+def efree_term(t) -> set[str]:
+    if isinstance(t, EVar):
+        return {t.name}
+    if isinstance(t, (EBase, EOp)):
+        return set()
+    if isinstance(t, ELam):
+        return efree_term(t.body) - set(t.params)
+    if isinstance(t, EILam):
+        return efree_term(t.body)
+    if isinstance(t, EBox):
+        return efree_term(t.payload)
+    if isinstance(t, EArray):
+        return set().union(*(efree_term(a) for a in t.atoms), set())
+    if isinstance(t, EFrame):
+        return set().union(*(efree_term(c) for c in t.cells), set())
+    if isinstance(t, EApp):
+        return set().union(efree_term(t.fn), *(efree_term(a) for a in t.args))
+    if isinstance(t, EIApp):
+        return efree_term(t.fn)
+    if isinstance(t, EUnbox):
+        return efree_term(t.box) | (efree_term(t.body) - {t.val_var})
+    raise TypeError(t)
+
+
+def efree_idx(t) -> set[str]:
+    if isinstance(t, (EBase, EOp, EVar)):
+        return set()
+    if isinstance(t, ELam):
+        return efree_idx(t.body)
+    if isinstance(t, EILam):
+        return efree_idx(t.body) - set(t.params)
+    if isinstance(t, EBox):
+        return set().union(*(free_idx_in_idx(i) for i in t.indices), efree_idx(t.payload))
+    if isinstance(t, EArray):
+        return set().union(*(efree_idx(a) for a in t.atoms), set())
+    if isinstance(t, EFrame):
+        return set().union(free_idx_in_idx(t.shape), *(efree_idx(c) for c in t.cells))
+    if isinstance(t, EApp):
+        return set().union(
+            efree_idx(t.fn),
+            *(efree_idx(a) for a in t.args),
+            *(free_idx_in_idx(i) for i in t.arg_shapes),
+            free_idx_in_idx(t.out_shape),
+        )
+    if isinstance(t, EIApp):
+        return set().union(
+            efree_idx(t.fn), *(free_idx_in_idx(i) for i in t.idx_args), free_idx_in_idx(t.out_shape)
+        )
+    if isinstance(t, EUnbox):
+        return efree_idx(t.box) | free_idx_in_idx(t.body_shape) | (efree_idx(t.body) - set(t.idx_vars))
+    raise TypeError(t)
+
+
+def _subst_tag(i: IndexExpr, m) -> IndexExpr:
+    return normalize_tag(subst_idx(i, m))
+
+
+def reference_esubst_idx(t, m: dict):
+    """Indices for index variables; every tag it visits comes out spelled
+    canonically."""
+    if not m:
+        return t
+    if isinstance(t, (EBase, EOp, EVar)):
+        return t
+    if isinstance(t, ELam):
+        return dataclasses.replace(t, body=reference_esubst_idx(t.body, m))
+    if isinstance(t, EILam):
+        m2 = {k: v for k, v in m.items() if k not in t.params}
+        if not m2:
+            return t
+        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
+        params = []
+        extra: dict = {}
+        for x in t.params:
+            if x in payload_free:
+                x2 = _egensym(x)
+                extra[x] = IdxVar(x2)
+                params.append(x2)
+            else:
+                params.append(x)
+        m3 = dict(m2, **extra) if extra else m2
+        return EILam(tuple(params), reference_esubst_idx(t.body, m3))
+    if isinstance(t, EBox):
+        return EBox(tuple(_subst_tag(i, m) for i in t.indices), reference_esubst_idx(t.payload, m))
+    if isinstance(t, EArray):
+        return dataclasses.replace(t, atoms=tuple(reference_esubst_idx(a, m) for a in t.atoms))
+    if isinstance(t, EFrame):
+        return EFrame(_subst_tag(t.shape, m), tuple(reference_esubst_idx(c, m) for c in t.cells))
+    if isinstance(t, EApp):
+        return EApp(
+            reference_esubst_idx(t.fn, m),
+            tuple(reference_esubst_idx(a, m) for a in t.args),
+            tuple(_subst_tag(i, m) for i in t.arg_shapes),
+            _subst_tag(t.out_shape, m),
+        )
+    if isinstance(t, EIApp):
+        return EIApp(
+            reference_esubst_idx(t.fn, m),
+            tuple(_subst_tag(i, m) for i in t.idx_args),
+            _subst_tag(t.out_shape, m),
+        )
+    if isinstance(t, EUnbox):
+        box = reference_esubst_idx(t.box, m)
+        body_shape = _subst_tag(t.body_shape, m)
+        m2 = {k: v for k, v in m.items() if k not in t.idx_vars}
+        if not m2:
+            return dataclasses.replace(t, box=box, body_shape=body_shape)
+        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
+        idx_vars = []
+        extra = {}
+        for x in t.idx_vars:
+            if x in payload_free:
+                x2 = _egensym(x)
+                extra[x] = IdxVar(x2)
+                idx_vars.append(x2)
+            else:
+                idx_vars.append(x)
+        m3 = dict(m2, **extra) if extra else m2
+        return EUnbox(tuple(idx_vars), t.val_var, box, reference_esubst_idx(t.body, m3), body_shape)
+    raise TypeError(t)
+
+
+def reference_esubst_term(t, m: dict):
+    """Erased expressions for term variables."""
+    if not m:
+        return t
+    if isinstance(t, EVar):
+        return m.get(t.name, t)
+    if isinstance(t, (EBase, EOp)):
+        return t
+    if isinstance(t, ELam):
+        m2 = {k: v for k, v in m.items() if k not in t.params}
+        if not m2:
+            return t
+        payload_free = set().union(*(efree_term(v) for v in m2.values()), set())
+        params = []
+        renames: dict = {}
+        for x in t.params:
+            if x in payload_free:
+                x2 = _egensym(x)
+                renames[x] = EVar(x2)
+                params.append(x2)
+            else:
+                params.append(x)
+        m3 = dict(m2, **renames) if renames else m2
+        return ELam(tuple(params), reference_esubst_term(t.body, m3))
+    if isinstance(t, EILam):
+        payload_free = set().union(*(efree_idx(v) for v in m.values()), set())
+        params = []
+        extra: dict = {}
+        for x in t.params:
+            if x in payload_free:
+                x2 = _egensym(x)
+                extra[x] = IdxVar(x2)
+                params.append(x2)
+            else:
+                params.append(x)
+        body = t.body if not extra else reference_esubst_idx(t.body, extra)
+        return EILam(tuple(params), reference_esubst_term(body, m))
+    if isinstance(t, EBox):
+        return dataclasses.replace(t, payload=reference_esubst_term(t.payload, m))
+    if isinstance(t, EArray):
+        return dataclasses.replace(t, atoms=tuple(reference_esubst_term(a, m) for a in t.atoms))
+    if isinstance(t, EFrame):
+        return dataclasses.replace(t, cells=tuple(reference_esubst_term(c, m) for c in t.cells))
+    if isinstance(t, EApp):
+        return dataclasses.replace(
+            t, fn=reference_esubst_term(t.fn, m), args=tuple(reference_esubst_term(a, m) for a in t.args)
+        )
+    if isinstance(t, EIApp):
+        return dataclasses.replace(t, fn=reference_esubst_term(t.fn, m))
+    if isinstance(t, EUnbox):
+        box = reference_esubst_term(t.box, m)
+        m2 = {k: v for k, v in m.items() if k != t.val_var}
+        if not m2:
+            return dataclasses.replace(t, box=box)
+        payload_free_tm = set().union(*(efree_term(v) for v in m2.values()), set())
+        payload_free_ix = set().union(*(efree_idx(v) for v in m2.values()), set())
+        idx_vars = []
+        extra = {}
+        for x in t.idx_vars:
+            if x in payload_free_ix:
+                x2 = _egensym(x)
+                extra[x] = IdxVar(x2)
+                idx_vars.append(x2)
+            else:
+                idx_vars.append(x)
+        body = t.body if not extra else reference_esubst_idx(t.body, extra)
+        val_var = t.val_var
+        if val_var in payload_free_tm:
+            v2 = _egensym(val_var)
+            body = reference_esubst_term(body, {val_var: EVar(v2)})
+            val_var = v2
+        return EUnbox(tuple(idx_vars), val_var, box, reference_esubst_term(body, m2), t.body_shape)
+    raise TypeError(t)
+
+
+# Names of the random erased terms: dimension and shape variables (each name
+# used at one sort only) and term variables, bound and free alike.
+E_DIM_VARS, E_SHAPE_VARS, E_TERM_VARS = ("d", "e"), ("s", "t"), ("x", "y", "z")
+
+
+def random_erased_tag(rng: random.Random, dim: bool = False) -> IndexExpr:
+    """A well-sorted index over `E_DIM_VARS` and `E_SHAPE_VARS`, often spelled
+    non-canonically: a dimension, or a shape."""
+    if dim:
+        return random_dim(rng, E_DIM_VARS, 2)
+    return random_shape(rng, E_DIM_VARS, E_SHAPE_VARS, 2)
+
+
+def random_erased_expr(rng: random.Random, depth: int = 3):
+    """A random erased expression: not well-typed, but with well-sorted tags,
+    and with binders whose names also occur free."""
+    tags = lambda n: tuple(random_erased_tag(rng) for _ in range(n))  # noqa: E731
+    idx_args = lambda names: tuple(random_erased_tag(rng, x in E_DIM_VARS) for x in names)  # noqa: E731
+    roll = rng.random()
+    if depth <= 0 or roll < 0.15:
+        return EVar(rng.choice(E_TERM_VARS))
+    if roll < 0.45:
+        return EArray((rng.randint(0, 3),), tuple(random_erased_atom(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+    if roll < 0.55:
+        return EFrame(random_erased_tag(rng), tuple(random_erased_expr(rng, depth - 1) for _ in range(rng.randint(0, 2))))
+    if roll < 0.75:
+        n = rng.randint(0, 2)
+        args = tuple(random_erased_expr(rng, depth - 1) for _ in range(n))
+        return EApp(random_erased_expr(rng, depth - 1), args, tags(n), random_erased_tag(rng))
+    if roll < 0.85:
+        names = rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2))
+        return EIApp(random_erased_expr(rng, depth - 1), idx_args(names), random_erased_tag(rng))
+    return EUnbox(
+        tuple(rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2))),
+        rng.choice(E_TERM_VARS),
+        random_erased_expr(rng, depth - 1),
+        random_erased_expr(rng, depth - 1),
+        random_erased_tag(rng),
+    )
+
+
+def random_erased_atom(rng: random.Random, depth: int):
+    roll = rng.random()
+    if depth <= 0 or roll < 0.3:
+        return rng.choice((EBase("Num", float(rng.randint(0, 9))), EOp("+")))
+    if roll < 0.55:
+        return ELam(tuple(rng.sample(E_TERM_VARS, rng.randint(1, 2))), random_erased_expr(rng, depth - 1))
+    if roll < 0.8:
+        return EILam(tuple(rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(1, 2))), random_erased_expr(rng, depth - 1))
+    names = rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2))
+    return EBox(tuple(random_erased_tag(rng, x in E_DIM_VARS) for x in names), random_erased_expr(rng, depth - 1))
+
+
+_TAG_FIELDS = {
+    EFrame: ("shape",), EApp: ("arg_shapes", "out_shape"), EIApp: ("idx_args", "out_shape"),
+    EBox: ("indices",), EUnbox: ("body_shape",),
+}
+
+
+def erased_tags(t) -> list:
+    """Every residual tag of an erased term."""
+    out = []
+    for _, _, x in erased_sites(t):
+        for f in _TAG_FIELDS.get(type(x), ()):
+            v = getattr(x, f)
+            out += v if isinstance(v, tuple) else [v]
+    return out
+
+
+def shape_of_ints(dims) -> CanonicalShape:
+    return CanonicalShape(tuple(DimC(CanonicalDim(n, ())) for n in dims))
 
 
 # ---------------------------------------------------------------------------
