@@ -1,9 +1,10 @@
 """Shared test helpers: independent evaluators for index expressions (the
 brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the inputs of the machine oracle tests, the
-whole-term reference comparison of erased terms, the whole-state reference
-lockstep check, and one-site rewrites of erased terms with a way to plant one
-in the erased machine."""
+whole-term reference comparison of erased terms, the hand-written reference
+substitution on erased terms with random erased terms to run it on, the
+whole-state reference lockstep check, and one-site rewrites of erased terms
+with a way to plant one in the erased machine."""
 
 from __future__ import annotations
 
@@ -166,6 +167,10 @@ def random_closed_shape(rng: random.Random, idx_env) -> IndexExpr:
     if rng.random() < 0.3:
         return IdxAppend((ShapeLit(tuple(dims)), ShapeLit(())))
     return ShapeLit(tuple(dims))
+
+
+def shape_of_ints(dims) -> CanonicalShape:
+    return CanonicalShape(tuple(DimC(CanonicalDim(n, ())) for n in dims))
 
 
 # ---------------------------------------------------------------------------
@@ -587,44 +592,43 @@ def random_erased_tag(rng: random.Random, dim: bool = False) -> IndexExpr:
     return random_shape(rng, E_DIM_VARS, E_SHAPE_VARS, 2)
 
 
+def _random_idx_args(rng: random.Random) -> tuple:
+    """Zero to two indices, each of the sort of a random index variable."""
+    names = rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2))
+    return tuple(random_erased_tag(rng, x in E_DIM_VARS) for x in names)
+
+
 def random_erased_expr(rng: random.Random, depth: int = 3):
     """A random erased expression: not well-typed, but with well-sorted tags,
     and with binders whose names also occur free."""
-    tags = lambda n: tuple(random_erased_tag(rng) for _ in range(n))  # noqa: E731
-    idx_args = lambda names: tuple(random_erased_tag(rng, x in E_DIM_VARS) for x in names)  # noqa: E731
+    sub = lambda: random_erased_expr(rng, depth - 1)  # noqa: E731
     roll = rng.random()
     if depth <= 0 or roll < 0.15:
         return EVar(rng.choice(E_TERM_VARS))
     if roll < 0.45:
-        return EArray((rng.randint(0, 3),), tuple(random_erased_atom(rng, depth - 1) for _ in range(rng.randint(0, 3))))
+        atoms = tuple(random_erased_atom(rng, depth - 1) for _ in range(rng.randint(0, 3)))
+        return EArray((len(atoms),), atoms)
     if roll < 0.55:
-        return EFrame(random_erased_tag(rng), tuple(random_erased_expr(rng, depth - 1) for _ in range(rng.randint(0, 2))))
+        return EFrame(random_erased_tag(rng), tuple(sub() for _ in range(rng.randint(0, 2))))
     if roll < 0.75:
-        n = rng.randint(0, 2)
-        args = tuple(random_erased_expr(rng, depth - 1) for _ in range(n))
-        return EApp(random_erased_expr(rng, depth - 1), args, tags(n), random_erased_tag(rng))
+        args = tuple(sub() for _ in range(rng.randint(0, 2)))
+        return EApp(sub(), args, tuple(random_erased_tag(rng) for _ in args), random_erased_tag(rng))
     if roll < 0.85:
-        names = rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2))
-        return EIApp(random_erased_expr(rng, depth - 1), idx_args(names), random_erased_tag(rng))
-    return EUnbox(
-        tuple(rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2))),
-        rng.choice(E_TERM_VARS),
-        random_erased_expr(rng, depth - 1),
-        random_erased_expr(rng, depth - 1),
-        random_erased_tag(rng),
-    )
+        return EIApp(sub(), _random_idx_args(rng), random_erased_tag(rng))
+    idx_vars = tuple(rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2)))
+    return EUnbox(idx_vars, rng.choice(E_TERM_VARS), sub(), sub(), random_erased_tag(rng))
 
 
 def random_erased_atom(rng: random.Random, depth: int):
     roll = rng.random()
     if depth <= 0 or roll < 0.3:
         return rng.choice((EBase("Num", float(rng.randint(0, 9))), EOp("+")))
+    body = random_erased_expr(rng, depth - 1)
     if roll < 0.55:
-        return ELam(tuple(rng.sample(E_TERM_VARS, rng.randint(1, 2))), random_erased_expr(rng, depth - 1))
+        return ELam(tuple(rng.sample(E_TERM_VARS, rng.randint(1, 2))), body)
     if roll < 0.8:
-        return EILam(tuple(rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(1, 2))), random_erased_expr(rng, depth - 1))
-    names = rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(0, 2))
-    return EBox(tuple(random_erased_tag(rng, x in E_DIM_VARS) for x in names), random_erased_expr(rng, depth - 1))
+        return EILam(tuple(rng.sample(E_DIM_VARS + E_SHAPE_VARS, rng.randint(1, 2))), body)
+    return EBox(_random_idx_args(rng), body)
 
 
 _TAG_FIELDS = {
@@ -641,10 +645,6 @@ def erased_tags(t) -> list:
             v = getattr(x, f)
             out += v if isinstance(v, tuple) else [v]
     return out
-
-
-def shape_of_ints(dims) -> CanonicalShape:
-    return CanonicalShape(tuple(DimC(CanonicalDim(n, ())) for n in dims))
 
 
 # ---------------------------------------------------------------------------
