@@ -109,7 +109,7 @@ def _cmd_bisim(args) -> int:
             )
         return 1
     print(f"{report.outcome} steps={report.steps}")
-    return 0
+    return 3 if report.outcome == "diverged" else 0
 
 
 def _cmd_fmt(args) -> int:

@@ -11,16 +11,17 @@ The erased nodes, re-exported here, live in `syntax`. Their free variables,
 substitution (`esubst_idx` and `esubst_term`, which respell canonically each
 tag they rewrite) and child paths derive from `names.SCHEMA`, as typed ones do.
 
-The erased stepper is written against those tags alone; it shares only the
-list metafunctions with the typed evaluator, so the lockstep check compares
-two genuinely independent machines.
+The erased step and delta rules are written against those tags alone; they
+share only the list metafunctions with the typed evaluator, so the lockstep
+check compares two independent rule sets.
 
 `erased_step` is the executable specification of the erased machine; the
-oracle tests hold the refocused machine to it. `ErasedMachine` is that
-refocused machine over erased nodes, written independently of the typed one:
-it resumes the redex search at the hole of the last contraction instead of at
-the root. `erased_evaluate` runs it to the end, and only `trace=True` pays to
-rebuild the whole term at each step.
+oracle tests hold the refocused machine to it. The erased language has the
+typed one's evaluation contexts, so `ErasedMachine` is `eval.Machine` with
+the erased contraction rules: the same refocusing driver resumes the redex
+search at the hole of the last contraction instead of at the root.
+`erased_evaluate` runs it to the end, and only `trace=True` pays to rebuild
+the whole term at each step.
 
 `bisim_run` steps the typed `Machine` and the `ErasedMachine` side by side.
 Call-by-value never reduces under a binder, so each context stack is
@@ -48,6 +49,10 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from .eval import (
+    _BOX,
+    _HEAD,
+    _KIDS,
+    DEFAULT_FUEL,
     AlreadyValue,
     EvalResult,
     Machine,
@@ -55,6 +60,7 @@ from .eval import (
     Stuck,
     concat_list,
     rep_list,
+    run,
     split_list,
     step as typed_step,  # the typed spec, unused here; benchmark tools wrap this name
     transpose_list,
@@ -655,14 +661,7 @@ def _edelta(name, arg_shapes, out_shape, args) -> EExpr:
 
 
 # ---------------------------------------------------------------------------
-# Erased driving loop: the refocused design of the typed driver, written again
-# over erased nodes so that the two machines stay independent.
-
-_PLAIN_EATOMS = frozenset((EBase, EOp, ELam, EILam))
-_EKIDS = {EArray: "atoms", EFrame: "cells", EApp: "args"}
-# Where the scan of a node starts: before its first child (-1), or before its
-# head (-2) for the nodes that evaluate one.
-_ESTART = {EArray: -1, EFrame: -1, EApp: -2, EIApp: -2, EUnbox: -2}
+# Erased machine
 
 
 def _ecollapse(e: EFrame) -> Stepped:
@@ -672,198 +671,18 @@ def _ecollapse(e: EFrame) -> Stepped:
     return Stepped(EArray(dims, atoms), "collapse")
 
 
-_ECONTRACT = {EFrame: _ecollapse, EApp: _eapply, EIApp: _eibeta, EUnbox: _eunbox}
+class ErasedMachine(Machine):
+    """The refocused erased machine: `Machine` over erased nodes, firing the
+    erased contraction rules."""
+
+    __slots__ = ()
+    contractions = {EFrame: _ecollapse, EApp: _eapply, EIApp: _eibeta, EUnbox: _eunbox}
 
 
-class _EHole:
-    """One layer of erased evaluation context: `node` with the hole at child
-    `i` (an atom's box payload, a cell or an arg; -1 is the head). The
-    children left of the hole are values; once one of them differs from the
-    node's, `kids` holds them all."""
-
-    __slots__ = ("node", "i", "kids")
-
-    def __init__(self, node: EExpr) -> None:
-        self.node = node
-        self.i = _ESTART[type(node)]
-        self.kids: Optional[list] = None
-
-
-def _plain_evalue(e: EExpr) -> bool:
-    """A value whose atoms hold no box: known without descending."""
-    return type(e) is EArray and all(type(a) in _PLAIN_EATOMS for a in e.atoms)
-
-
-def _eadvance(h: _EHole) -> Union[EExpr, Stuck, None]:
-    """Move the hole of `h` to its next child that may not be a value and
-    return that child; None once every child is a value."""
-    node = h.node
-    i = h.i + 1
-    t = type(node)
-    if t is EArray:
-        atoms = node.atoms
-        while i < len(atoms):
-            a = atoms[i]
-            if isinstance(a, EBox):
-                if not _plain_evalue(a.payload):
-                    h.i = i
-                    return a.payload
-            elif not is_evalue_atom(a):
-                return Stuck("internal", detail="non-value atom that is not a box")
-            i += 1
-        return None
-    if t is EFrame:
-        kids = node.cells
-    elif t is EApp:
-        if i == -1:
-            if not _plain_evalue(node.fn):
-                h.i = -1
-                return node.fn
-            i = 0
-        kids = node.args
-    else:
-        head = node.box if t is EUnbox else node.fn
-        if i == -1 and not _plain_evalue(head):
-            h.i = -1
-            return head
-        return None
-    while i < len(kids):
-        if not _plain_evalue(kids[i]):
-            h.i = i
-            return kids[i]
-        i += 1
-    return None
-
-
-def _eput(h: _EHole, v: EExpr) -> None:
-    """Fill the hole of `h` with the value its child evaluated to."""
-    node, i = h.node, h.i
-    if i == -1:
-        if type(node) is EUnbox:
-            if v is not node.box:
-                h.node = replace(node, box=v)
-        elif v is not node.fn:
-            h.node = replace(node, fn=v)
-        return
-    kids = getattr(node, _EKIDS[type(node)])
-    if type(node) is EArray:
-        if v is kids[i].payload:
-            return
-        v = replace(kids[i], payload=v)
-    elif v is kids[i]:
-        return
-    if h.kids is None:
-        h.kids = list(kids)
-    h.kids[i] = v
-
-
-def _eleave(h: _EHole) -> EExpr:
-    """The node of `h` with its evaluated children, as the scan leaves it."""
-    if h.kids is None:
-        return h.node
-    return replace(h.node, **{_EKIDS[type(h.node)]: tuple(h.kids)})
-
-
-def _efill(h: _EHole, t: EExpr) -> EExpr:
-    """The node of `h` with `t` in its hole; `h` is left as it is."""
-    node, i = h.node, h.i
-    if i == -1:
-        return replace(node, box=t) if type(node) is EUnbox else replace(node, fn=t)
-    field = _EKIDS[type(node)]
-    kids = list(getattr(node, field) if h.kids is None else h.kids)
-    kids[i] = replace(kids[i], payload=t) if type(node) is EArray else t
-    return replace(node, **{field: tuple(kids)})
-
-
-def _eplug(stack: list[_EHole], t: EExpr) -> EExpr:
-    for h in reversed(stack):
-        t = _efill(h, t)
-    return t
-
-
-def _edecompose(e: EExpr, stack: list[_EHole]) -> tuple[EExpr, Optional[Stuck]]:
-    """Search from `e`, which fills the hole of `stack`, for the next redex.
-
-    Returns (redex, None) with `stack` holding its context, (value, None) with
-    `stack` empty once the whole term is a value, or (subterm, Stuck) where
-    the search got stuck."""
-    while True:
-        t = type(e)
-        if t is EVar:
-            return e, Stuck("internal", detail=f"free variable {e.name}")
-        if t not in _ESTART:
-            raise TypeError(e)
-        h = _EHole(e)
-        while True:
-            child = _eadvance(h)
-            if child is None:
-                node = _eleave(h)
-                if type(node) is not EArray or not stack:
-                    return node, None
-                h = stack.pop()
-                _eput(h, node)
-            elif type(child) is Stuck:
-                return _eleave(h), child
-            else:
-                stack.append(h)
-                e = child
-                break
-
-
-_EVALUE = AlreadyValue()
-
-
-class ErasedMachine:
-    """The refocused erased machine, one step at a time: the term it holds is
-    `stack` plugged with `focus`. A step is `refocus` then `contract`;
-    `erased_evaluate` and the lockstep harness both drive it through these two
-    methods."""
-
-    __slots__ = ("stack", "focus")
-
-    def __init__(self, e: EExpr) -> None:
-        self.stack: list[_EHole] = []
-        self.focus = e
-
-    def refocus(self) -> Union[AlreadyValue, Stuck, None]:
-        """Search for the next redex. None: `focus` is the redex and `stack`
-        its context. AlreadyValue: `focus` is the whole value. Stuck: `focus`
-        is the subterm the search got stuck on."""
-        node, stuck = _edecompose(self.focus, self.stack)
-        self.focus = node
-        if stuck is not None:
-            return stuck
-        return _EVALUE if type(node) is EArray else None
-
-    def contract(self) -> Union[Stepped, Stuck]:
-        """Fire the rule of the redex in focus; after Stepped, `focus` is the
-        contractum."""
-        r = _ECONTRACT[type(self.focus)](self.focus)
-        if type(r) is Stepped:
-            self.focus = r.term
-        return r
-
-    def term(self) -> EExpr:
-        return _eplug(self.stack, self.focus)
-
-
-def erased_evaluate(e: EExpr, fuel: int = 100_000, trace: bool = False) -> EvalResult:
+def erased_evaluate(e: EExpr, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResult:
     """Take up to fuel steps, reporting value / stuck / out-of-fuel; the result
     equals that of iterating `erased_step`."""
-    log: Optional[list[tuple[str, EExpr]]] = [] if trace else None
-    m = ErasedMachine(e)
-    for n in range(fuel):
-        r = m.refocus()
-        if r is None:
-            r = m.contract()
-            if type(r) is Stepped:
-                if log is not None:
-                    log.append((r.rule, m.term()))
-                continue
-        if r is _EVALUE:
-            return EvalResult("value", m.focus, n, trace=log)
-        return EvalResult("stuck", m.term(), n, stuck=r, trace=log)
-    return EvalResult("fuel", m.term(), fuel, trace=log)
+    return run(ErasedMachine(e), fuel, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -886,9 +705,6 @@ class BisimReport:
 # The erased class of each typed node that can hold a hole: t-app and i-app
 # both erase to i-app.
 _HOLE_KIND = {ArrayLit: EArray, Frame: EFrame, App: EApp, TApp: EIApp, IApp: EIApp, Unbox: EUnbox}
-# The field whose children a layer's hole index counts, in both languages.
-_LAYER_KIDS = {ArrayLit: "atoms", Frame: "cells", App: "args",
-               EArray: "atoms", EFrame: "cells", EApp: "args"}
 
 
 def _layer_kid(h, j: int):
@@ -897,14 +713,14 @@ def _layer_kid(h, j: int):
     head (fn or box)."""
     node = h.node
     if j == -1:
-        return node.box if type(node) is Unbox or type(node) is EUnbox else node.fn
-    return (getattr(node, _LAYER_KIDS[type(node)]) if h.kids is None else h.kids)[j]
+        return getattr(node, _HEAD[type(node)])
+    return (getattr(node, _KIDS[type(node)]) if h.kids is None else h.kids)[j]
 
 
 def _hole_child(h):
     """The child in the hole of a typed or erased context layer."""
     kid = _layer_kid(h, h.i)
-    return kid.payload if type(h.node) is ArrayLit or type(h.node) is EArray else kid
+    return kid.payload if type(h.node) in _BOX else kid
 
 
 def _unchanged(stack: list, levels: list, side: int) -> int:
@@ -1004,7 +820,7 @@ class LockstepComparer:
 
     def _puts_agree(self, ht, he, lo: int) -> bool:
         """The children from `lo` up to the hole that a put replaced agree."""
-        field = _LAYER_KIDS[type(he.node)]
+        field = _KIDS[type(he.node)]
         orig_t, orig_e = getattr(ht.node, field), getattr(he.node, field)
         kids_t, kids_e = ht.kids or orig_t, he.kids or orig_e
         return all(
@@ -1018,6 +834,7 @@ def bisim_run(t: ExprTerm, fuel: int = 10_000, trace: bool = False) -> BisimRepo
     step that erasing the new typed state reproduces the erased machine's new
     state up to alpha-renaming of binders.
 
+    Up to fuel steps are taken; a run that would take more is "diverged".
     Both machines are the refocused ones. When the step checks of
     `LockstepComparer.stepped` all pass, the states agree; when one fails,
     the whole states decide. The report is the one a whole-state comparison
@@ -1039,6 +856,8 @@ def bisim_run(t: ExprTerm, fuel: int = 10_000, trace: bool = False) -> BisimRepo
             redexes = typed.focus, erased.focus
             rt, re = typed.contract(), erased.contract()
             if type(rt) is Stepped and type(re) is Stepped:
+                if n == fuel:
+                    break
                 if log is not None:
                     log.append((rt.rule, re.rule))
                 if not lockstep.stepped(typed, erased) and not lockstep.same(typed.term(), erased.term()):

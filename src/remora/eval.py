@@ -15,6 +15,11 @@ plus the contraction, and a deep evaluation context needs no Python
 recursion. `evaluate` runs it to the end, and the lockstep harness in
 `erase` steps it next to the erased machine. Only `trace=True` pays to
 rebuild the whole term at each step.
+
+The erased language has the typed language's evaluation contexts, so the
+refocusing driver here (the context search, plug and run loop) serves the
+erased machine too: `erase.ErasedMachine` is `Machine` with the erased
+contraction rules. The specs and the rules stay separate per language.
 """
 
 from __future__ import annotations
@@ -38,6 +43,17 @@ from .syntax import (
     AtomTerm,
     BaseVal,
     Box,
+    EApp,
+    EArray,
+    EBase,
+    EBox,
+    EFrame,
+    EIApp,
+    EILam,
+    ELam,
+    EOp,
+    EUnbox,
+    EVar,
     EmptyArray,
     EmptyFrame,
     ExprTerm,
@@ -409,72 +425,74 @@ def _unbox(e: Unbox) -> StepResult:
 # Semantics", BRICS RS-04-26, 2004). The context of the subterm in focus is an
 # explicit stack of holes, and after a contraction the search resumes at the
 # hole. Each child is checked once as the scan passes it, and a node's tuple
-# of children is rebuilt once, when the scan leaves the node.
+# of children is rebuilt once, when the scan leaves the node. Each table holds
+# a typed node class next to its erased counterpart.
 
 DEFAULT_FUEL = 100_000
 
-_PLAIN_ATOMS = frozenset((BaseVal, PrimOp, Lam, TLam, ILam))
-_KIDS = {ArrayLit: "atoms", Frame: "cells", App: "args"}
+# The box class of each array class, and the atoms that are values as they are.
+_BOX = {ArrayLit: Box, EArray: EBox}
+_PLAIN_ATOMS = frozenset((BaseVal, PrimOp, Lam, TLam, ILam, EBase, EOp, ELam, EILam))
+# The field whose children a hole index counts, and the head that a node
+# evaluates before them.
+_KIDS = {ArrayLit: "atoms", Frame: "cells", App: "args", EArray: "atoms", EFrame: "cells", EApp: "args"}
+_HEAD = {App: "fn", TApp: "fn", IApp: "fn", Unbox: "box", EApp: "fn", EIApp: "fn", EUnbox: "box"}
 # Where the scan of a node starts: before its first child (-1), or before its
 # head (-2) for the nodes that evaluate one.
-_START = {ArrayLit: -1, Frame: -1, App: -2, TApp: -2, IApp: -2, Unbox: -2}
+_START = {ArrayLit: -1, Frame: -1, EArray: -1, EFrame: -1, **dict.fromkeys(_HEAD, -2)}
 _CONTRACT = {Frame: _collapse, App: _apply, TApp: _tbeta, IApp: _ibeta, Unbox: _unbox}
 
 
 class _Hole:
     """One layer of evaluation context: `node` with the hole at child `i`.
 
-    `i` indexes the atoms of an ArrayLit (the hole is that box's payload), the
-    cells of a Frame or the args of an App; -1 is the head (the fn of an App,
-    TApp or IApp, the box of an Unbox). The children left of the hole are
-    values; once one of them differs from the node's, `kids` holds them all."""
+    `i` indexes the atoms of an array (the hole is that box's payload), the
+    cells of a frame or the args of an application; -1 is the head (the fn of
+    an application, t-app or i-app, the box of an unbox). The children left
+    of the hole are values; once one of them differs, `kids` holds them all."""
 
     __slots__ = ("node", "i", "kids")
 
-    def __init__(self, node: ExprTerm) -> None:
+    def __init__(self, node) -> None:
         self.node = node
         self.i = _START[type(node)]
         self.kids: Optional[list] = None
 
 
-def _plain_value(e: ExprTerm) -> bool:
+def _plain_value(e) -> bool:
     """A value whose atoms hold no box: known without descending."""
-    return type(e) is ArrayLit and all(type(a) in _PLAIN_ATOMS for a in e.atoms)
+    return type(e) in _BOX and all(type(a) in _PLAIN_ATOMS for a in e.atoms)
 
 
-def _advance(h: _Hole) -> Union[ExprTerm, Stuck, None]:
+def _advance(h: _Hole):
     """Move the hole of `h` to its next child that may not be a value and
     return that child; None once every child is a value."""
     node = h.node
     i = h.i + 1
     t = type(node)
-    if t is ArrayLit:
+    box = _BOX.get(t)
+    if box is not None:
         atoms = node.atoms
         while i < len(atoms):
             a = atoms[i]
-            if isinstance(a, Box):
+            if type(a) is box:
                 if not _plain_value(a.payload):
                     h.i = i
                     return a.payload
-            elif not is_value_atom(a):
+            elif type(a) not in _PLAIN_ATOMS:
                 return Stuck("internal", detail="non-value atom that is not a box")
             i += 1
         return None
-    if t is Frame:
-        kids = node.cells
-    elif t is App:
-        if i == -1:
-            if not _plain_value(node.fn):
-                h.i = -1
-                return node.fn
-            i = 0
-        kids = node.args
-    else:
-        head = node.box if t is Unbox else node.fn
-        if i == -1 and not _plain_value(head):
+    if i == -1:
+        head = getattr(node, _HEAD[t])
+        if not _plain_value(head):
             h.i = -1
             return head
+        i = 0
+    field = _KIDS.get(t)
+    if field is None:
         return None
+    kids = getattr(node, field)
     while i < len(kids):
         if not _plain_value(kids[i]):
             h.i = i
@@ -483,18 +501,17 @@ def _advance(h: _Hole) -> Union[ExprTerm, Stuck, None]:
     return None
 
 
-def _put(h: _Hole, v: ExprTerm) -> None:
+def _put(h: _Hole, v) -> None:
     """Fill the hole of `h` with the value its child evaluated to."""
     node, i = h.node, h.i
+    t = type(node)
     if i == -1:
-        if type(node) is Unbox:
-            if v is not node.box:
-                h.node = replace(node, box=v)
-        elif v is not node.fn:
-            h.node = replace(node, fn=v)
+        field = _HEAD[t]
+        if v is not getattr(node, field):
+            h.node = replace(node, **{field: v})
         return
-    kids = getattr(node, _KIDS[type(node)])
-    if type(node) is ArrayLit:
+    kids = getattr(node, _KIDS[t])
+    if t in _BOX:
         if v is kids[i].payload:
             return
         v = replace(kids[i], payload=v)
@@ -505,31 +522,31 @@ def _put(h: _Hole, v: ExprTerm) -> None:
     h.kids[i] = v
 
 
-def _leave(h: _Hole) -> ExprTerm:
+def _leave(h: _Hole):
     """The node of `h` with its evaluated children, as the scan leaves it."""
     if h.kids is None:
         return h.node
     return replace(h.node, **{_KIDS[type(h.node)]: tuple(h.kids)})
 
 
-def _fill(h: _Hole, t: ExprTerm) -> ExprTerm:
+def _fill(h: _Hole, t):
     """The node of `h` with `t` in its hole; `h` is left as it is."""
     node, i = h.node, h.i
     if i == -1:
-        return replace(node, box=t) if type(node) is Unbox else replace(node, fn=t)
+        return replace(node, **{_HEAD[type(node)]: t})
     field = _KIDS[type(node)]
     kids = list(getattr(node, field) if h.kids is None else h.kids)
-    kids[i] = replace(kids[i], payload=t) if type(node) is ArrayLit else t
+    kids[i] = replace(kids[i], payload=t) if type(node) in _BOX else t
     return replace(node, **{field: tuple(kids)})
 
 
-def _plug(stack: list[_Hole], t: ExprTerm) -> ExprTerm:
+def _plug(stack: list[_Hole], t):
     for h in reversed(stack):
         t = _fill(h, t)
     return t
 
 
-def _decompose(e: ExprTerm, stack: list[_Hole]) -> tuple[ExprTerm, Optional[Stuck]]:
+def _decompose(e, stack: list[_Hole]) -> tuple:
     """Search from `e`, which fills the hole of `stack`, for the next redex.
 
     Returns (redex, None) with `stack` holding its context, (value, None) with
@@ -537,18 +554,18 @@ def _decompose(e: ExprTerm, stack: list[_Hole]) -> tuple[ExprTerm, Optional[Stuc
     the search got stuck."""
     while True:
         t = type(e)
-        if t is Var:
-            return e, Stuck("internal", detail=f"free variable {e.name}")
-        if t is EmptyArray or t is EmptyFrame:
-            return e, Stuck("internal", detail="empty forms must be elaborated away")
         if t not in _START:
+            if t is Var or t is EVar:
+                return e, Stuck("internal", detail=f"free variable {e.name}")
+            if t is EmptyArray or t is EmptyFrame:
+                return e, Stuck("internal", detail="empty forms must be elaborated away")
             raise TypeError(e)
         h = _Hole(e)
         while True:
             child = _advance(h)
             if child is None:
                 node = _leave(h)
-                if type(node) is not ArrayLit or not stack:
+                if type(node) not in _BOX or not stack:
                     return node, None
                 h = stack.pop()
                 _put(h, node)
@@ -562,12 +579,15 @@ def _decompose(e: ExprTerm, stack: list[_Hole]) -> tuple[ExprTerm, Optional[Stuc
 
 class Machine:
     """The refocused machine, one step at a time: the term it holds is `stack`
-    plugged with `focus`. A step is `refocus` then `contract`; `evaluate` and
-    the lockstep harness both drive it through these two methods."""
+    plugged with `focus`. A step is `refocus` then `contract`; `run` and the
+    lockstep harness both drive it through these two methods. `contractions`
+    maps each redex class to its rule; `erase.ErasedMachine` is this machine
+    with the erased rules."""
 
     __slots__ = ("stack", "focus")
+    contractions = _CONTRACT
 
-    def __init__(self, e: ExprTerm) -> None:
+    def __init__(self, e) -> None:
         self.stack: list[_Hole] = []
         self.focus = e
 
@@ -579,17 +599,17 @@ class Machine:
         self.focus = node
         if stuck is not None:
             return stuck
-        return _VALUE if type(node) is ArrayLit else None
+        return _VALUE if type(node) in _BOX else None
 
     def contract(self) -> Union[Stepped, Stuck]:
         """Fire the rule of the redex in focus; after Stepped, `focus` is the
         contractum."""
-        r = _CONTRACT[type(self.focus)](self.focus)
+        r = self.contractions[type(self.focus)](self.focus)
         if type(r) is Stepped:
             self.focus = r.term
         return r
 
-    def term(self) -> ExprTerm:
+    def term(self):
         return _plug(self.stack, self.focus)
 
 
@@ -602,11 +622,9 @@ class EvalResult:
     trace: Optional[list[tuple[str, ExprTerm]]] = None
 
 
-def evaluate(e: ExprTerm, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResult:
-    """Take up to fuel steps, reporting value / stuck / out-of-fuel; the result
-    equals that of iterating `step`."""
+def run(m: Machine, fuel: int, trace: bool) -> EvalResult:
+    """Step `m` up to fuel times, reporting value / stuck / out-of-fuel."""
     log: Optional[list[tuple[str, ExprTerm]]] = [] if trace else None
-    m = Machine(e)
     for n in range(fuel):
         r = m.refocus()
         if r is None:
@@ -619,3 +637,9 @@ def evaluate(e: ExprTerm, fuel: int = DEFAULT_FUEL, trace: bool = False) -> Eval
             return EvalResult("value", m.focus, n, trace=log)
         return EvalResult("stuck", m.term(), n, stuck=r, trace=log)
     return EvalResult("fuel", m.term(), fuel, trace=log)
+
+
+def evaluate(e: ExprTerm, fuel: int = DEFAULT_FUEL, trace: bool = False) -> EvalResult:
+    """Take up to fuel steps, reporting value / stuck / out-of-fuel; the result
+    equals that of iterating `step`."""
+    return run(Machine(e), fuel, trace)

@@ -252,10 +252,6 @@ def free_idx_in_type(t: TypeExpr) -> set[str]:
     return free_vars(t, IDX)
 
 
-def free_term_vars(t: Term) -> set[str]:
-    return free_vars(t, TM)
-
-
 # ---------------------------------------------------------------------------
 # Capture-avoiding substitution
 

@@ -12,6 +12,7 @@ literals), but the printer's annotated output stays readable.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -272,7 +273,10 @@ def _parse_atom(s: SExpr) -> AtomTerm:
     if isinstance(s, SAtom):
         t = s.text
         if _NUMBER_RE.match(t):
-            return BaseVal("Num", float(t), loc=s.loc)
+            value = float(t)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal out of range: {t}", s.loc)
+            return BaseVal("Num", value, loc=s.loc)
         if t == "#t":
             return BaseVal("Bool", True, loc=s.loc)
         if t == "#f":

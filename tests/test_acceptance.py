@@ -32,7 +32,7 @@ from remora.indices import (
     indices_equal,
     prefix_subtract,
 )
-from remora.names import free_term_vars, freshen, subst_idx_in_term, subst_term, subst_ty_in_term
+from remora.names import TM, free_vars, freshen, subst_idx_in_term, subst_term, subst_ty_in_term
 from remora.parser import parse_index, parse_term
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
@@ -267,7 +267,7 @@ def test_criterion_8_substitution_erasure_commutation():
     for i in range(300):
         t, _ = elaborate(EMPTY_ENV, SIGNATURE, programs[i])
         # term substitution
-        fvs = sorted(free_term_vars(t)) or ["zz"]
+        fvs = sorted(free_vars(t, TM)) or ["zz"]
         x = rng.choice(fvs)
         v = ArrayLit((), (mknum(rng.randint(0, 9)),), annot=parse_type("(Arr Num (Shp))"))
         lhs = erase_term(subst_term(t, {x: v}))

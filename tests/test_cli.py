@@ -13,6 +13,7 @@ from remora.cli import main
 from .util import TWO_LAMS_SOURCE, atom_in_surviving_lam, plant_divergence, reduce_source
 
 PROGRAMS = "programs"
+DOCUMENTED_EXITS = (0, 1, 2, 3, 4, 64, 66)
 
 
 def run(capsys, *argv):
@@ -81,6 +82,12 @@ class TestEraseBisimFmt:
         code, out, _ = run(capsys, "bisim", f"{PROGRAMS}/head-col.remora")
         assert code == 0 and out.strip() == "both-value steps=10"
 
+    def test_bisim_out_of_fuel_exits_3(self, capsys):
+        code, out, _ = run(capsys, "bisim", "--trace", "--fuel", "4", f"{PROGRAMS}/filter-keep.remora")
+        lines = out.splitlines()
+        assert code == 3 and lines[-1] == "diverged steps=4"
+        assert [line.split("\t")[0] for line in lines[:-1]] == ["0", "1", "2", "3"]
+
     def test_bisim_stuck(self, capsys):
         code, out, _ = run(capsys, "bisim", f"{PROGRAMS}/div0.remora")
         assert code == 0 and out.strip() == "both-stuck steps=0"
@@ -121,11 +128,12 @@ class TestExitCodes:
         assert err == f"cannot read {p}: not UTF-8 text\n" and "Traceback" not in err
 
     def test_outcomes_disjoint_over_corpus(self, capsys):
-        import pathlib
-
-        for path in sorted(pathlib.Path(PROGRAMS).glob("*.remora")):
-            code, _, _ = run(capsys, "eval", str(path))
-            assert code in (0, 2, 3)
+        for command in ("check", "eval", "erase", "bisim", "fmt"):
+            for path in sorted(pathlib.Path(PROGRAMS).glob("*.remora")):
+                code, _, err = run(capsys, command, str(path))
+                assert code in DOCUMENTED_EXITS and "Traceback" not in err, (command, path.name)
+                if command == "eval":
+                    assert code in (0, 2, 3)
 
 
 class TestBisimMismatchReport:

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import remora.erase
+import remora.eval
 import remora.names
 
 from remora.check import EMPTY_ENV, elaborate
@@ -39,7 +40,6 @@ from remora.names import (
     IDX,
     TM,
     alpha_equal,
-    free_term_vars,
     free_vars,
     subst_idx_in_term,
     subst_term,
@@ -55,6 +55,7 @@ from .util import (
     E_SHAPE_VARS,
     E_TERM_VARS,
     ORACLE_GROUPS,
+    PROGRAMS_DIR,
     TWO_LAMS_SOURCE,
     atom_in_surviving_lam,
     change_atom,
@@ -157,7 +158,7 @@ class TestSubstitutionCommutes:
         payloads = [elab("(array () 7)"), elab("(array (2) 1 2)")]
         for prog in self._programs(60, 62):
             t, _ = elaborate(EMPTY_ENV, SIGNATURE, prog)
-            fvs = sorted(free_term_vars(t)) or ["zz"]
+            fvs = sorted(free_vars(t, TM)) or ["zz"]
             x = rng.choice(fvs)
             v = rng.choice(payloads)
             lhs = erase_term(subst_term(t, {x: v}))
@@ -461,12 +462,13 @@ class TestPlantedDivergence:
 class TestContextChecks:
     """A change the erased machine makes to its own context while it refocuses,
     with no re-seating, is caught at its step by the per-step checks: a node
-    that `_eadvance` hands over to be pushed, a hole it moves to the wrong
-    child, the value that `_eput` plugs left of the hole, and the node that
-    `_eleave` rebuilds."""
+    that `_advance` hands over to be pushed, a hole it moves to the wrong
+    child, the value that `_put` plugs left of the hole, and the node that
+    `_leave` rebuilds. The driver is shared; each change below touches only
+    erased nodes."""
 
     def test_wrong_push_is_caught(self, monkeypatch):
-        real = remora.erase._eadvance
+        real = remora.eval._advance
 
         def advance(h):
             child = real(h)
@@ -474,7 +476,7 @@ class TestContextChecks:
                 child = EFrame(child.shape, (child.cells[0], EArray((), (EBase("Num", 6.0),))))
             return child
 
-        monkeypatch.setattr(remora.erase, "_eadvance", advance)
+        monkeypatch.setattr(remora.eval, "_advance", advance)
         src = "(frame (1) (frame (2) ((array () +) (array () 1) (array () 2)) (array () 5)))"
         rep = bisim_run(elab(src))
         # The inner frame is pushed before step 1; without the check on what is
@@ -482,7 +484,7 @@ class TestContextChecks:
         assert (rep.outcome, rep.mismatch_step, rep.mismatch_path) == ("mismatch", 1, "cell0/cell1/atom0")
 
     def test_wrong_hole_is_caught(self, monkeypatch):
-        real = remora.erase._eadvance
+        real = remora.eval._advance
 
         def advance(h):
             child = real(h)
@@ -490,28 +492,28 @@ class TestContextChecks:
                 h.i, child = 1, h.node.cells[1]
             return child
 
-        monkeypatch.setattr(remora.erase, "_eadvance", advance)
+        monkeypatch.setattr(remora.eval, "_advance", advance)
         cell = "((array () +) (array () 1) (array () 2))"
         rep = bisim_run(elab(f"(frame (2) {cell} {cell})"))
         # Both machines contract an equal redex at step 1, in different cells.
         assert (rep.outcome, rep.mismatch_step, rep.mismatch_path) == ("mismatch", 1, "cell0")
 
     def test_wrong_put_is_caught(self, monkeypatch):
-        real = remora.erase._eput
+        real = remora.eval._put
 
         def put(h, v):
             if isinstance(h.node, EFrame) and h.i == 0:
                 v = EArray(v.dims, (EBase("Num", v.atoms[0].value + 1.0),))
             real(h, v)
 
-        monkeypatch.setattr(remora.erase, "_eput", put)
+        monkeypatch.setattr(remora.eval, "_put", put)
         rep = bisim_run(elab(TWO_LAMS_SOURCE))
         # The first put plugs cell0's value 11 before the beta of step 4.
         assert (rep.outcome, rep.mismatch_step, rep.mismatch_path) == ("mismatch", 4, "cell0/atom0")
         assert erased_subterm(rep.erased_term, "cell0/atom0") == EBase("Num", 12.0)
 
     def test_wrong_rebuild_is_caught(self, monkeypatch):
-        real = remora.erase._eleave
+        real = remora.eval._leave
         seven = EArray((2,), (EBase("Num", 7.0), EBase("Num", 8.0)))
         nine = EArray((2,), (EBase("Num", 9.0), EBase("Num", 8.0)))
 
@@ -522,7 +524,7 @@ class TestContextChecks:
                 node = EArray((), (EBox(node.atoms[0].indices, nine),))
             return node
 
-        monkeypatch.setattr(remora.erase, "_eleave", leave)
+        monkeypatch.setattr(remora.eval, "_leave", leave)
         box = "(array () (box 2 {} (Sigma ((n Dim)) (Arr Num (Shp n)))))"
         add = "((array () +) (array (2) {}) (array () 0))"
         cells = (box.format(add.format("1 2")), box.format("(array (2) 7 8)"), box.format(add.format("3 4")))
@@ -579,6 +581,31 @@ class TestBisimOracle:
                 plant_divergence(mp, self.MUTATE_EVERY, _Mutate(j), every=True)
                 got = bisim_run(term, trace=True)
             assert_same_report(got, want)
+
+
+class TestBisimFuel:
+    """`bisim_run(t, fuel=k)` takes at most k steps: a run that needs more ends
+    `diverged` with k steps and k trace entries, as `reference_bisim` does,
+    and a run that needs exactly k still reaches its verdict."""
+
+    def test_fuel_bounds_steps(self):
+        t = elab((PROGRAMS_DIR / "filter-keep.remora").read_text())
+        total = bisim_run(t).steps
+        for fuel in range(total):
+            rep = bisim_run(t, fuel=fuel, trace=True)
+            assert (rep.outcome, rep.steps, len(rep.trace)) == ("diverged", fuel, fuel)
+            assert_same_report(rep, reference_bisim(t, fuel=fuel, trace=True))
+        rep = bisim_run(t, fuel=total, trace=True)
+        assert (rep.outcome, rep.steps, len(rep.trace)) == ("both-value", total, total)
+        assert_same_report(rep, reference_bisim(t, fuel=total, trace=True))
+
+    def test_stuck_at_the_last_step_is_not_diverged(self):
+        t = elab("((array () /) ((array () +) (array () 1) (array () 2)) (array () 0))")
+        for fuel in (1, 2):
+            rep = bisim_run(t, fuel=fuel)
+            assert (rep.outcome, rep.steps) == ("both-stuck", 1)
+            assert_same_report(rep, reference_bisim(t, fuel=fuel))
+        assert (bisim_run(t, fuel=0).outcome, reference_bisim(t, fuel=0).outcome) == ("diverged", "diverged")
 
 
 class TestBisimCost:

@@ -64,6 +64,8 @@ class TestParse:
             "5",  # bare atom in expression position
             "(unbox (b) b)",  # unbox binder list too short
             "(array (-1) 1)",  # negative dimension
+            "(array () 1e999)",  # number literal that overflows to inf
+            "(array () -1e999)",  # and to -inf
         ],
     )
     def test_parse_errors(self, bad):

@@ -845,6 +845,8 @@ def reference_bisim(t, fuel: int = 10_000, trace: bool = False, plant=None) -> B
             return mismatch(n)
         if not isinstance(re, Stepped):
             return mismatch(n)
+        if n == fuel:
+            break
         typed = rt.term
         if plant is not None and _due(n + 1, plant[0], plant[2]):
             site = plant[1](erased, re.term, None)
