@@ -4,36 +4,27 @@ Library surface: parse and print (`parser`, `printer`), the index theory
 (`indices`), the static semantics (`check`), primitive operators (`prims`),
 the type-driven evaluator (`eval`), and type erasure with its own evaluator
 and the lockstep harness (`erase`).
+
+The names below are imported from their modules on first use (PEP 562): the
+package, or one module of it, loads only what it needs.
 """
 
-from .check import EMPTY_ENV, Env, ErrorKind, TypeCheckError, elaborate, types_equal
-from .erase import bisim_run, erase_term, erase_type, erased_evaluate
-from .eval import evaluate, step
-from .parser import ParseError, parse_index, parse_term, parse_type
-from .printer import print_index, print_term, print_type
-from .prims import SIGNATURE, delta_apply, signature_lookup
+import importlib
 
-__all__ = [
-    "EMPTY_ENV",
-    "Env",
-    "ErrorKind",
-    "ParseError",
-    "SIGNATURE",
-    "TypeCheckError",
-    "bisim_run",
-    "delta_apply",
-    "elaborate",
-    "erase_term",
-    "erase_type",
-    "erased_evaluate",
-    "evaluate",
-    "parse_index",
-    "parse_term",
-    "parse_type",
-    "print_index",
-    "print_term",
-    "print_type",
-    "signature_lookup",
-    "step",
-    "types_equal",
-]
+_EXPORTS = {
+    "check": ("EMPTY_ENV", "Env", "ErrorKind", "TypeCheckError", "elaborate", "types_equal"),
+    "erase": ("bisim_run", "erase_term", "erase_type", "erased_evaluate", "print_erased"),
+    "eval": ("evaluate", "step"),
+    "parser": ("ParseError", "parse_index", "parse_term", "parse_type"),
+    "printer": ("print_index", "print_term", "print_type"),
+    "prims": ("SIGNATURE", "delta_apply", "signature_lookup"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)

@@ -19,7 +19,6 @@ starts a new memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -77,6 +76,7 @@ from .syntax import (
     Unbox,
     Var,
     is_atom,
+    node,
     shape_of_dims,
 )
 
@@ -106,14 +106,14 @@ class TypeCheckError(Exception):
         super().__init__(f"{where}{kind}: {detail}")
 
 
-@dataclass(frozen=True)
+@node
 class Env:
     """Three-part environment: index-variable sorts, type-variable kinds,
     term-variable types."""
 
-    sorts: Mapping[str, Sort] = field(default_factory=dict)
-    kinds: Mapping[str, Kind] = field(default_factory=dict)
-    types: Mapping[str, TypeExpr] = field(default_factory=dict)
+    sorts: Mapping[str, Sort]
+    kinds: Mapping[str, Kind]
+    types: Mapping[str, TypeExpr]
 
     def with_sorts(self, pairs) -> "Env":
         return Env({**self.sorts, **dict(pairs)}, self.kinds, self.types)
@@ -125,7 +125,7 @@ class Env:
         return Env(self.sorts, self.kinds, {**self.types, **dict(pairs)})
 
 
-EMPTY_ENV = Env()
+EMPTY_ENV = Env({}, {}, {})
 
 Signature = Mapping[str, TypeExpr]
 

@@ -4,6 +4,9 @@ Exit codes: 0 success, 1 parse/type error or a bisim mismatch, 2 stuck
 evaluation, 3 out of fuel, 4 resource limit (the input nests deeper than the
 Python stack allows, or memory ran out), 64 usage error, 66 unreadable input
 file. Results go to stdout, diagnostics to stderr.
+
+Each command imports the modules it uses when it runs, so `fmt` never loads
+the checker or the machines, and only `erase` and `bisim` load `erase`.
 """
 
 from __future__ import annotations
@@ -11,16 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .check import EMPTY_ENV, TypeCheckError, elaborate
-from .erase import bisim_run, erase_term, erased_subterm, print_erased
-from .eval import DEFAULT_FUEL, evaluate
-from .parser import ParseError, parse_term
-from .printer import print_term, print_type
-from .prims import PRIMS, SIGNATURE
-
 EX_RESOURCE = 4
 EX_USAGE = 64
 EX_NOINPUT = 66
+
+
+def __getattr__(name):
+    """The library functions the commands call, which tools wrap as
+    `remora.cli.<name>`, resolve as the package's names do (PEP 562)."""
+    import remora
+    return getattr(remora, name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,17 +43,33 @@ def _read(path: str) -> str:
     raise SystemExit(EX_NOINPUT)
 
 
-def _load(path: str):
+def _parse(path: str):
+    from .parser import ParseError, parse_term
+
     text = _read(path)
     try:
-        term = parse_term(text, filename=path)
+        return parse_term(text, filename=path)
+    except ParseError as exc:
+        print(str(exc), file=sys.stderr)
+        raise SystemExit(1)
+
+
+def _load(path: str):
+    from .check import EMPTY_ENV, TypeCheckError, elaborate
+    from .prims import SIGNATURE
+
+    term = _parse(path)
+    try:
         return elaborate(EMPTY_ENV, SIGNATURE, term)
-    except (ParseError, TypeCheckError) as exc:
+    except TypeCheckError as exc:
         print(str(exc), file=sys.stderr)
         raise SystemExit(1)
 
 
 def _cmd_check(args) -> int:
+    from .printer import print_type
+    from .prims import PRIMS
+
     if args.list_prims:
         for name in sorted(PRIMS):
             print(f"{name}\t{print_type(PRIMS[name].type)}")
@@ -65,8 +84,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .eval import DEFAULT_FUEL, evaluate
+    from .printer import print_term
+
     term, _ = _load(args.path)
-    result = evaluate(term, fuel=args.fuel, trace=args.trace)
+    result = evaluate(term, fuel=DEFAULT_FUEL if args.fuel is None else args.fuel, trace=args.trace)
     if result.trace is not None:
         for rule, t in result.trace:
             print(f"{rule}\t{print_term(t)}")
@@ -85,12 +107,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_erase(args) -> int:
+    from .erase import erase_term, print_erased
+
     term, _ = _load(args.path)
     print(print_erased(erase_term(term)))
     return 0
 
 
 def _cmd_bisim(args) -> int:
+    from .erase import bisim_run, erase_term, erased_subterm, print_erased
+
     term, _ = _load(args.path)
     report = bisim_run(term, fuel=args.fuel, trace=args.trace)
     if report.trace is not None:
@@ -113,14 +139,9 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_fmt(args) -> int:
-    text = _read(args.path)
-    try:
-        term = parse_term(text, filename=args.path)
-        if args.annotations:
-            term, _ = elaborate(EMPTY_ENV, SIGNATURE, term)
-    except (ParseError, TypeCheckError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    from .printer import print_term
+
+    term = _load(args.path)[0] if args.annotations else _parse(args.path)
     print(print_term(term, annotations=args.annotations, canonical=args.canonical))
     return 0
 
@@ -136,7 +157,7 @@ def main(argv=None) -> int:
 
     p_eval = sub.add_parser("eval", help="evaluate a program")
     p_eval.add_argument("path")
-    p_eval.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p_eval.add_argument("--fuel", type=int)  # default: eval.DEFAULT_FUEL
     p_eval.add_argument("--trace", action="store_true")
     p_eval.set_defaults(fn=_cmd_eval)
 
@@ -157,7 +178,7 @@ def main(argv=None) -> int:
     p_fmt.set_defaults(fn=_cmd_fmt)
 
     args = parser.parse_args(argv)
-    if getattr(args, "fuel", 1) < 1:
+    if getattr(args, "fuel", None) is not None and args.fuel < 1:
         print("usage error: --fuel must be at least 1", file=sys.stderr)
         return EX_USAGE
     try:

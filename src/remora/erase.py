@@ -45,7 +45,6 @@ node identity where no bound variable is in scope."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Union
 
 from .eval import (
@@ -109,6 +108,7 @@ from .syntax import (
     TyVar,
     Unbox,
     Var,
+    replace,
     shape_of_dims,
 )
 
@@ -689,17 +689,17 @@ def erased_evaluate(e: EExpr, fuel: int = DEFAULT_FUEL, trace: bool = False) -> 
 # Lockstep harness
 
 
-@dataclass
 class BisimReport:
-    outcome: str  # "both-value" | "both-stuck" | "diverged" | "mismatch"
-    steps: int
-    mismatch_step: Optional[int] = None
-    typed_term: Optional[ExprTerm] = None
-    erased_term: Optional[EExpr] = None
-    trace: Optional[list[tuple[str, str]]] = None  # (typed rule, erased rule)
-    # On a mismatch whose states differ: the child path, e.g. `arg1/atom0/body`,
-    # to the first differing subterm (see `erased_subterm`); "" is the root.
-    mismatch_path: Optional[str] = None
+    """`outcome`: "both-value", "both-stuck", "diverged" or "mismatch"; `trace`:
+    (typed rule, erased rule) per step; `mismatch_path`: on a mismatch whose
+    states differ, the child path (`arg1/atom0/body`, "" the root) to the first
+    differing subterm (see `erased_subterm`)."""
+
+    def __init__(self, outcome: str, steps: int, mismatch_step: Optional[int] = None,
+                 typed_term: Optional[ExprTerm] = None, erased_term: Optional[EExpr] = None,
+                 trace: Optional[list[tuple[str, str]]] = None, mismatch_path: Optional[str] = None) -> None:
+        self.outcome, self.steps, self.mismatch_step, self.trace = outcome, steps, mismatch_step, trace
+        self.typed_term, self.erased_term, self.mismatch_path = typed_term, erased_term, mismatch_path
 
 
 # The erased class of each typed node that can hold a hole: t-app and i-app

@@ -24,7 +24,6 @@ contraction rules. The specs and the rules stay separate per language.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .indices import canonicalize_shape, element_count
@@ -68,7 +67,9 @@ from .syntax import (
     TApp,
     TLam,
     Unbox,
+    node,
     Var,
+    replace,
     shape_of_dims,
 )
 
@@ -79,22 +80,25 @@ class EvalBug(Exception):
     """Internal invariant violated; unreachable on elaborator output."""
 
 
-@dataclass(frozen=True)
 class Stepped:
-    term: ExprTerm
-    rule: str
+    __slots__ = ("term", "rule")
+
+    def __init__(self, term: ExprTerm, rule: str) -> None:
+        self.term, self.rule = term, rule
 
 
-@dataclass(frozen=True)
 class AlreadyValue:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@node
 class Stuck:
     reason: str  # "misapplied" | "internal"
-    op: Optional[str] = None
-    detail: str = ""
+    op: Optional[str]
+    detail: str
+
+    def __init__(self, reason: str, op: Optional[str] = None, detail: str = "") -> None:
+        Stuck._init(self, reason, op, detail)
 
 
 StepResult = Union[Stepped, AlreadyValue, Stuck]
@@ -613,23 +617,26 @@ class Machine:
         return _plug(self.stack, self.focus)
 
 
-@dataclass
 class EvalResult:
-    outcome: str  # "value" | "stuck" | "fuel"
-    term: ExprTerm
-    steps: int
-    stuck: Optional[Stuck] = None
-    trace: Optional[list[tuple[str, ExprTerm]]] = None
+    def __init__(self, outcome: str, term: ExprTerm, steps: int, stuck: Optional[Stuck] = None,
+                 trace: Optional[list[tuple[str, ExprTerm]]] = None) -> None:
+        self.outcome = outcome  # "value" | "stuck" | "fuel"
+        self.term, self.steps, self.stuck, self.trace = term, steps, stuck, trace
 
 
 def run(m: Machine, fuel: int, trace: bool) -> EvalResult:
-    """Step `m` up to fuel times, reporting value / stuck / out-of-fuel."""
+    """Run `m` for up to fuel contractions, reporting value / stuck / out-of-fuel
+    (as `erase.bisim_run` does, the state after the last one gets its verdict)."""
     log: Optional[list[tuple[str, ExprTerm]]] = [] if trace else None
-    for n in range(fuel):
+    for n in range(fuel + 1):
         r = m.refocus()
         if r is None:
+            redex = m.focus
             r = m.contract()
             if type(r) is Stepped:
+                if n == fuel:
+                    m.focus = redex
+                    break
                 if log is not None:
                     log.append((r.rule, m.term()))
                 continue

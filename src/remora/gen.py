@@ -11,7 +11,6 @@ not a skip.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .check import types_equal
 from .indices import element_count
@@ -48,17 +47,10 @@ from .syntax import (
 )
 
 
-@dataclass
 class GenConfig:
-    max_depth: int = 5
-    max_dim: int = 3
-    max_rank: int = 2
-    stuck_rate: float = 0.0  # probability of wrapping in a division by zero
-
-
-@dataclass
-class _Scope:
-    vars: list[tuple[str, ArrType]] = field(default_factory=list)
+    def __init__(self, max_depth: int = 5, max_dim: int = 3, max_rank: int = 2, stuck_rate: float = 0.0):
+        self.max_depth, self.max_dim, self.max_rank = max_depth, max_dim, max_rank
+        self.stuck_rate = stuck_rate  # probability of wrapping in a division by zero
 
 
 class ProgramGen:
@@ -91,17 +83,17 @@ class ProgramGen:
 
     def program(self) -> ExprTerm:
         if self.rng.random() < self.cfg.stuck_rate:
-            e = self.expr(scalar_of(NUM), _Scope(), self.cfg.max_depth - 1)
+            e = self.expr(scalar_of(NUM), [], self.cfg.max_depth - 1)
             return _div_by_zero(e)
         target = self.value_type()
-        return self.expr(target, _Scope(), self.cfg.max_depth)
+        return self.expr(target, [], self.cfg.max_depth)
 
     # -- expressions -----------------------------------------------------------
 
-    def expr(self, target: ArrType, scope: _Scope, depth: int) -> ExprTerm:
+    def expr(self, target: ArrType, scope: list[tuple[str, ArrType]], depth: int) -> ExprTerm:
         dims = _concrete(target)
         candidates = [self._literal]
-        matching = [v for v in scope.vars if types_equal(v[1], target)]
+        matching = [v for v in scope if types_equal(v[1], target)]
         if matching:
             candidates += [self._var] * 2
         if depth > 0:
@@ -123,7 +115,7 @@ class ProgramGen:
                 return out
 
     def _var(self, target, scope, depth):
-        matching = [v for v in scope.vars if types_equal(v[1], target)]
+        matching = [v for v in scope if types_equal(v[1], target)]
         if not matching:
             return None
         name, _ = self.rng.choice(matching)
@@ -184,7 +176,7 @@ class ProgramGen:
         out_t = ArrType(target.elem, shape_of_dims(out_cell))
         def make_lam() -> Lam:
             params = tuple((self.fresh("x"), t) for t in in_types)
-            inner = _Scope(scope.vars + [(x, t) for x, t in params])
+            inner = scope + [(x, t) for x, t in params]
             return Lam(params, self.expr(out_t, inner, depth - 1))
 
         # one position (function or some argument) carries the full frame
@@ -255,7 +247,7 @@ class ProgramGen:
         else:
             x, y = self.fresh("x"), self.fresh("y")
             params = ((x, target), (y, target))
-            inner = _Scope(scope.vars + [(x, target), (y, target)])
+            inner = scope + [(x, target), (y, target)]
             body = self.expr(target, inner, depth - 1)
             combine = ArrayLit((), (Lam(params, body),))
         return App(fn, (combine, self.expr(subject_t, scope, depth - 1)))
@@ -297,7 +289,7 @@ class ProgramGen:
             tuple(make_box() for _ in range(1 if count is None else count)),
         )
         iv, vv = self.fresh("len"), self.fresh("b")
-        body = self.expr(body_target, _Scope(scope.vars), depth - 1)
+        body = self.expr(body_target, scope, depth - 1)
         return Unbox((iv,), vv, boxes, body)
 
     def _compare_app(self, target, scope, depth):
@@ -335,7 +327,7 @@ class ProgramGen:
 
     # -- atoms ------------------------------------------------------------------
 
-    def atom(self, elem: TypeExpr, scope: _Scope, depth: int):
+    def atom(self, elem: TypeExpr, scope: list, depth: int):
         if isinstance(elem, BaseType):
             if elem.name == "Num":
                 return num(self.rng.randint(-3, 9))
@@ -344,7 +336,7 @@ class ProgramGen:
             return BaseVal("Char", self.rng.choice("abcxyz"))
         if isinstance(elem, FunType):
             params = tuple((self.fresh("x"), t) for t in elem.inputs)
-            inner = _Scope(scope.vars + [(x, t) for x, t in params])
+            inner = scope + [(x, t) for x, t in params]
             body = self.expr(elem.output, inner, max(depth, 0))
             return Lam(params, body)
         if isinstance(elem, SigmaType):
@@ -384,7 +376,7 @@ def _div_by_zero(e: ExprTerm) -> ExprTerm:
     return App(ArrayLit((), (_op("/"),)), (e, ArrayLit((), (num(0),))))
 
 
-def _sum_unboxed(gen: ProgramGen, boxed: ExprTerm, scope: _Scope, depth: int) -> ExprTerm:
+def _sum_unboxed(gen: ProgramGen, boxed: ExprTerm, scope: list, depth: int) -> ExprTerm:
     iv, vv = gen.fresh("len"), gen.fresh("b")
     body = App(
         TApp(

@@ -16,7 +16,6 @@ and the axis-count homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Union
 
@@ -25,6 +24,7 @@ from .syntax import (
     IdxVar,
     IndexExpr,
     NatLit,
+    node,
     Plus,
     ShapeLit,
 )
@@ -35,7 +35,7 @@ class SortError(Exception):
     vice versa)."""
 
 
-@dataclass(frozen=True)
+@node
 class CanonicalDim:
     """constant + sum of coeff * var, coefficients positive, sorted by name."""
 
@@ -51,12 +51,12 @@ class CanonicalDim:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
+@node
 class DimC:
     dim: CanonicalDim
 
 
-@dataclass(frozen=True)
+@node
 class VarC:
     name: str
 
@@ -64,7 +64,7 @@ class VarC:
 Component = Union[DimC, VarC]
 
 
-@dataclass(frozen=True)
+@node
 class CanonicalShape:
     components: tuple[Component, ...]
 
@@ -85,7 +85,7 @@ class CanonicalShape:
         return f"[{inner}]"
 
 
-@dataclass(frozen=True)
+@node
 class FrameJoin:
     """Result of joining frames under prefix order: either one of the input
     shapes (the maximum) or the top element marking incompatibility."""

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from dataclasses import fields
 from operator import is_
 from typing import Mapping
 
@@ -174,8 +173,6 @@ def _plan(cls: type, ns: int):
 
 _SPLIT = {cls: _split(cls) for cls in SCHEMA}
 _PLANS = [{cls: _plan(cls, ns) for cls in SCHEMA} for ns in (IDX, TY, TM)]
-_FIELD_NAMES = {cls: tuple(f.name for f in fields(cls)) for cls in SCHEMA}
-_setattr = object.__setattr__
 
 
 def _unpack(value, form: str) -> tuple:
@@ -193,17 +190,6 @@ def _pack(items, form: str):
     if form == NAMES:
         return tuple(x for x, _ in items)
     return tuple(items)
-
-
-def _rebuild(node, changes: dict):
-    # What a frozen dataclass's __init__ does, cheaper than dataclasses.replace.
-    # (Copying node.__dict__ would turn the node's inline attributes into a
-    # dict, which slows every later attribute read of the node.)
-    cls = type(node)
-    new = object.__new__(cls)
-    for f in _FIELD_NAMES[cls]:
-        _setattr(new, f, changes[f] if f in changes else getattr(node, f))
-    return new
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +267,7 @@ class _Subst:
             v = self.m.get(node.name, node)
             # A renamed binder maps to its new name: the occurrence keeps its
             # annotation and location.
-            return _rebuild(node, {"name": v}) if v.__class__ is str else v
+            return S.replace(node, name=v) if v.__class__ is str else v
         kids, binders, scope = plan
         changes = None
         for f, shape, tag in kids:
@@ -304,7 +290,7 @@ class _Subst:
                 changes[f] = new
         if scope is not None:
             changes = self.bind(node, binders, scope, changes or {})
-        return _rebuild(node, changes) if changes else node
+        return S.replace(node, **changes) if changes else node
 
     def bind(self, node, binders, scope, changes: dict) -> dict:
         """`changes` plus the new binder fields and scope of a binding node."""
@@ -419,7 +405,7 @@ def _freshen(node, envs: tuple, fresh):
                 items.append((x2, _freshen(second, envs, fresh) if form == TYPED else second))
             changes[f] = _pack(items, form)
         changes[scope[0]] = _freshen(getattr(node, scope[0]), tuple(inner), fresh)
-    return _rebuild(node, changes) if changes else node
+    return S.replace(node, **changes) if changes else node
 
 
 def alpha_equal(a, b) -> bool:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .syntax import (
@@ -53,6 +52,7 @@ from .syntax import (
     TyVar,
     Unbox,
     Var,
+    node,
 )
 
 
@@ -81,15 +81,15 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
+@node
 class SAtom:
     text: str
     loc: SourceLocation
 
 
-@dataclass(frozen=True)
+@node
 class SList:
-    items: tuple["SExpr", ...]
+    items: tuple[SExpr, ...]
     loc: SourceLocation
 
 
@@ -150,11 +150,11 @@ def _read(tokens: list[tuple[str, SourceLocation]], filename: str) -> SExpr:
                     raise ParseError("unbalanced parentheses", loc)
                 if tokens[pos][0] == ")":
                     pos += 1
-                    return SList(tuple(items), loc)
+                    return SList(tuple(items), loc=loc)
                 items.append(read_one())
         if tok == ")":
             raise ParseError("unexpected ')'", loc)
-        return SAtom(tok, loc)
+        return SAtom(tok, loc=loc)
 
     result = read_one()
     if pos != len(tokens):

@@ -17,7 +17,6 @@ argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import floor, isfinite
 from typing import Callable, Optional
 
@@ -37,6 +36,7 @@ from .syntax import (
     IndexExpr,
     Kind,
     NatLit,
+    node,
     NUM,
     PiType,
     Plus,
@@ -60,7 +60,7 @@ class Misapplied(Exception):
         super().__init__(f"misapplied {op}" + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
+@node
 class PrimDef:
     name: str
     type: TypeExpr

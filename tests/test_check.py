@@ -4,7 +4,6 @@ suite with its designated error kinds, and the elaborator's memo across
 consecutive calls."""
 
 import copy
-import dataclasses
 import random
 import sys
 import threading
@@ -36,7 +35,7 @@ from remora.names import (
 from remora.parser import parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import ArrayLit, Frame, Kind, NatLit, NUM, PrimOp, Sort, num, scalar_of
+from remora.syntax import ArrayLit, Frame, Kind, NatLit, NUM, PrimOp, Sort, num, replace, scalar_of
 
 from .util import oracle_programs, random_type
 
@@ -376,7 +375,7 @@ def _with_new_nodes(t):
     for f in _TERM_FIELDS[type(t)]:
         v = getattr(t, f)
         changes[f] = tuple(map(_with_new_nodes, v)) if isinstance(v, tuple) else _with_new_nodes(v)
-    return dataclasses.replace(t, **changes)
+    return replace(t, **changes)
 
 
 def _states(prog):
@@ -410,7 +409,7 @@ class TestElaborationMemo:
                 reused += len(ids & prev_ids)
                 prev_ids = ids
             # Each state with new nodes throughout: no memo hit is possible.
-            # Dataclass equality compares every field but `loc`, annotations
+            # Node equality compares every field but `loc`, annotations
             # included, so it is at least as strict as comparing the printed
             # terms; the printed terms are compared at the last state.
             for s, want in zip(states, memoized):
@@ -470,7 +469,7 @@ class TestElaborationMemo:
         assert isinstance(r, Stepped) and r.term.args[1] is t.args[1]
         elaborate(EMPTY_ENV, SIGNATURE, r.term)
         bad_arg = parse_term("(array () #t)", "bad.remora")
-        bad = dataclasses.replace(r.term, args=(bad_arg, r.term.args[1]))
+        bad = replace(r.term, args=(bad_arg, r.term.args[1]))
         raised = []
         for state in (bad, copy.deepcopy(bad)):
             with pytest.raises(TypeCheckError) as e:

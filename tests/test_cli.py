@@ -64,6 +64,15 @@ class TestEval:
         code, out, _ = run(capsys, "eval", f"{PROGRAMS}/head-col.remora", "--fuel", "2")
         assert code == 3 and out.strip() == "out of fuel"
 
+    def test_fuel_counts_as_in_bisim(self, capsys):
+        # head-col is a value after 10 contractions: both commands say so at
+        # --fuel 10, and both run out at --fuel 9.
+        path = f"{PROGRAMS}/head-col.remora"
+        assert run(capsys, "eval", "--fuel", "10", path)[:2] == (0, "(array (3) 0 2 4)\n")
+        assert run(capsys, "bisim", "--fuel", "10", path)[:2] == (0, "both-value steps=10\n")
+        assert run(capsys, "eval", "--fuel", "9", path)[:2] == (3, "out of fuel\n")
+        assert run(capsys, "bisim", "--fuel", "9", path)[:2] == (3, "diverged steps=9\n")
+
     def test_trace_lines(self, capsys):
         code, out, _ = run(capsys, "eval", f"{PROGRAMS}/frame.remora", "--trace")
         assert code == 0
@@ -134,6 +143,29 @@ class TestExitCodes:
                 assert code in DOCUMENTED_EXITS and "Traceback" not in err, (command, path.name)
                 if command == "eval":
                     assert code in (0, 2, 3)
+
+
+class TestLazyImports:
+    """A command loads only the modules it uses, checked in a fresh process
+    without `site`, so that nothing else has loaded them first."""
+
+    def test_cli_import_and_fmt_load_only_what_they_use(self):
+        script = (
+            "import sys\n"
+            "watch = ('dataclasses', 'inspect', 'remora.check', 'remora.erase', 'remora.eval')\n"
+            "import remora.cli\n"
+            "print(' '.join(m for m in watch if m in sys.modules), file=sys.stderr)\n"
+            "remora.cli.main(['fmt', 'programs/frame.remora'])\n"
+            "print(' '.join(m for m in watch if m in sys.modules), file=sys.stderr)\n"
+        )
+        src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "(frame (2) (array (2) 1 2) (array (2) 3 4))\n"
+        assert proc.stderr.split("\n") == ["", "", ""]
 
 
 class TestBisimMismatchReport:

@@ -294,12 +294,14 @@ def iterate_erased_step(e, fuel: int, trace: bool) -> EvalResult:
     """The specification of `erased_evaluate`: a plain loop over `erased_step`."""
     log = [] if trace else None
     current = e
-    for n in range(fuel):
+    for n in range(fuel + 1):
         r = erased_step(current)
         if isinstance(r, AlreadyValue):
             return EvalResult("value", current, n, trace=log)
         if isinstance(r, Stuck):
             return EvalResult("stuck", current, n, stuck=r, trace=log)
+        if n == fuel:  # fuel bounds the steps taken, not the verdicts
+            break
         current = r.term
         if log is not None:
             log.append((r.rule, current))
@@ -647,9 +649,8 @@ class TestBisimCost:
 def _context_positions(t, under_binder=False):
     """Expression positions reachable without crossing a binder (the shape of
     evaluation contexts), as (replace-fn, subexpr) pairs."""
-    from dataclasses import replace as dc_replace
 
-    from remora.syntax import App, ArrayLit, Box, Frame, IApp, TApp, Unbox
+    from remora.syntax import App, ArrayLit, Box, Frame, IApp, TApp, Unbox, replace
 
     out = []
     if isinstance(t, ArrayLit):
@@ -658,10 +659,10 @@ def _context_positions(t, under_binder=False):
                 for plug, sub in _context_positions(a.payload):
                     out.append(
                         (
-                            lambda h, i=i, a=a, plug=plug: dc_replace(
+                            lambda h, i=i, a=a, plug=plug: replace(
                                 t,
                                 atoms=t.atoms[:i]
-                                + (dc_replace(a, payload=plug(h)),)
+                                + (replace(a, payload=plug(h)),)
                                 + t.atoms[i + 1 :],
                             ),
                             sub,
@@ -671,30 +672,30 @@ def _context_positions(t, under_binder=False):
         for i, c in enumerate(t.cells):
             out.append(
                 (
-                    lambda h, i=i: dc_replace(
+                    lambda h, i=i: replace(
                         t, cells=t.cells[:i] + (h,) + t.cells[i + 1 :]
                     ),
                     c,
                 )
             )
             for plug, sub in _context_positions(c):
-                out.append((lambda h, i=i, plug=plug: dc_replace(t, cells=t.cells[:i] + (plug(h),) + t.cells[i + 1 :]), sub))
+                out.append((lambda h, i=i, plug=plug: replace(t, cells=t.cells[:i] + (plug(h),) + t.cells[i + 1 :]), sub))
     elif isinstance(t, App):
-        out.append((lambda h: dc_replace(t, fn=h), t.fn))
+        out.append((lambda h: replace(t, fn=h), t.fn))
         for plug, sub in _context_positions(t.fn):
-            out.append((lambda h, plug=plug: dc_replace(t, fn=plug(h)), sub))
+            out.append((lambda h, plug=plug: replace(t, fn=plug(h)), sub))
         for i, a in enumerate(t.args):
-            out.append((lambda h, i=i: dc_replace(t, args=t.args[:i] + (h,) + t.args[i + 1 :]), a))
+            out.append((lambda h, i=i: replace(t, args=t.args[:i] + (h,) + t.args[i + 1 :]), a))
             for plug, sub in _context_positions(a):
-                out.append((lambda h, i=i, plug=plug: dc_replace(t, args=t.args[:i] + (plug(h),) + t.args[i + 1 :]), sub))
+                out.append((lambda h, i=i, plug=plug: replace(t, args=t.args[:i] + (plug(h),) + t.args[i + 1 :]), sub))
     elif isinstance(t, (TApp, IApp)):
-        out.append((lambda h: dc_replace(t, fn=h), t.fn))
+        out.append((lambda h: replace(t, fn=h), t.fn))
         for plug, sub in _context_positions(t.fn):
-            out.append((lambda h, plug=plug: dc_replace(t, fn=plug(h)), sub))
+            out.append((lambda h, plug=plug: replace(t, fn=plug(h)), sub))
     elif isinstance(t, Unbox):
-        out.append((lambda h: dc_replace(t, box=h), t.box))
+        out.append((lambda h: replace(t, box=h), t.box))
         for plug, sub in _context_positions(t.box):
-            out.append((lambda h, plug=plug: dc_replace(t, box=plug(h)), sub))
+            out.append((lambda h, plug=plug: replace(t, box=plug(h)), sub))
     return out
 
 

@@ -268,12 +268,14 @@ def iterate_step(e, fuel: int, trace: bool) -> EvalResult:
     """The specification of `evaluate`: a plain loop over `step`."""
     log = [] if trace else None
     current = e
-    for n in range(fuel):
+    for n in range(fuel + 1):
         r = step(current)
         if isinstance(r, AlreadyValue):
             return EvalResult("value", current, n, trace=log)
         if isinstance(r, Stuck):
             return EvalResult("stuck", current, n, stuck=r, trace=log)
+        if n == fuel:  # fuel bounds the steps taken, not the verdicts
+            break
         current = r.term
         if log is not None:
             log.append((r.rule, current))
@@ -308,9 +310,10 @@ class TestRefocusedMachine:
         assert (r.outcome, r.term, r.steps) == ("fuel", t, 0)
 
     def test_fuel_ends_on_a_value(self):
+        # As in bisim_run, a value after the last allowed contraction is a value.
         t, _ = elab("((array () +) (array () 1) (array () 2))")
         r = evaluate(t, fuel=1)
-        assert (r.outcome, r.steps, print_term(r.term)) == ("fuel", 1, "(array () 3)")
+        assert (r.outcome, r.steps, print_term(r.term)) == ("value", 1, "(array () 3)")
 
     def test_deep_context_evaluates(self):
         # The right fold is an App chain 10^4 deep: the context stack lives on

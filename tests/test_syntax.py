@@ -1,6 +1,7 @@
 """Concrete grammar, printing, and canonical renaming."""
 
-import dataclasses
+import copy
+import pickle
 import random
 import typing
 
@@ -25,7 +26,7 @@ from remora.names import (
 from remora.parser import ParseError, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import ArrayLit, EmptyArray, Frame, Lam, NUM, Var, num, scalar_of
+from remora.syntax import App, ArrayLit, EmptyArray, Frame, Lam, NUM, Var, num, replace, scalar_of
 
 
 class TestParse:
@@ -362,15 +363,15 @@ class TestSchema:
         defined = {
             c
             for c in vars(syntax).values()
-            if isinstance(c, type) and dataclasses.is_dataclass(c) and c.__module__ == syntax.__name__
+            if isinstance(c, type) and issubclass(c, syntax.Node) and c.__module__ == syntax.__name__
         }
-        assert set(SYNTAX_CLASSES) == defined - {syntax.SourceLocation}
+        assert set(SYNTAX_CLASSES) == defined - {syntax.Node, syntax.SourceLocation}
         assert set(names.SCHEMA) == set(SYNTAX_CLASSES)
 
     @pytest.mark.parametrize("cls", SYNTAX_CLASSES, ids=lambda c: c.__name__)
     def test_every_field_classified_once_by_its_type(self, cls):
         roles = names.SCHEMA[cls]
-        declared = {f.name: f.type for f in dataclasses.fields(cls)}
+        declared = cls.__annotations__  # as written in syntax.py
         assert set(roles) == set(declared) - {"loc"}
         for f, role in roles.items():
             implied = _implied_roles(cls, f, declared[f])
@@ -378,3 +379,91 @@ class TestSchema:
         scopes = [r for r in roles.values() if isinstance(r, names.Scope)]
         binders = [r for r in roles.values() if isinstance(r, names.Binder)]
         assert len(scopes) == (1 if binders else 0)
+
+
+# ---------------------------------------------------------------------------
+# The contract of every node class: immutable, slotted, equal and hashed as a
+# frozen dataclass with `loc` left out of comparison, and copyable.
+
+_KEYWORD = ("annot", "loc")
+
+
+def _sample(cls, tag: str = "", **kw):
+    """An instance of cls whose fields hold distinct plain values."""
+    args = [(f, tag) for f in cls._fields if f not in _KEYWORD]
+    if "annot" in cls._fields:
+        kw.setdefault("annot", NUM)
+    if "loc" in cls._fields:
+        kw.setdefault("loc", syntax.SourceLocation("f.remora", 1, 2))
+    return cls(*args, **kw)
+
+
+def _key(node) -> tuple:
+    return tuple(getattr(node, f) for f in node._fields if f != "loc")
+
+
+@pytest.mark.parametrize("cls", list(names.SCHEMA), ids=lambda c: c.__name__)
+class TestNodeContract:
+    def test_assignment_and_deletion_raise(self, cls):
+        node = _sample(cls)
+        for f in node._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(node, f, 1)
+            with pytest.raises(AttributeError):
+                delattr(node, f)
+        assert _key(node) == _key(_sample(cls))
+
+    def test_no_instance_dict(self, cls):
+        assert not hasattr(_sample(cls), "__dict__")
+
+    def test_equality_and_hash_ignore_loc_only(self, cls):
+        a, b = _sample(cls), _sample(cls)
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != _sample(cls, "other")
+        if "loc" in cls._fields:
+            moved = _sample(cls, loc=syntax.SourceLocation("g.remora", 3, 4))
+            assert moved == a and hash(moved) == hash(a)
+        if "annot" in cls._fields:
+            assert _sample(cls, annot=syntax.BOOL) != a
+
+    def test_hash_is_that_of_the_compared_fields(self, cls):
+        node = _sample(cls)
+        assert hash(node) == hash(_key(node))
+
+    def test_repr_in_dataclass_format(self, cls):
+        node = _sample(cls)
+        fields = ", ".join(f"{f}={getattr(node, f)!r}" for f in cls._fields)
+        assert repr(node) == f"{cls.__name__}({fields})"
+
+    def test_deepcopy_and_pickle_round_trip(self, cls):
+        node = _sample(cls)
+        for copied in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(copied) is cls and copied is not node
+            assert [getattr(copied, f) for f in cls._fields] == [getattr(node, f) for f in cls._fields]
+
+    def test_replace_changes_known_fields_and_rejects_others(self, cls):
+        node = _sample(cls)
+        first = cls._fields[0]
+        changed = replace(node, **{first: "new"})
+        assert getattr(changed, first) == "new"
+        assert all(getattr(changed, f) is getattr(node, f) for f in cls._fields[1:])
+        with pytest.raises(TypeError):
+            replace(node, no_such_field=1)
+
+    def test_constructor_checks_its_arguments(self, cls):
+        positional = [f for f in cls._fields if f not in _KEYWORD]
+        with pytest.raises(TypeError):
+            cls(*positional, "extra")
+        missing = [kw for kw in _KEYWORD if kw not in cls._fields]
+        for kw in missing:
+            with pytest.raises(TypeError):
+                cls(*positional, **{kw: NUM})
+
+
+def test_repr_matches_the_former_dataclass_output():
+    t = App(Var("f", loc=syntax.SourceLocation("a.remora", 1, 2)), (ArrayLit((), (num(1),)),), annot=NUM)
+    assert repr(t) == (
+        "App(fn=Var(name='f', annot=None, loc=SourceLocation(file='a.remora', line=1, column=2)),"
+        " args=(ArrayLit(dims=(), atoms=(BaseVal(base='Num', value=1.0, annot=None, loc=None),),"
+        " annot=None, loc=None),), annot=BaseType(name='Num', loc=None), loc=None)"
+    )

@@ -8,7 +8,6 @@ with a way to plant one in the erased machine."""
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import pathlib
@@ -58,6 +57,7 @@ from remora.syntax import (
     Sort,
     TypeExpr,
     TyVar,
+    replace,
 )
 
 
@@ -282,7 +282,7 @@ class _EFreshener:
                 self.term(t.payload, ix, tm),
             )
         if isinstance(t, EArray):
-            return dataclasses.replace(t, atoms=tuple(self.term(a, ix, tm) for a in t.atoms))
+            return replace(t, atoms=tuple(self.term(a, ix, tm) for a in t.atoms))
         if isinstance(t, EFrame):
             return EFrame(
                 self.idx(t.shape, ix), tuple(self.term(c, ix, tm) for c in t.cells)
@@ -331,11 +331,11 @@ def normalize_tags(t):
     if isinstance(t, (EBase, EOp, EVar)):
         return t
     if isinstance(t, (ELam, EILam)):
-        return dataclasses.replace(t, body=normalize_tags(t.body))
+        return replace(t, body=normalize_tags(t.body))
     if isinstance(t, EBox):
         return EBox(tuple(norm(i) for i in t.indices), normalize_tags(t.payload))
     if isinstance(t, EArray):
-        return dataclasses.replace(t, atoms=tuple(normalize_tags(a) for a in t.atoms))
+        return replace(t, atoms=tuple(normalize_tags(a) for a in t.atoms))
     if isinstance(t, EFrame):
         return EFrame(norm(t.shape), tuple(normalize_tags(c) for c in t.cells))
     if isinstance(t, EApp):
@@ -447,7 +447,7 @@ def reference_esubst_idx(t, m: dict):
     if isinstance(t, (EBase, EOp, EVar)):
         return t
     if isinstance(t, ELam):
-        return dataclasses.replace(t, body=reference_esubst_idx(t.body, m))
+        return replace(t, body=reference_esubst_idx(t.body, m))
     if isinstance(t, EILam):
         m2 = {k: v for k, v in m.items() if k not in t.params}
         if not m2:
@@ -467,7 +467,7 @@ def reference_esubst_idx(t, m: dict):
     if isinstance(t, EBox):
         return EBox(tuple(_subst_tag(i, m) for i in t.indices), reference_esubst_idx(t.payload, m))
     if isinstance(t, EArray):
-        return dataclasses.replace(t, atoms=tuple(reference_esubst_idx(a, m) for a in t.atoms))
+        return replace(t, atoms=tuple(reference_esubst_idx(a, m) for a in t.atoms))
     if isinstance(t, EFrame):
         return EFrame(_subst_tag(t.shape, m), tuple(reference_esubst_idx(c, m) for c in t.cells))
     if isinstance(t, EApp):
@@ -488,7 +488,7 @@ def reference_esubst_idx(t, m: dict):
         body_shape = _subst_tag(t.body_shape, m)
         m2 = {k: v for k, v in m.items() if k not in t.idx_vars}
         if not m2:
-            return dataclasses.replace(t, box=box, body_shape=body_shape)
+            return replace(t, box=box, body_shape=body_shape)
         payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
         idx_vars = []
         extra = {}
@@ -542,22 +542,22 @@ def reference_esubst_term(t, m: dict):
         body = t.body if not extra else reference_esubst_idx(t.body, extra)
         return EILam(tuple(params), reference_esubst_term(body, m))
     if isinstance(t, EBox):
-        return dataclasses.replace(t, payload=reference_esubst_term(t.payload, m))
+        return replace(t, payload=reference_esubst_term(t.payload, m))
     if isinstance(t, EArray):
-        return dataclasses.replace(t, atoms=tuple(reference_esubst_term(a, m) for a in t.atoms))
+        return replace(t, atoms=tuple(reference_esubst_term(a, m) for a in t.atoms))
     if isinstance(t, EFrame):
-        return dataclasses.replace(t, cells=tuple(reference_esubst_term(c, m) for c in t.cells))
+        return replace(t, cells=tuple(reference_esubst_term(c, m) for c in t.cells))
     if isinstance(t, EApp):
-        return dataclasses.replace(
+        return replace(
             t, fn=reference_esubst_term(t.fn, m), args=tuple(reference_esubst_term(a, m) for a in t.args)
         )
     if isinstance(t, EIApp):
-        return dataclasses.replace(t, fn=reference_esubst_term(t.fn, m))
+        return replace(t, fn=reference_esubst_term(t.fn, m))
     if isinstance(t, EUnbox):
         box = reference_esubst_term(t.box, m)
         m2 = {k: v for k, v in m.items() if k != t.val_var}
         if not m2:
-            return dataclasses.replace(t, box=box)
+            return replace(t, box=box)
         payload_free_tm = set().union(*(efree_term(v) for v in m2.values()), set())
         payload_free_ix = set().union(*(efree_idx(v) for v in m2.values()), set())
         idx_vars = []
@@ -667,12 +667,12 @@ def erased_sites(e) -> list:
         x, path, under = stack.pop()
         out.append((path, under, x))
         kids = []
-        for f in dataclasses.fields(x):
-            label = _CHILD_FIELDS.get(f.name)
+        for f in x._fields:
+            label = _CHILD_FIELDS.get(f)
             if label is None:
                 continue
-            inner = under or (f.name == "body" and isinstance(x, _BINDERS))
-            v = getattr(x, f.name)
+            inner = under or (f == "body" and isinstance(x, _BINDERS))
+            v = getattr(x, f)
             for i, y in enumerate(v) if isinstance(v, tuple) else ((None, v),):
                 step = label if i is None else f"{label}{i}"
                 kids.append((y, f"{path}/{step}" if path else step, inner))
@@ -690,9 +690,9 @@ def rewrite_at(e, path: str, new):
     field = _FIELD_OF_PREFIX.get(prefix, label)
     v = getattr(e, field)
     if field == label:
-        return dataclasses.replace(e, **{field: rewrite_at(v, rest, new)})
+        return replace(e, **{field: rewrite_at(v, rest, new)})
     i = int(label[len(prefix):])
-    return dataclasses.replace(e, **{field: v[:i] + (rewrite_at(v[i], rest, new),) + v[i + 1 :]})
+    return replace(e, **{field: v[:i] + (rewrite_at(v[i], rest, new),) + v[i + 1 :]})
 
 
 def change_atom(x):
@@ -721,7 +721,7 @@ def reshape_tag(x):
     f = _shape_tag_field(x)
     if f is None:
         return None
-    return dataclasses.replace(x, **{f: IdxAppend((getattr(x, f), ShapeLit((NatLit(7),))))})
+    return replace(x, **{f: IdxAppend((getattr(x, f), ShapeLit((NatLit(7),))))})
 
 
 def respell_tag(x):
@@ -729,7 +729,7 @@ def respell_tag(x):
     f = _shape_tag_field(x)
     if f is None:
         return None
-    return dataclasses.replace(x, **{f: IdxAppend((ShapeLit(()), getattr(x, f)))})
+    return replace(x, **{f: IdxAppend((ShapeLit(()), getattr(x, f)))})
 
 
 def rename_index_binder(x):
@@ -741,7 +741,7 @@ def rename_index_binder(x):
     if isinstance(x, EUnbox) and x.idx_vars:
         old = x.idx_vars[0]
         body = esubst_idx(x.body, {old: IdxVar(old + "'")})
-        return dataclasses.replace(x, idx_vars=(old + "'",) + x.idx_vars[1:], body=body)
+        return replace(x, idx_vars=(old + "'",) + x.idx_vars[1:], body=body)
     return None
 
 
