@@ -6,20 +6,37 @@ into explicit types_equal comparisons at each premise that demands a type of
 a particular shape, and array shapes are reconciled through their canonical
 forms.
 
-`elaborate` remembers what it did across calls. It keys every node at a
-binder-free position (one elaborated under the root environment, so a
-lam/tlam/ilam atom as a whole but nothing under a binder or inside an unbox
-body) by its identity, and keeps the nodes the current and the previous call
-used. A small-step state shares all but the spine from the root to the redex
-with the state it came from, so re-elaborating it after each step costs that
-spine. The memo belongs to one signature object and one root environment
-object, which are treated as immutable; a call with another object of either
-starts a new memo.
+`elaborate` remembers what it did across calls, in two ways. Both belong to
+one signature object and one root environment object, which are treated as
+immutable; a call with another object of either starts afresh.
+
+- A memo keys every node at a binder-free position (one elaborated under the
+  root environment, so a lam/tlam/ilam atom as a whole but nothing under a
+  binder or inside an unbox body) by its identity, and keeps the nodes the
+  current and the previous call elaborated by the rules.
+- The input and output of the last call, when it succeeded, are kept. A
+  small-step state is rebuilt from the state it came from along the spine
+  from the root to the redex (`eval.step` uses `syntax.replace`): each new
+  spine node is a *successor* of the old one, of the same class, with every
+  field the same object but one term child outside every binder (the
+  `Child(TM)` roles of `names.SCHEMA`). A successor whose new child's type is
+  `==` to the type the old child had has every premise of a node that
+  elaborated, so it has the same conclusion: the old node's output with the
+  new child put in, and the old type. (`==`, not `types_equal`: a rule reads
+  its premises' types as written, so an equivalent type can give another
+  annotation.) Any other node goes through the rules and the memo, which
+  finds there the conclusions for the children it shares with its old node.
+
+So re-elaborating a state after a step costs identity comparisons along the
+spine plus O(1) rule firings, and the rules run only where a type changed.
+Results, annotations and errors (kind, detail, location) are those of an
+elaboration from scratch; only the time differs.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from operator import attrgetter, is_
 from typing import Mapping, Optional
 
 from .indices import (
@@ -32,6 +49,10 @@ from .indices import (
     shape_to_index,
 )
 from .names import (
+    MANY,
+    SCHEMA,
+    TM,
+    Child,
     free_idx_in_type,
     subst_idx,
     subst_idx_in_type,
@@ -77,6 +98,7 @@ from .syntax import (
     Var,
     is_atom,
     node,
+    replace,
     shape_of_dims,
 )
 
@@ -273,6 +295,8 @@ def types_equal(a: TypeExpr, b: TypeExpr) -> bool:
 
 
 def _teqv(a: TypeExpr, b: TypeExpr, depth: int) -> bool:
+    if a is b:
+        return True
     if isinstance(a, BaseType) and isinstance(b, BaseType):
         return a.name == b.name
     if isinstance(a, TyVar) and isinstance(b, TyVar):
@@ -314,16 +338,117 @@ def _as_array_type(t: TypeExpr) -> Optional[ArrType]:
     return t if isinstance(t, ArrType) else None
 
 
+def _spine_roles(cls: type, roles: dict) -> tuple:
+    kids = {
+        i: (f, roles[f].shape == MANY)
+        for i, f in enumerate(cls._fields)
+        if roles.get(f) in (Child(TM), Child(TM, MANY))
+    }
+    return attrgetter(*cls._fields), kids
+
+
+# For each typed term class with term children outside every binder (the
+# children `eval.step` rebuilds): a getter of all its fields, and the
+# children's positions among them, each with (field, is a tuple).
+_SPINE = {
+    cls: spine
+    for cls, roles in SCHEMA.items()
+    if "annot" in roles and (spine := _spine_roles(cls, roles))[1]
+}
+
+
+def _changed(n, o) -> Optional[tuple]:
+    """Where n differs from o when n is a successor of o: of the same class,
+    with every field the same object but one term child outside every binder.
+    That child's field, its position in the tuple (None for a lone child), and
+    the child of n and of o there; or None when n is no successor of o."""
+    spine = _SPINE.get(n.__class__)
+    if spine is None or o.__class__ is not n.__class__:
+        return None
+    fields, kids = spine
+    a, b = fields(n), fields(o)
+    same = list(map(is_, a, b))
+    if same.count(False) != 1:
+        return None
+    i = same.index(False)
+    kid = kids.get(i)
+    if kid is None:
+        return None
+    f, many = kid
+    a, b = a[i], b[i]
+    if not many:
+        return f, None, a, b
+    same = list(map(is_, a, b))
+    if len(a) != len(b) or same.count(False) != 1:
+        return None
+    j = same.index(False)
+    return f, j, a[j], b[j]
+
+
 class _Elaborator:
     """Elaborates under one signature and one root environment. `memo` maps
     id(input node) -> (input node, output node, type) for the nodes
     elaborated under `root`, completed ones only. The lookup is folded into
-    `atom` and `expr`, so the memo adds no Python frame per nesting level."""
+    `atom` and `expr`, so the memo adds no Python frame per nesting level.
+    `last` is (input, output) of the last call, when it succeeded."""
 
-    __slots__ = ("sig", "root", "memo")
+    __slots__ = ("sig", "root", "memo", "last")
 
     def __init__(self, sig: Signature, root: Env):
-        self.sig, self.root, self.memo = sig, root, Generations()
+        self.sig, self.root, self.memo, self.last = sig, root, Generations(), None
+
+    # -- whole terms ----------------------------------------------------------
+
+    def run(self, t: Term) -> tuple[Term, TypeExpr]:
+        last, self.last = self.last, None
+        out = self.rule(t) if last is None else self.along(t, *last)
+        self.last = (t, out[0])
+        return out
+
+    def rule(self, t: Term) -> tuple[Term, TypeExpr]:
+        return self.atom(t, self.root) if is_atom(t) else self.expr(t, self.root)
+
+    def along(self, t: Term, o: Term, oo: Term) -> tuple[Term, TypeExpr]:
+        """Elaborate t, given that o elaborated to oo. Down the chain of
+        successors from t and o, the first node that is none is elaborated by
+        the rules; back up, a successor whose changed child's type is `==` to
+        that of the child it replaced has its predecessor's conclusion, with
+        the new child put in, and any other node is elaborated by the rules.
+        A loop, not a recursion: the spine can be as deep as the term."""
+        path = []
+        while (where := _changed(t, o)) is not None:
+            f, j, kid, was = where
+            path.append((t, o, oo, f, j, kid))
+            t, o, oo = kid, was, getattr(oo, f) if j is None else getattr(oo, f)[j]
+        if t is o:
+            out, ty = oo, oo.annot
+        else:
+            self.seed(t, o, oo)
+            out, ty = self.rule(t)
+        for t, o, oo, f, j, kid in reversed(path):
+            old = getattr(oo, f)
+            was = (old if j is None else old[j]).annot
+            if ty is was or ty == was:
+                out, ty = replace(oo, **{f: out if j is None else old[:j] + (out,) + old[j + 1 :]}), oo.annot
+                continue
+            self.memo.prev[id(kid)] = (kid, out, ty)
+            self.seed(t, o, oo)
+            out, ty = self.rule(t)
+        return out, ty
+
+    def seed(self, t: Term, o: Term, oo: Term) -> None:
+        """Before t goes through the rules: each term child outside every
+        binder that t shares with o is given, where the memo lookup finds it,
+        the conclusion o's elaboration oo holds for it."""
+        spine = _SPINE.get(t.__class__)
+        if spine is None or o.__class__ is not t.__class__:
+            return
+        prev = self.memo.prev
+        for f, many in spine[1].values():
+            a, b, c = getattr(t, f), getattr(o, f), getattr(oo, f)
+            for x, y, z in zip(a, b, c) if many else ((a, b, c),):
+                if x is y:
+                    prev[id(x)] = (x, z, z.annot)
 
     # -- atoms --------------------------------------------------------------
 
@@ -754,6 +879,4 @@ def elaborate(env: Env, sig: Signature, t: Term) -> tuple[Term, TypeExpr]:
         el = _last = _Elaborator(sig, env)
     else:
         el.memo.age()
-    if is_atom(t):
-        return el.atom(t, env)
-    return el.expr(t, env)
+    return el.run(t)

@@ -1,7 +1,8 @@
 """Static semantics: sorting, kinding, equivalence, elaboration goldens from
 real programs, metatheory properties at test scale, the ill-typed program
-suite with its designated error kinds, and the elaborator's memo across
-consecutive calls."""
+suite with its designated error kinds, the elaborator's memo and its reuse of
+the previous call's conclusions across consecutive calls, and the cost of
+re-elaborating each small-step state."""
 
 import copy
 import random
@@ -10,6 +11,7 @@ import threading
 
 import pytest
 
+import remora.check
 from remora.check import (
     EMPTY_ENV,
     ErrorKind,
@@ -35,9 +37,9 @@ from remora.names import (
 from remora.parser import parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import ArrayLit, Frame, Kind, NatLit, NUM, PrimOp, Sort, num, replace, scalar_of
+from remora.syntax import ArrayLit, Frame, Kind, NatLit, NUM, PrimOp, Sort, Var, num, replace, scalar_of
 
-from .util import oracle_programs, random_type
+from .util import check_src, family_source, oracle_programs, random_type
 
 
 def sort_src(env, text):
@@ -394,6 +396,36 @@ def _printed(state, env=EMPTY_ENV):
     return print_term(t, annotations=True), print_type(ty)
 
 
+def _elaborated(state):
+    """(term, printed annotated term, printed type), or the error's
+    (kind, detail, loc)."""
+    try:
+        t, ty = elaborate(EMPTY_ENV, SIGNATURE, state)
+    except TypeCheckError as e:
+        return e.kind, e.detail, e.loc
+    return t, print_term(t, annotations=True), print_type(ty)
+
+
+def _forget():
+    """A failed call: the call after it reuses no conclusion of an earlier
+    one but what the memo holds for the nodes it meets again."""
+    with pytest.raises(TypeCheckError):
+        elaborate(EMPTY_ENV, SIGNATURE, Var("unbound#"))
+
+
+def _fresh(state):
+    """`_elaborated` from scratch: of a copy whose term nodes are all new,
+    right after a failed call."""
+    _forget()
+    return _elaborated(_with_new_nodes(state))
+
+
+def _after(prev, state):
+    """`_elaborated` of `state` in the call right after one on `prev`."""
+    _elaborated(prev)
+    return _elaborated(state)
+
+
 class TestElaborationMemo:
     @pytest.mark.parametrize("group", ["batch", "corpus", "lift100", "reduce100", "frame100"])
     def test_preservation_loop_matches_fresh_elaboration(self, group):
@@ -408,11 +440,13 @@ class TestElaborationMemo:
                 ids = {id(n) for n in _term_nodes(t) if not isinstance(n, PrimOp)}
                 reused += len(ids & prev_ids)
                 prev_ids = ids
-            # Each state with new nodes throughout: no memo hit is possible.
-            # Node equality compares every field but `loc`, annotations
-            # included, so it is at least as strict as comparing the printed
-            # terms; the printed terms are compared at the last state.
+            # Each state with new nodes throughout, after a failed call: no
+            # memo hit and no reused conclusion is possible. Node equality
+            # compares every field but `loc`, annotations included, so it is
+            # at least as strict as comparing the printed terms; the printed
+            # terms are compared at the last state.
             for s, want in zip(states, memoized):
+                _forget()
                 t, ty = elaborate(EMPTY_ENV, SIGNATURE, _with_new_nodes(s))
                 assert (t, print_type(ty)) == want
             if states:
@@ -477,14 +511,21 @@ class TestElaborationMemo:
             raised.append((e.value.kind, e.value.loc, e.value.detail))
         assert raised[0] == raised[1]
         assert raised[0][:2] == (ErrorKind.CELL_MISMATCH, bad_arg.loc)
-        assert _printed(r.term) == _printed(_with_new_nodes(r.term))
+        want = _printed(r.term)
+        _forget()
+        assert want == _printed(_with_new_nodes(r.term))
 
     def test_threads_sharing_the_memo_get_fresh_results(self):
         # Threads interleave calls with the same and with different root
         # environments; every result must still be the from-scratch one.
         progs = oracle_programs("corpus")[:4]
         envs = [EMPTY_ENV, EMPTY_ENV, EMPTY_ENV.with_sorts([("n", Sort.DIM)]), EMPTY_ENV]
-        cases = [[(s, env, _printed(_with_new_nodes(s), env)) for s in _states(p)[:40]] for p, env in zip(progs, envs)]
+        cases = []
+        for p, env in zip(progs, envs):
+            cases.append([])
+            for s in _states(p)[:40]:
+                _forget()
+                cases[-1].append((s, env, _printed(_with_new_nodes(s), env)))
         bad = []
 
         def run(case):
@@ -506,6 +547,71 @@ class TestElaborationMemo:
         assert not any(th.is_alive() for th in threads)
         assert not bad
 
+    # The previous call's conclusions, reused along the spine
+
+    def test_equivalent_but_unequal_child_type_runs_the_rules(self):
+        # The new cell's type is equivalent to the old one's, not `==`: the
+        # frames above it get the type their rules give, not the old one.
+        weird = parse_type("(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Num (++ (Shp) (Shp))))")
+        assert types_equal(weird, SIGNATURE["+"]) and weird != SIGNATURE["+"]
+        old = parse_term("(frame () (frame (2) (array () +) (array () +)))")
+        inner = old.cells[0]
+        cell = ArrayLit((), (PrimOp("+", annot=weird),))
+        new = replace(old, cells=(replace(inner, cells=(cell, inner.cells[1])),))
+        got = _after(old, new)
+        assert got == _fresh(new)
+        assert got[2] == "(Arr (-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Num (++ (Shp) (Shp)))) (Shp 2))"
+
+    def test_changed_child_that_fails_raises_as_from_scratch(self):
+        old = parse_term("(frame (2) (array () 1) ((array () +) (array () 1) (array () 2)))", "f.remora")
+        app = old.cells[1]
+        bad = parse_term("y", "bad.remora")
+        new = replace(old, cells=(old.cells[0], replace(app, args=(app.args[0], bad))))
+        want = (ErrorKind.UNBOUND_VAR, "unbound variable y", bad.loc)
+        assert _after(old, new) == _fresh(new) == want
+
+    @pytest.mark.parametrize("src, cell, kind", [
+        # the changed cell elaborates, but its frame's cells disagree
+        ("((array () +) (frame (2) (array () 1) (array () 2)) (array () 5))", "(array () #t)",
+         ErrorKind.CELL_MISMATCH),
+        # the changed argument elaborates, but its frame no longer fits the other's
+        ("((array () +) (frame (2) (array () 1) (array () 2)) (frame (2) (array () 3) (array () 4)))",
+         "(frame (3) (array () 1) (array () 2) (array () 3))", ErrorKind.FRAME_INCOMPATIBLE),
+    ])
+    def test_changed_child_that_makes_its_parent_ill_typed(self, src, cell, kind):
+        old = parse_term(src, "s.remora")
+        frame = old.args[0]
+        new_cell = parse_term(cell, "c.remora")
+        if kind is ErrorKind.CELL_MISMATCH:
+            new = replace(old, args=(replace(frame, cells=(new_cell, frame.cells[1])), old.args[1]))
+        else:
+            new = replace(old, args=(new_cell, old.args[1]))
+        got = _after(old, new)
+        assert got == _fresh(new)
+        assert got[0] is kind and got[2] is not None
+
+    def test_unrelated_term_after_a_state(self):
+        a = _states(oracle_programs("lift100")[0])[2]
+        b = _states(oracle_programs("reduce100")[0])[5]
+        for prev, state in ((a, b), (b, a)):
+            assert _after(prev, state) == _fresh(state)
+
+    def test_same_state_twice(self):
+        for state in _states(oracle_programs("corpus")[0])[:5]:
+            first = _elaborated(state)
+            again = _elaborated(state)
+            assert first == again == _fresh(state)
+
+    def test_failed_call_then_a_good_one(self):
+        states = _states(oracle_programs("lift100")[0])[:4]
+        for prev, state in zip(states, states[1:]):
+            f = _TERM_FIELDS[type(state)][0]  # its first child made unbound
+            kids = getattr(state, f)
+            bad = replace(state, **{f: (Var("unbound#"), *kids[1:]) if isinstance(kids, tuple) else Var("unbound#")})
+            _elaborated(prev)
+            assert _elaborated(bad) == _fresh(bad)
+            assert _elaborated(state) == _fresh(state)
+
     def test_deep_frame_within_default_recursion_limit(self):
         # The memo lookup lives inside `expr`: one Python frame per level.
         t = ArrayLit((), (num(7),))
@@ -518,3 +624,42 @@ class TestElaborationMemo:
         finally:
             sys.setrecursionlimit(limit)
         assert ty.elem == NUM
+
+
+class TestElaborationCost:
+    """Re-elaborating each state of the preservation loop fires O(1) typing
+    rules, whatever the size of the term: calls into the rules (of
+    `_Elaborator.expr` and `atom`, memo hits included, so at least the
+    firings), counted per step, for a larger member of a family against its
+    n=100 member."""
+
+    @staticmethod
+    def rules_per_step(monkeypatch, family: str, n: int) -> float:
+        term = check_src(family_source(family, n))[0]
+        states = _states(term)
+        calls = [0]
+        for name in ("expr", "atom"):
+            real = getattr(remora.check._Elaborator, name)
+
+            def counted(self, t, env, real=real):
+                calls[0] += 1
+                return real(self, t, env)
+
+            monkeypatch.setattr(remora.check._Elaborator, name, counted)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(4 * limit)  # each counted call adds a frame
+        try:
+            elaborate(EMPTY_ENV, SIGNATURE, term)
+            calls[0] = 0
+            for s in states:
+                elaborate(EMPTY_ENV, SIGNATURE, s)
+        finally:
+            sys.setrecursionlimit(limit)
+            monkeypatch.undo()
+        return calls[0] / len(states)
+
+    @pytest.mark.parametrize("family, n", [("reduce", 300), ("frame", 400), ("lift", 400)])
+    def test_rules_per_step_are_flat(self, monkeypatch, family, n):
+        small = self.rules_per_step(monkeypatch, family, 100)
+        large = self.rules_per_step(monkeypatch, family, n)
+        assert large <= 1.5 * small, (large, small)
