@@ -6,26 +6,24 @@ into explicit types_equal comparisons at each premise that demands a type of
 a particular shape, and array shapes are reconciled through their canonical
 forms.
 
-`elaborate` remembers what it did across calls, in two ways. Both belong to
-one signature object and one root environment object, which are treated as
-immutable; a call with another object of either starts afresh.
-
-- A memo keys every node at a binder-free position (one elaborated under the
-  root environment, so a lam/tlam/ilam atom as a whole but nothing under a
-  binder or inside an unbox body) by its identity, and keeps the nodes the
-  current and the previous call elaborated by the rules.
-- The input and output of the last call, when it succeeded, are kept. A
-  small-step state is rebuilt from the state it came from along the spine
-  from the root to the redex (`eval.step` uses `syntax.replace`): each new
-  spine node is a *successor* of the old one, of the same class, with every
-  field the same object but one term child outside every binder (the
-  `Child(TM)` roles of `names.SCHEMA`). A successor whose new child's type is
-  `==` to the type the old child had has every premise of a node that
-  elaborated, so it has the same conclusion: the old node's output with the
-  new child put in, and the old type. (`==`, not `types_equal`: a rule reads
-  its premises' types as written, so an equivalent type can give another
-  annotation.) Any other node goes through the rules and the memo, which
-  finds there the conclusions for the children it shares with its old node.
+`elaborate` keeps the input and output of its last call, when it succeeded,
+for one signature object and one root environment object, which are treated
+as immutable; a call with another object of either starts afresh. A
+small-step state is rebuilt from the state it came from along the spine from
+the root to the redex (`eval.step` uses `syntax.replace`): each new spine node
+is a *successor* of the old one, of the same class, with every field the same
+object but one term child outside every binder (the `Child(TM)` roles of
+`names.SCHEMA`). A successor whose new child's type is `==` to the type the
+old child had has every premise of a node that elaborated, so it has the same
+conclusion: the old node's output with the new child put in, and the old
+type. (`==`, not `types_equal`: a rule reads its premises' types as written,
+so an equivalent type can give another annotation.) Any other node goes
+through the rules, with a memo that lasts one call. It keys nodes at
+binder-free positions (elaborated under the root environment, so a
+lam/tlam/ilam atom as a whole but nothing under a binder or inside an unbox
+body) by identity, and is given beforehand the old conclusions for the nodes
+the rules can meet again: the children a successor shares with its old node,
+and the nodes under the old redex that its contractum is built from.
 
 So re-elaborating a state after a step costs identity comparisons along the
 spine plus O(1) rule firings, and the rules run only where a type changed.
@@ -73,7 +71,6 @@ from .syntax import (
     ForallType,
     Frame,
     FunType,
-    Generations,
     IApp,
     IdxAppend,
     IdxVar,
@@ -387,20 +384,21 @@ def _changed(n, o) -> Optional[tuple]:
 
 class _Elaborator:
     """Elaborates under one signature and one root environment. `memo` maps
-    id(input node) -> (input node, output node, type) for the nodes
-    elaborated under `root`, completed ones only. The lookup is folded into
-    `atom` and `expr`, so the memo adds no Python frame per nesting level.
-    `last` is (input, output) of the last call, when it succeeded."""
+    id(input node) -> (input node, output node, type) for the nodes of the
+    current call elaborated under `root`, completed ones only, and for those
+    `along` and `seed` give a conclusion. The lookup is folded into `atom` and
+    `expr`, so the memo adds no Python frame per nesting level. `last` is
+    (input, output) of the last call, when it succeeded."""
 
     __slots__ = ("sig", "root", "memo", "last")
 
     def __init__(self, sig: Signature, root: Env):
-        self.sig, self.root, self.memo, self.last = sig, root, Generations(), None
+        self.sig, self.root, self.memo, self.last = sig, root, {}, None
 
     # -- whole terms ----------------------------------------------------------
 
     def run(self, t: Term) -> tuple[Term, TypeExpr]:
-        last, self.last = self.last, None
+        last, self.last, self.memo = self.last, None, {}
         out = self.rule(t) if last is None else self.along(t, *last)
         self.last = (t, out[0])
         return out
@@ -423,7 +421,7 @@ class _Elaborator:
         if t is o:
             out, ty = oo, oo.annot
         else:
-            self.seed(t, o, oo)
+            self.seed(o, oo, True)
             out, ty = self.rule(t)
         for t, o, oo, f, j, kid in reversed(path):
             old = getattr(oo, f)
@@ -431,31 +429,37 @@ class _Elaborator:
             if ty is was or ty == was:
                 out, ty = replace(oo, **{f: out if j is None else old[:j] + (out,) + old[j + 1 :]}), oo.annot
                 continue
-            self.memo.prev[id(kid)] = (kid, out, ty)
-            self.seed(t, o, oo)
+            self.seed(o, oo, False)
+            self.memo[id(kid)] = (kid, out, ty)
             out, ty = self.rule(t)
         return out, ty
 
-    def seed(self, t: Term, o: Term, oo: Term) -> None:
-        """Before t goes through the rules: each term child outside every
-        binder that t shares with o is given, where the memo lookup finds it,
-        the conclusion o's elaboration oo holds for it."""
-        spine = _SPINE.get(t.__class__)
-        if spine is None or o.__class__ is not t.__class__:
-            return
-        prev = self.memo.prev
-        for f, many in spine[1].values():
-            a, b, c = getattr(t, f), getattr(o, f), getattr(oo, f)
-            for x, y, z in zip(a, b, c) if many else ((a, b, c),):
-                if x is y:
-                    prev[id(x)] = (x, z, z.annot)
+    def seed(self, o: Term, oo: Term, deep: bool) -> None:
+        """Before the node that replaced o goes through the rules: each term
+        child of o outside every binder (with `deep`, each node under o
+        outside every binder) is given, in the memo, the conclusion o's
+        elaboration oo holds for it. A successor shares all but one child with
+        o; a contractum is built from nodes under the redex (the atoms of a
+        collapsed frame's cells, the arguments of a beta, ...)."""
+        memo, stack = self.memo, [(o, oo)]
+        while stack:
+            x, z = stack.pop()
+            spine = _SPINE.get(x.__class__)
+            if spine is None:
+                continue
+            for f, many in spine[1].values():
+                a, c = getattr(x, f), getattr(z, f)
+                for y, w in zip(a, c) if many else ((a, c),):
+                    memo[id(y)] = (y, w, w.annot)
+                    if deep:
+                        stack.append((y, w))
 
     # -- atoms --------------------------------------------------------------
 
     def atom(self, a: AtomTerm, env: Env) -> tuple[AtomTerm, TypeExpr]:
         memo = self.memo if env is self.root else None
         if memo is not None:
-            hit = memo.carry(id(a))
+            hit = memo.get(id(a))
             if hit is not None:
                 return hit[1], hit[2]
         if isinstance(a, BaseVal):
@@ -518,7 +522,7 @@ class _Elaborator:
         else:
             raise TypeError(a)
         if memo is not None:
-            memo.cur[id(a)] = (a, out, t)
+            memo[id(a)] = (a, out, t)
         return out, t
 
     # -- expressions ---------------------------------------------------------
@@ -526,7 +530,7 @@ class _Elaborator:
     def expr(self, e: ExprTerm, env: Env) -> tuple[ExprTerm, TypeExpr]:
         memo = self.memo if env is self.root else None
         if memo is not None:
-            hit = memo.carry(id(e))
+            hit = memo.get(id(e))
             if hit is not None:
                 return hit[1], hit[2]
         if isinstance(e, Var):
@@ -858,7 +862,7 @@ class _Elaborator:
         else:
             raise TypeError(e)
         if memo is not None:
-            memo.cur[id(e)] = (e, out, t)
+            memo[id(e)] = (e, out, t)
         return out, t
 
 
@@ -870,13 +874,12 @@ def elaborate(env: Env, sig: Signature, t: Term) -> tuple[Term, TypeExpr]:
     with every annotation slot filled and its (unique up to equivalence)
     type. Raises TypeCheckError on any rule violation.
 
-    Consecutive calls with the same `sig` and `env` objects share the memo
-    the module docstring describes; both are treated as immutable."""
+    Consecutive calls with the same `sig` and `env` objects reuse the last
+    call's conclusions as the module docstring describes; both are treated as
+    immutable."""
     global _last
     check_env(env)
     el = _last
     if el is None or el.sig is not sig or el.root is not env:
         el = _last = _Elaborator(sig, env)
-    else:
-        el.memo.age()
     return el.run(t)

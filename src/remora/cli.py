@@ -68,11 +68,11 @@ def _load(path: str):
 
 def _cmd_check(args) -> int:
     from .printer import print_type
-    from .prims import PRIMS
+    from .prims import SIGNATURE
 
     if args.list_prims:
-        for name in sorted(PRIMS):
-            print(f"{name}\t{print_type(PRIMS[name].type)}")
+        for name in sorted(SIGNATURE):
+            print(f"{name}\t{print_type(SIGNATURE[name])}")
         if args.path is None:
             return 0
     if args.path is None:

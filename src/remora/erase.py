@@ -91,7 +91,6 @@ from .syntax import (
     ExprTerm,
     Frame,
     FunType,
-    Generations,
     IApp,
     IdxAppend,
     IdxVar,
@@ -111,6 +110,38 @@ from .syntax import (
     replace,
     shape_of_dims,
 )
+
+# ---------------------------------------------------------------------------
+# Memo tables keyed on node identity
+
+
+class Generations:
+    """A memo table that keeps only what was used at the current and the
+    previous step. `carry(key)` looks the key up in the previous generation
+    and brings a hit over into the current one; `age` (once per step) drops
+    whatever the step before the previous one used and neither step since
+    did. A user that can meet a key twice in one step tries `cur.get(key)`
+    first.
+
+    An entry keyed by an object's `id` holds that object, so the id cannot be
+    reused while the entry lives. No value is falsy."""
+
+    __slots__ = ("cur", "prev")
+
+    def __init__(self) -> None:
+        self.cur: dict = {}
+        self.prev: dict = {}
+
+    def carry(self, key):
+        hit = self.prev.get(key)
+        if hit is not None:
+            self.cur[key] = hit
+        return hit
+
+    def age(self) -> None:
+        self.prev = self.cur
+        self.cur = {}
+
 
 # ---------------------------------------------------------------------------
 # Erasure

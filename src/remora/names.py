@@ -1,12 +1,12 @@
 """Binding machinery of the typed and the erased language, derived from one
-table: free variables, capture-avoiding substitution, canonical renaming
+schema: free variables, capture-avoiding substitution, canonical renaming
 (freshen), alpha-equivalence and named term children.
 
 Variables live in three namespaces: index (bound by Pi, Sigma, ilam and the
 index variables of unbox), type (Forall, tlam) and term (lam, the value
-variable of unbox); erased terms keep the index and term ones. `SCHEMA` gives
-each field of every index, type, term and erased class of `syntax`, other
-than `loc`, one role:
+variable of unbox); erased terms keep the index and term ones. Every index,
+type, term and erased class of `syntax` gives each field but `loc` one role,
+with the field; `SCHEMA` collects them. The roles (defined in `syntax`):
 
 - `Child(cat, shape, tag)`: an index, type or term (the category); one, a
   tuple (MANY) or an optional one (OPT, the `annot` of a term). `subst`
@@ -19,7 +19,7 @@ than `loc`, one role:
 
 `IdxVar`, `TyVar`, `Var` and `EVar` are the variable leaves. `free_vars`,
 `subst`, `freshen`, `alpha_equal` and `term_children` are derived from the
-table; the `free_*` and `subst_*` names are entry points. A traversal skips a
+schema; the `free_*` and `subst_*` names are entry points. A traversal skips a
 field whose category cannot hold its namespace's variables: an index holds
 only index variables, a type index and type variables.
 
@@ -36,13 +36,13 @@ changed is returned as it is.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
 from operator import is_
-from typing import Mapping
+from typing import Mapping, get_args
 
 from . import syntax as S
 from .indices import normalize_tag
-from .syntax import ExprTerm, IndexExpr, Term, TypeExpr
+from .syntax import DATA, IDX, MANY, NAME, NAMES, ONE, OPT, PAIRS, TAG, TAGS, TM, TY, TYPED  # noqa: F401
+from .syntax import Binder, Child, ExprTerm, IndexExpr, Scope, Term, TypeExpr
 
 _GENSYM = itertools.count(1)
 
@@ -60,77 +60,10 @@ def gensym(base: str) -> str:
 # ---------------------------------------------------------------------------
 # The schema
 
-# Namespaces, and the categories of children: a child of category c can hold
-# variables of namespace ns exactly when ns <= c.
-IDX, TY, TM = 0, 1, 2
-ONE, MANY, OPT = "one", "many", "opt"
-PAIRS, TYPED, NAMES, NAME = "pairs", "typed", "names", "name"
-DATA = "data"
-
-Child = namedtuple("Child", "cat shape tag", defaults=(ONE, False))
-Binder = namedtuple("Binder", "ns form")
-Scope = namedtuple("Scope", "cat")
-
-_ANNOT = Child(TY, OPT)
-TAG, TAGS = Child(IDX, ONE, True), Child(IDX, MANY, True)
-
-# Fields in the order the traversals visit them: annotation first, scope last.
+# The traversals visit a node's children, then its binders, then its scope,
+# each group in this order (see `_split`).
 SCHEMA: dict[type, dict[str, object]] = {
-    S.NatLit: {"value": DATA},
-    S.IdxVar: {"name": DATA},
-    S.Plus: {"operands": Child(IDX, MANY)},
-    S.ShapeLit: {"dims": Child(IDX, MANY)},
-    S.IdxAppend: {"operands": Child(IDX, MANY)},
-    S.BaseType: {"name": DATA},
-    S.TyVar: {"name": DATA},
-    S.FunType: {"inputs": Child(TY, MANY), "output": Child(TY)},
-    S.ArrType: {"elem": Child(TY), "shape": Child(IDX)},
-    S.ForallType: {"binders": Binder(TY, PAIRS), "body": Scope(TY)},
-    S.PiType: {"binders": Binder(IDX, PAIRS), "body": Scope(TY)},
-    S.SigmaType: {"binders": Binder(IDX, PAIRS), "body": Scope(TY)},
-    S.BaseVal: {"annot": _ANNOT, "base": DATA, "value": DATA},
-    S.PrimOp: {"annot": _ANNOT, "name": DATA},
-    S.Lam: {"annot": _ANNOT, "params": Binder(TM, TYPED), "body": Scope(TM)},
-    S.TLam: {"annot": _ANNOT, "binders": Binder(TY, PAIRS), "body": Scope(TM)},
-    S.ILam: {"annot": _ANNOT, "binders": Binder(IDX, PAIRS), "body": Scope(TM)},
-    S.Box: {
-        "annot": _ANNOT,
-        "indices": Child(IDX, MANY),
-        "payload": Child(TM),
-        "box_type": Child(TY),
-    },
-    S.Var: {"annot": _ANNOT, "name": DATA},
-    S.ArrayLit: {"annot": _ANNOT, "dims": DATA, "atoms": Child(TM, MANY)},
-    S.Frame: {"annot": _ANNOT, "dims": DATA, "cells": Child(TM, MANY)},
-    S.EmptyArray: {"annot": _ANNOT, "elem_type": Child(TY), "dims": DATA},
-    S.EmptyFrame: {"annot": _ANNOT, "cell_type": Child(TY), "dims": DATA},
-    S.App: {"annot": _ANNOT, "fn": Child(TM), "args": Child(TM, MANY)},
-    S.TApp: {"annot": _ANNOT, "fn": Child(TM), "type_args": Child(TY, MANY)},
-    S.IApp: {"annot": _ANNOT, "fn": Child(TM), "idx_args": Child(IDX, MANY)},
-    S.Unbox: {
-        "annot": _ANNOT,
-        "box": Child(TM),
-        "idx_vars": Binder(IDX, NAMES),
-        "val_var": Binder(TM, NAME),
-        "body": Scope(TM),
-    },
-    S.EBase: {"base": DATA, "value": DATA},
-    S.EOp: {"name": DATA},
-    S.ELam: {"params": Binder(TM, NAMES), "body": Scope(TM)},
-    S.EILam: {"params": Binder(IDX, NAMES), "body": Scope(TM)},
-    S.EBox: {"indices": TAGS, "payload": Child(TM)},
-    S.EVar: {"name": DATA},
-    S.EArray: {"dims": DATA, "atoms": Child(TM, MANY)},
-    S.EFrame: {"shape": TAG, "cells": Child(TM, MANY)},
-    S.EApp: {"fn": Child(TM), "args": Child(TM, MANY), "arg_shapes": TAGS, "out_shape": TAG},
-    S.EIApp: {"fn": Child(TM), "idx_args": TAGS, "out_shape": TAG},
-    S.EUnbox: {
-        "idx_vars": Binder(IDX, NAMES),
-        "val_var": Binder(TM, NAME),
-        "box": Child(TM),
-        "body_shape": TAG,
-        "body": Scope(TM),
-    },
+    cls: cls._roles for u in (S.IndexExpr, S.TypeExpr, S.Term, S.ETerm) for cls in get_args(u)
 }
 
 LEAVES = {S.IdxVar: IDX, S.TyVar: TY, S.Var: TM, S.EVar: TM}

@@ -1,11 +1,14 @@
 """Primitive operators: their closed signature types and the metafunctions
 applied when an operator meets argument values at a scalar frame.
 
-Quantified signatures nest each quantifier body inside a scalar array type,
-as the kinding rules require (dependent products and universals must have
-Array bodies), so e.g. the readable
-``(Pi ((d Dim) (s Shape)) (Forall ((a Atom)) (-> ... )))`` is shipped as
+`PRIMS` gives each operator its signature, written in the surface syntax,
+and its metafunction. Quantified signatures nest each quantifier body inside
+a scalar array type, as the kinding rules require (dependent products and
+universals must have Array bodies), so e.g. the readable
+``(Pi ((d Dim) (s Shape)) (Forall ((a Atom)) (-> ... )))`` is written
 ``(Pi ((d Dim) (s Shape)) (Arr (Forall ((a Atom)) (Arr (-> ...) (Shp))) (Shp)))``.
+`SIGNATURE` parses an operator's signature on its first lookup and returns
+that same object from then on, so importing this module parses none.
 
 A metafunction receives the operator's fully instantiated function type
 (read off the operator atom's annotation at application time) plus the
@@ -17,8 +20,9 @@ argument.
 
 from __future__ import annotations
 
+import operator
 from math import floor, isfinite
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .indices import canonicalize_shape, element_count
 from .names import subst_idx_in_type, subst_ty_in_type
@@ -31,21 +35,13 @@ from .syntax import (
     Box,
     ForallType,
     FunType,
-    IdxAppend,
-    IdxVar,
     IndexExpr,
-    Kind,
     NatLit,
-    node,
+    Node,
     NUM,
     PiType,
-    Plus,
-    ShapeLit,
-    SigmaType,
-    Sort,
     TypeExpr,
-    TyVar,
-    scalar_of,
+    replace,
     shape_of_dims,
 )
 
@@ -58,148 +54,6 @@ class Misapplied(Exception):
         self.op = op
         self.detail = detail
         super().__init__(f"misapplied {op}" + (f": {detail}" if detail else ""))
-
-
-@node
-class PrimDef:
-    name: str
-    type: TypeExpr
-    delta: Callable[[FunType, tuple[ArrayLit, ...]], object]
-    domain_check: Callable[[tuple[ArrayLit, ...]], bool]
-
-
-def _shp(*dims: IndexExpr) -> ShapeLit:
-    return ShapeLit(dims)
-
-
-def _cat(*parts: IndexExpr) -> IdxAppend:
-    return IdxAppend(parts)
-
-
-_NUM_SCALAR = scalar_of(NUM)
-_BOOL_SCALAR = scalar_of(BOOL)
-
-_d, _s, _c, _m, _n = IdxVar("d"), IdxVar("s"), IdxVar("c"), IdxVar("m"), IdxVar("n")
-_TA = TyVar("a")
-
-
-def _arith_type(out=_NUM_SCALAR) -> FunType:
-    return FunType((_NUM_SCALAR, _NUM_SCALAR), out)
-
-
-_HEAD_TYPE = PiType(
-    (("d", Sort.DIM), ("s", Sort.SHAPE)),
-    scalar_of(
-        ForallType(
-            (("a", Kind.ATOM),),
-            scalar_of(
-                FunType(
-                    (ArrType(_TA, _cat(_shp(Plus((NatLit(1), _d))), _s)),),
-                    ArrType(_TA, _s),
-                )
-            ),
-        )
-    ),
-)
-
-_APPEND_TYPE = PiType(
-    (("c", Sort.SHAPE), ("m", Sort.DIM), ("n", Sort.DIM)),
-    scalar_of(
-        ForallType(
-            (("a", Kind.ATOM),),
-            scalar_of(
-                FunType(
-                    (
-                        ArrType(_TA, _cat(_shp(_m), _c)),
-                        ArrType(_TA, _cat(_shp(_n), _c)),
-                    ),
-                    ArrType(_TA, _cat(_shp(Plus((_m, _n))), _c)),
-                )
-            ),
-        )
-    ),
-)
-
-# Nonempty input, right fold.
-_REDUCE_TYPE = PiType(
-    (("d", Sort.DIM), ("c", Sort.SHAPE)),
-    scalar_of(
-        ForallType(
-            (("a", Kind.ATOM),),
-            scalar_of(
-                FunType(
-                    (
-                        scalar_of(
-                            FunType(
-                                (ArrType(_TA, _c), ArrType(_TA, _c)), ArrType(_TA, _c)
-                            )
-                        ),
-                        ArrType(_TA, _cat(_shp(Plus((NatLit(1), _d))), _c)),
-                    ),
-                    ArrType(_TA, _c),
-                )
-            ),
-        )
-    ),
-)
-
-_IOTA_V_TYPE = FunType(
-    (_NUM_SCALAR,),
-    scalar_of(SigmaType((("n", Sort.DIM),), ArrType(NUM, _shp(_n)))),
-)
-
-_IOTA_S_TYPE = PiType(
-    (("s", Sort.SHAPE),),
-    scalar_of(FunType((), ArrType(NUM, _s))),
-)
-
-_RESHAPE_TYPE = PiType(
-    (("d", Sort.DIM), ("c", Sort.SHAPE)),
-    scalar_of(
-        ForallType(
-            (("a", Kind.ATOM),),
-            scalar_of(
-                FunType(
-                    (ArrType(NUM, _shp(_d)), ArrType(_TA, _c)),
-                    scalar_of(SigmaType((("s", Sort.SHAPE),), ArrType(_TA, _s))),
-                )
-            ),
-        )
-    ),
-)
-
-_RAVEL_TYPE = PiType(
-    (("c", Sort.SHAPE),),
-    scalar_of(
-        ForallType(
-            (("a", Kind.ATOM),),
-            scalar_of(
-                FunType(
-                    (ArrType(_TA, _c),),
-                    scalar_of(SigmaType((("n", Sort.DIM),), ArrType(_TA, _shp(_n)))),
-                )
-            ),
-        )
-    ),
-)
-
-# The output Sigma hides only the kept-slice count; trailing cell dims stay visible.
-_FILTER_TYPE = PiType(
-    (("d", Sort.DIM), ("c", Sort.SHAPE)),
-    scalar_of(
-        ForallType(
-            (("a", Kind.ATOM),),
-            scalar_of(
-                FunType(
-                    (ArrType(BOOL, _shp(_d)), ArrType(_TA, _cat(_shp(_d), _c))),
-                    scalar_of(
-                        SigmaType((("m", Sort.DIM),), ArrType(_TA, _cat(_shp(_m), _c)))
-                    ),
-                )
-            ),
-        )
-    ),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +92,17 @@ def _shape_entry(x: float) -> int:
     return max(0, floor(x))
 
 
-def _binary_num(op: str, f: Callable[[float, float], object], out_atom) -> PrimDef:
+def _binary_num(f: Callable[[float, float], object], out_atom):
     def delta(fn: FunType, args):
-        x, y = _scalar_num(args[0]), _scalar_num(args[1])
-        if op == "/" and y == 0.0:
-            raise Misapplied("/", "division by zero")
-        return _result(fn, (), (out_atom(f(x, y)),))
+        return _result(fn, (), (out_atom(f(_scalar_num(args[0]), _scalar_num(args[1]))),))
 
-    def domain(args) -> bool:
-        return op != "/" or _scalar_num(args[1]) != 0.0
+    return delta
 
-    ty = _arith_type(_BOOL_SCALAR if out_atom is _bool_atom else _NUM_SCALAR)
-    return PrimDef(op, ty, delta, domain)
+
+def _divide(x: float, y: float) -> float:
+    if y == 0.0:
+        raise Misapplied("/", "division by zero")
+    return x / y
 
 
 def _delta_head(fn: FunType, args):
@@ -283,9 +136,7 @@ def _delta_reduce(fn: FunType, args):
 
 def _delta_iota_v(fn: FunType, args):
     n = _shape_entry(_scalar_num(args[0]))
-    payload = ArrayLit(
-        (n,), tuple(_num_atom(i) for i in range(n)), annot=ArrType(NUM, _shp(NatLit(n)))
-    )
+    payload = ArrayLit((n,), tuple(_num_atom(i) for i in range(n)), annot=ArrType(NUM, shape_of_dims((n,))))
     return _boxed(fn, (NatLit(n),), payload)
 
 
@@ -307,17 +158,11 @@ def _delta_reshape(fn: FunType, args):
     return _boxed(fn, (shape_of_dims(dims),), payload)
 
 
-def _reshape_domain(args) -> bool:
-    spec_vec, data = args
-    dims = tuple(_shape_entry(a.value) for a in spec_vec.atoms)
-    return element_count(dims) == 0 or bool(data.atoms)
-
-
 def _delta_ravel(fn: FunType, args):
     data = args[0]
     n = len(data.atoms)
     elem = fn.inputs[0].elem  # type: ignore[union-attr]
-    payload = ArrayLit((n,), data.atoms, annot=ArrType(elem, _shp(NatLit(n))))
+    payload = ArrayLit((n,), data.atoms, annot=ArrType(elem, shape_of_dims((n,))))
     return _boxed(fn, (NatLit(n),), payload)
 
 
@@ -337,48 +182,91 @@ def _delta_filter(fn: FunType, args):
     return _boxed(fn, (NatLit(m),), payload)
 
 
-def _total(_args) -> bool:
-    return True
+# ---------------------------------------------------------------------------
+# The operators
+
+_NUM_OP = "(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Num (Shp)))"
+_BOOL_OP = "(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Bool (Shp)))"
+
+# name -> (signature, metafunction)
+PRIMS: dict[str, tuple[str, Callable]] = {
+    "+": (_NUM_OP, _binary_num(operator.add, _num_atom)),
+    "-": (_NUM_OP, _binary_num(operator.sub, _num_atom)),
+    "*": (_NUM_OP, _binary_num(operator.mul, _num_atom)),
+    "/": (_NUM_OP, _binary_num(_divide, _num_atom)),
+    "<": (_BOOL_OP, _binary_num(operator.lt, _bool_atom)),
+    "=": (_BOOL_OP, _binary_num(operator.eq, _bool_atom)),
+    "head": ("(Pi ((d Dim) (s Shape)) (Arr (Forall ((a Atom)) (Arr"
+             " (-> ((Arr a (++ (Shp (+ 1 d)) s))) (Arr a s))"
+             " (Shp))) (Shp)))", _delta_head),
+    "append": ("(Pi ((c Shape) (m Dim) (n Dim)) (Arr (Forall ((a Atom)) (Arr"
+               " (-> ((Arr a (++ (Shp m) c)) (Arr a (++ (Shp n) c))) (Arr a (++ (Shp (+ m n)) c)))"
+               " (Shp))) (Shp)))", _delta_append),
+    # Nonempty input, right fold.
+    "reduce": ("(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr"
+               " (-> ((Arr (-> ((Arr a c) (Arr a c)) (Arr a c)) (Shp)) (Arr a (++ (Shp (+ 1 d)) c))) (Arr a c))"
+               " (Shp))) (Shp)))", _delta_reduce),
+    "iota/v": ("(-> ((Arr Num (Shp))) (Arr (Sigma ((n Dim)) (Arr Num (Shp n))) (Shp)))", _delta_iota_v),
+    "iota/s": ("(Pi ((s Shape)) (Arr (-> () (Arr Num s)) (Shp)))", _delta_iota_s),
+    "reshape": ("(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr"
+                " (-> ((Arr Num (Shp d)) (Arr a c)) (Arr (Sigma ((s Shape)) (Arr a s)) (Shp)))"
+                " (Shp))) (Shp)))", _delta_reshape),
+    "ravel": ("(Pi ((c Shape)) (Arr (Forall ((a Atom)) (Arr"
+              " (-> ((Arr a c)) (Arr (Sigma ((n Dim)) (Arr a (Shp n))) (Shp)))"
+              " (Shp))) (Shp)))", _delta_ravel),
+    # The output Sigma hides only the kept-slice count; trailing cell dims stay visible.
+    "filter": ("(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr"
+               " (-> ((Arr Bool (Shp d)) (Arr a (++ (Shp d) c)))"
+               "     (Arr (Sigma ((m Dim)) (Arr a (++ (Shp m) c))) (Shp)))"
+               " (Shp))) (Shp)))", _delta_filter),
+}
 
 
-PRIMS: dict[str, PrimDef] = {}
+def _unlocated(t):
+    """A parsed type without its source locations, as a type built in code
+    has none, so that no diagnostic points into a signature's text."""
+    if isinstance(t, tuple):
+        return tuple(map(_unlocated, t))
+    if not isinstance(t, Node):
+        return t
+    return replace(t, loc=None, **{f: _unlocated(getattr(t, f)) for f in t._fields if f != "loc"})
 
 
-def _register(pd: PrimDef) -> None:
-    PRIMS[pd.name] = pd
+class _Signature(Mapping):
+    """Operator name -> signature type, parsed from `PRIMS` on the first
+    lookup of that name."""
+
+    def __init__(self) -> None:
+        self._types: dict[str, TypeExpr] = {}
+
+    def __getitem__(self, name: str) -> TypeExpr:
+        t = self._types.get(name)
+        if t is None:
+            from .parser import parse_type
+
+            # setdefault: a lookup racing this one returns the same object
+            t = self._types.setdefault(name, _unlocated(parse_type(PRIMS[name][0])))
+        return t
+
+    def __iter__(self):
+        return iter(PRIMS)
+
+    def __len__(self) -> int:
+        return len(PRIMS)
 
 
-for _pd in (
-    _binary_num("+", lambda x, y: x + y, _num_atom),
-    _binary_num("-", lambda x, y: x - y, _num_atom),
-    _binary_num("*", lambda x, y: x * y, _num_atom),
-    _binary_num("/", lambda x, y: x / y, _num_atom),
-    _binary_num("<", lambda x, y: x < y, _bool_atom),
-    _binary_num("=", lambda x, y: x == y, _bool_atom),
-):
-    _register(_pd)
-
-_register(PrimDef("head", _HEAD_TYPE, _delta_head, _total))
-_register(PrimDef("append", _APPEND_TYPE, _delta_append, _total))
-_register(PrimDef("reduce", _REDUCE_TYPE, _delta_reduce, _total))
-_register(PrimDef("iota/v", _IOTA_V_TYPE, _delta_iota_v, _total))
-_register(PrimDef("iota/s", _IOTA_S_TYPE, _delta_iota_s, _total))
-_register(PrimDef("reshape", _RESHAPE_TYPE, _delta_reshape, _reshape_domain))
-_register(PrimDef("ravel", _RAVEL_TYPE, _delta_ravel, _total))
-_register(PrimDef("filter", _FILTER_TYPE, _delta_filter, _total))
-
-SIGNATURE: dict[str, TypeExpr] = {name: pd.type for name, pd in PRIMS.items()}
+SIGNATURE: Mapping[str, TypeExpr] = _Signature()
 
 
 def signature_lookup(name: str) -> Optional[TypeExpr]:
-    pd = PRIMS.get(name)
-    return pd.type if pd else None
+    return SIGNATURE.get(name)
 
 
 def apply_delta(name: str, fn_type: FunType, args) -> object:
     """Run an operator's metafunction against its instantiated function type
     and fully evaluated arguments. Raises Misapplied outside the domain."""
-    return PRIMS[name].delta(fn_type, tuple(args))
+    _, delta = PRIMS[name]
+    return delta(fn_type, tuple(args))
 
 
 def instantiate(sig_type: TypeExpr, inst_types, inst_idxs) -> FunType:

@@ -5,12 +5,18 @@ erasure produces.
 All nodes are immutable slotted classes built by `node` (`replace` copies
 one). Typed term nodes carry an optional type annotation slot (``annot``)
 which elaboration fills in on every node, and a source location that never
-participates in equality. `Generations` is the memo table the checker and the
-lockstep harness key on node identity.
+participates in equality.
+
+A class body declares each field once, with its type and, as its default,
+its role for the binding machinery of `names` (see there): for example
+``fn: ExprTerm = Child(TM)`` or ``body: ExprTerm = Scope(TM)``. A field with
+no default is `DATA`; ``annot`` is always ``Child(TY, OPT)``, and ``loc`` has
+no role. `node` records the roles as the class's `_roles`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from enum import Enum
 from operator import attrgetter
 from typing import Optional, Union
@@ -33,6 +39,24 @@ class Kind(Enum):
 
 
 # ---------------------------------------------------------------------------
+# Field roles
+
+# Namespaces, and the categories of children: a child of category c can hold
+# variables of namespace ns exactly when ns <= c.
+IDX, TY, TM = 0, 1, 2
+ONE, MANY, OPT = "one", "many", "opt"
+PAIRS, TYPED, NAMES, NAME = "pairs", "typed", "names", "name"
+DATA = "data"
+
+Child = namedtuple("Child", "cat shape tag", defaults=(ONE, False))
+Binder = namedtuple("Binder", "ns form")
+Scope = namedtuple("Scope", "cat")
+
+ANNOT = Child(TY, OPT)
+TAG, TAGS = Child(IDX, ONE, True), Child(IDX, MANY, True)
+
+
+# ---------------------------------------------------------------------------
 # The class builder
 
 _KEYWORD = ("annot", "loc")
@@ -46,9 +70,12 @@ def node(cls):
     """`cls` rebuilt as a slotted `Node` whose fields, in order, are those its
     body declares; `annot` and `loc` come last. The methods are closures over
     them (no source is compiled). A class that declares its own `__init__`
-    calls the generated `_init` (not through `super()`: there is no cell)."""
+    calls the generated `_init` (not through `super()`: there is no cell).
+    `_roles` maps each field but `loc` to its role, `annot` first."""
     ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
     fields = tuple(ns.get("__annotations__", ()))
+    roles = {"annot": ANNOT} if "annot" in fields else {}
+    roles.update((f, ns.pop(f, DATA)) for f in fields if f not in _KEYWORD)
     n = sum(f in _KEYWORD for f in fields)
     k = len(fields) - n
     assert fields[k:] == _KEYWORD[2 - n :], cls.__name__
@@ -81,7 +108,7 @@ def node(cls):
         return hash((get(self),) if single else get(self))
 
     methods = {"__init__": ns.get("__init__", __init__), "_init": __init__, "__eq__": __eq__, "__hash__": __hash__}
-    new = type(cls.__name__, (Node,), {**ns, **methods, "__slots__": fields, "_fields": fields})
+    new = type(cls.__name__, (Node,), {**ns, **methods, "__slots__": fields, "_fields": fields, "_roles": roles})
     puts = new._puts = tuple(vars(new)[f].__set__ for f in fields)
     return new
 
@@ -148,7 +175,7 @@ class IdxVar:
 
 @node
 class Plus:
-    operands: tuple[IndexExpr, ...]
+    operands: tuple[IndexExpr, ...] = Child(IDX, MANY)
     loc: Optional[SourceLocation]
 
 
@@ -156,7 +183,7 @@ class Plus:
 class ShapeLit:
     """A literal sequence of dimensions, written (Shp d ...)."""
 
-    dims: tuple[IndexExpr, ...]
+    dims: tuple[IndexExpr, ...] = Child(IDX, MANY)
     loc: Optional[SourceLocation]
 
 
@@ -164,7 +191,7 @@ class ShapeLit:
 class IdxAppend:
     """Shape concatenation, written (++ s ...)."""
 
-    operands: tuple[IndexExpr, ...]
+    operands: tuple[IndexExpr, ...] = Child(IDX, MANY)
     loc: Optional[SourceLocation]
 
 
@@ -195,36 +222,36 @@ class TyVar:
 
 @node
 class FunType:
-    inputs: tuple[TypeExpr, ...]
-    output: TypeExpr
+    inputs: tuple[TypeExpr, ...] = Child(TY, MANY)
+    output: TypeExpr = Child(TY)
     loc: Optional[SourceLocation]
 
 
 @node
 class ArrType:
-    elem: TypeExpr
-    shape: IndexExpr
+    elem: TypeExpr = Child(TY)
+    shape: IndexExpr = Child(IDX)
     loc: Optional[SourceLocation]
 
 
 @node
 class ForallType:
-    binders: tuple[tuple[str, Kind], ...]
-    body: TypeExpr
+    binders: tuple[tuple[str, Kind], ...] = Binder(TY, PAIRS)
+    body: TypeExpr = Scope(TY)
     loc: Optional[SourceLocation]
 
 
 @node
 class PiType:
-    binders: tuple[tuple[str, Sort], ...]
-    body: TypeExpr
+    binders: tuple[tuple[str, Sort], ...] = Binder(IDX, PAIRS)
+    body: TypeExpr = Scope(TY)
     loc: Optional[SourceLocation]
 
 
 @node
 class SigmaType:
-    binders: tuple[tuple[str, Sort], ...]
-    body: TypeExpr
+    binders: tuple[tuple[str, Sort], ...] = Binder(IDX, PAIRS)
+    body: TypeExpr = Scope(TY)
     loc: Optional[SourceLocation]
 
 
@@ -262,24 +289,24 @@ class PrimOp:
 
 @node
 class Lam:
-    params: tuple[tuple[str, TypeExpr], ...]
-    body: ExprTerm
+    params: tuple[tuple[str, TypeExpr], ...] = Binder(TM, TYPED)
+    body: ExprTerm = Scope(TM)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
 @node
 class TLam:
-    binders: tuple[tuple[str, Kind], ...]
-    body: ExprTerm
+    binders: tuple[tuple[str, Kind], ...] = Binder(TY, PAIRS)
+    body: ExprTerm = Scope(TM)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
 @node
 class ILam:
-    binders: tuple[tuple[str, Sort], ...]
-    body: ExprTerm
+    binders: tuple[tuple[str, Sort], ...] = Binder(IDX, PAIRS)
+    body: ExprTerm = Scope(TM)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
@@ -289,9 +316,9 @@ class Box:
     """An atom hiding part of an array's shape; the Sigma annotation is part
     of the syntax, not an elaboration artifact."""
 
-    indices: tuple[IndexExpr, ...]
-    payload: ExprTerm
-    box_type: TypeExpr
+    indices: tuple[IndexExpr, ...] = Child(IDX, MANY)
+    payload: ExprTerm = Child(TM)
+    box_type: TypeExpr = Child(TY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
@@ -309,7 +336,7 @@ class Var:
 @node
 class ArrayLit:
     dims: tuple[int, ...]
-    atoms: tuple[AtomTerm, ...]
+    atoms: tuple[AtomTerm, ...] = Child(TM, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
@@ -317,14 +344,14 @@ class ArrayLit:
 @node
 class Frame:
     dims: tuple[int, ...]
-    cells: tuple[ExprTerm, ...]
+    cells: tuple[ExprTerm, ...] = Child(TM, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
 @node
 class EmptyArray:
-    elem_type: TypeExpr
+    elem_type: TypeExpr = Child(TY)
     dims: tuple[int, ...]
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
@@ -332,7 +359,7 @@ class EmptyArray:
 
 @node
 class EmptyFrame:
-    cell_type: TypeExpr
+    cell_type: TypeExpr = Child(TY)
     dims: tuple[int, ...]
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
@@ -340,34 +367,34 @@ class EmptyFrame:
 
 @node
 class App:
-    fn: ExprTerm
-    args: tuple[ExprTerm, ...]
+    fn: ExprTerm = Child(TM)
+    args: tuple[ExprTerm, ...] = Child(TM, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
 @node
 class TApp:
-    fn: ExprTerm
-    type_args: tuple[TypeExpr, ...]
+    fn: ExprTerm = Child(TM)
+    type_args: tuple[TypeExpr, ...] = Child(TY, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
 @node
 class IApp:
-    fn: ExprTerm
-    idx_args: tuple[IndexExpr, ...]
+    fn: ExprTerm = Child(TM)
+    idx_args: tuple[IndexExpr, ...] = Child(IDX, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
 @node
 class Unbox:
-    idx_vars: tuple[str, ...]
-    val_var: str
-    box: ExprTerm
-    body: ExprTerm
+    idx_vars: tuple[str, ...] = Binder(IDX, NAMES)
+    val_var: str = Binder(TM, NAME)
+    box: ExprTerm = Child(TM)
+    body: ExprTerm = Scope(TM)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
@@ -407,20 +434,20 @@ class EOp:
 
 @node
 class ELam:
-    params: tuple[str, ...]
-    body: EExpr
+    params: tuple[str, ...] = Binder(TM, NAMES)
+    body: EExpr = Scope(TM)
 
 
 @node
 class EILam:
-    params: tuple[str, ...]
-    body: EExpr
+    params: tuple[str, ...] = Binder(IDX, NAMES)
+    body: EExpr = Scope(TM)
 
 
 @node
 class EBox:
-    indices: tuple[Tag, ...]
-    payload: EExpr
+    indices: tuple[Tag, ...] = TAGS
+    payload: EExpr = Child(TM)
 
 
 EAtom = Union[EBase, EOp, ELam, EILam, EBox]
@@ -434,70 +461,38 @@ class EVar:
 @node
 class EArray:
     dims: tuple[int, ...]
-    atoms: tuple[EAtom, ...]
+    atoms: tuple[EAtom, ...] = Child(TM, MANY)
 
 
 @node
 class EFrame:
-    shape: Tag  # full result shape
-    cells: tuple[EExpr, ...]
+    shape: Tag = TAG  # full result shape
+    cells: tuple[EExpr, ...] = Child(TM, MANY)
 
 
 @node
 class EApp:
-    fn: EExpr
-    args: tuple[EExpr, ...]
-    arg_shapes: tuple[Tag, ...]  # expected cell shape per argument
-    out_shape: Tag
+    fn: EExpr = Child(TM)
+    args: tuple[EExpr, ...] = Child(TM, MANY)
+    arg_shapes: tuple[Tag, ...] = TAGS  # expected cell shape per argument
+    out_shape: Tag = TAG
 
 
 @node
 class EIApp:
-    fn: EExpr
-    idx_args: tuple[Tag, ...]
-    out_shape: Tag
+    fn: EExpr = Child(TM)
+    idx_args: tuple[Tag, ...] = TAGS
+    out_shape: Tag = TAG
 
 
 @node
 class EUnbox:
-    idx_vars: tuple[str, ...]
-    val_var: str
-    box: EExpr
-    body: EExpr
-    body_shape: Tag
+    idx_vars: tuple[str, ...] = Binder(IDX, NAMES)
+    val_var: str = Binder(TM, NAME)
+    box: EExpr = Child(TM)
+    body: EExpr = Scope(TM)
+    body_shape: Tag = TAG
 
 
 EExpr = Union[EVar, EArray, EFrame, EApp, EIApp, EUnbox]
 ETerm = Union[EAtom, EExpr]
-
-
-# ---------------------------------------------------------------------------
-# Memo tables keyed on node identity
-
-
-class Generations:
-    """A memo table that keeps only what was used at the current and the
-    previous step (or call). `carry(key)` looks the key up in the previous
-    generation and brings a hit over into the current one; `age` (once per
-    step) drops whatever the step before the previous one used and neither
-    step since did. A user that can meet a key twice in one step tries
-    `cur.get(key)` first.
-
-    An entry keyed by an object's `id` holds that object, so the id cannot be
-    reused while the entry lives. No value is falsy."""
-
-    __slots__ = ("cur", "prev")
-
-    def __init__(self) -> None:
-        self.cur: dict = {}
-        self.prev: dict = {}
-
-    def carry(self, key):
-        hit = self.prev.get(key)
-        if hit is not None:
-            self.cur[key] = hit
-        return hit
-
-    def age(self) -> None:
-        self.prev = self.cur
-        self.cur = {}

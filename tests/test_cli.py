@@ -47,8 +47,7 @@ class TestCheck:
     def test_list_prims(self, capsys):
         code, out, _ = run(capsys, "check", "--list-prims")
         assert code == 0
-        names = [line.split("\t")[0] for line in out.strip().splitlines()]
-        assert "head" in names and "+" in names
+        assert out == LIST_PRIMS
 
 
 class TestEval:
@@ -213,3 +212,22 @@ class TestResourceLimit:
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+
+
+# `check --list-prims`, one operator and its signature per line
+LIST_PRIMS = (
+    "*\t(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Num (Shp)))\n"
+    "+\t(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Num (Shp)))\n"
+    "-\t(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Num (Shp)))\n"
+    "/\t(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Num (Shp)))\n"
+    "<\t(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Bool (Shp)))\n"
+    "=\t(-> ((Arr Num (Shp)) (Arr Num (Shp))) (Arr Bool (Shp)))\n"
+    "append\t(Pi ((c Shape) (m Dim) (n Dim)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr a (++ (Shp m) c)) (Arr a (++ (Shp n) c))) (Arr a (++ (Shp (+ m n)) c))) (Shp))) (Shp)))\n"
+    "filter\t(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr Bool (Shp d)) (Arr a (++ (Shp d) c))) (Arr (Sigma ((m Dim)) (Arr a (++ (Shp m) c))) (Shp))) (Shp))) (Shp)))\n"
+    "head\t(Pi ((d Dim) (s Shape)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr a (++ (Shp (+ 1 d)) s))) (Arr a s)) (Shp))) (Shp)))\n"
+    "iota/s\t(Pi ((s Shape)) (Arr (-> () (Arr Num s)) (Shp)))\n"
+    "iota/v\t(-> ((Arr Num (Shp))) (Arr (Sigma ((n Dim)) (Arr Num (Shp n))) (Shp)))\n"
+    "ravel\t(Pi ((c Shape)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr a c)) (Arr (Sigma ((n Dim)) (Arr a (Shp n))) (Shp))) (Shp))) (Shp)))\n"
+    "reduce\t(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr (-> ((Arr a c) (Arr a c)) (Arr a c)) (Shp)) (Arr a (++ (Shp (+ 1 d)) c))) (Arr a c)) (Shp))) (Shp)))\n"
+    "reshape\t(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr Num (Shp d)) (Arr a c)) (Arr (Sigma ((s Shape)) (Arr a s)) (Shp))) (Shp))) (Shp)))\n"
+)

@@ -338,6 +338,10 @@ class TestRefocusedErasedMachine:
         assert r.outcome == "value" and print_erased(r.term) == "(array () 49995000)"
 
 
+RESHAPE = "(t-app (i-app (array () reshape) 2 (Shp 0)) Num)"
+RAVEL_BOX = "(Sigma ((n Dim)) (Arr Num (Shp n)))"
+
+
 class TestBisim:
     def test_column_program_lockstep(self):
         t = elab("((t-app (i-app (array () head) 1 (Shp)) Num) (array (3 2) 0 1 2 3 4 5))")
@@ -362,6 +366,48 @@ class TestBisim:
             t, _ = elaborate(EMPTY_ENV, SIGNATURE, prog)
             rep = bisim_run(t, fuel=10_000)
             assert rep.outcome in ("both-value", "both-stuck"), print_term(prog)
+
+    # Operators the generated programs never apply, at empty arrays, under a
+    # frame and outside the domain: (program, bisim outcome, typed outcome and
+    # result).
+    UNEXERCISED = {
+        "ravel-2x3": (
+            "((t-app (i-app (array () ravel) (Shp 2 3)) Num) (array (2 3) 1 2 3 4 5 6))",
+            "both-value", "value", f"(array () (box 6 (array (6) 1 2 3 4 5 6) {RAVEL_BOX}))",
+        ),
+        "ravel-empty-0x3": (
+            "((t-app (i-app (array () ravel) (Shp 0 3)) Num) (empty-array Num (0 3)))",
+            "both-value", "value", f"(array () (box 0 (array (0) : (Arr Num (Shp 0))) {RAVEL_BOX}))",
+        ),
+        "ravel-lifted-4-frame": (
+            "((t-app (i-app (array () ravel) (Shp 2)) Num) (array (4 2) 1 2 3 4 5 6 7 8))",
+            "both-value", "value",
+            "(array (4) " + " ".join(f"(box 2 (array (2) {2 * i + 1} {2 * i + 2}) {RAVEL_BOX})" for i in range(4)) + ")",
+        ),
+        "reshape-empty-source": (
+            f"({RESHAPE} (array (2) 0 2) (empty-array Num (0)))",
+            "both-value", "value",
+            "(array () (box (Shp 0 2) (array (0 2) : (Arr Num (Shp 0 2))) (Sigma ((s Shape)) (Arr Num s))))",
+        ),
+        "reshape-outside-domain": (
+            f"({RESHAPE} (array (2) 3 2) (empty-array Num (0)))",
+            "both-stuck", "stuck", "((array () reshape) (array (2) 3 2) (array (0) : (Arr Num (Shp 0))))",
+        ),
+        "iota-s-2x0": (
+            "((i-app (array () iota/s) (Shp 2 0)))", "both-value", "value", "(array (2 0) : (Arr Num (Shp 2 0)))",
+        ),
+        "iota-s-scalar": ("((i-app (array () iota/s) (Shp)))", "both-value", "value", "(array () 0)"),
+    }
+
+    @pytest.mark.parametrize("case", UNEXERCISED)
+    def test_unexercised_operators_in_lockstep(self, case):
+        src, outcome, typed_outcome, result = self.UNEXERCISED[case]
+        t = elab(src)
+        rep = bisim_run(t, fuel=1000, trace=True)
+        assert rep.outcome == outcome
+        assert (("delta", "delta") in rep.trace) == (outcome == "both-value")
+        r = evaluate(t)
+        assert (r.outcome, print_term(r.term)) == (typed_outcome, result)
 
 
 class TestLockstepComparer:

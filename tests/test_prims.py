@@ -53,6 +53,14 @@ class TestSignature:
     def test_unknown_operator(self):
         assert signature_lookup("rotate") is None
 
+    @pytest.mark.parametrize("name", sorted(PRIMS))
+    def test_each_lookup_returns_the_same_object(self, name):
+        # The elaborator's `is` fast paths rely on one object per operator.
+        assert SIGNATURE[name] is SIGNATURE[name]
+        assert signature_lookup(name) is SIGNATURE[name]
+        # parsed from text, but located nowhere, as a type built in code
+        assert "SourceLocation" not in repr(SIGNATURE[name])
+
     def test_shipped_set(self):
         assert set(PRIMS) == {
             "+", "-", "*", "/", "<", "=",
@@ -87,15 +95,12 @@ class TestDelta:
     def test_division_by_zero_misapplied(self):
         with pytest.raises(Misapplied):
             delta_apply("/", [], [], [scalar(1), scalar(0)])
-        assert not PRIMS["/"].domain_check((scalar(1), scalar(0)))
-        assert PRIMS["/"].domain_check((scalar(1), scalar(2)))
 
     def test_reshape_empty_source_misapplied(self):
         spec = ArrayLit((1,), (num(2),))
         data = ArrayLit((0,), ())
         with pytest.raises(Misapplied):
             delta_apply("reshape", [parse_type("Num")], [NatLit(1), ShapeLit((NatLit(0),))], [spec, data])
-        assert not PRIMS["reshape"].domain_check((spec, data))
 
 
 def run(src: str):
