@@ -10,9 +10,9 @@ forms.
 for one signature object and one root environment object, which are treated
 as immutable; a call with another object of either starts afresh. A
 small-step state is rebuilt from the state it came from along the spine from
-the root to the redex (`eval.step` uses `syntax.replace`): each new spine node
-is a *successor* of the old one, of the same class, with every field the same
-object but one term child outside every binder (the `Child(TM)` roles of
+the root to the redex (`eval.step` copies one node per level): each new spine
+node is a *successor* of the old one, of the same class, with every field the
+same object but one term child outside every binder (the `Child(TM)` roles of
 `names.SCHEMA`). A successor whose new child's type is `==` to the type the
 old child had has every premise of a node that elaborated, so it has the same
 conclusion: the old node's output with the new child put in, and the old
@@ -34,7 +34,7 @@ elaboration from scratch; only the time differs.
 from __future__ import annotations
 
 from enum import Enum
-from operator import attrgetter, is_
+from operator import attrgetter, indexOf, is_
 from typing import Mapping, Optional
 
 from .indices import (
@@ -93,9 +93,9 @@ from .syntax import (
     TyVar,
     Unbox,
     Var,
+    copier,
     is_atom,
     node,
-    replace,
     shape_of_dims,
 )
 
@@ -364,21 +364,27 @@ def _changed(n, o) -> Optional[tuple]:
         return None
     fields, kids = spine
     a, b = fields(n), fields(o)
-    same = list(map(is_, a, b))
-    if same.count(False) != 1:
+    same = map(is_, a, b)
+    try:
+        i = indexOf(same, False)  # the first field that differs; no other may
+    except ValueError:
         return None
-    i = same.index(False)
     kid = kids.get(i)
-    if kid is None:
+    if kid is None or not all(same):
         return None
     f, many = kid
     a, b = a[i], b[i]
     if not many:
         return f, None, a, b
-    same = list(map(is_, a, b))
-    if len(a) != len(b) or same.count(False) != 1:
+    if len(a) != len(b):
         return None
-    j = same.index(False)
+    same = map(is_, a, b)
+    try:
+        j = indexOf(same, False)
+    except ValueError:
+        return None
+    if not all(same):
+        return None
     return f, j, a[j], b[j]
 
 
@@ -427,7 +433,9 @@ class _Elaborator:
             old = getattr(oo, f)
             was = (old if j is None else old[j]).annot
             if ty is was or ty == was:
-                out, ty = replace(oo, **{f: out if j is None else old[:j] + (out,) + old[j + 1 :]}), oo.annot
+                if j is not None:
+                    out = (out,) if len(old) == 1 else old[:j] + (out,) + old[j + 1 :]
+                out, ty = copier(oo.__class__, f)(oo, out), oo.annot
                 continue
             self.seed(o, oo, False)
             self.memo[id(kid)] = (kid, out, ty)

@@ -107,6 +107,7 @@ from .syntax import (
     TyVar,
     Unbox,
     Var,
+    copier,
     replace,
     shape_of_dims,
 )
@@ -238,6 +239,10 @@ def _erase(t: Term, memo: Optional[Generations]) -> ETerm:
 
 # ---------------------------------------------------------------------------
 # Erased values and substitution
+
+
+# The erased atoms that are values as they are; a box is one when its payload is.
+_EVALUE_ATOMS = frozenset((EBase, EOp, ELam, EILam))
 
 
 def is_evalue_atom(a: EAtom) -> bool:
@@ -428,68 +433,69 @@ def _concrete_tag(i: IndexExpr) -> tuple[int, ...]:
 
 
 def erased_step(e: EExpr) -> Union[Stepped, AlreadyValue, Stuck]:
-    if isinstance(e, EVar):
-        return Stuck("internal", detail=f"free variable {e.name}")
-
-    if isinstance(e, EArray):
-        for i, a in enumerate(e.atoms):
-            if is_evalue_atom(a):
+    """One reduction step of a closed erased expression, searching from the
+    root like `eval.step`, and like it a loop that records the path and
+    rebuilds the spine above the redex with one copy per level."""
+    path = []  # (node, field, position in its tuple or None), root first
+    # `is_evalue` without a call for the children it decides by class alone.
+    plain = _EVALUE_ATOMS.issuperset
+    while True:
+        t = e.__class__
+        if t is EFrame:
+            for i, c in enumerate(e.cells):
+                if c.__class__ is not EArray or not (plain(map(type, c.atoms)) or is_evalue(c)):
+                    path.append((e, "cells", i))
+                    e = c
+                    break
+            else:
+                dims = _concrete_tag(e.shape)
+                atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
+                r = Stepped(EArray(dims, atoms), "collapse")
+                break
+        elif t is EApp or t is EIApp or t is EUnbox:
+            f = "box" if t is EUnbox else "fn"
+            head = getattr(e, f)
+            if head.__class__ is not EArray or not (plain(map(type, head.atoms)) or is_evalue(head)):
+                path.append((e, f, None))
+                e = head
                 continue
-            if not isinstance(a, EBox):
-                return Stuck("internal", detail="non-value atom that is not a box")
-            r = erased_step(a.payload)
-            if isinstance(r, Stepped):
-                atoms = e.atoms[:i] + (replace(a, payload=r.term),) + e.atoms[i + 1 :]
-                return Stepped(replace(e, atoms=atoms), r.rule)
-            return r
-        return AlreadyValue()
-
-    if isinstance(e, EFrame):
-        for i, c in enumerate(e.cells):
-            if is_evalue(c):
-                continue
-            r = erased_step(c)
-            if isinstance(r, Stepped):
-                cells = e.cells[:i] + (r.term,) + e.cells[i + 1 :]
-                return Stepped(replace(e, cells=cells), r.rule)
-            return r
-        dims = _concrete_tag(e.shape)
-        atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
-        return Stepped(EArray(dims, atoms), "collapse")
-
-    if isinstance(e, EApp):
-        if not is_evalue(e.fn):
-            r = erased_step(e.fn)
-            if isinstance(r, Stepped):
-                return Stepped(replace(e, fn=r.term), r.rule)
-            return r
-        for i, a in enumerate(e.args):
-            if is_evalue(a):
-                continue
-            r = erased_step(a)
-            if isinstance(r, Stepped):
-                args = e.args[:i] + (r.term,) + e.args[i + 1 :]
-                return Stepped(replace(e, args=args), r.rule)
-            return r
-        return _eapply(e)
-
-    if isinstance(e, EIApp):
-        if not is_evalue(e.fn):
-            r = erased_step(e.fn)
-            if isinstance(r, Stepped):
-                return Stepped(replace(e, fn=r.term), r.rule)
-            return r
-        return _eibeta(e)
-
-    if isinstance(e, EUnbox):
-        if not is_evalue(e.box):
-            r = erased_step(e.box)
-            if isinstance(r, Stepped):
-                return Stepped(replace(e, box=r.term), r.rule)
-            return r
-        return _eunbox(e)
-
-    raise TypeError(e)
+            if t is not EApp:
+                r = _eibeta(e) if t is EIApp else _eunbox(e)
+                break
+            for i, a in enumerate(e.args):
+                if a.__class__ is not EArray or not (plain(map(type, a.atoms)) or is_evalue(a)):
+                    path.append((e, "args", i))
+                    e = a
+                    break
+            else:
+                r = _eapply(e)
+                break
+        elif t is EArray:
+            for i, a in enumerate(e.atoms):
+                if a.__class__ in _EVALUE_ATOMS or is_evalue_atom(a):
+                    continue
+                if a.__class__ is not EBox:
+                    return Stuck("internal", detail="non-value atom that is not a box")
+                path.append((e, "atoms", i))
+                e = a.payload
+                break
+            else:
+                return AlreadyValue()
+        elif t is EVar:
+            return Stuck("internal", detail=f"free variable {e.name}")
+        else:
+            raise TypeError(e)
+    if r.__class__ is not Stepped:
+        return r
+    term = r.term
+    for e, f, i in reversed(path):
+        if i is not None:
+            kids = getattr(e, f)
+            if f == "atoms":
+                term = copier(EBox, "payload")(kids[i], term)
+            term = (term,) if len(kids) == 1 else kids[:i] + (term,) + kids[i + 1 :]
+        term = copier(e.__class__, f)(e, term)
+    return Stepped(term, r.rule)
 
 
 def _esplit_cells(atoms: list, cell_size: int, n_cells: int) -> list[list]:

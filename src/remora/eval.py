@@ -69,6 +69,7 @@ from .syntax import (
     Unbox,
     node,
     Var,
+    copier,
     replace,
     shape_of_dims,
 )
@@ -104,6 +105,10 @@ class Stuck:
 StepResult = Union[Stepped, AlreadyValue, Stuck]
 
 _VALUE = AlreadyValue()
+
+
+# The atoms that are values as they are; a box is one when its payload is.
+_VALUE_ATOMS = frozenset((BaseVal, PrimOp, Lam, TLam, ILam))
 
 
 def is_value_atom(a: AtomTerm) -> bool:
@@ -175,71 +180,71 @@ def _concrete(shape_idx) -> tuple[int, ...]:
 
 
 def step(e: ExprTerm) -> StepResult:
-    """One reduction step of a closed, elaborated expression."""
-    if isinstance(e, Var):
-        return Stuck("internal", detail=f"free variable {e.name}")
+    """One reduction step of a closed, elaborated expression.
 
-    if isinstance(e, ArrayLit):
-        for i, a in enumerate(e.atoms):
-            if is_value_atom(a):
+    The redex is searched for from the root, as the module docstring says,
+    and the spine above it is rebuilt with one copy per level: a loop that
+    records the path, so a deep spine needs no Python recursion."""
+    path = []  # (node, field, position in its tuple or None), root first
+    # `is_value` without a call for the children it decides by class alone.
+    plain = _VALUE_ATOMS.issuperset
+    while True:
+        t = e.__class__
+        if t is Frame:
+            for i, c in enumerate(e.cells):
+                if c.__class__ is not ArrayLit or not (plain(map(type, c.atoms)) or is_value(c)):
+                    path.append((e, "cells", i))
+                    e = c
+                    break
+            else:
+                r = _collapse(e)
+                break
+        elif t is App or t is TApp or t is IApp or t is Unbox:
+            f = "box" if t is Unbox else "fn"
+            head = getattr(e, f)
+            if head.__class__ is not ArrayLit or not (plain(map(type, head.atoms)) or is_value(head)):
+                path.append((e, f, None))
+                e = head
                 continue
-            if not isinstance(a, Box):
-                return Stuck("internal", detail="non-value atom that is not a box")
-            r = step(a.payload)
-            if isinstance(r, Stepped):
-                new_atom = replace(a, payload=r.term)
-                atoms = e.atoms[:i] + (new_atom,) + e.atoms[i + 1 :]
-                return Stepped(replace(e, atoms=atoms), r.rule)
-            return r
-        return _VALUE
-
-    if isinstance(e, Frame):
-        for i, c in enumerate(e.cells):
-            if is_value(c):
-                continue
-            r = step(c)
-            if isinstance(r, Stepped):
-                cells = e.cells[:i] + (r.term,) + e.cells[i + 1 :]
-                return Stepped(replace(e, cells=cells), r.rule)
-            return r
-        return _collapse(e)
-
-    if isinstance(e, (EmptyArray, EmptyFrame)):
-        return Stuck("internal", detail="empty forms must be elaborated away")
-
-    if isinstance(e, App):
-        if not is_value(e.fn):
-            r = step(e.fn)
-            if isinstance(r, Stepped):
-                return Stepped(replace(e, fn=r.term), r.rule)
-            return r
-        for i, a in enumerate(e.args):
-            if is_value(a):
-                continue
-            r = step(a)
-            if isinstance(r, Stepped):
-                args = e.args[:i] + (r.term,) + e.args[i + 1 :]
-                return Stepped(replace(e, args=args), r.rule)
-            return r
-        return _apply(e)
-
-    if isinstance(e, (TApp, IApp)):
-        if not is_value(e.fn):
-            r = step(e.fn)
-            if isinstance(r, Stepped):
-                return Stepped(replace(e, fn=r.term), r.rule)
-            return r
-        return _CONTRACT[type(e)](e)
-
-    if isinstance(e, Unbox):
-        if not is_value(e.box):
-            r = step(e.box)
-            if isinstance(r, Stepped):
-                return Stepped(replace(e, box=r.term), r.rule)
-            return r
-        return _unbox(e)
-
-    raise TypeError(e)
+            if t is not App:
+                r = _CONTRACT[t](e)
+                break
+            for i, a in enumerate(e.args):
+                if a.__class__ is not ArrayLit or not (plain(map(type, a.atoms)) or is_value(a)):
+                    path.append((e, "args", i))
+                    e = a
+                    break
+            else:
+                r = _apply(e)
+                break
+        elif t is ArrayLit:
+            for i, a in enumerate(e.atoms):
+                if a.__class__ in _VALUE_ATOMS or is_value_atom(a):
+                    continue
+                if a.__class__ is not Box:
+                    return Stuck("internal", detail="non-value atom that is not a box")
+                path.append((e, "atoms", i))
+                e = a.payload
+                break
+            else:
+                return _VALUE
+        elif t is Var:
+            return Stuck("internal", detail=f"free variable {e.name}")
+        elif t is EmptyArray or t is EmptyFrame:
+            return Stuck("internal", detail="empty forms must be elaborated away")
+        else:
+            raise TypeError(e)
+    if r.__class__ is not Stepped:
+        return r
+    term = r.term
+    for e, f, i in reversed(path):
+        if i is not None:
+            kids = getattr(e, f)
+            if f == "atoms":
+                term = copier(Box, "payload")(kids[i], term)
+            term = (term,) if len(kids) == 1 else kids[:i] + (term,) + kids[i + 1 :]
+        term = copier(e.__class__, f)(e, term)
+    return Stepped(term, r.rule)
 
 
 def _collapse(e: Frame) -> StepResult:
@@ -512,13 +517,13 @@ def _put(h: _Hole, v) -> None:
     if i == -1:
         field = _HEAD[t]
         if v is not getattr(node, field):
-            h.node = replace(node, **{field: v})
+            h.node = copier(t, field)(node, v)
         return
     kids = getattr(node, _KIDS[t])
     if t in _BOX:
         if v is kids[i].payload:
             return
-        v = replace(kids[i], payload=v)
+        v = copier(_BOX[t], "payload")(kids[i], v)
     elif v is kids[i]:
         return
     if h.kids is None:
@@ -530,18 +535,20 @@ def _leave(h: _Hole):
     """The node of `h` with its evaluated children, as the scan leaves it."""
     if h.kids is None:
         return h.node
-    return replace(h.node, **{_KIDS[type(h.node)]: tuple(h.kids)})
+    node = h.node
+    return copier(type(node), _KIDS[type(node)])(node, tuple(h.kids))
 
 
 def _fill(h: _Hole, t):
     """The node of `h` with `t` in its hole; `h` is left as it is."""
     node, i = h.node, h.i
+    cls = type(node)
     if i == -1:
-        return replace(node, **{_HEAD[type(node)]: t})
-    field = _KIDS[type(node)]
+        return copier(cls, _HEAD[cls])(node, t)
+    field = _KIDS[cls]
     kids = list(getattr(node, field) if h.kids is None else h.kids)
-    kids[i] = replace(kids[i], payload=t) if type(node) in _BOX else t
-    return replace(node, **{field: tuple(kids)})
+    kids[i] = copier(_BOX[cls], "payload")(kids[i], t) if cls in _BOX else t
+    return copier(cls, field)(node, tuple(kids))
 
 
 def _plug(stack: list[_Hole], t):

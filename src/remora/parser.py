@@ -135,31 +135,41 @@ def _tokenize(text: str, filename: str) -> list[tuple[str, SourceLocation]]:
 
 
 def _read(tokens: list[tuple[str, SourceLocation]], filename: str) -> SExpr:
-    pos = 0
+    reader = _Reader(tokens)
+    result = reader.one()
+    if reader.pos != len(tokens):
+        raise ParseError("trailing content after expression", tokens[reader.pos][1])
+    return result
 
-    def read_one() -> SExpr:
-        nonlocal pos
-        if pos >= len(tokens):
+
+class _Reader:
+    """Reads s-expressions off a token list, one Python frame per nesting
+    level. (A class, not a closure: a recursive closure is a reference cycle,
+    and one per call keeps the collector busy.)"""
+
+    __slots__ = ("tokens", "pos")
+
+    def __init__(self, tokens: list[tuple[str, SourceLocation]]) -> None:
+        self.tokens, self.pos = tokens, 0
+
+    def one(self) -> SExpr:
+        tokens = self.tokens
+        if self.pos >= len(tokens):
             raise ParseError("unexpected end of input (unbalanced parens?)")
-        tok, loc = tokens[pos]
-        pos += 1
+        tok, loc = tokens[self.pos]
+        self.pos += 1
         if tok == "(":
             items = []
             while True:
-                if pos >= len(tokens):
+                if self.pos >= len(tokens):
                     raise ParseError("unbalanced parentheses", loc)
-                if tokens[pos][0] == ")":
-                    pos += 1
+                if tokens[self.pos][0] == ")":
+                    self.pos += 1
                     return SList(tuple(items), loc=loc)
-                items.append(read_one())
+                items.append(self.one())
         if tok == ")":
             raise ParseError("unexpected ')'", loc)
         return SAtom(tok, loc=loc)
-
-    result = read_one()
-    if pos != len(tokens):
-        raise ParseError("trailing content after expression", tokens[pos][1])
-    return result
 
 
 def _split_annotation(items: tuple[SExpr, ...]) -> tuple[tuple[SExpr, ...], Optional[SExpr]]:

@@ -101,12 +101,26 @@ def _dims(dims: tuple[int, ...]) -> str:
 
 
 def print_term(t: Term, annotations: bool = False, canonical: bool = False) -> str:
-    def ann(node, body: str, force: bool = False) -> str:
-        if node.annot is not None and (annotations or force):
-            return f"{body} : {print_type(node.annot, canonical)}"
+    return _TermPrinter(annotations, canonical).go(t)
+
+
+class _TermPrinter:
+    """One Python frame per nesting level. (A class, not a closure: a
+    recursive closure is a reference cycle, and one per call keeps the
+    collector busy.)"""
+
+    __slots__ = ("annotations", "canonical")
+
+    def __init__(self, annotations: bool, canonical: bool) -> None:
+        self.annotations, self.canonical = annotations, canonical
+
+    def ann(self, node, body: str, force: bool = False) -> str:
+        if node.annot is not None and (self.annotations or force):
+            return f"{body} : {print_type(node.annot, self.canonical)}"
         return body
 
-    def go(t: Term) -> str:
+    def go(self, t: Term) -> str:
+        canonical = self.canonical
         if isinstance(t, BaseVal):
             if t.base == "Num":
                 return print_num(t.value)  # type: ignore[arg-type]
@@ -120,42 +134,40 @@ def print_term(t: Term, annotations: bool = False, canonical: bool = False) -> s
             return t.name
         if isinstance(t, Lam):
             params = " ".join(f"({x} {print_type(ty, canonical)})" for x, ty in t.params)
-            return "(" + ann(t, f"lam ({params}) {go(t.body)}") + ")"
+            return "(" + self.ann(t, f"lam ({params}) {self.go(t.body)}") + ")"
         if isinstance(t, TLam):
-            return "(" + ann(t, f"tlam {_binders(t.binders, str)} {go(t.body)}") + ")"
+            return "(" + self.ann(t, f"tlam {_binders(t.binders, str)} {self.go(t.body)}") + ")"
         if isinstance(t, ILam):
-            return "(" + ann(t, f"ilam {_binders(t.binders, str)} {go(t.body)}") + ")"
+            return "(" + self.ann(t, f"ilam {_binders(t.binders, str)} {self.go(t.body)}") + ")"
         if isinstance(t, Box):
             idxs = " ".join(print_index(i, canonical) for i in t.indices)
             idxs = idxs + " " if idxs else ""
-            return "(" + ann(t, f"box {idxs}{go(t.payload)} {print_type(t.box_type, canonical)}") + ")"
+            return "(" + self.ann(t, f"box {idxs}{self.go(t.payload)} {print_type(t.box_type, canonical)}") + ")"
         if isinstance(t, ArrayLit):
-            parts = " ".join(go(a) for a in t.atoms)
+            parts = " ".join(self.go(a) for a in t.atoms)
             body = f"array {_dims(t.dims)}" + (f" {parts}" if parts else "")
-            return "(" + ann(t, body, force=not t.atoms) + ")"
+            return "(" + self.ann(t, body, force=not t.atoms) + ")"
         if isinstance(t, Frame):
-            parts = " ".join(go(c) for c in t.cells)
+            parts = " ".join(self.go(c) for c in t.cells)
             body = f"frame {_dims(t.dims)}" + (f" {parts}" if parts else "")
-            return "(" + ann(t, body, force=not t.cells) + ")"
+            return "(" + self.ann(t, body, force=not t.cells) + ")"
         if isinstance(t, EmptyArray):
-            return "(" + ann(t, f"empty-array {print_type(t.elem_type, canonical)} {_dims(t.dims)}") + ")"
+            return "(" + self.ann(t, f"empty-array {print_type(t.elem_type, canonical)} {_dims(t.dims)}") + ")"
         if isinstance(t, EmptyFrame):
-            return "(" + ann(t, f"empty-frame {print_type(t.cell_type, canonical)} {_dims(t.dims)}") + ")"
+            return "(" + self.ann(t, f"empty-frame {print_type(t.cell_type, canonical)} {_dims(t.dims)}") + ")"
         if isinstance(t, App):
-            parts = " ".join(go(a) for a in t.args)
-            body = go(t.fn) + (f" {parts}" if parts else "")
-            return "(" + ann(t, body) + ")"
+            parts = " ".join(self.go(a) for a in t.args)
+            body = self.go(t.fn) + (f" {parts}" if parts else "")
+            return "(" + self.ann(t, body) + ")"
         if isinstance(t, TApp):
             parts = " ".join(print_type(x, canonical) for x in t.type_args)
-            body = f"t-app {go(t.fn)}" + (f" {parts}" if parts else "")
-            return "(" + ann(t, body) + ")"
+            body = f"t-app {self.go(t.fn)}" + (f" {parts}" if parts else "")
+            return "(" + self.ann(t, body) + ")"
         if isinstance(t, IApp):
             parts = " ".join(print_index(i, canonical) for i in t.idx_args)
-            body = f"i-app {go(t.fn)}" + (f" {parts}" if parts else "")
-            return "(" + ann(t, body) + ")"
+            body = f"i-app {self.go(t.fn)}" + (f" {parts}" if parts else "")
+            return "(" + self.ann(t, body) + ")"
         if isinstance(t, Unbox):
             names = " ".join(t.idx_vars + (t.val_var,))
-            return "(" + ann(t, f"unbox ({names} {go(t.box)}) {go(t.body)}") + ")"
+            return "(" + self.ann(t, f"unbox ({names} {self.go(t.box)}) {self.go(t.body)}") + ")"
         raise TypeError(t)
-
-    return go(t)

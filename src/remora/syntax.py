@@ -3,9 +3,10 @@ term language (atoms and array expressions), and the erased terms that type
 erasure produces.
 
 All nodes are immutable slotted classes built by `node` (`replace` copies
-one). Typed term nodes carry an optional type annotation slot (``annot``)
-which elaboration fills in on every node, and a source location that never
-participates in equality.
+one, and `copier` gives the copy that changes one given field). Typed term
+nodes carry an optional type annotation slot (``annot``) which elaboration
+fills in on every node, and a source location that never participates in
+equality.
 
 A class body declares each field once, with its type and, as its default,
 its role for the binding machinery of `names` (see there): for example
@@ -108,7 +109,8 @@ def node(cls):
         return hash((get(self),) if single else get(self))
 
     methods = {"__init__": ns.get("__init__", __init__), "_init": __init__, "__eq__": __eq__, "__hash__": __hash__}
-    new = type(cls.__name__, (Node,), {**ns, **methods, "__slots__": fields, "_fields": fields, "_roles": roles})
+    attrs = {"__slots__": fields, "_fields": fields, "_roles": roles, "_copiers": {}}
+    new = type(cls.__name__, (Node,), {**ns, **methods, **attrs})
     puts = new._puts = tuple(vars(new)[f].__set__ for f in fields)
     return new
 
@@ -136,15 +138,91 @@ class Node:
             put(self, v)
 
 
+_new = object.__new__  # every copy of a node is made by this
+
+
 def replace(node, **changes):
     """A copy of `node` with the given fields changed."""
+    if len(changes) == 1:
+        [(f, v)] = changes.items()
+        return copier(node.__class__, f)(node, v)
     cls = node.__class__
-    new = object.__new__(cls)
+    new = _new(cls)
     for f, put in zip(cls._fields, cls._puts):
         put(new, changes.pop(f) if f in changes else getattr(node, f))
     if changes:
         raise TypeError(f"{cls.__name__} has no field {', '.join(changes)}")
     return new
+
+
+def copier(cls, field):
+    """The function (node, v) that copies a node of class `cls` with `field`
+    set to v: `replace` for one field, without its loop. Built on first use
+    and kept in the class."""
+    copy = cls._copiers.get(field)
+    if copy is None:
+        if field not in cls._fields:
+            raise TypeError(f"{cls.__name__} has no field {field}")
+        copy = cls._copiers[field] = _copier(cls, field)
+    return copy
+
+
+def _copier(cls, field):
+    # A closure over the slot setters, unrolled for up to three other fields
+    # (all but Box and the unboxes).
+    put = cls._puts[cls._fields.index(field)]
+    others = [f for f in cls._fields if f != field]
+    puts = tuple(p for f, p in zip(cls._fields, cls._puts) if f != field)
+    get = attrgetter(*others) if others else None
+    if len(others) > 3:
+
+        def copy(node, v):
+            new = _new(cls)
+            for p, x in zip(puts, get(node)):
+                p(new, x)
+            put(new, v)
+            return new
+
+    elif len(others) == 3:
+        p0, p1, p2 = puts
+
+        def copy(node, v):
+            new = _new(cls)
+            x0, x1, x2 = get(node)
+            p0(new, x0)
+            p1(new, x1)
+            p2(new, x2)
+            put(new, v)
+            return new
+
+    elif len(others) == 2:
+        p0, p1 = puts
+
+        def copy(node, v):
+            new = _new(cls)
+            x0, x1 = get(node)
+            p0(new, x0)
+            p1(new, x1)
+            put(new, v)
+            return new
+
+    elif others:
+        [p0] = puts
+
+        def copy(node, v):
+            new = _new(cls)
+            p0(new, get(node))
+            put(new, v)
+            return new
+
+    else:
+
+        def copy(node, v):
+            new = _new(cls)
+            put(new, v)
+            return new
+
+    return copy
 
 
 @node

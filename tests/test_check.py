@@ -12,6 +12,7 @@ import threading
 import pytest
 
 import remora.check
+import remora.syntax
 from remora.check import (
     EMPTY_ENV,
     ErrorKind,
@@ -22,7 +23,7 @@ from remora.check import (
     sort_of,
     types_equal,
 )
-from remora.eval import Stepped, step
+from remora.eval import Machine, Stepped, step
 from remora.gen import generate_programs
 from remora.names import (
     MANY,
@@ -663,3 +664,48 @@ class TestElaborationCost:
         small = self.rules_per_step(monkeypatch, family, 100)
         large = self.rules_per_step(monkeypatch, family, n)
         assert large <= 1.5 * small, (large, small)
+
+
+class TestCopyCost:
+    """The preservation loop copies O(1) nodes per level of the redex path:
+    `step` rebuilds the spine above the redex once, and `elaborate` walks it
+    back up once. Every copy of a node is made by `syntax._new`; the copies
+    of `step` plus `elaborate`, summed over a run and divided by the levels
+    of the redex paths, for a larger member of a family against its n=100
+    member."""
+
+    @staticmethod
+    def copies_per_level(monkeypatch, family: str, n: int) -> float:
+        cur = check_src(family_source(family, n))[0]
+        elaborate(EMPTY_ENV, SIGNATURE, cur)
+        made, real = [0], remora.syntax._new
+
+        def counted(cls):
+            made[0] += 1
+            return real(cls)
+
+        monkeypatch.setattr(remora.syntax, "_new", counted)
+        copies = levels = 0
+        try:
+            while True:
+                m = Machine(cur)
+                if m.refocus() is not None:
+                    break
+                levels += len(m.stack)
+                before = made[0]
+                r = step(cur)
+                assert type(r) is Stepped
+                cur = r.term
+                elaborate(EMPTY_ENV, SIGNATURE, cur)
+                copies += made[0] - before
+        finally:
+            monkeypatch.undo()
+        return copies / levels
+
+    @pytest.mark.parametrize("family, n", [("reduce", 300), ("frame", 400)])
+    def test_copies_per_level_are_flat(self, monkeypatch, family, n):
+        small = self.copies_per_level(monkeypatch, family, 100)
+        large = self.copies_per_level(monkeypatch, family, n)
+        # Each half copies a level once; the contraction's own copies are
+        # O(1) per step. Three per level would be a level copied twice.
+        assert large <= small < 3, (large, small)

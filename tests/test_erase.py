@@ -20,6 +20,7 @@ from remora.erase import (
     EILam,
     ELam,
     EVar,
+    ErasedMachine,
     LockstepComparer,
     bisim_run,
     erase_term,
@@ -57,6 +58,7 @@ from .util import (
     ORACLE_GROUPS,
     PROGRAMS_DIR,
     TWO_LAMS_SOURCE,
+    assert_same_steps,
     atom_in_surviving_lam,
     change_atom,
     check_src,
@@ -72,6 +74,7 @@ from .util import (
     plant_divergence,
     random_erased_expr,
     random_erased_tag,
+    recursive_erased_step,
     reduce_source,
     reference_bisim,
     reference_erased_alpha_equal,
@@ -82,6 +85,7 @@ from .util import (
     reshape_tag,
     respell_tag,
     rewrite_at,
+    steps_to_reduce_delta,
     swap_params,
     value_left_of_hole,
 )
@@ -336,6 +340,26 @@ class TestRefocusedErasedMachine:
     def test_deep_context_evaluates(self):
         r = erased_evaluate(erase_term(elab(reduce_source(10_000))))
         assert r.outcome == "value" and print_erased(r.term) == "(array () 49995000)"
+
+
+class TestErasedSpecLoop:
+    """`erased_step` searches from the root in a loop and rebuilds the spine
+    once. The recursive spec it replaced is its oracle at every step."""
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_matches_recursive_erased_step(self, group):
+        for term in oracle_programs(group):
+            assert_same_steps(erase_term(term), erased_step, recursive_erased_step)
+
+    def test_deep_spine_needs_no_recursion(self):
+        # Erasing the deep state would recurse, so the erased machine, run
+        # from the erasure of the shallow program, reaches it.
+        e = erase_term(elab(reduce_source(3000)))
+        m = ErasedMachine(e)
+        state = erased_evaluate(e, fuel=steps_to_reduce_delta(m)).term
+        assert m.refocus() is None
+        r = erased_step(state)
+        assert type(r) is Stepped and r.rule == m.contract().rule
 
 
 RESHAPE = "(t-app (i-app (array () reshape) 2 (Shp 0)) Num)"

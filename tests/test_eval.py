@@ -14,6 +14,7 @@ from remora.eval import (
     AlreadyValue,
     EvalResult,
     IndivisibleLength,
+    Machine,
     RaggedInput,
     Stepped,
     Stuck,
@@ -33,7 +34,14 @@ from remora.printer import print_term
 from remora.prims import SIGNATURE
 from remora.syntax import App, ArrayLit, Frame
 
-from .util import ORACLE_GROUPS, oracle_programs, reduce_source
+from .util import (
+    ORACLE_GROUPS,
+    assert_same_steps,
+    oracle_programs,
+    recursive_step,
+    reduce_source,
+    steps_to_reduce_delta,
+)
 
 
 class TestMetafunctions:
@@ -321,6 +329,26 @@ class TestRefocusedMachine:
         t, _ = elab(reduce_source(10_000))
         r = evaluate(t)
         assert r.outcome == "value" and print_term(r.term) == "(array () 49995000)"
+
+
+class TestSpecLoop:
+    """`step` searches from the root in a loop and rebuilds the spine once.
+    The recursive spec it replaced is its oracle at every step."""
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_matches_recursive_step(self, group):
+        for term in oracle_programs(group):
+            assert_same_steps(term, step, recursive_step)
+
+    def test_deep_spine_needs_no_recursion(self):
+        # Right after the `reduce` delta the redex is at the bottom of an App
+        # chain 3000 deep: deeper than a recursive spec can descend.
+        t, _ = elab(reduce_source(3000))
+        m = Machine(t)
+        state = evaluate(t, fuel=steps_to_reduce_delta(m)).term
+        assert m.refocus() is None
+        r = step(state)
+        assert type(r) is Stepped and r.rule == m.contract().rule
 
 
 class TestDynamicInvariants:

@@ -1,12 +1,17 @@
 """Concrete grammar, printing, and canonical renaming."""
 
 import copy
+import gc
 import pickle
 import random
 import typing
 
 import pytest
 
+import remora.check
+import remora.eval
+import remora.indices
+import remora.parser
 from remora import names, syntax
 from remora.check import EMPTY_ENV, elaborate
 from remora.gen import GenConfig, generate_programs
@@ -26,7 +31,9 @@ from remora.names import (
 from remora.parser import ParseError, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import App, ArrayLit, EmptyArray, Frame, Lam, NUM, Var, num, replace, scalar_of
+from remora.syntax import App, ArrayLit, EmptyArray, Frame, Lam, NUM, Var, copier, num, replace, scalar_of
+
+from .util import PROGRAMS_DIR
 
 
 class TestParse:
@@ -118,6 +125,22 @@ class TestRoundTrip:
         for path in corpus:
             t = parse_term(path.read_text(), str(path))
             assert parse_term(print_term(t)) == t
+
+    def test_parse_and_print_leave_no_garbage(self):
+        # Neither walks with a recursive closure: each would be a reference
+        # cycle per call, for the collector to find.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for path in sorted(PROGRAMS_DIR.glob("*.remora")):
+                t = parse_term(path.read_text(), str(path))
+                print_term(t)
+                print_term(t, annotations=True, canonical=True)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_empty_frame_prints_annotation(self):
         from remora.check import EMPTY_ENV, elaborate
@@ -458,6 +481,40 @@ class TestNodeContract:
         for kw in missing:
             with pytest.raises(TypeError):
                 cls(*positional, **{kw: NUM})
+
+
+# Every class `node` built, in every module that builds one.
+NODE_CLASSES = sorted(syntax.Node.__subclasses__(), key=lambda c: (c.__module__, c.__name__))
+
+
+def test_node_classes_include_those_outside_the_schema():
+    named = {c.__name__ for c in NODE_CLASSES}
+    assert {"Stuck", "SourceLocation", "SAtom", "SList", "Env", "CanonicalShape"} <= named
+    assert set(names.SCHEMA) < set(NODE_CLASSES)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: f"{c.__module__}.{c.__name__}")
+def test_one_field_copy(cls):
+    """`replace` of one field, which goes through `copier`: the same class,
+    the new value in that field and every other field the same object; an
+    unknown field raises; the copy still round-trips through copy and
+    pickle."""
+    node = _sample(cls)
+    before = [getattr(node, f) for f in cls._fields]
+    for f in cls._fields:
+        new = ("new", f)
+        changed = replace(node, **{f: new})
+        assert type(changed) is cls and getattr(changed, f) is new
+        assert all(getattr(changed, g) is getattr(node, g) for g in cls._fields if g != f)
+        assert copier(cls, f) is copier(cls, f)
+        values = [getattr(changed, g) for g in cls._fields]
+        for copied in (copy.copy(changed), copy.deepcopy(changed), pickle.loads(pickle.dumps(changed))):
+            assert type(copied) is cls and [getattr(copied, g) for g in cls._fields] == values
+    assert all(a is getattr(node, f) for a, f in zip(before, cls._fields))
+    with pytest.raises(TypeError):
+        replace(node, no_such_field=1)
+    with pytest.raises(TypeError):
+        copier(cls, "no_such_field")
 
 
 def test_repr_matches_the_former_dataclass_output():

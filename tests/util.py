@@ -1,7 +1,8 @@
 """Shared test helpers: independent evaluators for index expressions (the
 brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the inputs of the machine oracle tests, the
-whole-term reference comparison of erased terms, the hand-written reference
+recursive specs that the looping ones are checked against, the whole-term
+reference comparison of erased terms, the hand-written reference
 substitution on erased terms with random erased terms to run it on, the
 whole-state reference lockstep check, and one-site rewrites of erased terms
 with a way to plant one in the erased machine."""
@@ -12,8 +13,11 @@ import functools
 import itertools
 import pathlib
 import random
+import sys
+from typing import Union
 
 import remora.erase
+import remora.names
 from remora.check import EMPTY_ENV, elaborate
 from remora.erase import (
     BisimReport,
@@ -27,36 +31,71 @@ from remora.erase import (
     ELam,
     EOp,
     EUnbox,
+    EAtom,
+    EExpr,
     EVar,
     LockstepComparer,
+    _concrete_tag,
+    _eapply,
+    _eibeta,
+    _eunbox,
     erased_step,
     erased_subterm,
     esubst_idx,
 )
-from remora.eval import AlreadyValue, Stepped, Stuck, evaluate, step as typed_step
+from remora.eval import (
+    _CONTRACT,
+    _VALUE,
+    AlreadyValue,
+    Stepped,
+    StepResult,
+    Stuck,
+    _apply,
+    _collapse,
+    _unbox,
+    evaluate,
+    step as typed_step,
+)
 from remora.gen import GenConfig, generate_programs
 from remora.indices import CanonicalDim, CanonicalShape, DimC, normalize_index, normalize_tag
 from remora.names import base_name, free_idx_in_idx, subst_idx
 from remora.parser import parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
+    App,
+    ArrayLit,
     ArrType,
+    AtomTerm,
+    BaseVal,
     BOOL,
+    Box,
+    EmptyArray,
+    EmptyFrame,
+    ExprTerm,
     ForallType,
+    Frame,
     FunType,
     IdxAppend,
+    IApp,
     IdxVar,
+    ILam,
     IndexExpr,
     Kind,
+    Lam,
     NatLit,
     NUM,
     PiType,
     Plus,
+    PrimOp,
     ShapeLit,
     SigmaType,
     Sort,
+    TApp,
+    TLam,
     TypeExpr,
     TyVar,
+    Unbox,
+    Var,
     replace,
 )
 
@@ -234,6 +273,208 @@ def oracle_programs(group: str) -> tuple:
         paths = sorted(PROGRAMS_DIR.glob("*.remora"))
         return tuple(check_src(p.read_text(encoding="utf-8"))[0] for p in paths)
     return (check_src(family_source(*_FAMILY_GROUPS[group]))[0],)
+
+
+# ---------------------------------------------------------------------------
+# The specs as they were written first, recursing once per level of the
+# spine: the oracle of the loops that replaced them (`eval.step` and
+# `erase.erased_step`), which must give the same result at every step.
+
+def recursive_is_value_atom(a: AtomTerm) -> bool:
+    if isinstance(a, (BaseVal, PrimOp, Lam, TLam, ILam)):
+        return True
+    if isinstance(a, Box):
+        return recursive_is_value(a.payload)
+    return False
+
+
+def recursive_is_value(e: ExprTerm) -> bool:
+    return isinstance(e, ArrayLit) and all(recursive_is_value_atom(a) for a in e.atoms)
+
+
+def recursive_step(e: ExprTerm) -> StepResult:
+    """One reduction step of a closed, elaborated expression."""
+    if isinstance(e, Var):
+        return Stuck("internal", detail=f"free variable {e.name}")
+
+    if isinstance(e, ArrayLit):
+        for i, a in enumerate(e.atoms):
+            if recursive_is_value_atom(a):
+                continue
+            if not isinstance(a, Box):
+                return Stuck("internal", detail="non-value atom that is not a box")
+            r = recursive_step(a.payload)
+            if isinstance(r, Stepped):
+                new_atom = replace(a, payload=r.term)
+                atoms = e.atoms[:i] + (new_atom,) + e.atoms[i + 1 :]
+                return Stepped(replace(e, atoms=atoms), r.rule)
+            return r
+        return _VALUE
+
+    if isinstance(e, Frame):
+        for i, c in enumerate(e.cells):
+            if recursive_is_value(c):
+                continue
+            r = recursive_step(c)
+            if isinstance(r, Stepped):
+                cells = e.cells[:i] + (r.term,) + e.cells[i + 1 :]
+                return Stepped(replace(e, cells=cells), r.rule)
+            return r
+        return _collapse(e)
+
+    if isinstance(e, (EmptyArray, EmptyFrame)):
+        return Stuck("internal", detail="empty forms must be elaborated away")
+
+    if isinstance(e, App):
+        if not recursive_is_value(e.fn):
+            r = recursive_step(e.fn)
+            if isinstance(r, Stepped):
+                return Stepped(replace(e, fn=r.term), r.rule)
+            return r
+        for i, a in enumerate(e.args):
+            if recursive_is_value(a):
+                continue
+            r = recursive_step(a)
+            if isinstance(r, Stepped):
+                args = e.args[:i] + (r.term,) + e.args[i + 1 :]
+                return Stepped(replace(e, args=args), r.rule)
+            return r
+        return _apply(e)
+
+    if isinstance(e, (TApp, IApp)):
+        if not recursive_is_value(e.fn):
+            r = recursive_step(e.fn)
+            if isinstance(r, Stepped):
+                return Stepped(replace(e, fn=r.term), r.rule)
+            return r
+        return _CONTRACT[type(e)](e)
+
+    if isinstance(e, Unbox):
+        if not recursive_is_value(e.box):
+            r = recursive_step(e.box)
+            if isinstance(r, Stepped):
+                return Stepped(replace(e, box=r.term), r.rule)
+            return r
+        return _unbox(e)
+
+    raise TypeError(e)
+
+
+def recursive_is_evalue_atom(a: EAtom) -> bool:
+    if isinstance(a, (EBase, EOp, ELam, EILam)):
+        return True
+    if isinstance(a, EBox):
+        return recursive_is_evalue(a.payload)
+    return False
+
+
+def recursive_is_evalue(e: EExpr) -> bool:
+    return isinstance(e, EArray) and all(recursive_is_evalue_atom(a) for a in e.atoms)
+
+
+def recursive_erased_step(e: EExpr) -> Union[Stepped, AlreadyValue, Stuck]:
+    if isinstance(e, EVar):
+        return Stuck("internal", detail=f"free variable {e.name}")
+
+    if isinstance(e, EArray):
+        for i, a in enumerate(e.atoms):
+            if recursive_is_evalue_atom(a):
+                continue
+            if not isinstance(a, EBox):
+                return Stuck("internal", detail="non-value atom that is not a box")
+            r = recursive_erased_step(a.payload)
+            if isinstance(r, Stepped):
+                atoms = e.atoms[:i] + (replace(a, payload=r.term),) + e.atoms[i + 1 :]
+                return Stepped(replace(e, atoms=atoms), r.rule)
+            return r
+        return AlreadyValue()
+
+    if isinstance(e, EFrame):
+        for i, c in enumerate(e.cells):
+            if recursive_is_evalue(c):
+                continue
+            r = recursive_erased_step(c)
+            if isinstance(r, Stepped):
+                cells = e.cells[:i] + (r.term,) + e.cells[i + 1 :]
+                return Stepped(replace(e, cells=cells), r.rule)
+            return r
+        dims = _concrete_tag(e.shape)
+        atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
+        return Stepped(EArray(dims, atoms), "collapse")
+
+    if isinstance(e, EApp):
+        if not recursive_is_evalue(e.fn):
+            r = recursive_erased_step(e.fn)
+            if isinstance(r, Stepped):
+                return Stepped(replace(e, fn=r.term), r.rule)
+            return r
+        for i, a in enumerate(e.args):
+            if recursive_is_evalue(a):
+                continue
+            r = recursive_erased_step(a)
+            if isinstance(r, Stepped):
+                args = e.args[:i] + (r.term,) + e.args[i + 1 :]
+                return Stepped(replace(e, args=args), r.rule)
+            return r
+        return _eapply(e)
+
+    if isinstance(e, EIApp):
+        if not recursive_is_evalue(e.fn):
+            r = recursive_erased_step(e.fn)
+            if isinstance(r, Stepped):
+                return Stepped(replace(e, fn=r.term), r.rule)
+            return r
+        return _eibeta(e)
+
+    if isinstance(e, EUnbox):
+        if not recursive_is_evalue(e.box):
+            r = recursive_erased_step(e.box)
+            if isinstance(r, Stepped):
+                return Stepped(replace(e, box=r.term), r.rule)
+            return r
+        return _eunbox(e)
+
+    raise TypeError(e)
+
+
+def steps_to_reduce_delta(machine) -> int:
+    """Step `machine` (typed or erased) until it has fired the delta of the
+    `reduce` operator, which builds an App chain as deep as the vector it
+    folds; the number of steps taken."""
+    k = 0
+    while True:
+        assert machine.refocus() is None
+        redex = machine.focus
+        r = machine.contract()
+        k += 1
+        if r.rule == "delta" and redex.fn.atoms[0].name == "reduce":
+            return k
+
+
+def assert_same_steps(t, spec, reference) -> int:
+    """Step t to the end with `spec`, checking each result against
+    `reference` on the same state: the same class, rule, term (`==`) and
+    stuck fields. Fresh names come from a global counter, so both start each
+    step from the same count. Returns the number of steps."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * limit)  # `==` and the reference recurse per level
+    try:
+        n = 0
+        while True:
+            start = next(remora.names._GENSYM)
+            remora.names._GENSYM = itertools.count(start)
+            want = reference(t)
+            remora.names._GENSYM = itertools.count(start)
+            got = spec(t)
+            assert type(got) is type(want), (n, got, want)
+            if type(got) is not Stepped:
+                if type(got) is Stuck:
+                    assert got == want, (n, got, want)
+                return n
+            assert got.rule == want.rule and got.term == want.term, (n, got.rule, want.rule)
+            t, n = got.term, n + 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
