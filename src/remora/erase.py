@@ -57,6 +57,7 @@ from .eval import (
     Machine,
     Stepped,
     Stuck,
+    _split_cells,
     concat_list,
     rep_list,
     run,
@@ -64,10 +65,10 @@ from .eval import (
     step as typed_step,  # the typed spec, unused here; benchmark tools wrap this name
     transpose_list,
 )
-from .indices import canonicalize_shape, element_count, normalize_tag
+from .indices import concrete_dims, element_count, normalize_tag
 from .names import IDX, TM, free_idx_in_idx, subst, subst_idx, term_children
 from .prims import Misapplied, _shape_entry
-from .printer import print_index, print_num
+from .printer import print_base, print_index
 from .syntax import (
     App,
     ArrayLit,
@@ -246,11 +247,7 @@ _EVALUE_ATOMS = frozenset((EBase, EOp, ELam, EILam))
 
 
 def is_evalue_atom(a: EAtom) -> bool:
-    if isinstance(a, (EBase, EOp, ELam, EILam)):
-        return True
-    if isinstance(a, EBox):
-        return is_evalue(a.payload)
-    return False
+    return a.__class__ in _EVALUE_ATOMS or (a.__class__ is EBox and is_evalue(a.payload))
 
 
 def is_evalue(e: EExpr) -> bool:
@@ -428,10 +425,6 @@ def erased_alpha_equal(a: ETerm, b: ETerm) -> bool:
 # Erased small-step evaluation
 
 
-def _concrete_tag(i: IndexExpr) -> tuple[int, ...]:
-    return canonicalize_shape(i).concrete_dims()
-
-
 def erased_step(e: EExpr) -> Union[Stepped, AlreadyValue, Stuck]:
     """One reduction step of a closed erased expression, searching from the
     root like `eval.step`, and like it a loop that records the path and
@@ -448,9 +441,7 @@ def erased_step(e: EExpr) -> Union[Stepped, AlreadyValue, Stuck]:
                     e = c
                     break
             else:
-                dims = _concrete_tag(e.shape)
-                atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
-                r = Stepped(EArray(dims, atoms), "collapse")
+                r = _ecollapse(e)
                 break
         elif t is EApp or t is EIApp or t is EUnbox:
             f = "box" if t is EUnbox else "fn"
@@ -498,12 +489,6 @@ def erased_step(e: EExpr) -> Union[Stepped, AlreadyValue, Stuck]:
     return Stepped(term, r.rule)
 
 
-def _esplit_cells(atoms: list, cell_size: int, n_cells: int) -> list[list]:
-    if cell_size == 0:
-        return [[] for _ in range(n_cells)]
-    return split_list(cell_size, atoms)
-
-
 def _eapply(e: EApp) -> Union[Stepped, Stuck]:
     fn = e.fn
     assert isinstance(fn, EArray)
@@ -511,7 +496,7 @@ def _eapply(e: EApp) -> Union[Stepped, Stuck]:
     frames = [fn.dims]
     for arg, tag in zip(e.args, e.arg_shapes):
         assert isinstance(arg, EArray)
-        cd = _concrete_tag(tag)
+        cd = concrete_dims(tag)
         k = len(arg.dims) - len(cd)
         if k < 0 or arg.dims[k:] != cd:
             return Stuck("internal", detail="argument shape does not end with its cell tag")
@@ -545,7 +530,7 @@ def _eapply(e: EApp) -> Union[Stepped, Stuck]:
     if principal:
         n_cells = element_count(principal)
         cells_per_arg = [
-            _esplit_cells(list(arg.atoms), element_count(cd), n_cells)  # type: ignore[union-attr]
+            _split_cells(list(arg.atoms), element_count(cd), n_cells)  # type: ignore[union-attr]
             for arg, cd in zip(e.args, cell_dims)
         ]
         grouped = (
@@ -553,7 +538,7 @@ def _eapply(e: EApp) -> Union[Stepped, Stuck]:
             if cells_per_arg
             else [[] for _ in range(n_cells)]
         )
-        out_full = _concrete_tag(e.out_shape)
+        out_full = concrete_dims(e.out_shape)
         cell_out = shape_of_dims(out_full[len(principal) :])
         cells = []
         for j in range(n_cells):
@@ -650,7 +635,7 @@ def _edelta(name, arg_shapes, out_shape, args) -> EExpr:
         return EArray((x.dims[0] + y.dims[0],) + x.dims[1:], x.atoms + y.atoms)
     if name == "reduce":
         f_val, subject = args
-        cell_dims = _concrete_tag(out_shape)
+        cell_dims = concrete_dims(out_shape)
         size = element_count(cell_dims)
         count = subject.dims[0]
         cell_tag = shape_of_dims(cell_dims)
@@ -667,7 +652,7 @@ def _edelta(name, arg_shapes, out_shape, args) -> EExpr:
         payload = EArray((n,), tuple(_e_num(i) for i in range(n)))
         return EArray((), (EBox((NatLit(n),), payload),))
     if name == "iota/s":
-        dims = _concrete_tag(out_shape)
+        dims = concrete_dims(out_shape)
         return EArray(dims, tuple(_e_num(i) for i in range(element_count(dims))))
     if name == "reshape":
         spec_vec, data = args
@@ -702,8 +687,7 @@ def _edelta(name, arg_shapes, out_shape, args) -> EExpr:
 
 
 def _ecollapse(e: EFrame) -> Stepped:
-    # The collapse rule of `erased_step`, which keeps its own copy as the spec.
-    dims = _concrete_tag(e.shape)
+    dims = concrete_dims(e.shape)
     atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
     return Stepped(EArray(dims, atoms), "collapse")
 
@@ -917,11 +901,7 @@ def bisim_run(t: ExprTerm, fuel: int = 10_000, trace: bool = False) -> BisimRepo
 
 def print_erased(t: ETerm) -> str:
     if isinstance(t, EBase):
-        if t.base == "Num":
-            return print_num(t.value)  # type: ignore[arg-type]
-        if t.base == "Bool":
-            return "#t" if t.value else "#f"
-        return "#\\" + str(t.value)
+        return print_base(t.base, t.value)
     if isinstance(t, EOp):
         return t.name
     if isinstance(t, EVar):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .indices import canonicalize_shape, element_count
+from .indices import concrete_dims, element_count
 from .names import (
     subst_idx_in_term,
     subst_idx_in_type,
@@ -112,11 +112,7 @@ _VALUE_ATOMS = frozenset((BaseVal, PrimOp, Lam, TLam, ILam))
 
 
 def is_value_atom(a: AtomTerm) -> bool:
-    if isinstance(a, (BaseVal, PrimOp, Lam, TLam, ILam)):
-        return True
-    if isinstance(a, Box):
-        return is_value(a.payload)
-    return False
+    return a.__class__ in _VALUE_ATOMS or (a.__class__ is Box and is_value(a.payload))
 
 
 def is_value(e: ExprTerm) -> bool:
@@ -173,10 +169,6 @@ def concat_list(xss: list[list]) -> list:
 
 # ---------------------------------------------------------------------------
 # Stepping
-
-
-def _concrete(shape_idx) -> tuple[int, ...]:
-    return canonicalize_shape(shape_idx).concrete_dims()
 
 
 def step(e: ExprTerm) -> StepResult:
@@ -259,7 +251,7 @@ def _collapse(e: Frame) -> StepResult:
     else:
         if e.annot is None or not isinstance(e.annot, ArrType):
             return Stuck("internal", detail="empty frame without an array annotation")
-        full = _concrete(e.annot.shape)
+        full = concrete_dims(e.annot.shape)
         if full[: len(e.dims)] != e.dims:
             return Stuck("internal", detail="frame annotation disagrees with dims")
         cell_dims = full[len(e.dims) :]
@@ -282,7 +274,7 @@ def _app_frames(e: App):
         assert isinstance(arg, ArrayLit)
         if not isinstance(in_t, ArrType):
             raise EvalBug("function input type is not an array type")
-        cell_dims = _concrete(in_t.shape)
+        cell_dims = concrete_dims(in_t.shape)
         k = len(arg.dims) - len(cell_dims)
         if k < 0 or arg.dims[k:] != cell_dims:
             raise EvalBug("argument shape does not end with its cell shape")

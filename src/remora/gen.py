@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .check import types_equal
-from .indices import element_count
+from .indices import concrete_dims, element_count
 from .syntax import (
     App,
     ArrayLit,
@@ -47,9 +47,12 @@ from .syntax import (
 )
 
 
+MAX_DIM, MAX_RANK = 3, 2  # of a generated array type
+
+
 class GenConfig:
-    def __init__(self, max_depth: int = 5, max_dim: int = 3, max_rank: int = 2, stuck_rate: float = 0.0):
-        self.max_depth, self.max_dim, self.max_rank = max_depth, max_dim, max_rank
+    def __init__(self, max_depth: int = 5, stuck_rate: float = 0.0):
+        self.max_depth = max_depth
         self.stuck_rate = stuck_rate  # probability of wrapping in a division by zero
 
 
@@ -65,12 +68,12 @@ class ProgramGen:
 
     # -- shapes and types -----------------------------------------------------
 
-    def dims(self, allow_zero: bool = True, max_rank: int | None = None) -> tuple[int, ...]:
-        rank = self.rng.randint(0, max_rank if max_rank is not None else self.cfg.max_rank)
+    def dims(self, allow_zero: bool = True, max_rank: int = MAX_RANK) -> tuple[int, ...]:
+        rank = self.rng.randint(0, max_rank)
         out = []
         for _ in range(rank):
             lo = 0 if (allow_zero and self.rng.random() < 0.12) else 1
-            out.append(self.rng.randint(lo, self.cfg.max_dim))
+            out.append(self.rng.randint(lo, MAX_DIM))
         return tuple(out)
 
     def base(self) -> BaseType:
@@ -91,7 +94,7 @@ class ProgramGen:
     # -- expressions -----------------------------------------------------------
 
     def expr(self, target: ArrType, scope: list[tuple[str, ArrType]], depth: int) -> ExprTerm:
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         candidates = [self._literal]
         matching = [v for v in scope if types_equal(v[1], target)]
         if matching:
@@ -122,7 +125,7 @@ class ProgramGen:
         return Var(name)
 
     def _literal(self, target, scope, depth):
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         if element_count(dims) == 0:
             return EmptyArray(target.elem, dims)
         atoms = tuple(
@@ -131,7 +134,7 @@ class ProgramGen:
         return ArrayLit(dims, atoms)
 
     def _frame(self, target, scope, depth):
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         if not dims:
             return Frame((), (self.expr(target, scope, depth - 1),))
         k = self.rng.randint(1, len(dims))
@@ -153,7 +156,7 @@ class ProgramGen:
     def _arith_app(self, target, scope, depth):
         # +, -, * lifted over the whole target shape; one argument carries the
         # principal frame, the other a random prefix of it.
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         op = self.rng.choice(["+", "-", "*"])
         fn = ArrayLit((), (_op(op),))
         carrier = self.rng.randrange(2)
@@ -165,7 +168,7 @@ class ProgramGen:
         return App(fn, args)
 
     def _lam_app(self, target, scope, depth):
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         principal, out_cell = self._split_frame(dims)
         arity = self.rng.randint(1, 2)
         in_cells = [self.dims(allow_zero=False, max_rank=1) for _ in range(arity)]
@@ -195,7 +198,7 @@ class ProgramGen:
         return App(fn, tuple(args))
 
     def _head_app(self, target, scope, depth):
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         if not isinstance(target.elem, BaseType):
             return None
         principal, s_cell = self._split_frame(dims)
@@ -211,7 +214,7 @@ class ProgramGen:
         return App(fn, (self.expr(arg_t, scope, depth - 1),))
 
     def _append_app(self, target, scope, depth):
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         if not dims or not isinstance(target.elem, BaseType):
             return None
         lead, cell = dims[0], dims[1:]
@@ -232,7 +235,7 @@ class ProgramGen:
     def _reduce_app(self, target, scope, depth):
         if not isinstance(target.elem, BaseType):
             return None
-        cell = _concrete(target)
+        cell = concrete_dims(target.shape)
         d = self.rng.randint(0, 2)
         subject_t = ArrType(target.elem, shape_of_dims((1 + d,) + cell))
         fn = TApp(
@@ -271,7 +274,7 @@ class ProgramGen:
         elem = self.base()
         n = self.fresh("n")
         sigma = SigmaType(((n, Sort.DIM),), ArrType(elem, ShapeLit((_ivar(n),))))
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         if dims and 1 <= dims[0] <= 3 and self.rng.random() < 0.5:
             count = dims[0]
             body_target = ArrType(target.elem, shape_of_dims(dims[1:]))
@@ -293,7 +296,7 @@ class ProgramGen:
         return Unbox((iv,), vv, boxes, body)
 
     def _compare_app(self, target, scope, depth):
-        dims = _concrete(target)
+        dims = concrete_dims(target.shape)
         op = self.rng.choice(["<", "="])
         carrier = self.rng.randrange(2)
         frames = [dims if i == carrier else self._sub_frame(dims) for i in range(2)]
@@ -352,12 +355,6 @@ class ProgramGen:
 
 
 # -- helpers ---------------------------------------------------------------
-
-
-def _concrete(t: ArrType) -> tuple[int, ...]:
-    from .indices import canonicalize_shape
-
-    return canonicalize_shape(t.shape).concrete_dims()
 
 
 def _op(name: str):

@@ -145,6 +145,11 @@ def canonicalize_shape(i: IndexExpr) -> CanonicalShape:
     raise SortError(f"expected a Shape-sorted index, got a Dim form: {i}")
 
 
+def concrete_dims(i: IndexExpr) -> tuple[int, ...]:
+    """The dimensions of a shape index that mentions no variable."""
+    return canonicalize_shape(i).concrete_dims()
+
+
 def _looks_like_shape(i: IndexExpr) -> Optional[bool]:
     if isinstance(i, (ShapeLit, IdxAppend)):
         return True
@@ -267,10 +272,9 @@ def shape_to_index(s: CanonicalShape) -> IndexExpr:
     return IdxAppend(tuple(parts))
 
 
-def normalize_index(i: IndexExpr, *, shape: Optional[bool] = None) -> IndexExpr:
+def normalize_index(i: IndexExpr) -> IndexExpr:
     """Canonical spelling of an index, preserving its sort."""
-    if shape is None:
-        shape = _looks_like_shape(i)
+    shape = _looks_like_shape(i)
     if shape is None:
         return i  # bare variable: already canonical at either sort
     if shape:

@@ -25,6 +25,7 @@ from .syntax import (
     BaseType,
     BaseVal,
     Box,
+    CHAR_NAMES,
     EmptyArray,
     EmptyFrame,
     ExprTerm,
@@ -96,80 +97,57 @@ class SList:
 SExpr = Union[SAtom, SList]
 
 
+# Each match is a run of blanks or a comment (group 1) or one token (group 2).
+# The character of a `#\` literal may be a delimiter or a blank.
+_TOKEN_RE = re.compile(r"([ \t\r\n]+|;[^\n]*)|([()]|#\\[\s\S][^ \t\r\n();]*|[^ \t\r\n();]+)")
+
+
 def _tokenize(text: str, filename: str) -> list[tuple[str, SourceLocation]]:
     tokens = []
     line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in "()":
-            tokens.append((c, SourceLocation(filename, line, col)))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_loc = SourceLocation(filename, line, col)
-            if text.startswith("#\\", i) and i + 2 < n:
-                i += 2  # the character itself may be a delimiter
-                i += 1
-                while i < n and text[i] not in " \t\r\n();":
-                    i += 1
+    for gap, tok in _TOKEN_RE.findall(text):
+        if gap:
+            newlines = gap.count("\n")
+            if newlines:
+                line += newlines
+                col = len(gap) - gap.rindex("\n")
             else:
-                while i < n and text[i] not in " \t\r\n();":
-                    i += 1
-            tok = text[start:i]
-            tokens.append((tok, start_loc))
-            col += i - start
+                col += len(gap)
+            continue
+        tokens.append((tok, SourceLocation(filename, line, col)))
+        if "\n" in tok:  # `#\` and a raw newline, the only token that spans lines
+            line += 1
+            col = len(tok) - tok.index("\n")
+        else:
+            col += len(tok)
     return tokens
 
 
-def _read(tokens: list[tuple[str, SourceLocation]], filename: str) -> SExpr:
-    reader = _Reader(tokens)
-    result = reader.one()
-    if reader.pos != len(tokens):
-        raise ParseError("trailing content after expression", tokens[reader.pos][1])
-    return result
-
-
-class _Reader:
-    """Reads s-expressions off a token list, one Python frame per nesting
-    level. (A class, not a closure: a recursive closure is a reference cycle,
-    and one per call keeps the collector busy.)"""
-
-    __slots__ = ("tokens", "pos")
-
-    def __init__(self, tokens: list[tuple[str, SourceLocation]]) -> None:
-        self.tokens, self.pos = tokens, 0
-
-    def one(self) -> SExpr:
-        tokens = self.tokens
-        if self.pos >= len(tokens):
-            raise ParseError("unexpected end of input (unbalanced parens?)")
-        tok, loc = tokens[self.pos]
-        self.pos += 1
+def _read(tokens: list[tuple[str, SourceLocation]]) -> SExpr:
+    """The one s-expression the tokens spell, read with a stack of the lists
+    still open, so nesting costs no Python frames."""
+    stack = []  # (items of the enclosing list, location of this list's paren)
+    items: list = []
+    for k, (tok, loc) in enumerate(tokens):
         if tok == "(":
+            stack.append((items, loc))
             items = []
-            while True:
-                if self.pos >= len(tokens):
-                    raise ParseError("unbalanced parentheses", loc)
-                if tokens[self.pos][0] == ")":
-                    self.pos += 1
-                    return SList(tuple(items), loc=loc)
-                items.append(self.one())
+            continue
         if tok == ")":
-            raise ParseError("unexpected ')'", loc)
-        return SAtom(tok, loc=loc)
+            if not stack:
+                raise ParseError("unexpected ')'", loc)
+            outer, loc = stack.pop()
+            outer.append(SList(tuple(items), loc=loc))
+            items = outer
+        else:
+            items.append(SAtom(tok, loc=loc))
+        if not stack:
+            if k + 1 < len(tokens):
+                raise ParseError("trailing content after expression", tokens[k + 1][1])
+            return items[0]
+    if stack:
+        raise ParseError("unbalanced parentheses", stack[-1][1])
+    raise ParseError("empty input")
 
 
 def _split_annotation(items: tuple[SExpr, ...]) -> tuple[tuple[SExpr, ...], Optional[SExpr]]:
@@ -255,28 +233,25 @@ def _parse_type(s: SExpr) -> TypeExpr:
             _parse_type(rest[1]),
             loc=s.loc,
         )
-    if kw in ("Forall", "Pi", "Sigma"):
+    if kw in _QUANTIFIERS:
         if len(rest) != 2 or not isinstance(rest[0], SList):
             raise ParseError(f"{kw} takes a binder list and a body", s.loc)
-        binders = []
-        for b in rest[0].items:
-            if not isinstance(b, SList) or len(b.items) != 2 or not isinstance(b.items[0], SAtom):
-                raise ParseError("malformed binder", b.loc)
-            name = b.items[0].text
-            if kw == "Forall":
-                binders.append((name, _parse_kind(b.items[1])))
-            else:
-                binders.append((name, _parse_sort(b.items[1])))
-        body = _parse_type(rest[1])
-        if kw == "Forall":
-            return ForallType(tuple(binders), body, loc=s.loc)
-        if kw == "Pi":
-            return PiType(tuple(binders), body, loc=s.loc)
-        return SigmaType(tuple(binders), body, loc=s.loc)
+        binders = _binders(rest[0], _parse_kind if kw == "Forall" else _parse_sort)
+        return _QUANTIFIERS[kw](binders, _parse_type(rest[1]), loc=s.loc)
     raise ParseError(f"unknown type keyword: {kw}", s.loc)
 
 
-_CHAR_NAMES = {"space": " ", "newline": "\n", "tab": "\t"}
+_QUANTIFIERS = {"Forall": ForallType, "Pi": PiType, "Sigma": SigmaType}
+
+
+def _binders(s: SList, parse, what: str = "binder") -> tuple:
+    """The `(name thing)` pairs of a binder or parameter list."""
+    out = []
+    for b in s.items:
+        if not isinstance(b, SList) or len(b.items) != 2 or not isinstance(b.items[0], SAtom):
+            raise ParseError(f"malformed {what}", b.loc)
+        out.append((b.items[0].text, parse(b.items[1])))
+    return tuple(out)
 
 
 def _parse_atom(s: SExpr) -> AtomTerm:
@@ -293,8 +268,8 @@ def _parse_atom(s: SExpr) -> AtomTerm:
             return BaseVal("Bool", False, loc=s.loc)
         if t.startswith("#\\"):
             body = t[2:]
-            if body in _CHAR_NAMES:
-                return BaseVal("Char", _CHAR_NAMES[body], loc=s.loc)
+            if body in CHAR_NAMES:
+                return BaseVal("Char", CHAR_NAMES[body], loc=s.loc)
             if len(body) != 1:
                 raise ParseError(f"bad character literal: {t}", s.loc)
             return BaseVal("Char", body, loc=s.loc)
@@ -315,28 +290,10 @@ def _parse_atom(s: SExpr) -> AtomTerm:
             raise ParseError(f"{kw} takes a binder list and a body", s.loc)
         body = _parse_expr(rest[1])
         if kw == "lam":
-            params = []
-            for b in rest[0].items:
-                if (
-                    not isinstance(b, SList)
-                    or len(b.items) != 2
-                    or not isinstance(b.items[0], SAtom)
-                ):
-                    raise ParseError("malformed parameter", b.loc)
-                params.append((b.items[0].text, _parse_type(b.items[1])))
-            return Lam(tuple(params), body, annot=annot, loc=s.loc)
-        binders = []
-        for b in rest[0].items:
-            if not isinstance(b, SList) or len(b.items) != 2 or not isinstance(b.items[0], SAtom):
-                raise ParseError("malformed binder", b.loc)
-            name = b.items[0].text
-            if kw == "tlam":
-                binders.append((name, _parse_kind(b.items[1])))
-            else:
-                binders.append((name, _parse_sort(b.items[1])))
+            return Lam(_binders(rest[0], _parse_type, "parameter"), body, annot=annot, loc=s.loc)
         if kw == "tlam":
-            return TLam(tuple(binders), body, annot=annot, loc=s.loc)
-        return ILam(tuple(binders), body, annot=annot, loc=s.loc)
+            return TLam(_binders(rest[0], _parse_kind), body, annot=annot, loc=s.loc)
+        return ILam(_binders(rest[0], _parse_sort), body, annot=annot, loc=s.loc)
     if kw == "box":
         if len(rest) < 2:
             raise ParseError("box takes indices, a payload, and a type", s.loc)
@@ -430,21 +387,12 @@ def _parse_expr(s: SExpr) -> ExprTerm:
 
 def parse_term(text: str, filename: str = "<string>") -> ExprTerm:
     """Parse one top-level expression from source text."""
-    tokens = _tokenize(text, filename)
-    if not tokens:
-        raise ParseError("empty input")
-    return _parse_expr(_read(tokens, filename))
+    return _parse_expr(_read(_tokenize(text, filename)))
 
 
 def parse_type(text: str, filename: str = "<string>") -> TypeExpr:
-    tokens = _tokenize(text, filename)
-    if not tokens:
-        raise ParseError("empty input")
-    return _parse_type(_read(tokens, filename))
+    return _parse_type(_read(_tokenize(text, filename)))
 
 
 def parse_index(text: str, filename: str = "<string>") -> IndexExpr:
-    tokens = _tokenize(text, filename)
-    if not tokens:
-        raise ParseError("empty input")
-    return _parse_index(_read(tokens, filename))
+    return _parse_index(_read(_tokenize(text, filename)))

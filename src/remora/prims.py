@@ -24,7 +24,7 @@ import operator
 from math import floor, isfinite
 from typing import Callable, Mapping, Optional
 
-from .indices import canonicalize_shape, element_count
+from .indices import concrete_dims, element_count
 from .names import subst_idx_in_type, subst_ty_in_type
 from .syntax import (
     App,
@@ -72,10 +72,6 @@ def _scalar_num(v: ArrayLit) -> float:
     return v.atoms[0].value  # type: ignore[union-attr]
 
 
-def _out_dims(fn: FunType) -> tuple[int, ...]:
-    return canonicalize_shape(fn.output.shape).concrete_dims()  # type: ignore[union-attr]
-
-
 def _result(fn: FunType, dims: tuple[int, ...], atoms) -> ArrayLit:
     return ArrayLit(dims, tuple(atoms), annot=fn.output)
 
@@ -121,7 +117,7 @@ def _delta_append(fn: FunType, args):
 def _delta_reduce(fn: FunType, args):
     f_val, subject = args
     cell_t = fn.output
-    cell_dims = _out_dims(fn)
+    cell_dims = concrete_dims(fn.output.shape)
     size = element_count(cell_dims)
     count = subject.dims[0]
     cells = [
@@ -141,7 +137,7 @@ def _delta_iota_v(fn: FunType, args):
 
 
 def _delta_iota_s(fn: FunType, args):
-    dims = _out_dims(fn)
+    dims = concrete_dims(fn.output.shape)
     atoms = tuple(_num_atom(i) for i in range(element_count(dims)))
     return _result(fn, dims, atoms)
 

@@ -16,6 +16,7 @@ from .syntax import (
     BaseType,
     BaseVal,
     Box,
+    CHAR_NAMES,
     EmptyArray,
     EmptyFrame,
     ForallType,
@@ -42,17 +43,22 @@ from .syntax import (
     Var,
 )
 
-_CHAR_SPELLINGS = {" ": "space", "\n": "newline", "\t": "tab"}
+_CHAR_SPELLINGS = {c: name for name, c in CHAR_NAMES.items()}
 
 
-def print_num(v: float) -> str:
-    if v != v:  # NaN
-        return "nan"
-    if v in (float("inf"), float("-inf")):
-        return "inf" if v > 0 else "-inf"
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    return repr(v)
+def print_base(base: str, v) -> str:
+    """A Num, Bool or Char literal, spelled as the reader reads it."""
+    if base == "Num":
+        if v != v:  # NaN
+            return "nan"
+        if v in (float("inf"), float("-inf")):
+            return "inf" if v > 0 else "-inf"
+        if v == int(v) and abs(v) < 1e16:
+            return str(int(v))
+        return repr(v)
+    if base == "Bool":
+        return "#t" if v else "#f"
+    return "#\\" + _CHAR_SPELLINGS.get(v, v)
 
 
 def print_index(i: IndexExpr, canonical: bool = False) -> str:
@@ -122,12 +128,7 @@ class _TermPrinter:
     def go(self, t: Term) -> str:
         canonical = self.canonical
         if isinstance(t, BaseVal):
-            if t.base == "Num":
-                return print_num(t.value)  # type: ignore[arg-type]
-            if t.base == "Bool":
-                return "#t" if t.value else "#f"
-            c = t.value
-            return "#\\" + _CHAR_SPELLINGS.get(c, c)  # type: ignore[operator]
+            return print_base(t.base, t.value)
         if isinstance(t, PrimOp):
             return t.name
         if isinstance(t, Var):

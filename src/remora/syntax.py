@@ -338,6 +338,8 @@ TypeExpr = Union[BaseType, TyVar, FunType, ArrType, ForallType, PiType, SigmaTyp
 NUM = BaseType("Num")
 BOOL = BaseType("Bool")
 BASE_TYPE_NAMES = ("Num", "Bool", "Char")
+# The characters a `#\` literal may spell by name.
+CHAR_NAMES = {"space": " ", "newline": "\n", "tab": "\t"}
 
 
 def scalar_of(elem: TypeExpr) -> ArrType:

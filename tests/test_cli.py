@@ -86,6 +86,12 @@ class TestEraseBisimFmt:
         assert code == 0
         assert out.strip() == "(frame (Shp 2 2) (array (2) 1 2) (array (2) 3 4))"
 
+    def test_erase_spells_characters_as_the_reader_does(self, capsys, tmp_path):
+        p = tmp_path / "chars.remora"
+        p.write_text("(array (3) #\\space #\\a #\\newline)")
+        assert run(capsys, "erase", str(p))[:2] == (0, "(array (3) #\\space #\\a #\\newline)\n")
+        assert run(capsys, "bisim", str(p))[:2] == (0, "both-value steps=0\n")
+
     def test_bisim_verdict(self, capsys):
         code, out, _ = run(capsys, "bisim", f"{PROGRAMS}/head-col.remora")
         assert code == 0 and out.strip() == "both-value steps=10"

@@ -28,7 +28,7 @@ from remora.names import (
     subst_ty_in_term,
     subst_ty_in_type,
 )
-from remora.parser import ParseError, parse_index, parse_term, parse_type
+from remora.parser import ParseError, _read, _tokenize, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
 from remora.syntax import App, ArrayLit, EmptyArray, Frame, Lam, NUM, Var, copier, num, replace, scalar_of
@@ -85,12 +85,64 @@ class TestParse:
         assert [a.base for a in t.atoms] == ["Bool", "Bool", "Char"]
 
 
+def _tokens(text):
+    return [(tok, loc.line, loc.column) for tok, loc in _tokenize(text, "f")]
+
+
+class TestReader:
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            # the character of a `#\` literal may be a delimiter
+            ("(#\\( #\\  #\\;)", [("(", 1, 1), ("#\\(", 1, 2), ("#\\ ", 1, 6), ("#\\;", 1, 10), (")", 1, 13)]),
+            ("a #\\", [("a", 1, 1), ("#\\", 1, 3)]),  # `#\` at the end of the input
+            ("a;b", [("a", 1, 1)]),
+            ("\t(a\r\n\tb)", [("(", 1, 2), ("a", 1, 3), ("b", 2, 2), (")", 2, 3)]),
+            ("; note\n  x", [("x", 2, 3)]),
+            # a raw newline after `#\` starts the next line
+            ("(x #\\\n y) z", [("(", 1, 1), ("x", 1, 2), ("#\\\n", 1, 4), ("y", 2, 2), (")", 2, 3), ("z", 2, 5)]),
+        ],
+    )
+    def test_tokens_and_locations(self, text, tokens):
+        assert _tokens(text) == tokens
+
+    @pytest.mark.parametrize(
+        "text, message, where",
+        [
+            (")", "unexpected ')'", "f:1:1"),
+            ("(a", "unbalanced parentheses", "f:1:1"),
+            ("((a) (b", "unbalanced parentheses", "f:1:6"),  # the innermost open paren
+            ("(a) b", "trailing content after expression", "f:1:5"),
+            ("(a))", "trailing content after expression", "f:1:4"),
+            ("(x #\\\n y) z", "trailing content after expression", "f:2:5"),
+            ("", "empty input", None),
+            ("; only a comment\n", "empty input", None),
+        ],
+    )
+    def test_errors_and_locations(self, text, message, where):
+        for parse in (parse_term, parse_type, parse_index):
+            with pytest.raises(ParseError) as info:
+                parse(text, "f")
+            assert info.value.message == message
+            assert (str(info.value.loc) if info.value.loc else None) == where
+
+    def test_nesting_costs_no_python_frames(self):
+        depth = 10**5
+        s = _read(_tokenize("(" * depth + ")" * depth, "f"))
+        levels = 1
+        while s.items:
+            (s,) = s.items
+            levels += 1
+        assert levels == depth and s.loc.column == depth
+
+
 class TestRoundTrip:
     CASES = [
         "(array (2 2) 1 2 3 4)",
         "(array () 5)",
         "(frame (2) (array (2) 1 2) (array (2) 3 4))",
         "(array (2) #t #f)",
+        "(array (6) #\\space #\\newline #\\tab #\\( #\\) #\\;)",
         "(array () (lam ((x (Arr Num (Shp)))) x))",
         "(array () (tlam ((t Atom)) (array () (lam ((x (Arr t (Shp)))) x))))",
         "(array () (ilam ((n Dim)) (array () (lam ((x (Arr Num (Shp n)))) x))))",

@@ -35,7 +35,6 @@ from remora.erase import (
     EExpr,
     EVar,
     LockstepComparer,
-    _concrete_tag,
     _eapply,
     _eibeta,
     _eunbox,
@@ -57,7 +56,7 @@ from remora.eval import (
     step as typed_step,
 )
 from remora.gen import GenConfig, generate_programs
-from remora.indices import CanonicalDim, CanonicalShape, DimC, normalize_index, normalize_tag
+from remora.indices import CanonicalDim, CanonicalShape, DimC, concrete_dims, normalize_index, normalize_tag
 from remora.names import base_name, free_idx_in_idx, subst_idx
 from remora.parser import parse_term
 from remora.prims import SIGNATURE
@@ -398,7 +397,7 @@ def recursive_erased_step(e: EExpr) -> Union[Stepped, AlreadyValue, Stuck]:
                 cells = e.cells[:i] + (r.term,) + e.cells[i + 1 :]
                 return Stepped(replace(e, cells=cells), r.rule)
             return r
-        dims = _concrete_tag(e.shape)
+        dims = concrete_dims(e.shape)
         atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
         return Stepped(EArray(dims, atoms), "collapse")
 
