@@ -37,11 +37,8 @@ hole was, with any other child it replaced) and the two contracta. Each check co
 forms of memoized erasures, so a step costs O(1) amortised plus the
 contraction. The fast checks can only confirm agreement; when one fails, the
 whole states decide, so the report is the one a whole-state comparison after
-every step would give.
-
-Erased terms are compared through canonical forms: binders named by de Bruijn
-levels, tags respelled canonically, every form hash-consed, and memoized on
-node identity where no bound variable is in scope."""
+every step would give. The forms are those of `names.Forms`, and
+`erased_alpha_equal` is `names.alpha_equal`."""
 
 from __future__ import annotations
 
@@ -66,7 +63,7 @@ from .eval import (
     transpose_list,
 )
 from .indices import concrete_dims, element_count, normalize_tag
-from .names import IDX, TM, free_idx_in_idx, subst, subst_idx, term_children
+from .names import IDX, TM, Forms, Generations, alpha_equal, subst, term_children
 from .prims import Misapplied, _shape_entry
 from .printer import print_base, print_index
 from .syntax import (
@@ -112,38 +109,6 @@ from .syntax import (
     replace,
     shape_of_dims,
 )
-
-# ---------------------------------------------------------------------------
-# Memo tables keyed on node identity
-
-
-class Generations:
-    """A memo table that keeps only what was used at the current and the
-    previous step. `carry(key)` looks the key up in the previous generation
-    and brings a hit over into the current one; `age` (once per step) drops
-    whatever the step before the previous one used and neither step since
-    did. A user that can meet a key twice in one step tries `cur.get(key)`
-    first.
-
-    An entry keyed by an object's `id` holds that object, so the id cannot be
-    reused while the entry lives. No value is falsy."""
-
-    __slots__ = ("cur", "prev")
-
-    def __init__(self) -> None:
-        self.cur: dict = {}
-        self.prev: dict = {}
-
-    def carry(self, key):
-        hit = self.prev.get(key)
-        if hit is not None:
-            self.cur[key] = hit
-        return hit
-
-    def age(self) -> None:
-        self.prev = self.cur
-        self.cur = {}
-
 
 # ---------------------------------------------------------------------------
 # Erasure
@@ -263,24 +228,7 @@ def esubst_term(t: ETerm, m: Mapping[str, EExpr]) -> ETerm:
 
 
 # ---------------------------------------------------------------------------
-# Canonical forms of erased terms
-#
-# A canonical form is a tuple headed by the node's class, then its own data
-# (scalars and tags), then the forms of its children in the order of
-# `names.term_children`. A bound variable is named by its binder's depth,
-# counted from the nearest ancestor under no binder (a de Bruijn level): a
-# term variable becomes that number, an index variable `#<level>`. Tags are respelled
-# canonically after renaming. Two erased terms are alpha-equal, with tags
-# compared as indices, exactly when their forms are `==`.
-#
-# Where no bound variable is in scope a subtree's form does not depend on its
-# position, so it is memoized on the node's identity there; and every form is
-# interned (hash-consed) on its class, its own data and the identities of its
-# children's forms, so equal forms built from different nodes are usually the
-# same object and `==` stops at them. The verdict never rests on the tables:
-# a missing entry costs time only.
-
-_BOUND_IDX = "#"  # prefix of a bound index variable's canonical name
+# Child paths and alpha-equivalence
 
 
 def erased_subterm(e: ETerm, path: str) -> ETerm:
@@ -288,115 +236,6 @@ def erased_subterm(e: ETerm, path: str) -> ETerm:
     for label in filter(None, path.split("/")):
         e = dict(term_children(e))[label]
     return e
-
-
-class _Canonicalizer:
-    """Builds canonical forms; its tables keep what the last two steps used."""
-
-    def __init__(self) -> None:
-        self.memo = Generations()  # id(node) -> (node, form); no bound variable in scope
-        self.forms = Generations()  # (class, own data, ids of child forms) -> form
-        self.tags = Generations()  # id(tag) -> (tag, canonical tag, its variables)
-
-    def age(self) -> None:
-        self.memo.age()
-        self.forms.age()
-        self.tags.age()
-
-    def form(self, e: ETerm) -> tuple:
-        return self._term(e, {}, {}, 0)
-
-    def _intern(self, key: tuple, form: Optional[tuple] = None) -> tuple:
-        forms = self.forms
-        hit = forms.cur.get(key) or forms.carry(key)
-        if hit is None:
-            hit = forms.cur[key] = key if form is None else form
-        return hit
-
-    def _tag(self, i: IndexExpr, ix: Optional[dict]) -> IndexExpr:
-        tags = self.tags
-        hit = tags.cur.get(id(i)) or tags.carry(id(i))
-        if hit is None:
-            n = normalize_tag(i)
-            hit = tags.cur[id(i)] = (i, n, frozenset(free_idx_in_idx(i)))
-        if ix and not hit[2].isdisjoint(ix):
-            return self._tag(subst_idx(i, ix), None)
-        return hit[1]
-
-    def _term(self, t: ETerm, ix: dict, tm: dict, depth: int) -> tuple:
-        """The form of `t`; `ix` and `tm` rename the bound index and term
-        variables in scope, and `depth` counts them."""
-        cls = type(t)
-        intern = self._intern
-        if cls is EBase:
-            return intern((EBase, t.base, t.value))
-        if cls is EOp:
-            return intern((EOp, t.name))
-        if cls is EVar:
-            return intern((EVar, tm.get(t.name, t.name)))
-        top = depth == 0
-        if top:
-            memo = self.memo
-            hit = memo.cur.get(id(t)) or memo.carry(id(t))
-            if hit is not None:
-                return hit[1]
-        term, tag = self._term, self._tag
-        # `own` leads the form; `key` is `own` with each tag replaced by its id.
-        if cls is EArray:
-            kids = [
-                intern((EBase, a.base, a.value)) if type(a) is EBase else term(a, ix, tm, depth)
-                for a in t.atoms
-            ]
-            own = key = (EArray, t.dims)
-        elif cls is EFrame:
-            kids = [term(c, ix, tm, depth) for c in t.cells]
-            shape = tag(t.shape, ix)
-            own, key = (EFrame, shape), (EFrame, id(shape))
-        elif cls is EApp:
-            kids = [term(t.fn, ix, tm, depth)]
-            kids += [term(a, ix, tm, depth) for a in t.args]
-            out, shapes = tag(t.out_shape, ix), tuple([tag(i, ix) for i in t.arg_shapes])
-            own, key = (EApp, out, shapes), (EApp, id(out), len(shapes), *map(id, shapes))
-        elif cls is EIApp:
-            kids = [term(t.fn, ix, tm, depth)]
-            out, idxs = tag(t.out_shape, ix), tuple([tag(i, ix) for i in t.idx_args])
-            own, key = (EIApp, out, idxs), (EIApp, id(out), len(idxs), *map(id, idxs))
-        elif cls is EBox:
-            kids = [term(t.payload, ix, tm, depth)]
-            idxs = tuple([tag(i, ix) for i in t.indices])
-            own, key = (EBox, idxs), (EBox, len(idxs), *map(id, idxs))
-        elif cls is ELam:
-            tm2 = dict(tm)
-            for x in t.params:
-                tm2[x] = depth
-                depth += 1
-            kids = [term(t.body, ix, tm2, depth)]
-            own = key = (ELam, len(t.params))
-        elif cls is EILam:
-            ix2 = dict(ix)
-            for x in t.params:
-                ix2[x] = IdxVar(f"{_BOUND_IDX}{depth}")
-                depth += 1
-            kids = [term(t.body, ix2, tm, depth)]
-            own = key = (EILam, len(t.params))
-        elif cls is EUnbox:
-            box = term(t.box, ix, tm, depth)
-            body_shape = tag(t.body_shape, ix)
-            ix2 = dict(ix)
-            for x in t.idx_vars:
-                ix2[x] = IdxVar(f"{_BOUND_IDX}{depth}")
-                depth += 1
-            tm2 = dict(tm)
-            tm2[t.val_var] = depth
-            kids = [box, term(t.body, ix2, tm2, depth + 1)]
-            own = (EUnbox, len(t.idx_vars), body_shape)
-            key = (EUnbox, len(t.idx_vars), id(body_shape))
-        else:
-            raise TypeError(t)
-        form = intern(key + tuple(map(id, kids)), own + tuple(kids))
-        if top:
-            self.memo.cur[id(t)] = (t, form)
-        return form
 
 
 def _first_difference(a: tuple, b: tuple, ea: ETerm, eb: ETerm) -> str:
@@ -415,10 +254,7 @@ def _first_difference(a: tuple, b: tuple, ea: ETerm, eb: ETerm) -> str:
         a, b, ea, eb = a[own + j], b[own + j], kids_a[j][1], kids_b[j][1]
 
 
-def erased_alpha_equal(a: ETerm, b: ETerm) -> bool:
-    """Alpha-equivalence with residual indices compared as indices."""
-    c = _Canonicalizer()
-    return c.form(a) == c.form(b)
+erased_alpha_equal = alpha_equal  # the one alpha-equivalence, by this name for erased terms
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +609,7 @@ class LockstepComparer:
 
     def __init__(self) -> None:
         self._erasure = Generations()  # id(typed node) -> (node, erased node)
-        self._canon = _Canonicalizer()
+        self._canon = Forms()
         # Per context level checked: (typed hole, erased hole, their index).
         self._levels: list[tuple] = []
 

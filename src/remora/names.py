@@ -31,12 +31,28 @@ Renames in the substitution's own namespace ride along in the same pass;
 those in another are substituted into the scope first. Each payload's free
 variables are computed once per substitution, and a node none of whose fields
 changed is returned as it is.
+
+Alpha-equivalence compares canonical forms, one kind for both languages. A
+form is a tuple: the class; a variable's de Bruijn level (counted from the
+nearest ancestor under no binder) or free name, or the data, or the binders'
+sorts (None for bare names); then the children's forms, flattened: types of
+TYPED binders, other children that are not terms, then the terms in the order
+of `term_children`. A residual tag stands as itself, its bound index variables
+renamed `#<level>` and then respelled canonically. No class has two tuple
+fields of children but tags, and a tag is a node where a form is a tuple, so
+a form's length fixes how it splits. `Forms` builds forms with an explicit
+stack (any depth) and interns each on its own part and the identities of its
+children's forms, each tag on its spelling: in a fresh `Forms` equal forms
+are one object, which `alpha_equal` tests. A form with no bound variable in
+scope is memoized on its node's identity. Tables that age (as
+`erase.LockstepComparer`'s do) can yield equal forms as distinct objects,
+which `==` still equates.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import is_
+from operator import attrgetter, is_
 from typing import Mapping, get_args
 
 from . import syntax as S
@@ -161,10 +177,6 @@ def _free(node, ns: int, bound: frozenset, out: set) -> None:
         if bns == ns:
             inner = inner.union(x for x, _ in items)
     _free(getattr(node, scope), ns, inner, out)
-
-
-def free_idx_in_idx(i: IndexExpr) -> set[str]:
-    return free_vars(i, IDX)
 
 
 def free_idx_in_type(t: TypeExpr) -> set[str]:
@@ -303,7 +315,7 @@ def subst_term(t: Term, m: Mapping[str, ExprTerm]) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Canonical renaming (freshen) and alpha-equivalence
+# Canonical renaming (freshen)
 
 
 def freshen(t: Term, salt: str = "") -> Term:
@@ -341,47 +353,151 @@ def _freshen(node, envs: tuple, fresh):
     return S.replace(node, **changes) if changes else node
 
 
-def alpha_equal(a, b) -> bool:
-    """Structural equality up to the names of bound variables; annotations are
-    compared too."""
-    return _alpha(a, b, ({}, {}, {}), ({}, {}, {}), 0)
+# ---------------------------------------------------------------------------
+# Canonical forms and alpha-equivalence
 
 
-def _alpha(a, b, ea: tuple, eb: tuple, lvl: int) -> bool:
-    cls = type(a)
-    if cls is not type(b):
-        return False
+class Generations:
+    """A memo table that keeps only what was used at the current and the
+    previous step. `carry(key)` looks the key up in the previous generation
+    and brings a hit over into the current one; `age` (once per step) drops
+    whatever the step before the previous one used and neither step since
+    did. A user that can meet a key twice in one step tries `cur.get(key)`
+    first.
+
+    An entry keyed by an object's `id` holds that object, so the id cannot be
+    reused while the entry lives. No value is falsy."""
+
+    __slots__ = ("cur", "prev")
+
+    def __init__(self) -> None:
+        self.cur: dict = {}
+        self.prev: dict = {}
+
+    def carry(self, key):
+        hit = self.prev.get(key)
+        if hit is not None:
+            self.cur[key] = hit
+        return hit
+
+    def age(self) -> None:
+        self.prev = self.cur
+        self.cur = {}
+
+
+def _form_plan(cls: type) -> tuple:
+    """(head, slots, binders) of a class's form (see the module docstring):
+    `head(node, env)` gives the class and what follows it; each slot (field,
+    shape, scoped, tag) gives children in the order of the form; `binders`
+    as in `_split`."""
     data, kids, binders, scope = _SPLIT[cls]
-    if any(getattr(a, f) != getattr(b, f) for f in data):
-        return False
+    kids += ((scope[0], ONE, scope[1], False),) if scope else ()
+    kids = sorted(kids, key=lambda kid: (kid[2] == TM, list(SCHEMA[cls]).index(kid[0])))
+    slots = [(f, TYPED, False, False) for f, form, _ in binders if form == TYPED]
+    slots += [(f, shape, scope is not None and f == scope[0], tag) for f, shape, _, tag in kids]
+    assert sum(shape in (MANY, TYPED) and not tag for _, shape, _, tag in slots) <= 1, cls
+    parts = [attrgetter(*data)] if data else []
+    parts += [lambda t, f=f, form=form: tuple([s for _, s in _unpack(getattr(t, f), form)])
+              for f, form, _ in binders if form in (NAMES, PAIRS)]
     if cls in LEAVES:
-        # a bound variable is its binder's (level, position); a free one its name
-        ns = LEAVES[cls]
-        if ea[ns].get(a.name, a.name) != eb[ns].get(b.name, b.name):
-            return False
-    for f, shape, _, _ in kids:
-        x, y = getattr(a, f), getattr(b, f)
-        if shape != MANY:
-            x, y = (() if x is None else (x,)), (() if y is None else (y,))
-        if len(x) != len(y) or not all(_alpha(p, q, ea, eb, lvl) for p, q in zip(x, y)):
-            return False
-    if scope is None:
-        return True
-    ia, ib = list(ea), list(eb)
-    k = 0
-    for f, form, bns in binders:
-        xs, ys = _unpack(getattr(a, f), form), _unpack(getattr(b, f), form)
-        if len(xs) != len(ys):
-            return False
-        da = ia[bns] = dict(ia[bns])
-        db = ib[bns] = dict(ib[bns])
-        for (xa, sa), (xb, sb) in zip(xs, ys):
-            if not (_alpha(sa, sb, ea, eb, lvl) if form == TYPED else sa == sb):
-                return False
-            da[xa] = db[xb] = (lvl, k)
-            k += 1
-    f = scope[0]
-    return _alpha(getattr(a, f), getattr(b, f), tuple(ia), tuple(ib), lvl + 1)
+        return (lambda t, env, ns=LEAVES[cls]: (cls, env[ns].get(t.name, t.name))), tuple(slots), binders
+    if parts:
+        [p] = parts  # no class has both data and binders
+        return (lambda t, env: (cls, p(t))), tuple(slots), binders
+    return (lambda t, env, h=(cls,): h), tuple(slots), binders
+
+
+_FORM_PLANS = {cls: _form_plan(cls) for cls in SCHEMA}
+_INLINE = {cls: head for cls, (head, slots, _) in _FORM_PLANS.items() if not slots}
+_TOP = ({}, {}, {}, 0)  # name -> level of the bound variables of each namespace; their count
+
+
+class Forms:
+    """Builds canonical forms; the tables keep what the last two steps used."""
+
+    def __init__(self) -> None:
+        self.memo = Generations()  # id(node) -> (node, form); no bound variable in scope
+        self.forms = Generations()  # key -> form; a tag's canonical spelling -> itself
+        self.tags = Generations()  # id(tag) -> (tag, its interned spelling, its variables)
+
+    def age(self) -> None:
+        for table in (self.memo, self.forms, self.tags):
+            table.age()
+
+    def form(self, root) -> tuple:
+        fcur, fprev, mcur, mprev = self.forms.cur, self.forms.prev, self.memo.cur, self.memo.prev
+        plans, inline, spell = _FORM_PLANS, _INLINE, self._spell
+        out = [None]
+        # (node, env, None, dst, k) puts the form of node in dst[k]; so does
+        # (node or None, head, vals, dst, k) once its slots have put theirs in
+        # vals, and then memoizes it on the node.
+        todo = [(root, _TOP, None, out, 0)]
+        pop, push = todo.pop, todo.append
+        while todo:
+            t, env, vals, dst, k = pop()
+            if vals is None:
+                head, slots, binders = plans[t.__class__]
+                top = env is _TOP
+                if top and (hit := mcur.get(id(t)) or mprev.get(id(t))) is not None:
+                    mcur[id(t)] = hit
+                    dst[k] = hit[1]
+                    continue
+                head, vals, mark, inner = head(t, env), [], len(todo), env
+                if binders:
+                    envs, depth = list(env[:3]), env[3]
+                    for f, form, bns in binders:
+                        d = envs[bns] = dict(envs[bns])
+                        for x, _ in _unpack(getattr(t, f), form):
+                            d[x] = depth
+                            depth += 1
+                    inner = (*envs, depth)
+                for f, shape, scoped, tag in slots:
+                    v = getattr(t, f)
+                    if tag:
+                        vals += [spell(c, env[IDX]) for c in v] if shape == MANY else [spell(v, env[IDX])]
+                        continue
+                    e = inner if scoped else env
+                    for c in v if shape == MANY else [s for _, s in v] if shape == TYPED else (v,):
+                        h = inline.get(c.__class__)  # a class with no slots is formed here
+                        if h is not None:
+                            h = h(c, e)
+                            vals.append(fcur.get(h) or fcur.setdefault(h, fprev.get(h) or h))
+                            continue
+                        vals.append(None)
+                        if c is not None:
+                            push((c, e, None, vals, len(vals) - 1))
+                if len(todo) > mark:  # once the children pushed above are formed
+                    todo.insert(mark, (t if top else None, head, vals, dst, k))
+                    continue
+                t, env = t if top else None, head
+            key = env + tuple(map(id, vals))
+            dst[k] = f = fcur.get(key) or fcur.setdefault(key, fprev.get(key) or env + tuple(vals))
+            if t is not None:
+                mcur[id(t)] = (t, f)
+        return out[0]
+
+    def _spell(self, i: IndexExpr, ix: dict) -> IndexExpr:
+        """A tag with the bound index variables of `ix` renamed `#<level>`,
+        then respelled canonically and interned."""
+        tags = self.tags
+        hit = tags.cur.get(id(i)) or tags.carry(id(i))
+        if hit is None:
+            hit = tags.cur[id(i)] = (i, self._intern(normalize_tag(i)), free_vars(i, IDX))
+        if ix and not hit[2].isdisjoint(ix):
+            return self._intern(normalize_tag(subst(i, IDX, {x: S.IdxVar(f"#{ix[x]}") for x in hit[2] if x in ix})))
+        return hit[1]
+
+    def _intern(self, spelling: IndexExpr) -> IndexExpr:
+        forms = self.forms
+        return forms.cur.get(spelling) or forms.cur.setdefault(spelling, forms.prev.get(spelling) or spelling)
+
+
+def alpha_equal(a, b) -> bool:
+    """Structural equality up to the names of bound variables, with residual
+    tags compared as indices; annotations are compared too. Any depth of
+    nesting."""
+    forms = Forms()
+    return forms.form(a) is forms.form(b)
 
 
 # ---------------------------------------------------------------------------

@@ -315,9 +315,9 @@ def _parse_expr(s: SExpr) -> ExprTerm:
         if t in KEYWORDS:
             raise ParseError(f"reserved word in expression position: {t}", s.loc)
         return Var(t, loc=s.loc)
-    if not s.items:
-        raise ParseError("empty application", s.loc)
     items, annot_s = _split_annotation(s.items)
+    if not items:  # `()`, or `(: type)` with nothing to annotate
+        raise ParseError("empty application", s.loc)
     annot = _parse_type(annot_s) if annot_s is not None else None
     head = items[0]
     if isinstance(head, SAtom) and head.text in KEYWORDS:

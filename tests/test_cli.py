@@ -44,6 +44,11 @@ class TestCheck:
         code, _, err = run(capsys, "check", str(bad))
         assert code == 1 and "bad.remora:2" in err
 
+    def test_annotation_of_nothing_is_a_parse_error(self, tmp_path):
+        proc = run_fresh(tmp_path, "(: Num)", "check")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"{tmp_path / 'prog.remora'}:1:1: empty application\n"
+
     def test_list_prims(self, capsys):
         code, out, _ = run(capsys, "check", "--list-prims")
         assert code == 0

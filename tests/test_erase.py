@@ -682,23 +682,29 @@ class TestBisimFuel:
 
 class TestBisimCost:
     """Work per bisim step does not grow with the size of the term: erasures
-    and canonical-form calls, counted per step, for a deeper member of a
-    family against its n=100 member."""
+    and the nodes whose canonical forms are built (each computes its head
+    once), counted per step, for a deeper member of a family against its
+    n=100 member."""
 
     @staticmethod
     def work_per_step(monkeypatch, family: str, n: int) -> dict:
         counts: Counter = Counter()
-        for owner, name in ((remora.erase, "_erase"), (remora.erase._Canonicalizer, "_term")):
-            real = getattr(owner, name)
 
-            def counted(*args, real=real, name=name):
+        def counted(name, real):
+            def call(*args):
                 counts[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(owner, name, counted)
+            return call
+
+        monkeypatch.setattr(remora.erase, "_erase", counted("_erase", remora.erase._erase))
+        for cls, (head, slots, binders) in list(remora.names._FORM_PLANS.items()):
+            monkeypatch.setitem(remora.names._FORM_PLANS, cls, (counted("form", head), slots, binders))
+        for cls, head in list(remora.names._INLINE.items()):
+            monkeypatch.setitem(remora.names._INLINE, cls, counted("form", head))
         term = check_src(family_source(family, n))[0]
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(4 * limit)  # each counted call adds a frame
+        sys.setrecursionlimit(4 * limit)  # each counted erasure adds a frame
         try:
             rep = bisim_run(term)
         finally:
@@ -711,7 +717,7 @@ class TestBisimCost:
     def test_work_per_step_is_flat(self, monkeypatch, family, n):
         small = self.work_per_step(monkeypatch, family, 100)
         large = self.work_per_step(monkeypatch, family, n)
-        assert set(large) == {"_erase", "_term"}
+        assert set(large) == {"_erase", "form"}
         for name, per_step in large.items():
             assert per_step <= 1.5 * small[name], (name, per_step, small[name])
 
@@ -814,6 +820,16 @@ class TestErasedAlpha:
         a = EFrame(ShapeLit((NatLit(2),)), ())
         b = EFrame(ShapeLit((NatLit(3),)), ())
         assert not erased_alpha_equal(a, b)
+
+    def test_depth(self):
+        def nest(value):
+            e = EArray((), (EBase("Num", value),))
+            for _ in range(10_000):
+                e = EFrame(ShapeLit(()), (e,))
+            return e
+
+        assert erased_alpha_equal(nest(7.0), nest(7.0))
+        assert not erased_alpha_equal(nest(7.0), nest(8.0))
 
     def test_binders_by_position(self):
         from remora.erase import EApp, EUnbox

@@ -7,13 +7,16 @@ import random
 import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import remora.check
 import remora.eval
 import remora.indices
 import remora.parser
 from remora import names, syntax
-from remora.check import EMPTY_ENV, elaborate
+from remora.check import EMPTY_ENV, TypeCheckError, elaborate
+from remora.eval import evaluate
 from remora.gen import GenConfig, generate_programs
 from remora.names import (
     IDX,
@@ -33,7 +36,16 @@ from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
 from remora.syntax import App, ArrayLit, EmptyArray, Frame, Lam, NUM, Var, copier, num, replace, scalar_of
 
-from .util import PROGRAMS_DIR
+from .util import (
+    ORACLE_GROUPS,
+    PROGRAMS_DIR,
+    TYPED_MUTATIONS,
+    check_src,
+    oracle_programs,
+    reference_alpha_equal,
+    rewrite_at,
+    typed_sites,
+)
 
 
 class TestParse:
@@ -79,6 +91,13 @@ class TestParse:
     def test_parse_errors(self, bad):
         with pytest.raises(ParseError):
             parse_term(bad)
+
+    @pytest.mark.parametrize("text, where", [("(: Num)", "f:1:1"), ("(frame ()\n  (: Num))", "f:2:3"),
+                                             ("((: +) box (()) Dim)", "f:1:2")])
+    def test_annotation_of_nothing(self, text, where):
+        with pytest.raises(ParseError) as info:
+            parse_term(text, "f")
+        assert (info.value.message, str(info.value.loc)) == ("empty application", where)
 
     def test_char_and_bool_literals(self):
         t = parse_term("(array (3) #t #f #\\a)")
@@ -344,6 +363,111 @@ SHADOW = [
 def _comparable(t, kind):
     # alpha_equal compares terms; a type is compared inside an empty array
     return EmptyArray(t, (0,)) if kind == "type" else t
+
+
+def _lams(*args: str) -> str:
+    """A lam of one `Num` parameter for each name in `args` but the last,
+    nested in that order around the last, the body."""
+    *params, body = args
+    for x in reversed(params):
+        body = f"(array () (lam (({x} Num)) {body}))"
+    return body
+
+
+class TestTypedAlpha:
+    """`alpha_equal` on typed terms against `reference_alpha_equal`, the
+    pairwise comparison it replaced, as `TestErasedAlpha` does on erased
+    terms."""
+
+    PAIRS = [
+        # shadowing, then a third binder
+        (_lams("x", "x", "y", "(x y)"), _lams("x", "x", "y", "(y y)"), False),
+        (_lams("x", "x", "y", "(x y)"), _lams("a", "b", "c", "(b c)"), True),
+        # binder order
+        ("(array () (ilam ((a Dim) (b Dim)) (i-app f a b)))", "(array () (ilam ((c Dim) (d Dim)) (i-app f c d)))", True),
+        ("(array () (ilam ((a Dim) (b Dim)) (i-app f a b)))", "(array () (ilam ((b Dim) (a Dim)) (i-app f a b)))", False),
+        ("(unbox (a b v bx) (i-app f a b))", "(unbox (b a v bx) (i-app f a b))", False),
+        ("(unbox (a b v bx) (i-app f a b))", "(unbox (p q w bx) (i-app f p q))", True),
+        # a type variable and a term variable with the same name
+        ("(array () (tlam ((x Atom)) (array () (lam ((x (Arr x (Shp)))) x))))",
+         "(array () (tlam ((t Atom)) (array () (lam ((y (Arr t (Shp)))) y))))", True),
+        ("(array () (tlam ((x Atom)) (array () (lam ((y (Arr x (Shp)))) x))))",
+         "(array () (tlam ((x Atom)) (array () (lam ((y (Arr x (Shp)))) y))))", False),
+        # a lam parameter's type refers to an outer binder
+        ("(array () (ilam ((n Dim)) (array () (lam ((x (Arr Num (Shp n)))) x))))",
+         "(array () (ilam ((m Dim)) (array () (lam ((x (Arr Num (Shp m)))) x))))", True),
+        ("(array () (ilam ((n Dim)) (array () (lam ((x (Arr Num (Shp n)))) x))))",
+         "(array () (ilam ((m Dim)) (array () (lam ((x (Arr Num (Shp n)))) x))))", False),
+    ]
+
+    @pytest.mark.parametrize("a, b, expected", PAIRS)
+    def test_binders_by_position(self, a, b, expected):
+        a, b = parse_term(a), parse_term(b)
+        assert reference_alpha_equal(a, b) == expected
+        assert alpha_equal(a, b) == expected
+
+    def test_annotations_compared(self):
+        t = check_src("((array () +) (array () 1) (array () 2))")[0]
+        other = scalar_of(syntax.BOOL)
+        for a, b in [(t, replace(t, annot=other)), (t, replace(t, annot=None)),
+                     (t, replace(t, args=(replace(t.args[0], annot=other),) + t.args[1:]))]:
+            assert not reference_alpha_equal(a, b) and not alpha_equal(a, b)
+        assert alpha_equal(t, replace(t, annot=replace(t.annot)))
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_agrees_with_reference_on_machine_states(self, group):
+        rng = random.Random(17)
+        verdicts = set()
+        for term in oracle_programs(group):
+            states = [term] + [s for _, s in evaluate(term, trace=True).trace]
+            for s in states[:: max(1, len(states) // 3)]:
+                fresh = freshen(s)
+                assert alpha_equal(fresh, s) and reference_alpha_equal(fresh, s)
+                for mutation in rng.sample(TYPED_MUTATIONS, len(TYPED_MUTATIONS)):
+                    sites = [(path, m) for path, x in typed_sites(fresh) if (m := mutation(x)) is not None]
+                    if sites:
+                        other = rewrite_at(fresh, *rng.choice(sites))
+                        verdicts.add(verdict := reference_alpha_equal(s, other))
+                        assert alpha_equal(s, other) == verdict
+                        break
+        assert False in verdicts and (True in verdicts or group != "batch")
+
+    def test_depth(self):
+        def nest(atom):
+            t = ArrayLit((), (atom,))
+            for _ in range(10_000):
+                t = Frame((), (t,))
+            return t
+
+        assert alpha_equal(nest(num(7)), nest(num(7)))
+        assert not alpha_equal(nest(num(7)), nest(num(8)))
+
+
+# Words a random s-expression is built from: every keyword, `:`, type, kind
+# and sort names, numbers and names. A list ends in `: <s-expression>` half
+# the time, as an annotated form does.
+_WORDS = sorted(remora.parser.KEYWORDS) + [
+    ":", "Num", "Bool", "Arr", "Shp", "->", "Forall", "Pi", "Sigma", "++", "+",
+    "Atom", "Array", "Dim", "Shape", "0", "1", "2", "x", "head",
+]
+_SEXPRS = st.recursive(
+    st.sampled_from(_WORDS),
+    lambda kids: st.tuples(st.lists(kids, max_size=5), st.one_of(st.none(), kids)).map(
+        lambda p: "(" + " ".join(p[0] + ([] if p[1] is None else [":", p[1]])) + ")"
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_SEXPRS)
+def test_reader_and_checker_reject_with_their_own_errors(src):
+    """Any s-expression either elaborates or raises `ParseError` or
+    `TypeCheckError`: never another exception."""
+    try:
+        elaborate(EMPTY_ENV, SIGNATURE, parse_term(src))
+    except (ParseError, TypeCheckError):
+        pass
 
 
 class TestCaptureAvoidance:

@@ -2,7 +2,8 @@
 brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the inputs of the machine oracle tests, the
 recursive specs that the looping ones are checked against, the whole-term
-reference comparison of erased terms, the hand-written reference
+reference comparison of erased terms and the pairwise one of typed terms,
+one-site rewrites of typed terms, the hand-written reference
 substitution on erased terms with random erased terms to run it on, the
 whole-state reference lockstep check, and one-site rewrites of erased terms
 with a way to plant one in the erased machine."""
@@ -57,7 +58,7 @@ from remora.eval import (
 )
 from remora.gen import GenConfig, generate_programs
 from remora.indices import CanonicalDim, CanonicalShape, DimC, concrete_dims, normalize_index, normalize_tag
-from remora.names import base_name, free_idx_in_idx, subst_idx
+from remora.names import IDX, LEAVES, MANY, TM, TYPED, _SPLIT, _unpack, base_name, free_vars, subst, subst_idx, term_children
 from remora.parser import parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
@@ -611,6 +612,108 @@ def reference_erased_alpha_equal(a, b) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference alpha-equivalence of typed terms: two terms walked in pairs,
+# recursively, each bound variable named by its binder's (nesting level,
+# position); independent of the canonical forms of `names.alpha_equal`.
+
+
+def reference_alpha_equal(a, b) -> bool:
+    """Structural equality up to the names of bound variables; annotations are
+    compared too."""
+    return _alpha(a, b, ({}, {}, {}), ({}, {}, {}), 0)
+
+
+def _alpha(a, b, ea: tuple, eb: tuple, lvl: int) -> bool:
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    data, kids, binders, scope = _SPLIT[cls]
+    if any(getattr(a, f) != getattr(b, f) for f in data):
+        return False
+    if cls in LEAVES:
+        # a bound variable is its binder's (level, position); a free one its name
+        ns = LEAVES[cls]
+        if ea[ns].get(a.name, a.name) != eb[ns].get(b.name, b.name):
+            return False
+    for f, shape, _, _ in kids:
+        x, y = getattr(a, f), getattr(b, f)
+        if shape != MANY:
+            x, y = (() if x is None else (x,)), (() if y is None else (y,))
+        if len(x) != len(y) or not all(_alpha(p, q, ea, eb, lvl) for p, q in zip(x, y)):
+            return False
+    if scope is None:
+        return True
+    ia, ib = list(ea), list(eb)
+    k = 0
+    for f, form, bns in binders:
+        xs, ys = _unpack(getattr(a, f), form), _unpack(getattr(b, f), form)
+        if len(xs) != len(ys):
+            return False
+        da = ia[bns] = dict(ia[bns])
+        db = ib[bns] = dict(ib[bns])
+        for (xa, sa), (xb, sb) in zip(xs, ys):
+            if not (_alpha(sa, sb, ea, eb, lvl) if form == TYPED else sa == sb):
+                return False
+            da[xa] = db[xb] = (lvl, k)
+            k += 1
+    f = scope[0]
+    return _alpha(getattr(a, f), getattr(b, f), tuple(ia), tuple(ib), lvl + 1)
+
+
+def typed_sites(t) -> list:
+    """(child path, node) for every term node of `t`, in pre-order; paths are
+    spelled as in `BisimReport.mismatch_path`, for `rewrite_at`."""
+    out, stack = [], [("", t)]
+    while stack:
+        path, x = stack.pop()
+        out.append((path, x))
+        stack += reversed([(f"{path}/{label}" if path else label, c) for label, c in term_children(x)])
+    return out
+
+
+def change_value(x):
+    """A base literal with another value."""
+    if not isinstance(x, BaseVal):
+        return None
+    if x.base == "Num":
+        return replace(x, value=x.value + 1.0 if abs(x.value) < 1e300 else 0.0)
+    return replace(x, value=not x.value) if x.base == "Bool" else replace(x, value=chr(ord(x.value) + 1))
+
+
+def drop_annot(x):
+    """The node without its annotation."""
+    return None if x.annot is None else replace(x, annot=None)
+
+
+def swap_binders(x):
+    """A lam, tlam or ilam with its first two (distinct) binders' names
+    swapped, each keeping its type, kind or sort."""
+    field = "params" if isinstance(x, Lam) else "binders" if isinstance(x, (TLam, ILam)) else None
+    pairs = getattr(x, field) if field else ()
+    if len(pairs) < 2 or pairs[0][0] == pairs[1][0]:
+        return None
+    (a, s), (b, r) = pairs[:2]
+    return replace(x, **{field: ((b, s), (a, r)) + pairs[2:]})
+
+
+def rename_var(x):
+    """A term variable renamed to a name bound nowhere."""
+    return replace(x, name=x.name + "'") if isinstance(x, Var) else None
+
+
+def rename_param(x):
+    """A lam with its first parameter renamed throughout its body:
+    alpha-equivalent to `x`."""
+    if not isinstance(x, Lam) or not x.params:
+        return None
+    (old, ty), *rest = x.params
+    return replace(x, params=((old + "'", ty), *rest), body=subst(x.body, TM, {old: old + "'"}))
+
+
+TYPED_MUTATIONS = (change_value, drop_annot, swap_binders, rename_var, rename_param)
+
+
+# ---------------------------------------------------------------------------
 # Reference substitution on erased terms: hand-written over each erased node,
 # independent of `names.SCHEMA`, for the derived `esubst_idx` / `esubst_term`
 # and criterion 8 to be checked against. A renamed binder is `<base>#s<n>`.
@@ -654,24 +757,24 @@ def efree_idx(t) -> set[str]:
     if isinstance(t, EILam):
         return efree_idx(t.body) - set(t.params)
     if isinstance(t, EBox):
-        return set().union(*(free_idx_in_idx(i) for i in t.indices), efree_idx(t.payload))
+        return set().union(*(free_vars(i, IDX) for i in t.indices), efree_idx(t.payload))
     if isinstance(t, EArray):
         return set().union(*(efree_idx(a) for a in t.atoms), set())
     if isinstance(t, EFrame):
-        return set().union(free_idx_in_idx(t.shape), *(efree_idx(c) for c in t.cells))
+        return set().union(free_vars(t.shape, IDX), *(efree_idx(c) for c in t.cells))
     if isinstance(t, EApp):
         return set().union(
             efree_idx(t.fn),
             *(efree_idx(a) for a in t.args),
-            *(free_idx_in_idx(i) for i in t.arg_shapes),
-            free_idx_in_idx(t.out_shape),
+            *(free_vars(i, IDX) for i in t.arg_shapes),
+            free_vars(t.out_shape, IDX),
         )
     if isinstance(t, EIApp):
         return set().union(
-            efree_idx(t.fn), *(free_idx_in_idx(i) for i in t.idx_args), free_idx_in_idx(t.out_shape)
+            efree_idx(t.fn), *(free_vars(i, IDX) for i in t.idx_args), free_vars(t.out_shape, IDX)
         )
     if isinstance(t, EUnbox):
-        return efree_idx(t.box) | free_idx_in_idx(t.body_shape) | (efree_idx(t.body) - set(t.idx_vars))
+        return efree_idx(t.box) | free_vars(t.body_shape, IDX) | (efree_idx(t.body) - set(t.idx_vars))
     raise TypeError(t)
 
 
@@ -692,7 +795,7 @@ def reference_esubst_idx(t, m: dict):
         m2 = {k: v for k, v in m.items() if k not in t.params}
         if not m2:
             return t
-        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
+        payload_free = set().union(*(free_vars(v, IDX) for v in m2.values()), set())
         params = []
         extra: dict = {}
         for x in t.params:
@@ -729,7 +832,7 @@ def reference_esubst_idx(t, m: dict):
         m2 = {k: v for k, v in m.items() if k not in t.idx_vars}
         if not m2:
             return replace(t, box=box, body_shape=body_shape)
-        payload_free = set().union(*(free_idx_in_idx(v) for v in m2.values()), set())
+        payload_free = set().union(*(free_vars(v, IDX) for v in m2.values()), set())
         idx_vars = []
         extra = {}
         for x in t.idx_vars:
