@@ -329,17 +329,25 @@ def freshen(t: Term, salt: str = "") -> Term:
 
 
 def _freshen(node, envs: tuple, fresh):
+    """`node` renamed; `node` itself when nothing under it changes, and each
+    field that does not change shared with it."""
     cls = type(node)
     changes = {}
-    if cls in LEAVES and node.name in envs[LEAVES[cls]]:
-        changes["name"] = envs[LEAVES[cls]][node.name]
+    if cls in LEAVES:
+        name = envs[LEAVES[cls]].get(node.name, node.name)
+        if name != node.name:
+            changes["name"] = name
     _, kids, binders, scope = _SPLIT[cls]
     for f, shape, _, _ in kids:
         old = getattr(node, f)
         if shape == MANY:
-            changes[f] = tuple(_freshen(c, envs, fresh) for c in old)
+            new = tuple(_freshen(c, envs, fresh) for c in old)
+            if not all(map(is_, new, old)):
+                changes[f] = new
         elif old is not None:
-            changes[f] = _freshen(old, envs, fresh)
+            new = _freshen(old, envs, fresh)
+            if new is not old:
+                changes[f] = new
     if scope is not None:
         inner = list(envs)
         for f, form, bns in binders:
@@ -348,8 +356,13 @@ def _freshen(node, envs: tuple, fresh):
             for x, second in _unpack(getattr(node, f), form):
                 env[x] = x2 = fresh(x)
                 items.append((x2, _freshen(second, envs, fresh) if form == TYPED else second))
-            changes[f] = _pack(items, form)
-        changes[scope[0]] = _freshen(getattr(node, scope[0]), tuple(inner), fresh)
+            new = _pack(items, form)
+            if new != getattr(node, f):
+                changes[f] = new
+        old = getattr(node, scope[0])
+        new = _freshen(old, tuple(inner), fresh)
+        if new is not old:
+            changes[scope[0]] = new
     return S.replace(node, **changes) if changes else node
 
 

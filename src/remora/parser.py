@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from typing import Optional, Union
 
 from .syntax import (
@@ -82,71 +83,86 @@ KEYWORDS = {
 }
 
 
+_NEWLINE_RE = re.compile(r"\n")
+
+
+class Lines:
+    """The offset at which each line of one source text starts. A token is
+    read with its offset only; this table turns an offset into a
+    `SourceLocation` when a node or a `ParseError` needs one."""
+
+    __slots__ = ("file", "starts")
+
+    def __init__(self, text: str, file: str):
+        self.file = file
+        self.starts = [0, *(m.end() for m in _NEWLINE_RE.finditer(text))]
+
+    def locate(self, offset: int) -> SourceLocation:
+        line = bisect_right(self.starts, offset)
+        return SourceLocation(self.file, line, offset - self.starts[line - 1] + 1)
+
+
+def _loc(s) -> SourceLocation:
+    return s.lines.locate(s.offset)
+
+
 @node
 class SAtom:
     text: str
-    loc: SourceLocation
+    offset: int
+    lines: Lines
+
+    loc = property(_loc)
 
 
 @node
 class SList:
     items: tuple[SExpr, ...]
-    loc: SourceLocation
+    offset: int  # of the open paren
+    lines: Lines
+
+    loc = property(_loc)
 
 
 SExpr = Union[SAtom, SList]
 
 
-# Each match is a run of blanks or a comment (group 1) or one token (group 2).
-# The character of a `#\` literal may be a delimiter or a blank.
-_TOKEN_RE = re.compile(r"([ \t\r\n]+|;[^\n]*)|([()]|#\\[\s\S][^ \t\r\n();]*|[^ \t\r\n();]+)")
+# Each match is a comment or one token. The character of a `#\` literal may
+# be a delimiter or a blank.
+_TOKEN_RE = re.compile(r";[^\n]*|([()]|#\\[\s\S][^ \t\r\n();]*|[^ \t\r\n();]+)")
 
 
-def _tokenize(text: str, filename: str) -> list[tuple[str, SourceLocation]]:
-    tokens = []
-    line, col = 1, 1
-    for gap, tok in _TOKEN_RE.findall(text):
-        if gap:
-            newlines = gap.count("\n")
-            if newlines:
-                line += newlines
-                col = len(gap) - gap.rindex("\n")
-            else:
-                col += len(gap)
-            continue
-        tokens.append((tok, SourceLocation(filename, line, col)))
-        if "\n" in tok:  # `#\` and a raw newline, the only token that spans lines
-            line += 1
-            col = len(tok) - tok.index("\n")
-        else:
-            col += len(tok)
-    return tokens
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    """Each token of `text` with its offset."""
+    return [(tok, m.start()) for m in _TOKEN_RE.finditer(text) if (tok := m[1])]
 
 
-def _read(tokens: list[tuple[str, SourceLocation]]) -> SExpr:
-    """The one s-expression the tokens spell, read with a stack of the lists
+def _read(text: str, filename: str) -> SExpr:
+    """The one s-expression `text` spells, read with a stack of the lists
     still open, so nesting costs no Python frames."""
-    stack = []  # (items of the enclosing list, location of this list's paren)
+    tokens = _tokenize(text)
+    lines = Lines(text, filename)
+    stack = []  # (items of the enclosing list, offset of this list's paren)
     items: list = []
-    for k, (tok, loc) in enumerate(tokens):
+    for k, (tok, at) in enumerate(tokens):
         if tok == "(":
-            stack.append((items, loc))
+            stack.append((items, at))
             items = []
             continue
         if tok == ")":
             if not stack:
-                raise ParseError("unexpected ')'", loc)
-            outer, loc = stack.pop()
-            outer.append(SList(tuple(items), loc=loc))
+                raise ParseError("unexpected ')'", lines.locate(at))
+            outer, at = stack.pop()
+            outer.append(SList(tuple(items), at, lines))
             items = outer
         else:
-            items.append(SAtom(tok, loc=loc))
+            items.append(SAtom(tok, at, lines))
         if not stack:
             if k + 1 < len(tokens):
-                raise ParseError("trailing content after expression", tokens[k + 1][1])
+                raise ParseError("trailing content after expression", lines.locate(tokens[k + 1][1]))
             return items[0]
     if stack:
-        raise ParseError("unbalanced parentheses", stack[-1][1])
+        raise ParseError("unbalanced parentheses", lines.locate(stack[-1][1]))
     raise ParseError("empty input")
 
 
@@ -161,7 +177,7 @@ def _split_annotation(items: tuple[SExpr, ...]) -> tuple[tuple[SExpr, ...], Opti
 
 
 def _is_nat(text: str) -> bool:
-    return text.isdigit()
+    return text.isdecimal()  # exactly what int() reads
 
 
 def _parse_dims(s: SExpr) -> tuple[int, ...]:
@@ -387,12 +403,12 @@ def _parse_expr(s: SExpr) -> ExprTerm:
 
 def parse_term(text: str, filename: str = "<string>") -> ExprTerm:
     """Parse one top-level expression from source text."""
-    return _parse_expr(_read(_tokenize(text, filename)))
+    return _parse_expr(_read(text, filename))
 
 
 def parse_type(text: str, filename: str = "<string>") -> TypeExpr:
-    return _parse_type(_read(_tokenize(text, filename)))
+    return _parse_type(_read(text, filename))
 
 
 def parse_index(text: str, filename: str = "<string>") -> IndexExpr:
-    return _parse_index(_read(_tokenize(text, filename)))
+    return _parse_index(_read(text, filename))

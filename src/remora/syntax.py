@@ -86,12 +86,16 @@ def node(cls):
     def __init__(self, *args, annot=None, loc=None):
         if len(args) != k or (annot is not None and n < 2) or (loc is not None and n < 1):
             raise TypeError(f"{cls.__name__} takes the fields {fields[:k]}, then the keywords {fields[k:]}")
-        # Most classes have one or two positional fields: no loop for those.
+        # Most classes have one to three positional fields: no loop for those.
         if k == 1:
             puts[0](self, args[0])
         elif k == 2:
             puts[0](self, args[0])
             puts[1](self, args[1])
+        elif k == 3:
+            puts[0](self, args[0])
+            puts[1](self, args[1])
+            puts[2](self, args[2])
         else:
             for put, v in zip(puts, args):
                 put(self, v)

@@ -49,6 +49,18 @@ class TestCheck:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"{tmp_path / 'prog.remora'}:1:1: empty application\n"
 
+    @pytest.mark.parametrize(
+        "source, diagnostic",
+        [
+            ("(array (²) 1)", "1:9: dimensions must be natural number literals"),
+            ("(array () (lam ((x (Arr Num (Shp ²)))) x))", "1:34: UnboundVar: unbound index variable ²"),
+        ],
+    )
+    def test_digit_that_int_cannot_read(self, tmp_path, source, diagnostic):
+        proc = run_fresh(tmp_path, source, "check")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"{tmp_path / 'prog.remora'}:{diagnostic}\n"
+
     def test_list_prims(self, capsys):
         code, out, _ = run(capsys, "check", "--list-prims")
         assert code == 0

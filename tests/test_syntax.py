@@ -31,18 +31,20 @@ from remora.names import (
     subst_ty_in_term,
     subst_ty_in_type,
 )
-from remora.parser import ParseError, _read, _tokenize, parse_index, parse_term, parse_type
+from remora.parser import Lines, ParseError, _read, _tokenize, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import App, ArrayLit, EmptyArray, Frame, Lam, NUM, Var, copier, num, replace, scalar_of
+from remora.syntax import App, ArrayLit, EmptyArray, Frame, IdxVar, Lam, NUM, Var, copier, num, replace, scalar_of
 
 from .util import (
     ORACLE_GROUPS,
     PROGRAMS_DIR,
     TYPED_MUTATIONS,
+    assert_locations_match_reference,
     check_src,
     oracle_programs,
     reference_alpha_equal,
+    reference_tokenize,
     rewrite_at,
     typed_sites,
 )
@@ -103,9 +105,19 @@ class TestParse:
         t = parse_term("(array (3) #t #f #\\a)")
         assert [a.base for a in t.atoms] == ["Bool", "Bool", "Char"]
 
+    def test_naturals_are_what_int_reads(self):
+        # `²` is a digit to `str.isdigit` but not to `int`
+        with pytest.raises(ParseError) as info:
+            parse_term("(array (²) 1)", "f")
+        assert (info.value.message, str(info.value.loc)) == ("dimensions must be natural number literals", "f:1:9")
+        assert parse_index("²") == IdxVar("²")
+        assert parse_term("(array (٣) 1 2 3)").dims == (3,)
+        assert parse_index("(Shp ٣)") == parse_index("(Shp 3)")
+
 
 def _tokens(text):
-    return [(tok, loc.line, loc.column) for tok, loc in _tokenize(text, "f")]
+    lines = Lines(text, "f")
+    return [(tok, loc.line, loc.column) for tok, at in _tokenize(text) for loc in [lines.locate(at)]]
 
 
 class TestReader:
@@ -124,6 +136,7 @@ class TestReader:
     )
     def test_tokens_and_locations(self, text, tokens):
         assert _tokens(text) == tokens
+        assert_locations_match_reference(text)
 
     @pytest.mark.parametrize(
         "text, message, where",
@@ -147,12 +160,41 @@ class TestReader:
 
     def test_nesting_costs_no_python_frames(self):
         depth = 10**5
-        s = _read(_tokenize("(" * depth + ")" * depth, "f"))
+        s = _read("(" * depth + ")" * depth, "f")
         levels = 1
         while s.items:
             (s,) = s.items
             levels += 1
         assert levels == depth and s.loc.column == depth
+
+    def test_locations_match_reference_on_the_corpus(self):
+        paths = sorted(PROGRAMS_DIR.glob("*.remora"))
+        assert paths
+        for path in paths:
+            assert_locations_match_reference(path.read_text(encoding="utf-8"), str(path))
+
+    def test_locations_match_reference_on_the_batch(self):
+        # the first 200 programs of the acceptance batch
+        for prog in generate_programs(200, seed=2024, config=GenConfig(stuck_rate=0.05)):
+            assert_locations_match_reference(print_term(prog))
+
+    def test_each_parse_tokenizes_once(self, monkeypatch):
+        """The benchmark's tracer wraps `parser._tokenize` by name and counts
+        the entries of its result as tokens."""
+        calls = []
+        tokenize = remora.parser._tokenize
+
+        def counting(*args):
+            calls.append(tokenize(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(remora.parser, "_tokenize", counting)
+        for parse, text in [(parse_term, "; a vector\n(array (2) 1 2)"), (parse_type, "(Arr Num (Shp 2))"),
+                            (parse_index, "(Shp 2 n) ; a shape")]:
+            calls.clear()
+            parse(text)
+            assert len(calls) == 1
+            assert [tok for tok, _ in calls[0]] == [tok for tok, _ in reference_tokenize(text, "f")]
 
 
 class TestRoundTrip:
@@ -295,6 +337,14 @@ class TestFreshen:
         lam = freshen(t).atoms[0]
         assert [x for x, _ in lam.params] == ["f#1", "g#3"]
         assert lam.params[0][1].elem.binders[0][0] == "a#2"
+
+    def test_shares_what_it_does_not_rename(self):
+        t = parse_term("((array () +) (frame (2) (array () 1) (array () 2)) y)")
+        assert freshen(t) is t
+        t = parse_term("(array () (lam ((x (Arr Num (Shp)))) ((array () +) x (frame (1) (array () 3)))))")
+        body = freshen(t).atoms[0].body
+        assert body.fn is t.atoms[0].body.fn and body.args[1] is t.atoms[0].body.args[1]
+        assert body.args[0] == Var("x#1")
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +498,7 @@ class TestTypedAlpha:
 # the time, as an annotated form does.
 _WORDS = sorted(remora.parser.KEYWORDS) + [
     ":", "Num", "Bool", "Arr", "Shp", "->", "Forall", "Pi", "Sigma", "++", "+",
-    "Atom", "Array", "Dim", "Shape", "0", "1", "2", "x", "head",
+    "Atom", "Array", "Dim", "Shape", "0", "1", "2", "x", "head", "²", "٣",
 ]
 _SEXPRS = st.recursive(
     st.sampled_from(_WORDS),
@@ -468,6 +518,20 @@ def test_reader_and_checker_reject_with_their_own_errors(src):
         elaborate(EMPTY_ENV, SIGNATURE, parse_term(src))
     except (ParseError, TypeCheckError):
         pass
+
+
+# What may stand between two tokens: blanks that count one column each,
+# newlines, a comment, and a `#\` literal whose character is a raw newline.
+_GAPS = [" ", "\t", "\r", "\n", "\r\n", "  ; note\n", " #\\\n "]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_SEXPRS, st.randoms(use_true_random=False))
+def test_reader_locations_match_reference(src, rng):
+    """On the fuzz strings, and on each with its blanks replaced by other
+    gaps, every location the reader gives is the reference reader's."""
+    assert_locations_match_reference(src)
+    assert_locations_match_reference("".join(rng.choice(_GAPS) if c == " " else c for c in src))
 
 
 class TestCaptureAvoidance:

@@ -1,7 +1,8 @@
 """Shared test helpers: independent evaluators for index expressions (the
 brute-force oracle), random index/type generators, a one-call pipeline from
-source text to a result, the inputs of the machine oracle tests, the
-recursive specs that the looping ones are checked against, the whole-term
+source text to a result, the reader that tracks line and column token by
+token (the oracle of the parser's locations), the inputs of the machine
+oracle tests, the recursive specs that the looping ones are checked against, the whole-term
 reference comparison of erased terms and the pairwise one of typed terms,
 one-site rewrites of typed terms, the hand-written reference
 substitution on erased terms with random erased terms to run it on, the
@@ -14,8 +15,11 @@ import functools
 import itertools
 import pathlib
 import random
+import re
 import sys
 from typing import Union
+
+import pytest
 
 import remora.erase
 import remora.names
@@ -59,7 +63,7 @@ from remora.eval import (
 from remora.gen import GenConfig, generate_programs
 from remora.indices import CanonicalDim, CanonicalShape, DimC, concrete_dims, normalize_index, normalize_tag
 from remora.names import IDX, LEAVES, MANY, TM, TYPED, _SPLIT, _unpack, base_name, free_vars, subst, subst_idx, term_children
-from remora.parser import parse_term
+from remora.parser import Lines, ParseError, SAtom, SExpr, SList, _parse_expr, _tokenize, parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
     App,
@@ -83,6 +87,7 @@ from remora.syntax import (
     Kind,
     Lam,
     NatLit,
+    Node,
     NUM,
     PiType,
     Plus,
@@ -90,6 +95,7 @@ from remora.syntax import (
     ShapeLit,
     SigmaType,
     Sort,
+    SourceLocation,
     TApp,
     TLam,
     TypeExpr,
@@ -223,6 +229,103 @@ def check_src(src: str):
 def run_src(src: str, fuel: int = 100_000):
     term, ty = check_src(src)
     return evaluate(term, fuel=fuel), ty
+
+
+# ---------------------------------------------------------------------------
+# The reader as it was first written, tracking line and column token by
+# token: the oracle of the offsets and the line table that replaced it.
+
+# Each match is a run of blanks or a comment (group 1) or one token (group 2).
+_REFERENCE_TOKEN_RE = re.compile(r"([ \t\r\n]+|;[^\n]*)|([()]|#\\[\s\S][^ \t\r\n();]*|[^ \t\r\n();]+)")
+
+
+def reference_tokenize(text: str, filename: str) -> list[tuple[str, SourceLocation]]:
+    tokens = []
+    line, col = 1, 1
+    for gap, tok in _REFERENCE_TOKEN_RE.findall(text):
+        if gap:
+            newlines = gap.count("\n")
+            if newlines:
+                line += newlines
+                col = len(gap) - gap.rindex("\n")
+            else:
+                col += len(gap)
+            continue
+        tokens.append((tok, SourceLocation(filename, line, col)))
+        if "\n" in tok:  # `#\` and a raw newline, the only token that spans lines
+            line += 1
+            col = len(tok) - tok.index("\n")
+        else:
+            col += len(tok)
+    return tokens
+
+
+class _Located:
+    """Stands in for `parser.Lines` where each offset is a location already."""
+
+    @staticmethod
+    def locate(loc: SourceLocation) -> SourceLocation:
+        return loc
+
+
+def reference_read(text: str, filename: str) -> SExpr:
+    """The s-expression `text` spells, read from `reference_tokenize`'s
+    tokens, so that every `loc` in it, and in what the grammar builds from
+    it, is the reference's."""
+    tokens = reference_tokenize(text, filename)
+    stack = []
+    items: list = []
+    for k, (tok, loc) in enumerate(tokens):
+        if tok == "(":
+            stack.append((items, loc))
+            items = []
+            continue
+        if tok == ")":
+            if not stack:
+                raise ParseError("unexpected ')'", loc)
+            outer, loc = stack.pop()
+            outer.append(SList(tuple(items), loc, _Located))
+            items = outer
+        else:
+            items.append(SAtom(tok, loc, _Located))
+        if not stack:
+            if k + 1 < len(tokens):
+                raise ParseError("trailing content after expression", tokens[k + 1][1])
+            return items[0]
+    if stack:
+        raise ParseError("unbalanced parentheses", stack[-1][1])
+    raise ParseError("empty input")
+
+
+def node_locations(t) -> list:
+    """The `loc` of every node under `t`, in a fixed order."""
+    out, stack = [], [t]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend(x)
+        elif isinstance(x, Node):
+            out.append(getattr(x, "loc", None))
+            stack.extend(getattr(x, f) for f in x._fields if f != "loc")
+    return out
+
+
+def assert_locations_match_reference(text: str, filename: str = "f.remora") -> None:
+    """Every token's location, and the `loc` of every node `parse_term`
+    builds, or the location of the `ParseError` it raises, are those of the
+    reference reader."""
+    lines = Lines(text, filename)
+    assert [(tok, lines.locate(at)) for tok, at in _tokenize(text)] == reference_tokenize(text, filename)
+    try:
+        expected = _parse_expr(reference_read(text, filename))
+    except ParseError as err:
+        with pytest.raises(ParseError) as info:
+            parse_term(text, filename)
+        assert (info.value.message, info.value.loc) == (err.message, err.loc)
+        return
+    got = parse_term(text, filename)
+    assert got == expected
+    assert node_locations(got) == node_locations(expected)
 
 
 # ---------------------------------------------------------------------------
