@@ -13,10 +13,10 @@ import importlib
 
 _EXPORTS = {
     "check": ("EMPTY_ENV", "Env", "ErrorKind", "TypeCheckError", "elaborate", "types_equal"),
-    "erase": ("bisim_run", "erase_term", "erase_type", "erased_evaluate", "print_erased"),
+    "erase": ("bisim_run", "erase_term", "erase_type", "erased_evaluate"),
     "eval": ("evaluate", "step"),
     "parser": ("ParseError", "parse_index", "parse_term", "parse_type"),
-    "printer": ("print_index", "print_term", "print_type"),
+    "printer": ("print_erased", "print_index", "print_term", "print_type"),
     "prims": ("SIGNATURE", "delta_apply", "signature_lookup"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -56,6 +56,7 @@ from .names import (
     subst_idx_in_type,
     subst_ty_in_type,
 )
+from .printer import print_type
 from .syntax import (
     App,
     ArrayLit,
@@ -388,6 +389,19 @@ def _changed(n, o) -> Optional[tuple]:
     return f, j, a[j], b[j]
 
 
+def _agree(n: Term, t: TypeExpr) -> None:
+    """A form's annotation must be its type, up to equivalence. (An
+    operator's annotation is its instantiated type, and is its type.)"""
+    a = n.annot
+    if a is not t and a != t and not types_equal(a, t):
+        raise TypeCheckError(
+            ErrorKind.ANNOTATION_MISMATCH,
+            f"annotation {print_type(a, canonical=True)} does not match the form's type"
+            f" {print_type(t, canonical=True)}",
+            n.loc,
+        )
+
+
 class _Elaborator:
     """Elaborates under one signature and one root environment. `memo` maps
     id(input node) -> (input node, output node, type) for the nodes of the
@@ -529,6 +543,8 @@ class _Elaborator:
             out = Box(a.indices, payload, t, annot=t, loc=a.loc)
         else:
             raise TypeError(a)
+        if a.annot is not None:
+            _agree(a, t)
         if memo is not None:
             memo[id(a)] = (a, out, t)
         return out, t
@@ -869,6 +885,8 @@ class _Elaborator:
 
         else:
             raise TypeError(e)
+        if e.annot is not None:
+            _agree(e, t)
         if memo is not None:
             memo[id(e)] = (e, out, t)
         return out, t

@@ -65,7 +65,7 @@ from .eval import (
 from .indices import concrete_dims, element_count, normalize_tag
 from .names import IDX, TM, Forms, Generations, alpha_equal, subst, term_children
 from .prims import Misapplied, _shape_entry
-from .printer import print_base, print_index
+from .printer import print_erased  # noqa: F401  (re-exported; benchmark tools wrap this name)
 from .syntax import (
     App,
     ArrayLit,
@@ -729,51 +729,3 @@ def bisim_run(t: ExprTerm, fuel: int = 10_000, trace: bool = False) -> BisimRepo
             return BisimReport("both-stuck", n, trace=log)
         return mismatch(n)
     return BisimReport("diverged", fuel, trace=log)
-
-
-# ---------------------------------------------------------------------------
-# Printing
-
-
-def print_erased(t: ETerm) -> str:
-    if isinstance(t, EBase):
-        return print_base(t.base, t.value)
-    if isinstance(t, EOp):
-        return t.name
-    if isinstance(t, EVar):
-        return t.name
-    if isinstance(t, ELam):
-        return f"(lam ({' '.join(t.params)}) {print_erased(t.body)})"
-    if isinstance(t, EILam):
-        return f"(ilam ({' '.join(t.params)}) {print_erased(t.body)})"
-    if isinstance(t, EBox):
-        idxs = " ".join(print_index(i) for i in t.indices)
-        sep = " " if idxs else ""
-        return f"(box {idxs}{sep}{print_erased(t.payload)})"
-    if isinstance(t, EArray):
-        dims = " ".join(str(d) for d in t.dims)
-        atoms = " ".join(print_erased(a) for a in t.atoms)
-        sep = " " if atoms else ""
-        return f"(array ({dims}){sep}{atoms})"
-    if isinstance(t, EFrame):
-        cells = " ".join(print_erased(c) for c in t.cells)
-        sep = " " if cells else ""
-        return f"(frame {print_index(t.shape)}{sep}{cells})"
-    if isinstance(t, EApp):
-        args = " ".join(
-            f"({print_erased(a)} : {print_index(s)})"
-            for a, s in zip(t.args, t.arg_shapes)
-        )
-        sep = " " if args else ""
-        return f"({print_erased(t.fn)}{sep}{args} : {print_index(t.out_shape)})"
-    if isinstance(t, EIApp):
-        idxs = " ".join(print_index(i) for i in t.idx_args)
-        sep = " " if idxs else ""
-        return f"(i-app {print_erased(t.fn)}{sep}{idxs} : {print_index(t.out_shape)})"
-    if isinstance(t, EUnbox):
-        names = " ".join(t.idx_vars + (t.val_var,))
-        return (
-            f"(unbox ({names} {print_erased(t.box)}) {print_erased(t.body)}"
-            f" : {print_index(t.body_shape)})"
-        )
-    raise TypeError(t)

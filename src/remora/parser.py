@@ -33,6 +33,7 @@ from .syntax import (
     ForallType,
     Frame,
     FunType,
+    HEADS,
     IApp,
     IdxAppend,
     IdxVar,
@@ -68,19 +69,9 @@ class ParseError(Exception):
 
 _NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
 
-KEYWORDS = {
-    "array",
-    "frame",
-    "empty-array",
-    "empty-frame",
-    "lam",
-    "tlam",
-    "ilam",
-    "box",
-    "unbox",
-    "t-app",
-    "i-app",
-}
+# The head words of the typed term forms: no variable or operator is spelled
+# as one.
+KEYWORDS = {word for cls, word in HEADS.items() if "annot" in cls._roles}
 
 
 _NEWLINE_RE = re.compile(r"\n")

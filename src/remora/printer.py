@@ -1,52 +1,38 @@
-"""Printers for indices, types, and terms, inverse to the parser.
+"""One printer for indices, types, typed terms and erased terms, inverse to
+the parser.
 
-print_term(parse_term(s)) round-trips structurally for annotation-free
-terms. Empty array/frame literals always print their annotation (there is
-no other way to read their element type back); other nodes print a trailing
-`: type` only when asked.
+A form prints as `(head piece ...)`: its head word (`syntax.HEADS`), then its
+fields in order, as the roles that `syntax.node` records in `_roles` say. A
+child is one piece, and a tuple of children one piece each; dimensions and
+binder lists are one parenthesized piece each. The `annot` of a typed form,
+and the result shape that ends an erased form, print last as ` : type`.
+Leaves (names, numbers, literals) are spelled alone and never annotated. What
+the roles cannot say is written out in `_layout`: an application has no head
+word; `->` parenthesizes its inputs; `unbox` groups its binders with the box;
+an erased application prints each argument with its cell shape, as
+`(arg : shape)`; and `(+ )` and `(++ )` keep the space after the head word.
+
+A typed form prints its annotation when asked, and an empty `array` or
+`frame` always (its element type cannot be read back otherwise). With
+`canonical`, each index whose parent is not an index prints in the normal
+form `normalize_index` gives it. print_term(parse_term(s)) round-trips
+structurally for annotation-free terms. One loop over an explicit stack
+prints every form, so a term of any depth prints.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+from typing import get_args
+
+from . import syntax as S
 from .indices import normalize_index
-from .syntax import (
-    App,
-    ArrayLit,
-    ArrType,
-    BaseType,
-    BaseVal,
-    Box,
-    CHAR_NAMES,
-    EmptyArray,
-    EmptyFrame,
-    ForallType,
-    Frame,
-    FunType,
-    IApp,
-    IdxAppend,
-    IdxVar,
-    ILam,
-    IndexExpr,
-    Lam,
-    NatLit,
-    PiType,
-    Plus,
-    PrimOp,
-    ShapeLit,
-    SigmaType,
-    TApp,
-    Term,
-    TLam,
-    TypeExpr,
-    TyVar,
-    Unbox,
-    Var,
-)
+from .syntax import DATA, HEADS, IDX, PAIRS, TAG, TYPED, Child, Scope
 
-_CHAR_SPELLINGS = {c: name for name, c in CHAR_NAMES.items()}
+_CHAR_SPELLINGS = {c: name for name, c in S.CHAR_NAMES.items()}
 
 
-def print_base(base: str, v) -> str:
+def _print_base(base: str, v) -> str:
     """A Num, Bool or Char literal, spelled as the reader reads it."""
     if base == "Num":
         if v != v:  # NaN
@@ -61,114 +47,146 @@ def print_base(base: str, v) -> str:
     return "#\\" + _CHAR_SPELLINGS.get(v, v)
 
 
-def print_index(i: IndexExpr, canonical: bool = False) -> str:
-    if canonical:
-        return print_index(normalize_index(i))
-    if isinstance(i, NatLit):
-        return str(i.value)
-    if isinstance(i, IdxVar):
-        return i.name
-    if isinstance(i, Plus):
-        return "(+ " + " ".join(print_index(o) for o in i.operands) + ")"
-    if isinstance(i, ShapeLit):
-        if not i.dims:
-            return "(Shp)"
-        return "(Shp " + " ".join(print_index(o) for o in i.dims) + ")"
-    if isinstance(i, IdxAppend):
-        return "(++ " + " ".join(print_index(o) for o in i.operands) + ")"
-    raise TypeError(i)
+# What a layout step does with its field's value.
+_ONE, _MANY, _TEXT, _TYPED, _UNBOX, _SHAPED = range(6)
 
 
-def _binders(binders, tag) -> str:
-    return "(" + " ".join(f"({x} {tag(b)})" for x, b in binders) + ")"
+def _spell_pairs(binders) -> str:
+    return "(" + " ".join(f"({x} {b.value})" for x, b in binders) + ")"
 
 
-def print_type(t: TypeExpr, canonical: bool = False) -> str:
-    if isinstance(t, BaseType):
-        return t.name
-    if isinstance(t, TyVar):
-        return t.name
-    if isinstance(t, FunType):
-        ins = " ".join(print_type(x, canonical) for x in t.inputs)
-        return f"(-> ({ins}) {print_type(t.output, canonical)})"
-    if isinstance(t, ArrType):
-        return f"(Arr {print_type(t.elem, canonical)} {print_index(t.shape, canonical)})"
-    if isinstance(t, ForallType):
-        return f"(Forall {_binders(t.binders, str)} {print_type(t.body, canonical)})"
-    if isinstance(t, PiType):
-        return f"(Pi {_binders(t.binders, str)} {print_type(t.body, canonical)})"
-    if isinstance(t, SigmaType):
-        return f"(Sigma {_binders(t.binders, str)} {print_type(t.body, canonical)})"
-    raise TypeError(t)
+def _spell_names(names) -> str:
+    return "(" + " ".join(names) + ")"
 
 
-def _dims(dims: tuple[int, ...]) -> str:
-    return "(" + " ".join(str(d) for d in dims) + ")"
+def _spell_dims(dims) -> str:
+    return "(" + " ".join(map(str, dims)) + ")"
 
 
-def print_term(t: Term, annotations: bool = False, canonical: bool = False) -> str:
-    return _TermPrinter(annotations, canonical).go(t)
+def _leaf(cls):
+    """How a leaf (a class with data fields only) is spelled, or None."""
+    data = [f for f, role in cls._roles.items() if f != "annot"]
+    if any(cls._roles[f] != DATA for f in data):
+        return None
+    if data == ["base", "value"]:
+        return lambda n: _print_base(n.base, n.value)
+    if data == ["value"]:
+        return lambda n: str(n.value)
+    return attrgetter("name")
 
 
-class _TermPrinter:
-    """One Python frame per nesting level. (A class, not a closure: a
-    recursive closure is a reference cycle, and one per call keeps the
-    collector busy.)"""
+def _layout(cls) -> tuple:
+    """(opening text, steps, annot) of a form. Each step is (what, getter,
+    text before it, arg): arg is, for children, whether they are index roots;
+    for data, its spelling."""
+    roles = [(f, r) for f, r in cls._roles.items() if f != "annot"]
+    index = all(isinstance(r, Child) and r.cat == IDX for _, r in roles)
+    text, lead, steps = "(" + HEADS.get(cls, ""), " " if cls in HEADS else "", []
+    if cls in (S.Plus, S.IdxAppend):
+        text, lead = text + " ", ""
+    fields = iter(roles)
+    for f, role in fields:
+        get, after = attrgetter(f), " "
+        if cls is S.FunType and f == "inputs":  # `(-> (in ...) out)`
+            text, after = text + " (", ") "
+            steps.append((_MANY, get, "", False))
+        elif cls is S.EApp and f == "args":  # `(f (arg : shape) ... : out)`
+            next(fields)
+            steps.append((_SHAPED, attrgetter(f, "arg_shapes"), "", None))
+        elif cls in (S.Unbox, S.EUnbox) and f == "idx_vars":  # `(unbox (i ... v box) body)`
+            (g, _), (b, _) = next(fields), next(fields)
+            steps.append((_UNBOX, attrgetter(f, g, b), lead, None))
+        elif isinstance(role, (Child, Scope)):
+            last = role == TAG and f == roles[-1][0]  # an erased form's result shape
+            many = isinstance(role, Child) and role.shape == S.MANY
+            steps.append((_MANY if many else _ONE, get, " : " if last else lead, role.cat == IDX and not index))
+        elif role == DATA:
+            steps.append((_TEXT, get, lead, _spell_dims))
+        elif role.form == TYPED:
+            steps.append((_TYPED, get, lead, None))
+        else:
+            steps.append((_TEXT, get, lead, _spell_pairs if role.form == PAIRS else _spell_names))
+        lead = after
+    # Whether the form has an annotation; for `array` and `frame`, the getter
+    # of the children without which it is printed (the element type of an
+    # empty literal cannot be read back otherwise).
+    annot = "annot" in cls._roles and (cls not in (S.ArrayLit, S.Frame) or attrgetter(roles[-1][0]))
+    return text, tuple(steps), annot
 
-    __slots__ = ("annotations", "canonical")
 
-    def __init__(self, annotations: bool, canonical: bool) -> None:
-        self.annotations, self.canonical = annotations, canonical
+_CLASSES = [cls for u in (S.IndexExpr, S.TypeExpr, S.Term, S.ETerm) for cls in get_args(u)]
+_LEAVES = {cls: spell for cls in _CLASSES if (spell := _leaf(cls)) is not None}
+_LAYOUTS = {cls: _layout(cls) for cls in _CLASSES if cls not in _LEAVES}
 
-    def ann(self, node, body: str, force: bool = False) -> str:
-        if node.annot is not None and (self.annotations or force):
-            return f"{body} : {print_type(node.annot, self.canonical)}"
-        return body
 
-    def go(self, t: Term) -> str:
-        canonical = self.canonical
-        if isinstance(t, BaseVal):
-            return print_base(t.base, t.value)
-        if isinstance(t, PrimOp):
-            return t.name
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Lam):
-            params = " ".join(f"({x} {print_type(ty, canonical)})" for x, ty in t.params)
-            return "(" + self.ann(t, f"lam ({params}) {self.go(t.body)}") + ")"
-        if isinstance(t, TLam):
-            return "(" + self.ann(t, f"tlam {_binders(t.binders, str)} {self.go(t.body)}") + ")"
-        if isinstance(t, ILam):
-            return "(" + self.ann(t, f"ilam {_binders(t.binders, str)} {self.go(t.body)}") + ")"
-        if isinstance(t, Box):
-            idxs = " ".join(print_index(i, canonical) for i in t.indices)
-            idxs = idxs + " " if idxs else ""
-            return "(" + self.ann(t, f"box {idxs}{self.go(t.payload)} {print_type(t.box_type, canonical)}") + ")"
-        if isinstance(t, ArrayLit):
-            parts = " ".join(self.go(a) for a in t.atoms)
-            body = f"array {_dims(t.dims)}" + (f" {parts}" if parts else "")
-            return "(" + self.ann(t, body, force=not t.atoms) + ")"
-        if isinstance(t, Frame):
-            parts = " ".join(self.go(c) for c in t.cells)
-            body = f"frame {_dims(t.dims)}" + (f" {parts}" if parts else "")
-            return "(" + self.ann(t, body, force=not t.cells) + ")"
-        if isinstance(t, EmptyArray):
-            return "(" + self.ann(t, f"empty-array {print_type(t.elem_type, canonical)} {_dims(t.dims)}") + ")"
-        if isinstance(t, EmptyFrame):
-            return "(" + self.ann(t, f"empty-frame {print_type(t.cell_type, canonical)} {_dims(t.dims)}") + ")"
-        if isinstance(t, App):
-            parts = " ".join(self.go(a) for a in t.args)
-            body = self.go(t.fn) + (f" {parts}" if parts else "")
-            return "(" + self.ann(t, body) + ")"
-        if isinstance(t, TApp):
-            parts = " ".join(print_type(x, canonical) for x in t.type_args)
-            body = f"t-app {self.go(t.fn)}" + (f" {parts}" if parts else "")
-            return "(" + self.ann(t, body) + ")"
-        if isinstance(t, IApp):
-            parts = " ".join(print_index(i, canonical) for i in t.idx_args)
-            body = f"i-app {self.go(t.fn)}" + (f" {parts}" if parts else "")
-            return "(" + self.ann(t, body) + ")"
-        if isinstance(t, Unbox):
-            names = " ".join(t.idx_vars + (t.val_var,))
-            return "(" + self.ann(t, f"unbox ({names} {self.go(t.box)}) {self.go(t.body)}") + ")"
-        raise TypeError(t)
+def _print(t, annotations: bool = False, canonical: bool = False) -> str:
+    leaves, layouts = _LEAVES, _LAYOUTS
+    out = []
+    todo = [t]  # strings and nodes still to print, the next one last
+    while todo:
+        x = todo.pop()
+        cls = x.__class__
+        if cls is str:
+            out.append(x)
+            continue
+        spell = leaves.get(cls)
+        if spell is not None:
+            out.append(spell(x))
+            continue
+        text, steps, annot = layouts[cls]
+        rest = []  # text, a node, the text after it, and so on
+        for what, get, lead, arg in steps:
+            v = get(x)
+            if what <= _MANY:  # one child or a tuple of them; a leaf is spelled here
+                for c in (v,) if what is _ONE else v:
+                    spell = leaves.get(c.__class__)
+                    if spell is not None:
+                        text += lead + spell(c)
+                    else:
+                        rest += (text + lead, normalize_index(c) if arg and canonical else c)
+                        text = ""
+                    lead = " "
+            elif what is _TEXT:
+                text += lead + arg(v)
+            elif what is _TYPED:
+                text += lead + "("
+                for i, (name, ty) in enumerate(v):
+                    rest += (f"{text} ({name} " if i else f"{text}({name} ", ty)
+                    text = ")"
+                text += ")"
+            elif what is _UNBOX:
+                names, var, box = v
+                rest += (f"{text}{lead}(" + " ".join((*names, var)) + " ", box)
+                text = ")"
+            else:  # _SHAPED
+                for a, s in zip(*v):
+                    rest += (text + " (", a, " : ", s)
+                    text = ")"
+        if annot:
+            a = x.annot
+            if a is not None and (annotations or (annot is not True and not annot(x))):
+                rest += (text + " : ", a)
+                text = ""
+        if rest:
+            rest.append(text + ")")
+            out.append(rest[0])
+            todo += rest[:0:-1]
+        else:
+            out.append(text + ")")
+    return "".join(out)
+
+
+def print_index(i: S.IndexExpr, canonical: bool = False) -> str:
+    return _print(normalize_index(i) if canonical else i)
+
+
+def print_type(t: S.TypeExpr, canonical: bool = False) -> str:
+    return _print(t, canonical=canonical)
+
+
+def print_term(t: S.Term, annotations: bool = False, canonical: bool = False) -> str:
+    return _print(t, annotations, canonical)
+
+
+def print_erased(t: S.ETerm) -> str:
+    return _print(t)

@@ -580,3 +580,16 @@ class EUnbox:
 
 EExpr = Union[EVar, EArray, EFrame, EApp, EIApp, EUnbox]
 ETerm = Union[EAtom, EExpr]
+
+
+# ---------------------------------------------------------------------------
+# The head word of each form that has one, which the parser reads and the
+# printer writes (an application has none; a leaf is spelled alone)
+
+HEADS = {
+    Plus: "+", ShapeLit: "Shp", IdxAppend: "++",
+    FunType: "->", ArrType: "Arr", ForallType: "Forall", PiType: "Pi", SigmaType: "Sigma",
+    Lam: "lam", TLam: "tlam", ILam: "ilam", Box: "box", ArrayLit: "array", Frame: "frame",
+    EmptyArray: "empty-array", EmptyFrame: "empty-frame", TApp: "t-app", IApp: "i-app", Unbox: "unbox",
+    ELam: "lam", EILam: "ilam", EBox: "box", EArray: "array", EFrame: "frame", EIApp: "i-app", EUnbox: "unbox",
+}

@@ -287,6 +287,42 @@ class TestNegativeSuite:
             pytest.fail("expected a type error")
 
 
+# (source, line and column of the form whose annotation disagrees)
+MISANNOTATED = [
+    ("(array (2) 1 2 : (Arr Bool (Shp 5)))", 1, 1),
+    ("(frame (2) (array () 1) (array () 2) : (Arr Bool (Shp 7)))", 1, 1),
+    ("(empty-array Num (0) : (Arr Num (Shp ²)))", 1, 1),
+    ("((array () +) (array () 1) (array () 2) : (Arr Bool (Shp 9)))", 1, 1),
+    ("(frame (1)\n  (array (2) 1 2 : (Arr Num (Shp 3))))", 2, 3),
+    ("(array () (lam ((x (Arr Num (Shp)))) x : (-> ((Arr Num (Shp))) (Arr Bool (Shp)))))", 1, 11),
+    ("(t-app (array () (tlam ((t Atom)) (array () 5) : (Arr Num (Shp)))) Num)", 1, 18),
+]
+
+
+class TestAnnotations:
+    """A source annotation on a form must agree with the form's type."""
+
+    @pytest.mark.parametrize("src, line, column", MISANNOTATED)
+    def test_disagreeing_annotation_is_rejected(self, src, line, column):
+        with pytest.raises(TypeCheckError) as e:
+            elaborate(EMPTY_ENV, SIGNATURE, parse_term(src))
+        assert e.value.kind is ErrorKind.ANNOTATION_MISMATCH
+        assert (e.value.loc.line, e.value.loc.column) == (line, column)
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "(array (2) 1 2 : (Arr Num (Shp 2)))",
+            "(array (2) 1 2 : (Arr Num (++ (Shp 2) (Shp))))",  # equivalent, not equal
+            "((array () +) (array () 1) (array (3) 1 2 3) : (Arr Num (Shp 3)))",
+            "(array () (lam ((x (Arr Num (Shp)))) x : (-> ((Arr Num (Shp))) (Arr Num (Shp)))))",
+        ],
+    )
+    def test_agreeing_annotation_is_kept(self, src):
+        t, ty = elaborate(EMPTY_ENV, SIGNATURE, parse_term(src))
+        assert types_equal(t.annot, ty)
+
+
 class TestMetatheoryProperties:
     def test_uniqueness_of_typing(self):
         for prog in generate_programs(80, seed=21):

@@ -1,5 +1,6 @@
 """Command-line contract: outputs and exit codes."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 import remora
 from remora.cli import main
 
-from .util import TWO_LAMS_SOURCE, atom_in_surviving_lam, plant_divergence, reduce_source
+from .util import TWO_LAMS_SOURCE, atom_in_surviving_lam, family_source, plant_divergence, reduce_source
 
 PROGRAMS = "programs"
 DOCUMENTED_EXITS = (0, 1, 2, 3, 4, 64, 66)
@@ -60,6 +61,14 @@ class TestCheck:
         proc = run_fresh(tmp_path, source, "check")
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"{tmp_path / 'prog.remora'}:{diagnostic}\n"
+
+    def test_annotation_must_match_the_type(self, tmp_path):
+        proc = run_fresh(tmp_path, "(frame (1)\n  (array (2) 1 2 : (Arr Bool (Shp 5))))", "check")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            f"{tmp_path / 'prog.remora'}:2:3: AnnotationMismatch: annotation (Arr Bool (Shp 5))"
+            " does not match the form's type (Arr Num (Shp 2))\n"
+        )
 
     def test_list_prims(self, capsys):
         code, out, _ = run(capsys, "check", "--list-prims")
@@ -224,16 +233,32 @@ class TestDeepEvaluation:
         assert proc.stdout == "(array () 49995000)\n"
         assert "Traceback" not in proc.stderr
 
+    def test_deep_reduce_traces_every_step(self, tmp_path):
+        # Each state is an App chain up to 2,000 deep; the printer is a loop.
+        proc = run_fresh(tmp_path, reduce_source(2_000), "eval", "--trace")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2_008 and sum("\t" in line for line in lines) == 2_007
+        assert lines[-1] == "(array () 1999000)"
+
 
 class TestResourceLimit:
     """Input that nests deeper than the Python stack allows exits 4 with a
     one-line diagnostic, never a traceback."""
 
-    @pytest.mark.parametrize("argv, n", [(("bisim",), 10_000), (("eval", "--trace"), 2_000)])
+    @pytest.mark.parametrize("argv, n", [(("bisim",), 10_000)])
     def test_deep_reduce_exits_4(self, tmp_path, argv, n):
         proc = run_fresh(tmp_path, reduce_source(n), *argv)
         assert proc.returncode == 4, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+
+    def test_deep_frame_fmt_exits_4(self, tmp_path):
+        # The grammar pass (`parser._parse_expr`) still recurses once per level.
+        proc = run_fresh(tmp_path, family_source("frame", 10_000), "fmt")
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
 
 
@@ -254,3 +279,16 @@ LIST_PRIMS = (
     "reduce\t(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr (-> ((Arr a c) (Arr a c)) (Arr a c)) (Shp)) (Arr a (++ (Shp (+ 1 d)) c))) (Arr a c)) (Shp))) (Shp)))\n"
     "reshape\t(Pi ((d Dim) (c Shape)) (Arr (Forall ((a Atom)) (Arr (-> ((Arr Num (Shp d)) (Arr a c)) (Arr (Sigma ((s Shape)) (Arr a s)) (Shp))) (Shp))) (Shp)))\n"
 )
+
+
+class TestBenchmarkHooks:
+    def test_every_traced_name_resolves(self):
+        # The benchmark's tracer wraps these names by (module, attribute); a
+        # moved name would break only its traced runs.
+        path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.TARGETS
+        for module, attr, _ in tracer.TARGETS:
+            assert callable(getattr(importlib.import_module(module), attr)), (module, attr)

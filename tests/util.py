@@ -1,7 +1,8 @@
 """Shared test helpers: independent evaluators for index expressions (the
 brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the reader that tracks line and column token by
-token (the oracle of the parser's locations), the inputs of the machine
+token (the oracle of the parser's locations), the printers as first written
+(the oracle of `printer`), the inputs of the machine
 oracle tests, the recursive specs that the looping ones are checked against, the whole-term
 reference comparison of erased terms and the pairwise one of typed terms,
 one-site rewrites of typed terms, the hand-written reference
@@ -70,9 +71,11 @@ from remora.syntax import (
     ArrayLit,
     ArrType,
     AtomTerm,
+    BaseType,
     BaseVal,
     BOOL,
     Box,
+    CHAR_NAMES,
     EmptyArray,
     EmptyFrame,
     ExprTerm,
@@ -326,6 +329,150 @@ def assert_locations_match_reference(text: str, filename: str = "f.remora") -> N
     got = parse_term(text, filename)
     assert got == expected
     assert node_locations(got) == node_locations(expected)
+
+
+# ---------------------------------------------------------------------------
+# The printers as they were written first, one hand-written ladder per
+# language, recursing once per level: the oracle of `printer`'s one loop,
+# which must print every term, type and index byte for byte as they do.
+
+_REFERENCE_CHAR_SPELLINGS = {c: name for name, c in CHAR_NAMES.items()}
+
+
+def reference_print_base(base: str, v) -> str:
+    if base == "Num":
+        if v != v:  # NaN
+            return "nan"
+        if v in (float("inf"), float("-inf")):
+            return "inf" if v > 0 else "-inf"
+        if v == int(v) and abs(v) < 1e16:
+            return str(int(v))
+        return repr(v)
+    if base == "Bool":
+        return "#t" if v else "#f"
+    return "#\\" + _REFERENCE_CHAR_SPELLINGS.get(v, v)
+
+
+def reference_print_index(i: IndexExpr, canonical: bool = False) -> str:
+    if canonical:
+        return reference_print_index(normalize_index(i))
+    if isinstance(i, NatLit):
+        return str(i.value)
+    if isinstance(i, IdxVar):
+        return i.name
+    if isinstance(i, Plus):
+        return "(+ " + " ".join(reference_print_index(o) for o in i.operands) + ")"
+    if isinstance(i, ShapeLit):
+        if not i.dims:
+            return "(Shp)"
+        return "(Shp " + " ".join(reference_print_index(o) for o in i.dims) + ")"
+    if isinstance(i, IdxAppend):
+        return "(++ " + " ".join(reference_print_index(o) for o in i.operands) + ")"
+    raise TypeError(i)
+
+
+def _reference_binders(binders) -> str:
+    return "(" + " ".join(f"({x} {b})" for x, b in binders) + ")"
+
+
+def reference_print_type(t: TypeExpr, canonical: bool = False) -> str:
+    if isinstance(t, (BaseType, TyVar)):
+        return t.name
+    if isinstance(t, FunType):
+        ins = " ".join(reference_print_type(x, canonical) for x in t.inputs)
+        return f"(-> ({ins}) {reference_print_type(t.output, canonical)})"
+    if isinstance(t, ArrType):
+        return f"(Arr {reference_print_type(t.elem, canonical)} {reference_print_index(t.shape, canonical)})"
+    for cls, word in ((ForallType, "Forall"), (PiType, "Pi"), (SigmaType, "Sigma")):
+        if isinstance(t, cls):
+            return f"({word} {_reference_binders(t.binders)} {reference_print_type(t.body, canonical)})"
+    raise TypeError(t)
+
+
+def _dims(dims) -> str:
+    return "(" + " ".join(str(d) for d in dims) + ")"
+
+
+def reference_print_term(t, annotations: bool = False, canonical: bool = False) -> str:
+    def ann(node, body: str, force: bool = False) -> str:
+        if node.annot is not None and (annotations or force):
+            return f"{body} : {reference_print_type(node.annot, canonical)}"
+        return body
+
+    def go(t) -> str:
+        if isinstance(t, BaseVal):
+            return reference_print_base(t.base, t.value)
+        if isinstance(t, (PrimOp, Var)):
+            return t.name
+        if isinstance(t, Lam):
+            params = " ".join(f"({x} {reference_print_type(ty, canonical)})" for x, ty in t.params)
+            return "(" + ann(t, f"lam ({params}) {go(t.body)}") + ")"
+        if isinstance(t, TLam):
+            return "(" + ann(t, f"tlam {_reference_binders(t.binders)} {go(t.body)}") + ")"
+        if isinstance(t, ILam):
+            return "(" + ann(t, f"ilam {_reference_binders(t.binders)} {go(t.body)}") + ")"
+        if isinstance(t, Box):
+            idxs = " ".join(reference_print_index(i, canonical) for i in t.indices)
+            idxs = idxs + " " if idxs else ""
+            return "(" + ann(t, f"box {idxs}{go(t.payload)} {reference_print_type(t.box_type, canonical)}") + ")"
+        if isinstance(t, ArrayLit):
+            parts = " ".join(go(a) for a in t.atoms)
+            body = f"array {_dims(t.dims)}" + (f" {parts}" if parts else "")
+            return "(" + ann(t, body, force=not t.atoms) + ")"
+        if isinstance(t, Frame):
+            parts = " ".join(go(c) for c in t.cells)
+            body = f"frame {_dims(t.dims)}" + (f" {parts}" if parts else "")
+            return "(" + ann(t, body, force=not t.cells) + ")"
+        if isinstance(t, EmptyArray):
+            return "(" + ann(t, f"empty-array {reference_print_type(t.elem_type, canonical)} {_dims(t.dims)}") + ")"
+        if isinstance(t, EmptyFrame):
+            return "(" + ann(t, f"empty-frame {reference_print_type(t.cell_type, canonical)} {_dims(t.dims)}") + ")"
+        if isinstance(t, App):
+            parts = " ".join(go(a) for a in t.args)
+            return "(" + ann(t, go(t.fn) + (f" {parts}" if parts else "")) + ")"
+        if isinstance(t, TApp):
+            parts = " ".join(reference_print_type(x, canonical) for x in t.type_args)
+            return "(" + ann(t, f"t-app {go(t.fn)}" + (f" {parts}" if parts else "")) + ")"
+        if isinstance(t, IApp):
+            parts = " ".join(reference_print_index(i, canonical) for i in t.idx_args)
+            return "(" + ann(t, f"i-app {go(t.fn)}" + (f" {parts}" if parts else "")) + ")"
+        if isinstance(t, Unbox):
+            names = " ".join(t.idx_vars + (t.val_var,))
+            return "(" + ann(t, f"unbox ({names} {go(t.box)}) {go(t.body)}") + ")"
+        raise TypeError(t)
+
+    return go(t)
+
+
+def reference_print_erased(t) -> str:
+    go = reference_print_erased
+    if isinstance(t, EBase):
+        return reference_print_base(t.base, t.value)
+    if isinstance(t, (EOp, EVar)):
+        return t.name
+    if isinstance(t, ELam):
+        return f"(lam ({' '.join(t.params)}) {go(t.body)})"
+    if isinstance(t, EILam):
+        return f"(ilam ({' '.join(t.params)}) {go(t.body)})"
+    if isinstance(t, EBox):
+        idxs = " ".join(reference_print_index(i) for i in t.indices)
+        return f"(box {idxs}{' ' if idxs else ''}{go(t.payload)})"
+    if isinstance(t, EArray):
+        atoms = " ".join(go(a) for a in t.atoms)
+        return f"(array {_dims(t.dims)}{' ' if atoms else ''}{atoms})"
+    if isinstance(t, EFrame):
+        cells = " ".join(go(c) for c in t.cells)
+        return f"(frame {reference_print_index(t.shape)}{' ' if cells else ''}{cells})"
+    if isinstance(t, EApp):
+        args = " ".join(f"({go(a)} : {reference_print_index(s)})" for a, s in zip(t.args, t.arg_shapes))
+        return f"({go(t.fn)}{' ' if args else ''}{args} : {reference_print_index(t.out_shape)})"
+    if isinstance(t, EIApp):
+        idxs = " ".join(reference_print_index(i) for i in t.idx_args)
+        return f"(i-app {go(t.fn)}{' ' if idxs else ''}{idxs} : {reference_print_index(t.out_shape)})"
+    if isinstance(t, EUnbox):
+        names = " ".join(t.idx_vars + (t.val_var,))
+        return f"(unbox ({names} {go(t.box)}) {go(t.body)} : {reference_print_index(t.body_shape)})"
+    raise TypeError(t)
 
 
 # ---------------------------------------------------------------------------
