@@ -389,11 +389,16 @@ def _changed(n, o) -> Optional[tuple]:
     return f, j, a[j], b[j]
 
 
-def _agree(n: Term, t: TypeExpr) -> None:
+def _agree(n: Term, t: TypeExpr, env: Env, want: Kind) -> None:
     """A form's annotation must be its type, up to equivalence. (An
-    operator's annotation is its instantiated type, and is its type.)"""
+    operator's annotation is its instantiated type, and is its type.) One that
+    is not plainly the type is kinded first: an ill-sorted shape has no
+    canonical form to compare or print."""
     a = n.annot
-    if a is not t and a != t and not types_equal(a, t):
+    if a is t or a == t:
+        return
+    check_kind(env, a, want, n.loc)
+    if not types_equal(a, t):
         raise TypeCheckError(
             ErrorKind.ANNOTATION_MISMATCH,
             f"annotation {print_type(a, canonical=True)} does not match the form's type"
@@ -544,7 +549,7 @@ class _Elaborator:
         else:
             raise TypeError(a)
         if a.annot is not None:
-            _agree(a, t)
+            _agree(a, t, env, Kind.ATOM)
         if memo is not None:
             memo[id(a)] = (a, out, t)
         return out, t
@@ -886,7 +891,7 @@ class _Elaborator:
         else:
             raise TypeError(e)
         if e.annot is not None:
-            _agree(e, t)
+            _agree(e, t, env, Kind.ARRAY)
         if memo is not None:
             memo[id(e)] = (e, out, t)
         return out, t

@@ -583,8 +583,9 @@ ETerm = Union[EAtom, EExpr]
 
 
 # ---------------------------------------------------------------------------
-# The head word of each form that has one, which the parser reads and the
-# printer writes (an application has none; a leaf is spelled alone)
+# The head word of each form that has one, which the printer writes and the
+# parser reserves (an application has none; a leaf is spelled alone). The
+# grammar still spells each word it dispatches on.
 
 HEADS = {
     Plus: "+", ShapeLit: "Shp", IdxAppend: "++",

@@ -38,9 +38,33 @@ from remora.names import (
 from remora.parser import parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import ArrayLit, Frame, Kind, NatLit, NUM, PrimOp, Sort, Var, num, replace, scalar_of
+from remora.syntax import (
+    ArrayLit,
+    ArrType,
+    Frame,
+    FunType,
+    Kind,
+    NatLit,
+    NUM,
+    PrimOp,
+    ShapeLit,
+    Sort,
+    Var,
+    num,
+    replace,
+    scalar_of,
+)
 
-from .util import check_src, family_source, oracle_programs, random_type
+from .util import (
+    check_src,
+    family_source,
+    oracle_programs,
+    random_dim,
+    random_shape,
+    random_type,
+    rewrite_at,
+    typed_sites,
+)
 
 
 def sort_src(env, text):
@@ -291,16 +315,63 @@ class TestNegativeSuite:
 MISANNOTATED = [
     ("(array (2) 1 2 : (Arr Bool (Shp 5)))", 1, 1),
     ("(frame (2) (array () 1) (array () 2) : (Arr Bool (Shp 7)))", 1, 1),
-    ("(empty-array Num (0) : (Arr Num (Shp ²)))", 1, 1),
+    ("(empty-array Num (0) : (Arr Num (Shp 3)))", 1, 1),
     ("((array () +) (array () 1) (array () 2) : (Arr Bool (Shp 9)))", 1, 1),
     ("(frame (1)\n  (array (2) 1 2 : (Arr Num (Shp 3))))", 2, 3),
     ("(array () (lam ((x (Arr Num (Shp)))) x : (-> ((Arr Num (Shp))) (Arr Bool (Shp)))))", 1, 11),
-    ("(t-app (array () (tlam ((t Atom)) (array () 5) : (Arr Num (Shp)))) Num)", 1, 18),
+    ("(t-app (array () (tlam ((t Atom)) (array () 5) : (Forall ((t Atom)) (Arr Bool (Shp))))) Num)", 1, 18),
+]
+
+
+# Annotations that are no type of the form's kind: each gets the diagnostic of
+# the kinding rules, at the offending part of the annotation.
+ILL_FORMED_ANNOTATIONS = [
+    ("(array (2) 1 2 : (Arr Num 3))", ErrorKind.SORT_MISMATCH, 1, 27),
+    ("(array (2) 1 2 : (Arr Num (Shp (Shp 2))))", ErrorKind.SORT_MISMATCH, 1, 27),
+    ("(array () (lam ((x (Arr Num (Shp)))) x : (-> ((Arr Num 3)) (Arr Num (Shp)))))", ErrorKind.SORT_MISMATCH, 1, 56),
+    ("(array (2) 1 2 : (Arr Num (Shp n)))", ErrorKind.UNBOUND_VAR, 1, 32),
+    ("(empty-array Num (0) : (Arr Num (Shp ²)))", ErrorKind.UNBOUND_VAR, 1, 38),
+    ("(array (2) 1 2 : Num)", ErrorKind.KIND_MISMATCH, 1, 18),
+    ("(t-app (array () (tlam ((t Atom)) (array () 5) : (Arr Num (Shp)))) Num)", ErrorKind.KIND_MISMATCH, 1, 50),
 ]
 
 
 class TestAnnotations:
     """A source annotation on a form must agree with the form's type."""
+
+    @pytest.mark.parametrize("src, kind, line, column", ILL_FORMED_ANNOTATIONS)
+    def test_ill_formed_annotation_is_rejected(self, src, kind, line, column):
+        with pytest.raises(TypeCheckError) as e:
+            elaborate(EMPTY_ENV, SIGNATURE, parse_term(src))
+        assert e.value.kind is kind
+        assert (e.value.loc.line, e.value.loc.column) == (line, column)
+
+    def test_random_annotations_never_crash(self):
+        """Any annotation put on any form of a generated program either
+        elaborates, with its annotated printing, or is a TypeCheckError."""
+        rng = random.Random(17)
+        dim, arr = lambda: random_dim(rng), lambda shape: ArrType(NUM, shape)
+        makers = (
+            lambda: arr(dim()),
+            lambda: arr(ShapeLit((random_shape(rng),))),
+            lambda: arr(random_shape(rng)),
+            lambda: ArrType(random_type(rng), random_shape(rng)),
+            lambda: random_type(rng),
+            lambda: FunType((arr(dim()),), arr(ShapeLit(()))),
+        )
+        rejected = 0
+        for prog in generate_programs(60, seed=17):
+            sites = [x for x in typed_sites(prog) if not isinstance(x[1], PrimOp)]
+            for _ in range(4):
+                path, node = rng.choice(sites)
+                t = rewrite_at(prog, path, replace(node, annot=rng.choice(makers)()))
+                try:
+                    out, _ = elaborate(EMPTY_ENV, SIGNATURE, t)
+                except TypeCheckError:
+                    rejected += 1
+                else:
+                    print_term(out, annotations=True, canonical=True)
+        assert rejected > 200
 
     @pytest.mark.parametrize("src, line, column", MISANNOTATED)
     def test_disagreeing_annotation_is_rejected(self, src, line, column):

@@ -70,6 +70,23 @@ class TestCheck:
             " does not match the form's type (Arr Num (Shp 2))\n"
         )
 
+    @pytest.mark.parametrize(
+        "source, diagnostic",
+        [
+            ("(array (2) 1 2 : (Arr Num 3))", "1:27: SortMismatch: expected sort Shape, got Dim"),
+            ("(array (2) 1 2 : (Arr Num (Shp (Shp 2))))", "1:27: SortMismatch: Shp elements must have sort Dim"),
+            (
+                "(array () (lam ((x (Arr Num (Shp)))) x : (-> ((Arr Num 3)) (Arr Num (Shp)))))",
+                "1:56: SortMismatch: expected sort Shape, got Dim",
+            ),
+        ],
+    )
+    def test_ill_sorted_annotation_is_a_diagnostic(self, tmp_path, source, diagnostic):
+        proc = run_fresh(tmp_path, source, "check")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"{tmp_path / 'prog.remora'}:{diagnostic}\n"
+        assert "Traceback" not in proc.stderr
+
     def test_list_prims(self, capsys):
         code, out, _ = run(capsys, "check", "--list-prims")
         assert code == 0
