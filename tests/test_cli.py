@@ -9,12 +9,13 @@ import sys
 import pytest
 
 import remora
-from remora.cli import main
+from remora.cli import COMMANDS, main
 
 from .util import TWO_LAMS_SOURCE, atom_in_surviving_lam, family_source, plant_divergence, reduce_source
 
 PROGRAMS = "programs"
-DOCUMENTED_EXITS = (0, 1, 2, 3, 4, 64, 66)
+HEAD_COL = f"{PROGRAMS}/head-col.remora"
+DOCUMENTED_EXITS = (0, 1, 2, 3, 4, 64, 66, 74)
 
 
 def run(capsys, *argv):
@@ -193,17 +194,138 @@ class TestExitCodes:
                     assert code in (0, 2, 3)
 
 
+class TestUsage:
+    """Every malformed command line is one `usage error:` line and exit 64;
+    `-h` is usage on stdout and exit 0; the accepted spellings agree."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("evaluate-everything", HEAD_COL),
+            ("--fuel", "3", "eval", HEAD_COL),
+            ("eval", "--trace-all", HEAD_COL),
+            ("fmt", "--trace", HEAD_COL),
+            ("erase", "--fuel", "3", HEAD_COL),
+            ("check", "--canonical", HEAD_COL),
+            ("eval", "--fu", "3", HEAD_COL),
+            ("fmt", "--canon", HEAD_COL),
+            ("eval", "--trace=1", HEAD_COL),
+            ("eval",),
+            ("bisim", "--trace"),
+            ("eval", HEAD_COL, HEAD_COL),
+            ("check", HEAD_COL, "extra"),
+            ("eval", HEAD_COL, "--fuel"),
+            ("eval", "--fuel", "ten", HEAD_COL),
+            ("bisim", "--fuel=", HEAD_COL),
+            ("eval", "--fuel=2.5", HEAD_COL),
+            ("eval", "--fuel", "0", HEAD_COL),
+            ("bisim", "--fuel=0", HEAD_COL),
+            ("eval", "--fuel", "-3", HEAD_COL),
+            ("bisim", "--fuel=-1", HEAD_COL),
+        ],
+        ids=lambda argv: " ".join(argv) or "(nothing)",
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_check_needs_a_file_or_list_prims(self, capsys):
+        assert run(capsys, "check") == (64, "", "usage error: check needs a file (or --list-prims)\n")
+
+    @pytest.mark.parametrize("argv", [("-h",), ("--help",), ("-h", "eval")])
+    def test_help(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: remora COMMAND [PATH] [flags]\n")
+        for name, (_, help_line, *_) in COMMANDS.items():
+            assert f"  {name} " in out and help_line in out
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_help(self, capsys, name, flag):
+        for argv in ((name, flag), (name, HEAD_COL, flag), (name, "--no-such-flag", flag)):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            assert out.startswith(f"usage: remora {name} ") and COMMANDS[name][1] in out
+
+    @pytest.mark.parametrize(
+        "documented, spellings",
+        [
+            (
+                ("eval", f"{PROGRAMS}/lift-add.remora", "--trace"),
+                [("eval", "--trace", f"{PROGRAMS}/lift-add.remora")],
+            ),
+            (
+                ("eval", HEAD_COL, "--fuel", "9"),
+                [("eval", HEAD_COL, "--fuel=9"), ("eval", "--fuel", "9", HEAD_COL), ("eval", "--fuel=9", HEAD_COL)],
+            ),
+            (
+                ("bisim", f"{PROGRAMS}/filter-keep.remora", "--fuel", "4", "--trace"),
+                [
+                    ("bisim", "--trace", "--fuel=4", f"{PROGRAMS}/filter-keep.remora"),
+                    ("bisim", "--fuel", "4", f"{PROGRAMS}/filter-keep.remora", "--trace"),
+                ],
+            ),
+            (
+                ("fmt", f"{PROGRAMS}/reshape.remora", "--canonical", "--annotations"),
+                [
+                    ("fmt", "--annotations", "--canonical", f"{PROGRAMS}/reshape.remora"),
+                    ("fmt", "--canonical", f"{PROGRAMS}/reshape.remora", "--annotations"),
+                ],
+            ),
+            (("check", "--list-prims"), [("check", "--list-prims", "--list-prims")]),
+        ],
+    )
+    def test_spellings_agree(self, capsys, documented, spellings):
+        expected = run(capsys, *documented)
+        assert expected[0] in (0, 3) and expected[1]
+        for argv in spellings:
+            assert run(capsys, *argv) == expected, argv
+
+
+class TestClosedOutput:
+    def test_closed_stdout_exits_74(self, tmp_path):
+        # The trace is over 1 MB, far more than a pipe holds, so the process
+        # is still writing when the reader goes away.
+        path = tmp_path / "prog.remora"
+        path.write_text(reduce_source(300) + "\n", encoding="utf-8")
+        src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+        with subprocess.Popen(
+            [sys.executable, "-m", "remora.cli", "eval", "--trace", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=120)
+        assert len(head) == 100
+        assert (code, err) == (74, "cannot write output: Broken pipe\n")
+
+
 class TestLazyImports:
     """A command loads only the modules it uses, checked in a fresh process
-    without `site`, so that nothing else has loaded them first."""
+    without `site`, so that nothing else has loaded them first. Reading argv
+    loads no option parser: argparse would bring gettext and locale."""
 
-    def test_cli_import_and_fmt_load_only_what_they_use(self):
+    LOADED = {
+        "check": "remora.check",
+        "eval": "remora.check remora.eval",
+        "erase": "remora.check remora.erase remora.eval",
+        "bisim": "remora.check remora.erase remora.eval",
+        "fmt": "",
+    }
+
+    @pytest.mark.parametrize("command", list(LOADED))
+    def test_cli_import_and_command_load_only_what_they_use(self, command):
         script = (
             "import sys\n"
-            "watch = ('dataclasses', 'inspect', 'remora.check', 'remora.erase', 'remora.eval')\n"
+            "watch = ('argparse', 'gettext', 'locale', 'dataclasses', 'inspect',"
+            " 'remora.check', 'remora.erase', 'remora.eval')\n"
             "import remora.cli\n"
             "print(' '.join(m for m in watch if m in sys.modules), file=sys.stderr)\n"
-            "remora.cli.main(['fmt', 'programs/frame.remora'])\n"
+            f"remora.cli.main([{command!r}, 'programs/head-col.remora'])\n"
             "print(' '.join(m for m in watch if m in sys.modules), file=sys.stderr)\n"
         )
         src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
@@ -212,8 +334,9 @@ class TestLazyImports:
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "(frame (2) (array (2) 1 2) (array (2) 3 4))\n"
-        assert proc.stderr.split("\n") == ["", "", ""]
+        assert proc.stderr.split("\n") == ["", self.LOADED[command], ""]
+        if command == "fmt":
+            assert proc.stdout == "((t-app (i-app (array () head) 1 (Shp)) Num) (array (3 2) 0 1 2 3 4 5))\n"
 
 
 class TestBisimMismatchReport:
