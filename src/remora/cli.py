@@ -143,10 +143,18 @@ def _cmd_bisim(path, fuel, trace) -> int:
 
 
 def _cmd_fmt(path, canonical, annotations) -> int:
+    from .indices import SortError
     from .printer import print_term
 
     term = _load(path)[0] if annotations else _parse(path)
-    print(print_term(term, annotations=annotations, canonical=canonical))
+    try:
+        text = print_term(term, annotations=annotations, canonical=canonical)
+    except SortError as exc:  # --canonical normalizes indices no checker has sorted
+        loc = getattr(exc.index, "loc", None)
+        where = f"{loc}: " if loc else ""
+        print(f"{where}SortMismatch: {exc}", file=sys.stderr)
+        return 1
+    print(text)
     return 0
 
 

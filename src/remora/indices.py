@@ -32,7 +32,11 @@ from .syntax import (
 
 class SortError(Exception):
     """An index was used at the wrong sort (Dim where Shape was needed, or
-    vice versa)."""
+    vice versa). `index` is the index whose sort is wrong, when one is."""
+
+    def __init__(self, message: str, index: Optional[IndexExpr] = None):
+        super().__init__(message)
+        self.index = index
 
 
 @node
@@ -124,7 +128,7 @@ def canonicalize_dim(i: IndexExpr) -> CanonicalDim:
             for v, c in d.coeffs:
                 coeffs[v] = coeffs.get(v, 0) + c
         return CanonicalDim(const, tuple(sorted(coeffs.items())))
-    raise SortError(f"expected a Dim-sorted index, got a Shape form: {i}")
+    raise SortError("expected a Dim-sorted index, got a Shape form", i)
 
 
 @lru_cache(maxsize=None)
@@ -142,7 +146,7 @@ def canonicalize_shape(i: IndexExpr) -> CanonicalShape:
         for op in i.operands:
             parts.extend(canonicalize_shape(op).components)
         return CanonicalShape(tuple(parts))
-    raise SortError(f"expected a Shape-sorted index, got a Dim form: {i}")
+    raise SortError("expected a Shape-sorted index, got a Dim form", i)
 
 
 def concrete_dims(i: IndexExpr) -> tuple[int, ...]:
@@ -168,7 +172,7 @@ def indices_equal(a: IndexExpr, b: IndexExpr, *, shape: Optional[bool] = None) -
     if shape is None:
         sa, sb = _looks_like_shape(a), _looks_like_shape(b)
         if sa is not None and sb is not None and sa != sb:
-            raise SortError(f"sort mismatch between {a} and {b}")
+            raise SortError("sort mismatch between a Dim and a Shape", b)
         shape = sa if sa is not None else sb
     if shape:
         return canonicalize_shape(a) == canonicalize_shape(b)

@@ -8,6 +8,17 @@ abstraction/box forms are atoms, legal only inside array literals.
 Any parenthesized form may end with `: <type>`; the parsed type lands in the
 node's annotation slot. Only array and frame forms need it in source (empty
 literals), but the printer's annotated output stays readable.
+
+A loop reads the text into s-expressions; one recursive function, `_parse`,
+reads every index, type, atom and expression from them. It looks a form up
+by its head word (`syntax.HEADS`) in a table built at import from each
+class's field roles, read in field order as the printer reads them: a child
+is one item and a tuple of children a run of items, dimensions are a
+dimension list, and a binder field is a binder list. What the roles cannot
+say is written out in `_form` and `_ARITY`: `->` takes its inputs as one
+list, `unbox` groups its binders with its box, an application has no head
+word, and each form's arity diagnostic. A level of nesting costs one Python
+frame.
 """
 
 from __future__ import annotations
@@ -15,9 +26,16 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from typing import Optional, Union
+from typing import Optional, Union, get_args
 
 from .syntax import (
+    DATA,
+    IDX,
+    MANY,
+    NAMES,
+    TM,
+    TY,
+    TYPED,
     App,
     ArrayLit,
     ArrType,
@@ -27,6 +45,7 @@ from .syntax import (
     BaseVal,
     Box,
     CHAR_NAMES,
+    Child,
     EmptyArray,
     EmptyFrame,
     ExprTerm,
@@ -35,7 +54,6 @@ from .syntax import (
     FunType,
     HEADS,
     IApp,
-    IdxAppend,
     IdxVar,
     ILam,
     IndexExpr,
@@ -43,9 +61,8 @@ from .syntax import (
     Lam,
     NatLit,
     PiType,
-    Plus,
     PrimOp,
-    ShapeLit,
+    Scope,
     SigmaType,
     Sort,
     SourceLocation,
@@ -167,239 +184,208 @@ def _split_annotation(items: tuple[SExpr, ...]) -> tuple[tuple[SExpr, ...], Opti
     return items, None
 
 
-def _is_nat(text: str) -> bool:
-    return text.isdecimal()  # exactly what int() reads
-
-
 def _parse_dims(s: SExpr) -> tuple[int, ...]:
     if not isinstance(s, SList):
         raise ParseError("expected a dimension list", s.loc)
     dims = []
     for it in s.items:
-        if not isinstance(it, SAtom) or not _is_nat(it.text):
+        if not isinstance(it, SAtom) or not it.text.isdecimal():  # exactly what int() reads
             raise ParseError("dimensions must be natural number literals", it.loc)
         dims.append(int(it.text))
     return tuple(dims)
 
 
-def _parse_index(s: SExpr) -> IndexExpr:
-    if isinstance(s, SAtom):
-        if _is_nat(s.text):
-            return NatLit(int(s.text), loc=s.loc)
-        if _NUMBER_RE.match(s.text):
-            raise ParseError(f"index literals must be naturals: {s.text}", s.loc)
-        return IdxVar(s.text, loc=s.loc)
-    if not s.items:
-        raise ParseError("empty index form", s.loc)
-    head = s.items[0]
-    if isinstance(head, SAtom):
-        if head.text == "Shp":
-            return ShapeLit(tuple(_parse_index(x) for x in s.items[1:]), loc=s.loc)
-        if head.text == "+":
-            return Plus(tuple(_parse_index(x) for x in s.items[1:]), loc=s.loc)
-        if head.text == "++":
-            return IdxAppend(tuple(_parse_index(x) for x in s.items[1:]), loc=s.loc)
-    raise ParseError("unknown index form", s.loc)
+# The positions an s-expression is parsed in, and what a diagnostic calls each.
+_INDEX, _TYPE, _ATOM, _EXPR = range(4)
+_WHAT = ("index", "type", "atom")
+_UNKNOWN = ("unknown index form", "unknown type keyword: {}", "not an atom form: {}")
+
+# What a step of a form reads: one item; a run of items; the items of one
+# list; a dimension list; a binder list; `unbox`'s `(i ... v box)`.
+_ONE, _MANY, _LIST, _DIMS, _BINDERS, _UNBOX = range(6)
+
+# What a form with a fixed number of items says of them, after its head word.
+_BODY = "takes a binder list and a body"
+_ARITY = {
+    ArrType: "takes an atom type and a shape", FunType: "takes an input type list and an output type",
+    ForallType: _BODY, PiType: _BODY, SigmaType: _BODY, Lam: _BODY, TLam: _BODY, ILam: _BODY,
+    Box: "takes indices, a payload, and a type", ArrayLit: "needs a dimension list", Frame: "needs a dimension list",
+    EmptyArray: "takes an atom type and dimensions", EmptyFrame: "takes a cell type and dimensions",
+    TApp: "needs a function expression", IApp: "needs a function expression", Unbox: "takes a binding list and a body",
+}
 
 
-def _parse_kind(s: SExpr) -> Kind:
-    if isinstance(s, SAtom) and s.text in ("Atom", "Array"):
-        return Kind.ATOM if s.text == "Atom" else Kind.ARRAY
-    raise ParseError("expected a kind (Atom or Array)", s.loc)
+def _choices(enum) -> tuple:
+    """The members of a kind or sort by spelling, and the diagnostic for any
+    other spelling."""
+    words = {m.value: m for m in enum}
+    return words, f"expected a {enum.__name__.lower()} ({' or '.join(words)})"
 
 
-def _parse_sort(s: SExpr) -> Sort:
-    if isinstance(s, SAtom) and s.text in ("Dim", "Shape"):
-        return Sort.DIM if s.text == "Dim" else Sort.SHAPE
-    raise ParseError("expected a sort (Dim or Shape)", s.loc)
+# What a binder list of (name kind) or (name sort) pairs binds, by namespace.
+_CHOICES = {TY: _choices(Kind), IDX: _choices(Sort)}
 
 
-def _parse_type(s: SExpr) -> TypeExpr:
-    if isinstance(s, SAtom):
-        if s.text in BASE_TYPE_NAMES:
-            return BaseType(s.text, loc=s.loc)
-        if _NUMBER_RE.match(s.text):
-            raise ParseError(f"expected a type, got a number: {s.text}", s.loc)
-        return TyVar(s.text, loc=s.loc)
-    if not s.items:
-        raise ParseError("empty type form", s.loc)
-    head = s.items[0]
-    if not isinstance(head, SAtom):
-        raise ParseError("unknown type form", s.loc)
-    kw = head.text
-    rest = s.items[1:]
-    if kw == "Arr":
-        if len(rest) != 2:
-            raise ParseError("Arr takes an atom type and a shape", s.loc)
-        return ArrType(_parse_type(rest[0]), _parse_index(rest[1]), loc=s.loc)
-    if kw == "->":
-        if len(rest) != 2 or not isinstance(rest[0], SList):
-            raise ParseError("-> takes an input type list and an output type", s.loc)
-        return FunType(
-            tuple(_parse_type(x) for x in rest[0].items),
-            _parse_type(rest[1]),
-            loc=s.loc,
-        )
-    if kw in _QUANTIFIERS:
-        if len(rest) != 2 or not isinstance(rest[0], SList):
-            raise ParseError(f"{kw} takes a binder list and a body", s.loc)
-        binders = _binders(rest[0], _parse_kind if kw == "Forall" else _parse_sort)
-        return _QUANTIFIERS[kw](binders, _parse_type(rest[1]), loc=s.loc)
-    raise ParseError(f"unknown type keyword: {kw}", s.loc)
+def _form(cls, start: int) -> tuple:
+    """How the grammar reads a form whose fields start at item `start`:
+    (class, item count, whether a run of items makes that a least count,
+    whether the item after the head must be a list, arity diagnostic, steps,
+    flip). A step is (what, where, arg): where is its item's index, or the
+    slice of a run; arg is the position its children are parsed in or, for a
+    binder list, `_TYPE` or a `_CHOICES` entry. The steps are in field order,
+    or in reverse when flip is set."""
+    roles = [(f, r) for f, r in cls._roles.items() if f != "annot"]
+    steps = []
+    fields = iter(roles)
+    for f, role in fields:
+        if isinstance(role, (Child, Scope)):
+            pos = {IDX: _INDEX, TY: _TYPE}.get(role.cat, _ATOM if "AtomTerm" in cls.__annotations__[f] else _EXPR)
+            many = isinstance(role, Child) and role.shape == MANY
+            # `(-> (in ...) out)`
+            steps.append((_LIST if cls is FunType and f == "inputs" else _MANY if many else _ONE, pos))
+        elif role == DATA:
+            steps.append((_DIMS, None))
+        elif role.form == NAMES:  # `(unbox (i ... v box) body)`
+            next(fields), next(fields)
+            steps.append((_UNBOX, None))
+        else:
+            steps.append((_BINDERS, _TYPE if role.form == TYPED else _CHOICES[role.ns]))
+    n = len(steps)
+    kinds = [what for what, _ in steps]
+    run = kinds.index(_MANY) if _MANY in kinds else n  # the items after it count from the end
+    placed = []
+    for k, (what, arg) in enumerate(steps):
+        placed.append((what, start + k if k < run else slice(start + k, k + 1 - n or None) if k == run else k - n, arg))
+    # An abstraction in term position parses its body before its binders, so
+    # that of two faults in one, the body's is the one reported.
+    flip = kinds[0] is _BINDERS and roles[-1][1] == Scope(TM)
+    message = f"{HEADS[cls]} {_ARITY[cls]}" if cls in _ARITY else None
+    listed = kinds[0] in (_LIST, _BINDERS, _UNBOX)
+    return cls, start + n - (run < n), run < n, listed, message, tuple(placed[::-1] if flip else placed), flip
 
 
-_QUANTIFIERS = {"Forall": ForallType, "Pi": PiType, "Sigma": SigmaType}
+_FORMS = [{HEADS[cls]: _form(cls, 1) for cls in get_args(u) if cls in HEADS}
+          for u in (IndexExpr, TypeExpr, AtomTerm, ExprTerm)]
+_EXPR_FORMS = _FORMS[_EXPR]
+_APPLICATION = _form(App, 0)  # the one form with no head word
 
 
-def _binders(s: SList, parse, what: str = "binder") -> tuple:
-    """The `(name thing)` pairs of a binder or parameter list."""
-    out = []
-    for b in s.items:
-        if not isinstance(b, SList) or len(b.items) != 2 or not isinstance(b.items[0], SAtom):
-            raise ParseError(f"malformed {what}", b.loc)
-        out.append((b.items[0].text, parse(b.items[1])))
-    return tuple(out)
-
-
-def _parse_atom(s: SExpr) -> AtomTerm:
-    if isinstance(s, SAtom):
+def _parse(s: SExpr, pos: int):
+    """The index, type, atom or expression, as `pos` says, that `s` spells.
+    Each child is parsed by a call from a loop here, so that a level of
+    nesting costs one Python frame."""
+    if s.__class__ is SAtom:
         t = s.text
+        if pos is _EXPR:
+            if _NUMBER_RE.match(t) or t.startswith("#"):
+                raise ParseError(f"bare atom in expression position (wrap it in an array literal): {t}", s.loc)
+            if t in KEYWORDS:
+                raise ParseError(f"reserved word in expression position: {t}", s.loc)
+            return Var(t, loc=s.loc)
+        if pos is _ATOM:
+            if _NUMBER_RE.match(t):
+                value = float(t)
+                if not math.isfinite(value):
+                    raise ParseError(f"number literal out of range: {t}", s.loc)
+                return BaseVal("Num", value, loc=s.loc)
+            if t == "#t" or t == "#f":
+                return BaseVal("Bool", t == "#t", loc=s.loc)
+            if t.startswith("#\\"):
+                body = t[2:]
+                if len(body) != 1 and body not in CHAR_NAMES:
+                    raise ParseError(f"bad character literal: {t}", s.loc)
+                return BaseVal("Char", CHAR_NAMES.get(body, body), loc=s.loc)
+            if t in KEYWORDS:
+                raise ParseError(f"reserved word in atom position: {t}", s.loc)
+            return PrimOp(t, loc=s.loc)
+        if pos is _TYPE:
+            if t in BASE_TYPE_NAMES:
+                return BaseType(t, loc=s.loc)
+            if _NUMBER_RE.match(t):
+                raise ParseError(f"expected a type, got a number: {t}", s.loc)
+            return TyVar(t, loc=s.loc)
+        if t.isdecimal():  # exactly what int() reads
+            return NatLit(int(t), loc=s.loc)
         if _NUMBER_RE.match(t):
-            value = float(t)
-            if not math.isfinite(value):
-                raise ParseError(f"number literal out of range: {t}", s.loc)
-            return BaseVal("Num", value, loc=s.loc)
-        if t == "#t":
-            return BaseVal("Bool", True, loc=s.loc)
-        if t == "#f":
-            return BaseVal("Bool", False, loc=s.loc)
-        if t.startswith("#\\"):
-            body = t[2:]
-            if body in CHAR_NAMES:
-                return BaseVal("Char", CHAR_NAMES[body], loc=s.loc)
-            if len(body) != 1:
-                raise ParseError(f"bad character literal: {t}", s.loc)
-            return BaseVal("Char", body, loc=s.loc)
-        if t in KEYWORDS:
-            raise ParseError(f"reserved word in atom position: {t}", s.loc)
-        return PrimOp(t, loc=s.loc)
-    if not s.items:
-        raise ParseError("empty atom form", s.loc)
-    head = s.items[0]
-    if not isinstance(head, SAtom):
-        raise ParseError("unknown atom form", s.loc)
-    kw = head.text
-    items, annot_s = _split_annotation(s.items)
-    rest = items[1:]
-    annot = _parse_type(annot_s) if annot_s is not None else None
-    if kw in ("lam", "tlam", "ilam"):
-        if len(rest) != 2 or not isinstance(rest[0], SList):
-            raise ParseError(f"{kw} takes a binder list and a body", s.loc)
-        body = _parse_expr(rest[1])
-        if kw == "lam":
-            return Lam(_binders(rest[0], _parse_type, "parameter"), body, annot=annot, loc=s.loc)
-        if kw == "tlam":
-            return TLam(_binders(rest[0], _parse_kind), body, annot=annot, loc=s.loc)
-        return ILam(_binders(rest[0], _parse_sort), body, annot=annot, loc=s.loc)
-    if kw == "box":
-        if len(rest) < 2:
-            raise ParseError("box takes indices, a payload, and a type", s.loc)
-        indices = tuple(_parse_index(x) for x in rest[:-2])
-        payload = _parse_expr(rest[-2])
-        box_type = _parse_type(rest[-1])
-        return Box(indices, payload, box_type, annot=annot, loc=s.loc)
-    raise ParseError(f"not an atom form: {kw}", s.loc)
-
-
-def _parse_expr(s: SExpr) -> ExprTerm:
-    if isinstance(s, SAtom):
-        t = s.text
-        if _NUMBER_RE.match(t) or t.startswith("#"):
-            raise ParseError(
-                f"bare atom in expression position (wrap it in an array literal): {t}",
-                s.loc,
-            )
-        if t in KEYWORDS:
-            raise ParseError(f"reserved word in expression position: {t}", s.loc)
-        return Var(t, loc=s.loc)
-    items, annot_s = _split_annotation(s.items)
-    if not items:  # `()`, or `(: type)` with nothing to annotate
-        raise ParseError("empty application", s.loc)
-    annot = _parse_type(annot_s) if annot_s is not None else None
-    head = items[0]
-    if isinstance(head, SAtom) and head.text in KEYWORDS:
-        kw = head.text
-        rest = items[1:]
-        if kw == "array":
-            if not rest:
-                raise ParseError("array needs a dimension list", s.loc)
-            dims = _parse_dims(rest[0])
-            atoms = tuple(_parse_atom(x) for x in rest[1:])
-            return ArrayLit(dims, atoms, annot=annot, loc=s.loc)
-        if kw == "frame":
-            if not rest:
-                raise ParseError("frame needs a dimension list", s.loc)
-            dims = _parse_dims(rest[0])
-            cells = tuple(_parse_expr(x) for x in rest[1:])
-            return Frame(dims, cells, annot=annot, loc=s.loc)
-        if kw == "empty-array":
-            if len(rest) != 2:
-                raise ParseError("empty-array takes an atom type and dimensions", s.loc)
-            return EmptyArray(_parse_type(rest[0]), _parse_dims(rest[1]), annot=annot, loc=s.loc)
-        if kw == "empty-frame":
-            if len(rest) != 2:
-                raise ParseError("empty-frame takes a cell type and dimensions", s.loc)
-            return EmptyFrame(_parse_type(rest[0]), _parse_dims(rest[1]), annot=annot, loc=s.loc)
-        if kw == "t-app":
-            if not rest:
-                raise ParseError("t-app needs a function expression", s.loc)
-            return TApp(
-                _parse_expr(rest[0]),
-                tuple(_parse_type(x) for x in rest[1:]),
-                annot=annot,
-                loc=s.loc,
-            )
-        if kw == "i-app":
-            if not rest:
-                raise ParseError("i-app needs a function expression", s.loc)
-            return IApp(
-                _parse_expr(rest[0]),
-                tuple(_parse_index(x) for x in rest[1:]),
-                annot=annot,
-                loc=s.loc,
-            )
-        if kw == "unbox":
-            if len(rest) != 2 or not isinstance(rest[0], SList):
-                raise ParseError("unbox takes a binding list and a body", s.loc)
-            binding = rest[0].items
-            if len(binding) < 2:
-                raise ParseError(
-                    "unbox binding needs a value variable and a box expression",
-                    rest[0].loc,
-                )
-            names = binding[:-1]
-            for nm in names:
-                if not isinstance(nm, SAtom) or nm.text in KEYWORDS:
-                    raise ParseError("malformed unbox binder", nm.loc)
-            idx_vars = tuple(nm.text for nm in names[:-1])
-            val_var = names[-1].text
-            box = _parse_expr(binding[-1])
-            body = _parse_expr(rest[1])
-            return Unbox(idx_vars, val_var, box, body, annot=annot, loc=s.loc)
-        raise ParseError(f"'{kw}' cannot appear here", s.loc)
-    fn = _parse_expr(head)
-    args = tuple(_parse_expr(x) for x in items[1:])
-    return App(fn, args, annot=annot, loc=s.loc)
+            raise ParseError(f"index literals must be naturals: {t}", s.loc)
+        return IdxVar(t, loc=s.loc)
+    # A typed form's annotation is parsed before the form is looked up.
+    items, annot = s.items, None
+    if pos is _EXPR:
+        items, annot = _split_annotation(items)
+        if not items:  # `()`, or `(: type)` with nothing to annotate
+            raise ParseError("empty application", s.loc)
+        if annot is not None:
+            annot = _parse(annot, _TYPE)
+        head = items[0]
+        form = _EXPR_FORMS.get(head.text) if head.__class__ is SAtom else None
+        if form is None:
+            if head.__class__ is SAtom and head.text in KEYWORDS:
+                raise ParseError(f"'{head.text}' cannot appear here", s.loc)
+            form = _APPLICATION
+    else:
+        if not items:
+            raise ParseError(f"empty {_WHAT[pos]} form", s.loc)
+        head = items[0]
+        if head.__class__ is not SAtom:
+            raise ParseError(f"unknown {_WHAT[pos]} form", s.loc)
+        if pos is _ATOM:
+            items, annot = _split_annotation(items)
+            if annot is not None:
+                annot = _parse(annot, _TYPE)
+        form = _FORMS[pos].get(head.text)
+        if form is None:
+            raise ParseError(_UNKNOWN[pos].format(head.text), s.loc)
+    cls, size, many, listed, message, steps, flip = form
+    n = len(items)
+    if (n < size if many else n != size) or (listed and items[1].__class__ is not SList):
+        raise ParseError(message, s.loc)
+    args = []
+    for what, at, arg in steps:
+        if what is _ONE:
+            args.append(_parse(items[at], arg))
+        elif what is _MANY or what is _LIST:
+            run = []
+            for x in items[at] if what is _MANY else items[at].items:
+                run.append(_parse(x, arg))
+            args.append(tuple(run))
+        elif what is _DIMS:
+            args.append(_parse_dims(items[at]))
+        elif what is _BINDERS:
+            binders = []
+            for b in items[at].items:
+                if b.__class__ is not SList or len(b.items) != 2 or b.items[0].__class__ is not SAtom:
+                    raise ParseError("malformed parameter" if arg is _TYPE else "malformed binder", b.loc)
+                name, x = b.items
+                if arg is _TYPE:
+                    binders.append((name.text, _parse(x, _TYPE)))
+                elif x.__class__ is SAtom and x.text in arg[0]:
+                    binders.append((name.text, arg[0][x.text]))
+                else:
+                    raise ParseError(arg[1], x.loc)
+            args.append(tuple(binders))
+        else:  # _UNBOX
+            group = items[at]
+            if len(group.items) < 2:
+                raise ParseError("unbox binding needs a value variable and a box expression", group.loc)
+            *names, box = group.items
+            for name in names:
+                if name.__class__ is not SAtom or name.text in KEYWORDS:
+                    raise ParseError("malformed unbox binder", name.loc)
+            args += (tuple([name.text for name in names[:-1]]), names[-1].text, _parse(box, _EXPR))
+    if flip:
+        args.reverse()
+    return cls(*args, annot=annot, loc=s.loc)
 
 
 def parse_term(text: str, filename: str = "<string>") -> ExprTerm:
     """Parse one top-level expression from source text."""
-    return _parse_expr(_read(text, filename))
+    return _parse(_read(text, filename), _EXPR)
 
 
 def parse_type(text: str, filename: str = "<string>") -> TypeExpr:
-    return _parse_type(_read(text, filename))
+    return _parse(_read(text, filename), _TYPE)
 
 
 def parse_index(text: str, filename: str = "<string>") -> IndexExpr:
-    return _parse_index(_read(text, filename))
+    return _parse(_read(text, filename), _INDEX)

@@ -584,8 +584,8 @@ ETerm = Union[EAtom, EExpr]
 
 # ---------------------------------------------------------------------------
 # The head word of each form that has one, which the printer writes and the
-# parser reserves (an application has none; a leaf is spelled alone). The
-# grammar still spells each word it dispatches on.
+# parser looks forms up by (an application has none; a leaf is spelled
+# alone). The parser reserves the words of the typed term forms.
 
 HEADS = {
     Plus: "+", ShapeLit: "Shp", IdxAppend: "++",

@@ -164,6 +164,23 @@ class TestEraseBisimFmt:
         assert code == 0
         assert out.strip() == "(array (2) 1 2 : (Arr Num (Shp 2)))"
 
+    @pytest.mark.parametrize(
+        "source, diagnostic",
+        [
+            ("(array () (lam ((x (Arr Num (Shp (Shp 1))))) x))",
+             "1:34: SortMismatch: expected a Dim-sorted index, got a Shape form"),
+            ("(i-app (array () (ilam ((n Dim)) (array () 1))) (Shp (+ (Shp) 1)))",
+             "1:57: SortMismatch: expected a Dim-sorted index, got a Shape form"),
+            ("(array (0) : (Arr Num (++ 3)))", "1:27: SortMismatch: expected a Shape-sorted index, got a Dim form"),
+        ],
+    )
+    def test_fmt_canonical_ill_sorted_index_is_a_diagnostic(self, tmp_path, source, diagnostic):
+        # fmt does not check the program, so the normal form of an index is
+        # the first thing to find its sort wrong; the location is inside it.
+        proc = run_fresh(tmp_path, source, "fmt", "--canonical")
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"{tmp_path / 'prog.remora'}:{diagnostic}\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_64(self, capsys):
@@ -394,8 +411,21 @@ class TestResourceLimit:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command, code", [("check", 0), ("eval", 0), ("fmt", 0), ("erase", 4)])
+    def test_frame_900_deep(self, tmp_path, command, code):
+        # The grammar and `elaborate` take one Python frame per level and
+        # handle 900. `erase` parses and elaborates as `check` does, so its
+        # exit 4 comes from `erase_term`, which still recurses more per level.
+        proc = run_fresh(tmp_path, family_source("frame", 899), command)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert proc.stdout == "" and proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+        else:
+            assert proc.stderr == ""
+
     def test_deep_frame_fmt_exits_4(self, tmp_path):
-        # The grammar pass (`parser._parse_expr`) still recurses once per level.
+        # The grammar pass (`parser._parse`) still recurses once per level.
         proc = run_fresh(tmp_path, family_source("frame", 10_000), "fmt")
         assert proc.returncode == 4, proc.stderr
         assert proc.stdout == "" and "Traceback" not in proc.stderr

@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 import typing
 
 import pytest
@@ -33,7 +34,7 @@ from remora.names import (
 )
 from remora.parser import Lines, ParseError, _read, _tokenize, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
-from remora.prims import SIGNATURE
+from remora.prims import PRIMS, SIGNATURE
 from remora.syntax import App, ArrayLit, EmptyArray, Frame, IdxVar, Lam, NUM, Var, copier, num, replace, scalar_of
 
 from .util import (
@@ -42,8 +43,12 @@ from .util import (
     TYPED_MUTATIONS,
     assert_locations_match_reference,
     check_src,
+    node_locations,
     oracle_programs,
     reference_alpha_equal,
+    reference_parse_index,
+    reference_parse_term,
+    reference_parse_type,
     reference_tokenize,
     rewrite_at,
     typed_sites,
@@ -195,6 +200,80 @@ class TestReader:
             parse(text)
             assert len(calls) == 1
             assert [tok for tok, _ in calls[0]] == [tok for tok, _ in reference_tokenize(text, "f")]
+
+
+def _outcome(parse, text):
+    """The tree `parse` builds from `text` with the location of each of its
+    nodes, or the message and location of the ParseError it raises."""
+    try:
+        t = parse(text, "f")
+    except ParseError as err:
+        return "error", err.message, err.loc
+    return "tree", t, node_locations(t)
+
+
+# What a mutation inserts, or puts in place of a token.
+_MUTANTS = (*sorted(set(syntax.HEADS.values())), ":", "(", ")", "Atom", "Array", "Dim", "Shape", "Num", "0", "3",
+            "2.5", "1e999", "x", "#t", "#\\a", "#\\bad")
+
+
+def _mutate(rng, tokens) -> str:
+    """`tokens` with one to three of them deleted, inserted or replaced. A
+    deletion or a replacement leaves the parentheses alone (only an insertion
+    can add one), so that most mutants still read and reach the grammar."""
+    tokens = list(tokens)
+    for _ in range(rng.randint(1, 3)):
+        inner = [k for k, tok in enumerate(tokens) if tok not in "()"]
+        op = rng.randrange(3) if inner else 0
+        if op == 0:
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(_MUTANTS))
+        elif op == 1:
+            del tokens[rng.choice(inner)]
+        else:
+            tokens[rng.choice(inner)] = rng.choice(_MUTANTS)
+    return " ".join(tokens)
+
+
+class TestGrammar:
+    PARSERS = ((parse_term, reference_parse_term), (parse_type, reference_parse_type),
+               (parse_index, reference_parse_index))
+
+    def test_matches_reference(self):
+        """Each entry point gives the tree, node locations and ParseError of
+        the ladders it replaced, on the corpus, the first 200 programs of the
+        acceptance batch, every operator signature, and 4,000 mutants of
+        their parenthesized forms."""
+        sources = [path.read_text(encoding="utf-8") for path in sorted(PROGRAMS_DIR.glob("*.remora"))]
+        sources += [print_term(p) for p in generate_programs(200, seed=2024, config=GenConfig(stuck_rate=0.05))]
+        sources += [signature for signature, _ in PRIMS.values()]
+        forms = set()
+        for text in sources:
+            tokens, opens = [tok for tok, _ in _tokenize(text)], []
+            for k, tok in enumerate(tokens):
+                if tok == "(":
+                    opens.append(k)
+                elif tok == ")":
+                    forms.add(tuple(tokens[opens.pop() : k + 1]))
+        forms = sorted(forms)
+        rng = random.Random(20)
+        mutants = [_mutate(rng, rng.choice(forms)) for _ in range(4000)]
+        trees = 0
+        for text in sources + mutants:
+            for parse, reference in self.PARSERS:
+                got = _outcome(parse, text)
+                assert got == _outcome(reference, text), (parse.__name__, text)
+                trees += got[0] == "tree"
+        assert trees > 500  # each valid source, and some mutants
+
+    @pytest.mark.parametrize("parse, open_, leaf", [(parse_term, "(frame () ", "(array () 1)"), (parse_index, "(+ ", "1")])
+    def test_800_levels_at_the_default_recursion_limit(self, parse, open_, leaf):
+        # One Python frame per level of nesting.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            parse(open_ * 799 + leaf + ")" * 799)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestRoundTrip:

@@ -1,8 +1,8 @@
 """Shared test helpers: independent evaluators for index expressions (the
 brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the reader that tracks line and column token by
-token (the oracle of the parser's locations), the printers as first written
-(the oracle of `printer`), the inputs of the machine
+token (the oracle of the parser's locations), the grammar and the printers
+as first written (the oracles of `parser._parse` and `printer`), the inputs of the machine
 oracle tests, the recursive specs that the looping ones are checked against, the whole-term
 reference comparison of erased terms and the pairwise one of typed terms,
 one-site rewrites of typed terms, the hand-written reference
@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import pathlib
 import random
 import re
 import sys
-from typing import Union
+from typing import Optional, Union
 
 import pytest
 
@@ -64,7 +65,7 @@ from remora.eval import (
 from remora.gen import GenConfig, generate_programs
 from remora.indices import CanonicalDim, CanonicalShape, DimC, concrete_dims, normalize_index, normalize_tag
 from remora.names import IDX, LEAVES, MANY, TM, TYPED, _SPLIT, _unpack, base_name, free_vars, subst, subst_idx, term_children
-from remora.parser import Lines, ParseError, SAtom, SExpr, SList, _parse_expr, _tokenize, parse_term
+from remora.parser import KEYWORDS, Lines, ParseError, SAtom, SExpr, SList, _read, _tokenize, parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
     App,
@@ -73,6 +74,7 @@ from remora.syntax import (
     AtomTerm,
     BaseType,
     BaseVal,
+    BASE_TYPE_NAMES,
     BOOL,
     Box,
     CHAR_NAMES,
@@ -320,7 +322,7 @@ def assert_locations_match_reference(text: str, filename: str = "f.remora") -> N
     lines = Lines(text, filename)
     assert [(tok, lines.locate(at)) for tok, at in _tokenize(text)] == reference_tokenize(text, filename)
     try:
-        expected = _parse_expr(reference_read(text, filename))
+        expected = _reference_parse_expr(reference_read(text, filename))
     except ParseError as err:
         with pytest.raises(ParseError) as info:
             parse_term(text, filename)
@@ -329,6 +331,262 @@ def assert_locations_match_reference(text: str, filename: str = "f.remora") -> N
     got = parse_term(text, filename)
     assert got == expected
     assert node_locations(got) == node_locations(expected)
+
+
+# ---------------------------------------------------------------------------
+# The grammar as it was written first, one hand-written ladder per position
+# (index, type, atom, expression), recursing twice per level: the oracle of
+# `parser._parse`, which must give every tree, node location and ParseError
+# that these do.
+
+_REFERENCE_NUMBER_RE = re.compile(r"[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+
+
+def _reference_split_annotation(items: tuple[SExpr, ...]) -> tuple[tuple[SExpr, ...], Optional[SExpr]]:
+    """Strip a trailing `: type` pair from a form's items."""
+    for k, it in enumerate(items):
+        if isinstance(it, SAtom) and it.text == ":":
+            if k != len(items) - 2:
+                raise ParseError("':' must be followed by exactly one type", it.loc)
+            return items[:k], items[k + 1]
+    return items, None
+
+
+def _reference_is_nat(text: str) -> bool:
+    return text.isdecimal()  # exactly what int() reads
+
+
+def _reference_parse_dims(s: SExpr) -> tuple[int, ...]:
+    if not isinstance(s, SList):
+        raise ParseError("expected a dimension list", s.loc)
+    dims = []
+    for it in s.items:
+        if not isinstance(it, SAtom) or not _reference_is_nat(it.text):
+            raise ParseError("dimensions must be natural number literals", it.loc)
+        dims.append(int(it.text))
+    return tuple(dims)
+
+
+def _reference_parse_index(s: SExpr) -> IndexExpr:
+    if isinstance(s, SAtom):
+        if _reference_is_nat(s.text):
+            return NatLit(int(s.text), loc=s.loc)
+        if _REFERENCE_NUMBER_RE.match(s.text):
+            raise ParseError(f"index literals must be naturals: {s.text}", s.loc)
+        return IdxVar(s.text, loc=s.loc)
+    if not s.items:
+        raise ParseError("empty index form", s.loc)
+    head = s.items[0]
+    if isinstance(head, SAtom):
+        if head.text == "Shp":
+            return ShapeLit(tuple(_reference_parse_index(x) for x in s.items[1:]), loc=s.loc)
+        if head.text == "+":
+            return Plus(tuple(_reference_parse_index(x) for x in s.items[1:]), loc=s.loc)
+        if head.text == "++":
+            return IdxAppend(tuple(_reference_parse_index(x) for x in s.items[1:]), loc=s.loc)
+    raise ParseError("unknown index form", s.loc)
+
+
+def _reference_parse_kind(s: SExpr) -> Kind:
+    if isinstance(s, SAtom) and s.text in ("Atom", "Array"):
+        return Kind.ATOM if s.text == "Atom" else Kind.ARRAY
+    raise ParseError("expected a kind (Atom or Array)", s.loc)
+
+
+def _reference_parse_sort(s: SExpr) -> Sort:
+    if isinstance(s, SAtom) and s.text in ("Dim", "Shape"):
+        return Sort.DIM if s.text == "Dim" else Sort.SHAPE
+    raise ParseError("expected a sort (Dim or Shape)", s.loc)
+
+
+def _reference_parse_type(s: SExpr) -> TypeExpr:
+    if isinstance(s, SAtom):
+        if s.text in BASE_TYPE_NAMES:
+            return BaseType(s.text, loc=s.loc)
+        if _REFERENCE_NUMBER_RE.match(s.text):
+            raise ParseError(f"expected a type, got a number: {s.text}", s.loc)
+        return TyVar(s.text, loc=s.loc)
+    if not s.items:
+        raise ParseError("empty type form", s.loc)
+    head = s.items[0]
+    if not isinstance(head, SAtom):
+        raise ParseError("unknown type form", s.loc)
+    kw = head.text
+    rest = s.items[1:]
+    if kw == "Arr":
+        if len(rest) != 2:
+            raise ParseError("Arr takes an atom type and a shape", s.loc)
+        return ArrType(_reference_parse_type(rest[0]), _reference_parse_index(rest[1]), loc=s.loc)
+    if kw == "->":
+        if len(rest) != 2 or not isinstance(rest[0], SList):
+            raise ParseError("-> takes an input type list and an output type", s.loc)
+        return FunType(
+            tuple(_reference_parse_type(x) for x in rest[0].items),
+            _reference_parse_type(rest[1]),
+            loc=s.loc,
+        )
+    if kw in _REFERENCE_QUANTIFIERS:
+        if len(rest) != 2 or not isinstance(rest[0], SList):
+            raise ParseError(f"{kw} takes a binder list and a body", s.loc)
+        binders = _reference_binder_list(rest[0], _reference_parse_kind if kw == "Forall" else _reference_parse_sort)
+        return _REFERENCE_QUANTIFIERS[kw](binders, _reference_parse_type(rest[1]), loc=s.loc)
+    raise ParseError(f"unknown type keyword: {kw}", s.loc)
+
+
+_REFERENCE_QUANTIFIERS = {"Forall": ForallType, "Pi": PiType, "Sigma": SigmaType}
+
+
+def _reference_binder_list(s: SList, parse, what: str = "binder") -> tuple:
+    """The `(name thing)` pairs of a binder or parameter list."""
+    out = []
+    for b in s.items:
+        if not isinstance(b, SList) or len(b.items) != 2 or not isinstance(b.items[0], SAtom):
+            raise ParseError(f"malformed {what}", b.loc)
+        out.append((b.items[0].text, parse(b.items[1])))
+    return tuple(out)
+
+
+def _reference_parse_atom(s: SExpr) -> AtomTerm:
+    if isinstance(s, SAtom):
+        t = s.text
+        if _REFERENCE_NUMBER_RE.match(t):
+            value = float(t)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal out of range: {t}", s.loc)
+            return BaseVal("Num", value, loc=s.loc)
+        if t == "#t":
+            return BaseVal("Bool", True, loc=s.loc)
+        if t == "#f":
+            return BaseVal("Bool", False, loc=s.loc)
+        if t.startswith("#\\"):
+            body = t[2:]
+            if body in CHAR_NAMES:
+                return BaseVal("Char", CHAR_NAMES[body], loc=s.loc)
+            if len(body) != 1:
+                raise ParseError(f"bad character literal: {t}", s.loc)
+            return BaseVal("Char", body, loc=s.loc)
+        if t in KEYWORDS:
+            raise ParseError(f"reserved word in atom position: {t}", s.loc)
+        return PrimOp(t, loc=s.loc)
+    if not s.items:
+        raise ParseError("empty atom form", s.loc)
+    head = s.items[0]
+    if not isinstance(head, SAtom):
+        raise ParseError("unknown atom form", s.loc)
+    kw = head.text
+    items, annot_s = _reference_split_annotation(s.items)
+    rest = items[1:]
+    annot = _reference_parse_type(annot_s) if annot_s is not None else None
+    if kw in ("lam", "tlam", "ilam"):
+        if len(rest) != 2 or not isinstance(rest[0], SList):
+            raise ParseError(f"{kw} takes a binder list and a body", s.loc)
+        body = _reference_parse_expr(rest[1])
+        if kw == "lam":
+            return Lam(_reference_binder_list(rest[0], _reference_parse_type, "parameter"), body, annot=annot, loc=s.loc)
+        if kw == "tlam":
+            return TLam(_reference_binder_list(rest[0], _reference_parse_kind), body, annot=annot, loc=s.loc)
+        return ILam(_reference_binder_list(rest[0], _reference_parse_sort), body, annot=annot, loc=s.loc)
+    if kw == "box":
+        if len(rest) < 2:
+            raise ParseError("box takes indices, a payload, and a type", s.loc)
+        indices = tuple(_reference_parse_index(x) for x in rest[:-2])
+        payload = _reference_parse_expr(rest[-2])
+        box_type = _reference_parse_type(rest[-1])
+        return Box(indices, payload, box_type, annot=annot, loc=s.loc)
+    raise ParseError(f"not an atom form: {kw}", s.loc)
+
+
+def _reference_parse_expr(s: SExpr) -> ExprTerm:
+    if isinstance(s, SAtom):
+        t = s.text
+        if _REFERENCE_NUMBER_RE.match(t) or t.startswith("#"):
+            raise ParseError(
+                f"bare atom in expression position (wrap it in an array literal): {t}",
+                s.loc,
+            )
+        if t in KEYWORDS:
+            raise ParseError(f"reserved word in expression position: {t}", s.loc)
+        return Var(t, loc=s.loc)
+    items, annot_s = _reference_split_annotation(s.items)
+    if not items:  # `()`, or `(: type)` with nothing to annotate
+        raise ParseError("empty application", s.loc)
+    annot = _reference_parse_type(annot_s) if annot_s is not None else None
+    head = items[0]
+    if isinstance(head, SAtom) and head.text in KEYWORDS:
+        kw = head.text
+        rest = items[1:]
+        if kw == "array":
+            if not rest:
+                raise ParseError("array needs a dimension list", s.loc)
+            dims = _reference_parse_dims(rest[0])
+            atoms = tuple(_reference_parse_atom(x) for x in rest[1:])
+            return ArrayLit(dims, atoms, annot=annot, loc=s.loc)
+        if kw == "frame":
+            if not rest:
+                raise ParseError("frame needs a dimension list", s.loc)
+            dims = _reference_parse_dims(rest[0])
+            cells = tuple(_reference_parse_expr(x) for x in rest[1:])
+            return Frame(dims, cells, annot=annot, loc=s.loc)
+        if kw == "empty-array":
+            if len(rest) != 2:
+                raise ParseError("empty-array takes an atom type and dimensions", s.loc)
+            return EmptyArray(_reference_parse_type(rest[0]), _reference_parse_dims(rest[1]), annot=annot, loc=s.loc)
+        if kw == "empty-frame":
+            if len(rest) != 2:
+                raise ParseError("empty-frame takes a cell type and dimensions", s.loc)
+            return EmptyFrame(_reference_parse_type(rest[0]), _reference_parse_dims(rest[1]), annot=annot, loc=s.loc)
+        if kw == "t-app":
+            if not rest:
+                raise ParseError("t-app needs a function expression", s.loc)
+            return TApp(
+                _reference_parse_expr(rest[0]),
+                tuple(_reference_parse_type(x) for x in rest[1:]),
+                annot=annot,
+                loc=s.loc,
+            )
+        if kw == "i-app":
+            if not rest:
+                raise ParseError("i-app needs a function expression", s.loc)
+            return IApp(
+                _reference_parse_expr(rest[0]),
+                tuple(_reference_parse_index(x) for x in rest[1:]),
+                annot=annot,
+                loc=s.loc,
+            )
+        if kw == "unbox":
+            if len(rest) != 2 or not isinstance(rest[0], SList):
+                raise ParseError("unbox takes a binding list and a body", s.loc)
+            binding = rest[0].items
+            if len(binding) < 2:
+                raise ParseError(
+                    "unbox binding needs a value variable and a box expression",
+                    rest[0].loc,
+                )
+            names = binding[:-1]
+            for nm in names:
+                if not isinstance(nm, SAtom) or nm.text in KEYWORDS:
+                    raise ParseError("malformed unbox binder", nm.loc)
+            idx_vars = tuple(nm.text for nm in names[:-1])
+            val_var = names[-1].text
+            box = _reference_parse_expr(binding[-1])
+            body = _reference_parse_expr(rest[1])
+            return Unbox(idx_vars, val_var, box, body, annot=annot, loc=s.loc)
+        raise ParseError(f"'{kw}' cannot appear here", s.loc)
+    fn = _reference_parse_expr(head)
+    args = tuple(_reference_parse_expr(x) for x in items[1:])
+    return App(fn, args, annot=annot, loc=s.loc)
+
+
+def reference_parse_term(text: str, filename: str = "<string>") -> ExprTerm:
+    return _reference_parse_expr(_read(text, filename))
+
+
+def reference_parse_type(text: str, filename: str = "<string>") -> TypeExpr:
+    return _reference_parse_type(_read(text, filename))
+
+
+def reference_parse_index(text: str, filename: str = "<string>") -> IndexExpr:
+    return _reference_parse_index(_read(text, filename))
 
 
 # ---------------------------------------------------------------------------
