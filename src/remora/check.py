@@ -16,17 +16,26 @@ same object but one term child outside every binder (the `Child(TM)` roles of
 `names.SCHEMA`). A successor whose new child's type is `==` to the type the
 old child had has every premise of a node that elaborated, so it has the same
 conclusion: the old node's output with the new child put in, and the old
-type. (`==`, not `types_equal`: a rule reads its premises' types as written,
-so an equivalent type can give another annotation.) Any other node goes
-through the rules, with a memo that lasts one call. It keys nodes at
-binder-free positions (elaborated under the root environment, so a
-lam/tlam/ilam atom as a whole but nothing under a binder or inside an unbox
-body) by identity, and is given beforehand the old conclusions for the nodes
-the rules can meet again: the children a successor shares with its old node,
-and the nodes under the old redex that its contractum is built from.
+type; when that output was the old node itself and the new child's output is
+the new child, it is the new node itself. (`==`, not `types_equal`: a rule
+reads its premises' types as written, so an equivalent type can give another
+annotation.) Any other node goes through the rules, with a memo that lasts
+one call. It keys nodes at binder-free positions (elaborated under the root
+environment, so a lam/tlam/ilam atom as a whole but nothing under a binder
+or inside an unbox body) by identity, and is given beforehand the old
+conclusions for the nodes the rules can meet again: the children a successor
+shares with its old node, and the nodes under the old redex that its
+contractum is built from.
 
-So re-elaborating a state after a step costs identity comparisons along the
-spine plus O(1) rule firings, and the rules run only where a type changed.
+A rule returns its input node as it is when the input's annotation is the
+conclusion as written (`is` or `==`) and every field it would put in its
+output is the input's own. So an elaborated term re-elaborates to itself,
+and a state whose annotations are its conclusions is neither rebuilt by the
+rules nor copied along the spine.
+
+Re-elaborating a state after a step thus costs identity comparisons along
+the spine plus O(1) rule firings, and the rules run only where a type
+changed.
 Results, annotations and errors (kind, detail, location) are those of an
 elaboration from scratch; only the time differs.
 """
@@ -389,22 +398,34 @@ def _changed(n, o) -> Optional[tuple]:
     return f, j, a[j], b[j]
 
 
-def _agree(n: Term, t: TypeExpr, env: Env, want: Kind) -> None:
-    """A form's annotation must be its type, up to equivalence. (An
-    operator's annotation is its instantiated type, and is its type.) One that
-    is not plainly the type is kinded first: an ill-sorted shape has no
-    canonical form to compare or print."""
+def _conclude(n: Term, t: TypeExpr, env: Env, want: Kind, cls: type, fields: tuple) -> Term:
+    """The output of the rule that gave n the type t and the output `cls`
+    and `fields`. A form's annotation must be its type, up to equivalence.
+    (An operator's annotation is its instantiated type, and is its type.) One
+    that is not plainly the type is kinded first: an ill-sorted shape has no
+    canonical form to compare or print. When the annotation is t as written
+    (`is` or `==`) and n is of class `cls` with every field its own (the same
+    object; for a tuple, the same items), the output is n itself; else a new
+    node carrying t."""
     a = n.annot
-    if a is t or a == t:
-        return
-    check_kind(env, a, want, n.loc)
-    if not types_equal(a, t):
-        raise TypeCheckError(
-            ErrorKind.ANNOTATION_MISMATCH,
-            f"annotation {print_type(a, canonical=True)} does not match the form's type"
-            f" {print_type(t, canonical=True)}",
-            n.loc,
-        )
+    if a is not None and (a is t or a == t):
+        if cls is n.__class__:
+            for v, f in zip(fields, cls._fields):
+                w = getattr(n, f)
+                if v is not w and not (v.__class__ is tuple and len(v) == len(w) and all(map(is_, v, w))):
+                    break
+            else:
+                return n
+    elif a is not None:
+        check_kind(env, a, want, n.loc)
+        if not types_equal(a, t):
+            raise TypeCheckError(
+                ErrorKind.ANNOTATION_MISMATCH,
+                f"annotation {print_type(a, canonical=True)} does not match the form's type"
+                f" {print_type(t, canonical=True)}",
+                n.loc,
+            )
+    return cls(*fields, annot=t, loc=n.loc)
 
 
 class _Elaborator:
@@ -412,8 +433,11 @@ class _Elaborator:
     id(input node) -> (input node, output node, type) for the nodes of the
     current call elaborated under `root`, completed ones only, and for those
     `along` and `seed` give a conclusion. The lookup is folded into `atom` and
-    `expr`, so the memo adds no Python frame per nesting level. `last` is
-    (input, output) of the last call, when it succeeded."""
+    `expr`, so the memo adds no Python frame per nesting level. Each rule
+    ends in `_conclude`, which returns the input node itself when its
+    annotation is the conclusion as written and its fields are its own.
+    `last` is (input, output) of the last call, when it succeeded; the output
+    is the input itself when the input was elaborated already."""
 
     __slots__ = ("sig", "root", "memo", "last")
 
@@ -437,7 +461,10 @@ class _Elaborator:
         the rules; back up, a successor whose changed child's type is `==` to
         that of the child it replaced has its predecessor's conclusion, with
         the new child put in, and any other node is elaborated by the rules.
-        A loop, not a recursion: the spine can be as deep as the term."""
+        When the predecessor's output is the predecessor itself and the new
+        child's is the new child, that conclusion is the successor itself,
+        and no copy is made. A loop, not a recursion: the spine can be as
+        deep as the term."""
         path = []
         while (where := _changed(t, o)) is not None:
             f, j, kid, was = where
@@ -452,9 +479,13 @@ class _Elaborator:
             old = getattr(oo, f)
             was = (old if j is None else old[j]).annot
             if ty is was or ty == was:
-                if j is not None:
-                    out = (out,) if len(old) == 1 else old[:j] + (out,) + old[j + 1 :]
-                out, ty = copier(oo.__class__, f)(oo, out), oo.annot
+                if oo is o and out is kid:
+                    out = t  # o's own fields with kid put in: t's
+                else:
+                    if j is not None:
+                        out = (out,) if len(old) == 1 else old[:j] + (out,) + old[j + 1 :]
+                    out = copier(oo.__class__, f)(oo, out)
+                ty = oo.annot
                 continue
             self.seed(o, oo, False)
             self.memo[id(kid)] = (kid, out, ty)
@@ -491,34 +522,34 @@ class _Elaborator:
                 return hit[1], hit[2]
         if isinstance(a, BaseVal):
             t = BaseType(a.base)
-            out = BaseVal(a.base, a.value, annot=t, loc=a.loc)
+            cls, fields = BaseVal, (a.base, a.value)
         elif isinstance(a, PrimOp):
             if a.annot is not None:
                 # Mid-instantiation operators only arise from evaluator
                 # output; trust the annotation so stepped terms re-elaborate.
                 check_kind(env, a.annot, Kind.ATOM, a.loc)
-                out, t = a, a.annot
+                t = a.annot
             else:
                 t = self.sig.get(a.name)
                 if t is None:
                     raise TypeCheckError(
                         ErrorKind.UNBOUND_VAR, f"unknown operator {a.name}", a.loc
                     )
-                out = PrimOp(a.name, annot=t, loc=a.loc)
+            cls, fields = PrimOp, (a.name,)
         elif isinstance(a, Lam):
             for _, pt in a.params:
                 check_kind(env, pt, Kind.ARRAY, a.loc)
             body, bt = self.expr(a.body, env.with_types(a.params))
             t = FunType(tuple(pt for _, pt in a.params), bt)
-            out = Lam(a.params, body, annot=t, loc=a.loc)
+            cls, fields = Lam, (a.params, body)
         elif isinstance(a, TLam):
             body, bt = self.expr(a.body, env.with_kinds(a.binders))
             t = ForallType(a.binders, bt)
-            out = TLam(a.binders, body, annot=t, loc=a.loc)
+            cls, fields = TLam, (a.binders, body)
         elif isinstance(a, ILam):
             body, bt = self.expr(a.body, env.with_sorts(a.binders))
             t = PiType(a.binders, bt)
-            out = ILam(a.binders, body, annot=t, loc=a.loc)
+            cls, fields = ILam, (a.binders, body)
         elif isinstance(a, Box):
             if not isinstance(a.box_type, SigmaType):
                 raise TypeCheckError(
@@ -545,11 +576,10 @@ class _Elaborator:
                     a.loc,
                 )
             t = a.box_type
-            out = Box(a.indices, payload, t, annot=t, loc=a.loc)
+            cls, fields = Box, (a.indices, payload, t)
         else:
             raise TypeError(a)
-        if a.annot is not None:
-            _agree(a, t, env, Kind.ATOM)
+        out = _conclude(a, t, env, Kind.ATOM, cls, fields)
         if memo is not None:
             memo[id(a)] = (a, out, t)
         return out, t
@@ -568,7 +598,7 @@ class _Elaborator:
                 raise TypeCheckError(
                     ErrorKind.UNBOUND_VAR, f"unbound variable {e.name}", e.loc
                 )
-            out = Var(e.name, annot=t, loc=e.loc)
+            cls, fields = Var, (e.name,)
 
         elif isinstance(e, ArrayLit) and not e.atoms:
             if e.annot is None:
@@ -598,7 +628,7 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(arr.elem, shape_of_dims(e.dims))
-            out = ArrayLit(e.dims, (), annot=t, loc=e.loc)
+            cls, fields = ArrayLit, (e.dims, ())
 
         elif isinstance(e, ArrayLit):
             # Loops, not comprehensions: a comprehension is one more frame
@@ -624,7 +654,7 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(t0, shape_of_dims(e.dims))
-            out = ArrayLit(e.dims, tuple(atoms), annot=t, loc=e.loc)
+            cls, fields = ArrayLit, (e.dims, tuple(atoms))
 
         elif isinstance(e, Frame) and not e.cells:
             if e.annot is None:
@@ -658,7 +688,7 @@ class _Elaborator:
                     e.loc,
                 )
             t = arr
-            out = Frame(e.dims, (), annot=t, loc=e.loc)
+            cls, fields = Frame, (e.dims, ())
 
         elif isinstance(e, Frame):
             cells, types = [], []
@@ -686,7 +716,7 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(arr.elem, idx_append(shape_of_dims(e.dims), arr.shape))
-            out = Frame(e.dims, tuple(cells), annot=t, loc=e.loc)
+            cls, fields = Frame, (e.dims, tuple(cells))
 
         elif isinstance(e, EmptyArray):
             check_kind(env, e.elem_type, Kind.ATOM, e.loc)
@@ -697,7 +727,7 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(e.elem_type, shape_of_dims(e.dims))
-            out = ArrayLit(e.dims, (), annot=t, loc=e.loc)
+            cls, fields = ArrayLit, (e.dims, ())
 
         elif isinstance(e, EmptyFrame):
             check_kind(env, e.cell_type, Kind.ARRAY, e.loc)
@@ -713,7 +743,7 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(arr.elem, idx_append(shape_of_dims(e.dims), arr.shape))
-            out = Frame(e.dims, (), annot=t, loc=e.loc)
+            cls, fields = Frame, (e.dims, ())
 
         elif isinstance(e, App):
             fn, ft = self.expr(e.fn, env)
@@ -781,7 +811,7 @@ class _Elaborator:
                     e.loc,
                 )
             t = ArrType(out_arr.elem, idx_append(shape_to_index(join.shape), out_arr.shape))
-            out = App(fn, tuple(new_args), annot=t, loc=e.loc)
+            cls, fields = App, (fn, tuple(new_args))
 
         elif isinstance(e, TApp):
             fn, ft = self.expr(e.fn, env)
@@ -816,7 +846,7 @@ class _Elaborator:
                 )
             m = {x: targ for (x, _), targ in zip(univ.binders, e.type_args)}
             t = ArrType(subst_ty_in_type(body.elem, m), idx_append(arr.shape, body.shape))
-            out = TApp(fn, e.type_args, annot=t, loc=e.loc)
+            cls, fields = TApp, (fn, e.type_args)
 
         elif isinstance(e, IApp):
             fn, ft = self.expr(e.fn, env)
@@ -848,7 +878,7 @@ class _Elaborator:
                 subst_idx_in_type(body.elem, m),
                 idx_append(arr.shape, subst_idx(body.shape, m)),
             )
-            out = IApp(fn, e.idx_args, annot=t, loc=e.loc)
+            cls, fields = IApp, (fn, e.idx_args)
 
         elif isinstance(e, Unbox):
             box, bt = self.expr(e.box, env)
@@ -886,12 +916,11 @@ class _Elaborator:
                     ErrorKind.NOT_A_BOX, "unbox body type is not an array type", e.loc
                 )
             t = ArrType(body_arr.elem, idx_append(arr.shape, body_arr.shape))
-            out = Unbox(e.idx_vars, e.val_var, box, body, annot=t, loc=e.loc)
+            cls, fields = Unbox, (e.idx_vars, e.val_var, box, body)
 
         else:
             raise TypeError(e)
-        if e.annot is not None:
-            _agree(e, t, env, Kind.ARRAY)
+        out = _conclude(e, t, env, Kind.ARRAY, cls, fields)
         if memo is not None:
             memo[id(e)] = (e, out, t)
         return out, t

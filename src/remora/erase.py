@@ -33,16 +33,20 @@ By induction over the steps, only what a step changed needs a look. A
 refocus only pops and pushes, and the layers it left alone agreed before, so
 `LockstepComparer.stepped` checks the levels it changed (a node it pushed, as
 a whole or as the very child in the hole below it; the value it put where a
-hole was, with any other child it replaced) and the two contracta. Each check compares hash-consed canonical
-forms of memoized erasures, so a step costs O(1) amortised plus the
-contraction. The fast checks can only confirm agreement; when one fails, the
-whole states decide, so the report is the one a whole-state comparison after
-every step would give. The forms are those of `names.Forms`, and
-`erased_alpha_equal` is `names.alpha_equal`."""
+hole was, with any other child it replaced) and the two contracta. Each
+check first compares the memoized erasure with its partner field for field,
+skipping a pair that is one object; only when that walk meets a difference (a
+renamed binder, a tag spelled another way, or a real one) do hash-consed
+canonical forms decide. So a step costs O(1) amortised plus the contraction.
+The fast checks can only confirm agreement; when one fails, the whole states
+decide, so the report is the one a whole-state comparison after every step
+would give. The forms are those of `names.Forms`, and `erased_alpha_equal`
+is `names.alpha_equal`."""
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from operator import attrgetter
+from typing import Mapping, Optional, Union, get_args
 
 from .eval import (
     _BOX,
@@ -63,7 +67,7 @@ from .eval import (
     transpose_list,
 )
 from .indices import concrete_dims, element_count, normalize_tag
-from .names import IDX, TM, Forms, Generations, alpha_equal, subst, term_children
+from .names import _TERM_KIDS, IDX, MANY, TM, Forms, Generations, alpha_equal, subst, term_children
 from .prims import Misapplied, _shape_entry
 from .printer import print_erased  # noqa: F401  (re-exported; benchmark tools wrap this name)
 from .syntax import (
@@ -593,14 +597,54 @@ def _unchanged(stack: list, levels: list, side: int) -> int:
     return k
 
 
+# For each erased class: a getter of the fields that are not term children
+# (tags, dims, base values, names), and the term children, (field, shape).
+_WALK = {
+    cls: (attrgetter(*[f for f in cls._fields if f not in dict(_TERM_KIDS[cls])]), _TERM_KIDS[cls])
+    for cls in get_args(ETerm)
+}
+
+
+def _equal_fields(a: ETerm, b: ETerm) -> bool:
+    """Whether two erased terms are equal field for field: of one class, with
+    `==` tags, dims, base values and names, and term children equal in turn.
+    A pair of one object is not looked into. An explicit stack: any depth.
+    Equal terms are alpha-equivalent; unequal ones may be too."""
+    todo = [(a, b)]
+    pop, push, extend = todo.pop, todo.append, todo.extend
+    while todo:
+        x, y = pop()
+        if x is y:
+            continue
+        cls = x.__class__
+        if cls is not y.__class__:
+            return False
+        plain, kids = _WALK[cls]
+        if plain(x) != plain(y):
+            return False
+        for f, shape in kids:
+            u, v = getattr(x, f), getattr(y, f)
+            if shape == MANY:
+                if len(u) != len(v):
+                    return False
+                extend(zip(u, v))
+            else:
+                push((u, v))
+    return True
+
+
 class LockstepComparer:
     """Decides whether erasing a typed state gives an erased state up to
     alpha-renaming, with tags compared as indices.
 
     `same` compares whole states. Call-by-value rewrites only a binder-free
     spine from the root to the redex and shares every other subtree with the
-    previous state, so erasure (memoized on typed nodes) and canonical forms
-    (memoized on erased nodes) are rebuilt for that spine only.
+    previous state, so erasure (memoized on typed nodes) is rebuilt for that
+    spine only, and a shared subtree mostly erases to the very node the
+    erased state holds. A comparison walks the two erased terms field for
+    field and skips a pair that is one object; only when the walk meets a
+    difference are canonical forms (memoized on erased nodes) built, and they
+    decide, up to renaming and the spelling of tags.
 
     `stepped` decides after one step of two machines whose states agreed,
     from what the step changed: the levels of the two context stacks that the
@@ -617,8 +661,10 @@ class LockstepComparer:
         return _erase(t, self._erasure)
 
     def _agree(self, typed: Term, erased: ETerm) -> bool:
-        a = self._canon.form(self.erase(typed))
-        b = self._canon.form(erased)
+        e = self.erase(typed)
+        if _equal_fields(e, erased):
+            return True
+        a, b = self._canon.form(e), self._canon.form(erased)
         return a is b or a == b
 
     def _age(self) -> None:

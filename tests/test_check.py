@@ -776,10 +776,10 @@ class TestElaborationCost:
 class TestCopyCost:
     """The preservation loop copies O(1) nodes per level of the redex path:
     `step` rebuilds the spine above the redex once, and `elaborate` walks it
-    back up once. Every copy of a node is made by `syntax._new`; the copies
-    of `step` plus `elaborate`, summed over a run and divided by the levels
-    of the redex paths, for a larger member of a family against its n=100
-    member."""
+    back up once, returning each successor as it is. Every copy of a node is
+    made by `syntax._new`; the copies of `step` plus `elaborate`, summed over
+    a run and divided by the levels of the redex paths, for a larger member
+    of a family against its n=100 member."""
 
     @staticmethod
     def copies_per_level(monkeypatch, family: str, n: int) -> float:
@@ -813,6 +813,36 @@ class TestCopyCost:
     def test_copies_per_level_are_flat(self, monkeypatch, family, n):
         small = self.copies_per_level(monkeypatch, family, 100)
         large = self.copies_per_level(monkeypatch, family, n)
-        # Each half copies a level once; the contraction's own copies are
-        # O(1) per step. Three per level would be a level copied twice.
-        assert large <= small < 3, (large, small)
+        # `step` copies a level once and `elaborate` not at all; the
+        # contraction's own copies are O(1) per step. Two per level would be
+        # a level copied twice.
+        assert large <= small < 2, (large, small)
+
+
+class TestReElaborationIdentity:
+    """Re-elaborating a node whose annotations are its conclusions as written
+    (node equality with a from-scratch elaboration) returns that very node:
+    an elaborated program from scratch, and each state of the preservation
+    loop in the call right after the one on the state it came from."""
+
+    def test_elaborated_program_is_returned_as_it_is(self):
+        for t in oracle_programs("corpus"):
+            _forget()
+            assert elaborate(EMPTY_ENV, SIGNATURE, t)[0] is t
+            assert elaborate(EMPTY_ENV, SIGNATURE, t)[0] is t
+
+    @pytest.mark.parametrize("group", ["lift100", "frame100"])
+    def test_preservation_loop_state_is_returned_as_it_is(self, group):
+        [prog] = oracle_programs(group)
+        states = _states(prog)
+        fresh = [_fresh(s)[0] for s in states]
+        _forget()
+        elaborate(EMPTY_ENV, SIGNATURE, prog)
+        kept = 0
+        for s, want in zip(states, fresh):
+            out = elaborate(EMPTY_ENV, SIGNATURE, s)[0]
+            assert out == want
+            if s == want:
+                assert out is s
+                kept += 1
+        assert kept > 0

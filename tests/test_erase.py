@@ -681,10 +681,12 @@ class TestBisimFuel:
 
 
 class TestBisimCost:
-    """Work per bisim step does not grow with the size of the term: erasures
+    """Work per bisim step does not grow with the size of the term: erasures,
+    the node pairs the field-for-field walk of `LockstepComparer` compares,
     and the nodes whose canonical forms are built (each computes its head
     once), counted per step, for a deeper member of a family against its
-    n=100 member."""
+    n=100 member. The walk decides every check of these runs, so no form is
+    built."""
 
     @staticmethod
     def work_per_step(monkeypatch, family: str, n: int) -> dict:
@@ -698,6 +700,9 @@ class TestBisimCost:
             return call
 
         monkeypatch.setattr(remora.erase, "_erase", counted("_erase", remora.erase._erase))
+        # The walk reads a compared pair's own fields once per node of the pair.
+        for cls, (plain, kids) in list(remora.erase._WALK.items()):
+            monkeypatch.setitem(remora.erase._WALK, cls, (counted("walk", plain), kids))
         for cls, (head, slots, binders) in list(remora.names._FORM_PLANS.items()):
             monkeypatch.setitem(remora.names._FORM_PLANS, cls, (counted("form", head), slots, binders))
         for cls, head in list(remora.names._INLINE.items()):
@@ -711,15 +716,50 @@ class TestBisimCost:
             sys.setrecursionlimit(limit)
             monkeypatch.undo()
         assert rep.outcome == "both-value"
-        return {name: c / rep.steps for name, c in counts.items()}
+        counts["walk"] /= 2
+        return {name: counts[name] / rep.steps for name in ("_erase", "walk", "form")}
 
     @pytest.mark.parametrize("family, n", [("frame", 400), ("reduce", 300)])
     def test_work_per_step_is_flat(self, monkeypatch, family, n):
         small = self.work_per_step(monkeypatch, family, 100)
         large = self.work_per_step(monkeypatch, family, n)
-        assert set(large) == {"_erase", "form"}
+        assert large["_erase"] > 0 and large["walk"] > 0 and large["form"] == 0, large
         for name, per_step in large.items():
             assert per_step <= 1.5 * small[name], (name, per_step, small[name])
+
+
+class TestFieldWalk:
+    """`LockstepComparer` confirms agreement by comparing erased terms field
+    for field; only a True is final, and when the walk finds a difference,
+    canonical forms decide."""
+
+    @pytest.mark.parametrize("mutation", [respell_tag, rename_index_binder])
+    def test_alpha_equivalent_mutation_is_left_to_forms(self, mutation):
+        tried = 0
+        for typed in oracle_programs("batch") + oracle_programs("corpus"):
+            erased = erase_term(typed)
+            sites = [(path, node) for path, _, node in erased_sites(erased) if mutation(node) is not None]
+            for path, node in sites[:2]:
+                bad = rewrite_at(erased, path, mutation(node))
+                assert remora.erase._equal_fields(erased, bad) is False
+                assert LockstepComparer().same(typed, bad) is True
+                tried += 1
+        assert tried > 0
+
+    @staticmethod
+    def nest(depth: int, value: float):
+        e = EArray((), (EBase("Num", value),))
+        for _ in range(depth):
+            e = EFrame(ShapeLit(()), (e,))
+        return e
+
+    def test_any_depth_at_the_default_recursion_limit(self):
+        depth = 10_000
+        assert depth > sys.getrecursionlimit()
+        a, b = self.nest(depth, 7.0), self.nest(depth, 7.0)
+        assert a is not b
+        assert remora.erase._equal_fields(a, b) is True
+        assert remora.erase._equal_fields(a, self.nest(depth, 8.0)) is False
 
 
 def _context_positions(t, under_binder=False):
