@@ -66,7 +66,7 @@ from .eval import (
     step as typed_step,  # the typed spec, unused here; benchmark tools wrap this name
     transpose_list,
 )
-from .indices import concrete_dims, element_count, normalize_tag
+from .indices import SortError, concrete_dims, element_count, normalize_tag
 from .names import _TERM_KIDS, IDX, MANY, TM, Forms, Generations, alpha_equal, subst, term_children
 from .prims import Misapplied, _shape_entry
 from .printer import print_erased  # noqa: F401  (re-exported; benchmark tools wrap this name)
@@ -332,64 +332,29 @@ def erased_step(e: EExpr) -> Union[Stepped, AlreadyValue, Stuck]:
 def _eapply(e: EApp) -> Union[Stepped, Stuck]:
     fn = e.fn
     assert isinstance(fn, EArray)
-    cell_dims = []
     frames = [fn.dims]
+    cells = []
     for arg, tag in zip(e.args, e.arg_shapes):
         assert isinstance(arg, EArray)
-        cd = concrete_dims(tag)
+        try:
+            cd = concrete_dims(tag)
+        except SortError as exc:
+            return Stuck("internal", detail=f"bad cell tag: {exc}")
         k = len(arg.dims) - len(cd)
         if k < 0 or arg.dims[k:] != cd:
             return Stuck("internal", detail="argument shape does not end with its cell tag")
-        cell_dims.append(cd)
         frames.append(arg.dims[:k])
-    principal = max(frames, key=len)
-    for fr in frames:
-        if principal[: len(fr)] != fr:
-            return Stuck("internal", detail="frames are not prefix-ordered")
+        cells.append(cd)
+    if any(frames):
+        principal = max(frames, key=len)
+        for fr in frames:
+            if principal[: len(fr)] != fr:
+                return Stuck("internal", detail="frames are not prefix-ordered")
+        if any(fr != principal for fr in frames):
+            return _elift(e, frames, cells, principal)
+        return _emap(e, cells, principal)
 
-    if any(fr != principal for fr in frames):
-        n_p = element_count(principal)
-        n_fe = (n_p // element_count(fn.dims)) if element_count(fn.dims) else 0
-        new_fn = EArray(
-            principal,
-            tuple(concat_list(rep_list(n_fe, split_list(1, list(fn.atoms))))),
-        )
-        new_args = []
-        for arg, cd, fr in zip(e.args, cell_dims, frames[1:]):
-            n_a = element_count(fr)
-            n_ae = (n_p // n_a) if n_a else 0
-            pieces = split_list(element_count(cd), list(arg.atoms))  # type: ignore[union-attr]
-            new_args.append(
-                EArray(
-                    principal + tuple(cd),
-                    tuple(concat_list(rep_list(n_ae, pieces))),
-                )
-            )
-        return Stepped(replace(e, fn=new_fn, args=tuple(new_args)), "lift")
-
-    if principal:
-        n_cells = element_count(principal)
-        cells_per_arg = [
-            _split_cells(list(arg.atoms), element_count(cd), n_cells)  # type: ignore[union-attr]
-            for arg, cd in zip(e.args, cell_dims)
-        ]
-        grouped = (
-            transpose_list(cells_per_arg)
-            if cells_per_arg
-            else [[] for _ in range(n_cells)]
-        )
-        out_full = concrete_dims(e.out_shape)
-        cell_out = shape_of_dims(out_full[len(principal) :])
-        cells = []
-        for j in range(n_cells):
-            fn_cell = EArray((), (fn.atoms[j],))
-            cell_args = tuple(
-                EArray(tuple(cd), tuple(atoms))
-                for atoms, cd in zip(grouped[j], cell_dims)
-            )
-            cells.append(EApp(fn_cell, cell_args, e.arg_shapes, cell_out))
-        return Stepped(EFrame(e.out_shape, tuple(cells)), "map")
-
+    # Every frame is scalar: beta or delta.
     head = fn.atoms[0]
     if isinstance(head, ELam):
         if len(head.params) != len(e.args):
@@ -401,8 +366,59 @@ def _eapply(e: EApp) -> Union[Stepped, Stuck]:
             result = _edelta(head.name, e.arg_shapes, e.out_shape, e.args)
         except Misapplied as exc:
             return Stuck("misapplied", op=exc.op, detail=exc.detail)
+        except SortError as exc:
+            return Stuck("internal", detail=f"bad result tag: {exc}")
         return Stepped(result, "delta")
     return Stuck("internal", detail="scalar application head is not lam or operator")
+
+
+def _elift(e: EApp, frames, cells, principal) -> Stepped:
+    fn = e.fn
+    n_p = element_count(principal)
+    n_fe = (n_p // element_count(fn.dims)) if element_count(fn.dims) else 0
+    new_fn = EArray(
+        principal,
+        tuple(concat_list(rep_list(n_fe, split_list(1, list(fn.atoms))))),
+    )
+    new_args = []
+    for arg, cd, fr in zip(e.args, cells, frames[1:]):
+        n_a = element_count(fr)
+        n_ae = (n_p // n_a) if n_a else 0
+        if n_ae == 1:  # one copy of each cell: the atoms as they are
+            atoms = arg.atoms
+        else:
+            pieces = split_list(element_count(cd), list(arg.atoms))  # type: ignore[union-attr]
+            atoms = tuple(concat_list(rep_list(n_ae, pieces)))
+        new_args.append(EArray(principal + cd, atoms))
+    return Stepped(replace(e, fn=new_fn, args=tuple(new_args)), "lift")
+
+
+def _emap(e: EApp, cells, principal) -> Union[Stepped, Stuck]:
+    fn = e.fn
+    try:
+        out_full = concrete_dims(e.out_shape)
+    except SortError as exc:
+        return Stuck("internal", detail=f"bad result tag: {exc}")
+    n_cells = element_count(principal)
+    cells_per_arg = [
+        _split_cells(list(arg.atoms), element_count(cd), n_cells)  # type: ignore[union-attr]
+        for arg, cd in zip(e.args, cells)
+    ]
+    grouped = (
+        transpose_list(cells_per_arg)
+        if cells_per_arg
+        else [[] for _ in range(n_cells)]
+    )
+    cell_out = shape_of_dims(out_full[len(principal) :])
+    out = []
+    for j in range(n_cells):
+        fn_cell = EArray((), (fn.atoms[j],))
+        cell_args = tuple(
+            EArray(cd, tuple(atoms))
+            for atoms, cd in zip(grouped[j], cells)
+        )
+        out.append(EApp(fn_cell, cell_args, e.arg_shapes, cell_out))
+    return Stepped(EFrame(e.out_shape, tuple(out)), "map")
 
 
 def _eibeta(e: EIApp) -> Union[Stepped, Stuck]:
@@ -526,8 +542,11 @@ def _edelta(name, arg_shapes, out_shape, args) -> EExpr:
 # Erased machine
 
 
-def _ecollapse(e: EFrame) -> Stepped:
-    dims = concrete_dims(e.shape)
+def _ecollapse(e: EFrame) -> Union[Stepped, Stuck]:
+    try:
+        dims = concrete_dims(e.shape)
+    except SortError as exc:
+        return Stuck("internal", detail=f"bad frame tag: {exc}")
     atoms = tuple(a for c in e.cells for a in c.atoms)  # type: ignore[union-attr]
     return Stepped(EArray(dims, atoms), "collapse")
 

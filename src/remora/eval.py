@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .indices import concrete_dims, element_count
+from .indices import SortError, concrete_dims, element_count
 from .names import (
     subst_idx_in_term,
     subst_idx_in_type,
@@ -251,7 +251,10 @@ def _collapse(e: Frame) -> StepResult:
     else:
         if e.annot is None or not isinstance(e.annot, ArrType):
             return Stuck("internal", detail="empty frame without an array annotation")
-        full = concrete_dims(e.annot.shape)
+        try:
+            full = concrete_dims(e.annot.shape)
+        except SortError as exc:
+            return Stuck("internal", detail=f"bad frame shape: {exc}")
         if full[: len(e.dims)] != e.dims:
             return Stuck("internal", detail="frame annotation disagrees with dims")
         cell_dims = full[len(e.dims) :]
@@ -261,7 +264,8 @@ def _collapse(e: Frame) -> StepResult:
 
 
 def _app_frames(e: App):
-    """(function elem type, function frame, per-argument (frame, cell dims))."""
+    """(function elem type, the frame of the function and of each argument,
+    the cell dims of each argument)."""
     fn = e.fn
     assert isinstance(fn, ArrayLit)
     if fn.annot is None or not isinstance(fn.annot, ArrType):
@@ -269,35 +273,39 @@ def _app_frames(e: App):
     fun = fn.annot.elem
     if not isinstance(fun, FunType):
         raise EvalBug("function array whose element type is not a function")
-    per_arg = []
+    frames = [fn.dims]
+    cells = []
     for arg, in_t in zip(e.args, fun.inputs):
         assert isinstance(arg, ArrayLit)
         if not isinstance(in_t, ArrType):
             raise EvalBug("function input type is not an array type")
-        cell_dims = concrete_dims(in_t.shape)
+        try:
+            cell_dims = concrete_dims(in_t.shape)
+        except SortError as exc:
+            raise EvalBug(f"bad cell shape: {exc}") from None
         k = len(arg.dims) - len(cell_dims)
         if k < 0 or arg.dims[k:] != cell_dims:
             raise EvalBug("argument shape does not end with its cell shape")
-        per_arg.append((arg.dims[:k], cell_dims))
-    return fun, fn.dims, per_arg
+        frames.append(arg.dims[:k])
+        cells.append(cell_dims)
+    return fun, frames, cells
 
 
 def _apply(e: App) -> StepResult:
     try:
-        fun, f_frame, per_arg = _app_frames(e)
+        fun, frames, cells = _app_frames(e)
     except EvalBug as bug:
         return Stuck("internal", detail=str(bug))
-    frames = [f_frame] + [fr for fr, _ in per_arg]
-    principal = max(frames, key=len)
-    for fr in frames:
-        if principal[: len(fr)] != fr:
-            return Stuck("internal", detail="frames are not prefix-ordered")
+    if any(frames):
+        principal = max(frames, key=len)
+        for fr in frames:
+            if principal[: len(fr)] != fr:
+                return Stuck("internal", detail="frames are not prefix-ordered")
+        if any(fr != principal for fr in frames):
+            return _lift(e, fun, frames, cells, principal)
+        return _map(e, fun, cells, principal)
 
-    if any(fr != principal for fr in frames):
-        return _lift(e, fun, f_frame, per_arg, principal)
-    if principal:
-        return _map(e, fun, per_arg, principal)
-
+    # Every frame is scalar: beta or delta.
     head = e.fn.atoms[0]  # type: ignore[union-attr]
     if isinstance(head, Lam):
         if len(head.params) != len(e.args):
@@ -311,15 +319,17 @@ def _apply(e: App) -> StepResult:
             result = apply_delta(head.name, head.annot, e.args)
         except Misapplied as exc:
             return Stuck("misapplied", op=exc.op, detail=exc.detail)
+        except SortError as exc:
+            return Stuck("internal", detail=f"bad result shape: {exc}")
         return Stepped(result, "delta")
     return Stuck("internal", detail="scalar application head is not lam or operator")
 
 
-def _lift(e: App, fun: FunType, f_frame, per_arg, principal) -> StepResult:
+def _lift(e: App, fun: FunType, frames, cells, principal) -> StepResult:
     n_p = element_count(principal)
     fn = e.fn
     assert isinstance(fn, ArrayLit)
-    n_fe = (n_p // element_count(f_frame)) if element_count(f_frame) else 0
+    n_fe = (n_p // element_count(fn.dims)) if element_count(fn.dims) else 0
     fn_atoms = tuple(
         concat_list(rep_list(n_fe, split_list(1, list(fn.atoms))))
     )
@@ -327,13 +337,15 @@ def _lift(e: App, fun: FunType, f_frame, per_arg, principal) -> StepResult:
         principal, fn_atoms, annot=ArrType(fun, shape_of_dims(principal))
     )
     new_args = []
-    for (arg, in_t, (frame, cell_dims)) in zip(e.args, fun.inputs, per_arg):
+    for (arg, in_t, frame, cell_dims) in zip(e.args, fun.inputs, frames[1:], cells):
         assert isinstance(arg, ArrayLit)
         n_a = element_count(frame)
         n_ae = (n_p // n_a) if n_a else 0
-        n_ac = element_count(cell_dims)
-        pieces = split_list(n_ac, list(arg.atoms))
-        atoms = tuple(concat_list(rep_list(n_ae, pieces)))
+        if n_ae == 1:  # one copy of each cell: the atoms as they are
+            atoms = arg.atoms
+        else:
+            pieces = split_list(element_count(cell_dims), list(arg.atoms))
+            atoms = tuple(concat_list(rep_list(n_ae, pieces)))
         dims = principal + cell_dims
         new_args.append(
             ArrayLit(dims, atoms, annot=ArrType(in_t.elem, shape_of_dims(dims)))
@@ -348,25 +360,26 @@ def _split_cells(atoms: list, cell_size: int, n_cells: int) -> list[list]:
     return split_list(cell_size, atoms)
 
 
-def _map(e: App, fun: FunType, per_arg, principal) -> StepResult:
+def _map(e: App, fun: FunType, cells, principal) -> StepResult:
     n_cells = element_count(principal)
     fn = e.fn
     assert isinstance(fn, ArrayLit)
     arg_cells = []
-    for (arg, (_, cell_dims)) in zip(e.args, per_arg):
+    for (arg, cell_dims) in zip(e.args, cells):
         arg_cells.append(
             _split_cells(list(arg.atoms), element_count(cell_dims), n_cells)  # type: ignore[union-attr]
         )
     grouped = transpose_list(arg_cells) if arg_cells else [[] for _ in range(n_cells)]
-    cells = []
+    fn_annot = ArrType(fun, shape_of_dims(()))
+    out = []
     for j in range(n_cells):
-        fn_cell = ArrayLit((), (fn.atoms[j],), annot=ArrType(fun, shape_of_dims(())))
+        fn_cell = ArrayLit((), (fn.atoms[j],), annot=fn_annot)
         cell_args = tuple(
-            ArrayLit(tuple(cd), tuple(atoms), annot=in_t)
-            for (atoms, in_t, (_, cd)) in zip(grouped[j], fun.inputs, per_arg)
+            ArrayLit(cd, tuple(atoms), annot=in_t)
+            for (atoms, in_t, cd) in zip(grouped[j], fun.inputs, cells)
         )
-        cells.append(App(fn_cell, cell_args, annot=fun.output))
-    return Stepped(Frame(principal, tuple(cells), annot=e.annot), "map")
+        out.append(App(fn_cell, cell_args, annot=fun.output))
+    return Stepped(Frame(principal, tuple(out), annot=e.annot), "map")
 
 
 def _instantiate(e, args, abstraction, quantifier, in_term, in_type) -> StepResult:
@@ -462,7 +475,7 @@ class _Hole:
 
 def _plain_value(e) -> bool:
     """A value whose atoms hold no box: known without descending."""
-    return type(e) in _BOX and all(type(a) in _PLAIN_ATOMS for a in e.atoms)
+    return type(e) in _BOX and _PLAIN_ATOMS.issuperset(map(type, e.atoms))
 
 
 def _advance(h: _Hole):
@@ -557,13 +570,19 @@ def _decompose(e, stack: list[_Hole]) -> tuple:
     the search got stuck."""
     while True:
         t = type(e)
-        if t not in _START:
-            if t is Var or t is EVar:
-                return e, Stuck("internal", detail=f"free variable {e.name}")
-            if t is EmptyArray or t is EmptyFrame:
-                return e, Stuck("internal", detail="empty forms must be elaborated away")
+        if stack and _plain_value(e):
+            # A value with no box, such as most contracta: nothing to search
+            # inside it, so it goes straight into the hole below.
+            h = stack.pop()
+            _put(h, e)
+        elif t in _START:
+            h = _Hole(e)
+        elif t is Var or t is EVar:
+            return e, Stuck("internal", detail=f"free variable {e.name}")
+        elif t is EmptyArray or t is EmptyFrame:
+            return e, Stuck("internal", detail="empty forms must be elaborated away")
+        else:
             raise TypeError(e)
-        h = _Hole(e)
         while True:
             child = _advance(h)
             if child is None:

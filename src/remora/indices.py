@@ -149,8 +149,23 @@ def canonicalize_shape(i: IndexExpr) -> CanonicalShape:
     raise SortError("expected a Shape-sorted index, got a Dim form", i)
 
 
+_NATS_ONLY = frozenset((NatLit,)).issuperset
+
+
 def concrete_dims(i: IndexExpr) -> tuple[int, ...]:
-    """The dimensions of a shape index that mentions no variable."""
+    """The dimensions of a shape index that mentions no variable.
+
+    A `ShapeLit` of numerals, the scalar shape most of all, is read as it
+    stands: it is the common case at every application, and canonicalizing
+    it would hash the whole index and compare it in the cache. Any other
+    index is canonicalized, which decides it and reports a wrong sort or a
+    variable."""
+    if i.__class__ is ShapeLit:
+        dims = i.dims
+        if not dims:
+            return ()
+        if _NATS_ONLY(map(type, dims)):
+            return tuple([d.value for d in dims])
     return canonicalize_shape(i).concrete_dims()
 
 

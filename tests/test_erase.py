@@ -8,6 +8,7 @@ import pytest
 
 import remora.erase
 import remora.eval
+import remora.indices
 import remora.names
 
 from remora.check import EMPTY_ENV, elaborate
@@ -34,9 +35,9 @@ from remora.erase import (
     is_evalue,
     print_erased,
 )
-from remora.eval import AlreadyValue, EvalResult, Stepped, Stuck, evaluate, is_value, step as typed_step
+from remora.eval import AlreadyValue, EvalResult, Machine, Stepped, Stuck, evaluate, is_value, step as typed_step
 from remora.gen import GenConfig, generate_programs
-from remora.indices import normalize_tag
+from remora.indices import element_count, normalize_tag
 from remora.names import (
     IDX,
     TM,
@@ -49,7 +50,7 @@ from remora.names import (
 from remora.parser import parse_term, parse_type
 from remora.printer import print_term
 from remora.prims import SIGNATURE
-from remora.syntax import IdxVar, NatLit, NUM, ShapeLit
+from remora.syntax import App, EApp, EOp, IdxAppend, IdxVar, NatLit, NUM, ShapeLit, replace
 
 from .util import (
     E_DIM_VARS,
@@ -292,6 +293,72 @@ class TestErasedEvaluator:
         typed = evaluate(t)
         erased = erased_evaluate(erase_term(t))
         assert typed.steps == erased.steps == 10
+
+
+def _e_with_arg(src: str, i: int, dims: tuple[int, ...]):
+    """The erased application `src` with argument i replaced by an array of
+    the given dims."""
+    e = erase_term(elab(src))
+    arg = EArray(dims, tuple(EBase("Num", float(k)) for k in range(element_count(dims))))
+    return replace(e, args=e.args[:i] + (arg,) + e.args[i + 1 :])
+
+
+def _e_scalar_plus(**changes):
+    """The erased `(+ 1 2)` with the given fields changed."""
+    return replace(erase_term(elab("((array () +) (array () 1) (array () 2))")), **changes)
+
+
+_S = IdxVar("s")
+
+
+class TestErasedInternalStuck:
+    """The erased rules' internal stuck states, on hand-built redexes that
+    no erased well-typed program reaches, in `erased_step` and in the
+    machine alike."""
+
+    CASES = {
+        "frames not prefix-ordered": (
+            lambda: _e_with_arg("((array () +) (array (2) 1 2) (array (2) 3 4))", 1, (3,)),
+            "frames are not prefix-ordered",
+        ),
+        "argument without its cell tag": (
+            lambda: _e_with_arg("((array () (lam ((x (Arr Num (Shp 2)))) x)) (array (2) 1 2))", 0, (3,)),
+            "argument shape does not end with its cell tag",
+        ),
+        "scalar head neither lam nor operator": (
+            lambda: _e_scalar_plus(fn=EArray((), (EBase("Num", 5.0),))),
+            "scalar application head is not lam or operator",
+        ),
+        "cell tag with a variable": (
+            lambda: _e_scalar_plus(arg_shapes=(_S, _S)),
+            "bad cell tag: shape is not concrete: [s]",
+        ),
+        "cell tag of the wrong sort": (
+            lambda: _e_scalar_plus(arg_shapes=(NatLit(1), NatLit(1))),
+            "bad cell tag: expected a Shape-sorted index, got a Dim form",
+        ),
+        "map result tag with a variable": (
+            lambda: replace(erase_term(elab("((array (2) + +) (array (2) 1 2) (array (2) 3 4))")), out_shape=_S),
+            "bad result tag: shape is not concrete: [s]",
+        ),
+        "delta result tag with a variable": (
+            lambda: EApp(EArray((), (EOp("iota/s"),)), (), (), _S),
+            "bad result tag: shape is not concrete: [s]",
+        ),
+        "frame tag with a variable": (
+            lambda: EFrame(IdxAppend((ShapeLit((NatLit(0),)), _S)), ()),
+            "bad frame tag: shape is not concrete: [0 s]",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_step_and_machine_stick(self, case):
+        build, detail = self.CASES[case]
+        e = build()
+        want = Stuck("internal", detail=detail)
+        assert erased_step(e) == want
+        r = erased_evaluate(e)
+        assert (r.outcome, r.steps, r.stuck) == ("stuck", 0, want)
 
 
 def iterate_erased_step(e, fuel: int, trace: bool) -> EvalResult:
@@ -726,6 +793,50 @@ class TestBisimCost:
         assert large["_erase"] > 0 and large["walk"] > 0 and large["form"] == 0, large
         for name, per_step in large.items():
             assert per_step <= 1.5 * small[name], (name, per_step, small[name])
+
+
+class TestApplicationCost:
+    """An application step costs its contraction alone: a scalar application
+    (beta or delta) canonicalizes no shape in either machine, and a map
+    builds the annotation of its cells' function arrays once. Counted, not
+    timed."""
+
+    @pytest.mark.parametrize("family, n", [("lift", 100), ("lift", 1600), ("reduce", 300)])
+    @pytest.mark.parametrize("erased", [False, True], ids=["typed", "erased"])
+    def test_scalar_application_canonicalizes_no_shape(self, monkeypatch, erased, family, n):
+        term = check_src(family_source(family, n))[0]
+        m = ErasedMachine(erase_term(term)) if erased else Machine(term)
+        calls = []
+        real = remora.indices.canonicalize_shape
+
+        def counted(i):
+            calls.append(i)
+            return real(i)
+
+        monkeypatch.setattr(remora.indices, "canonicalize_shape", counted)
+        per_step = []  # (operator or None, calls) per beta or delta step
+        while True:
+            before = len(calls)
+            if m.refocus() is not None:
+                break
+            head = m.focus.fn.atoms[0] if type(m.focus) in (App, EApp) else None
+            if m.contract().rule in ("beta", "delta"):
+                per_step.append((getattr(head, "name", None), len(calls) - before))
+        # The typed `reduce` reads the input shape its instantiation built,
+        # `(++ (Shp (+ 1 d)) (Shp))`, which is not a literal.
+        counts = [k for op, k in per_step if erased or op != "reduce"]
+        assert len(counts) >= n - 1 and not any(counts), per_step
+
+    @pytest.mark.parametrize("n", [100, 1600])
+    def test_map_cells_share_one_function_annotation(self, n):
+        m = Machine(check_src(family_source("lift", n))[0])
+        rules = []
+        for _ in range(2):
+            assert m.refocus() is None
+            rules.append(m.contract().rule)
+        assert rules == ["lift", "map"]
+        cells = m.focus.cells
+        assert len(cells) == n and all(c.fn.annot is cells[0].fn.annot for c in cells)
 
 
 class TestFieldWalk:

@@ -32,7 +32,21 @@ from remora.names import alpha_equal
 from remora.parser import parse_term
 from remora.printer import print_term
 from remora.prims import SIGNATURE
-from remora.syntax import App, ArrayLit, Frame
+from remora.syntax import (
+    NUM,
+    App,
+    ArrayLit,
+    ArrType,
+    BaseVal,
+    Frame,
+    FunType,
+    IdxAppend,
+    IdxVar,
+    NatLit,
+    PrimOp,
+    ShapeLit,
+    replace,
+)
 
 from .util import (
     ORACLE_GROUPS,
@@ -270,6 +284,87 @@ class TestEvaluate:
             r = evaluate(t, fuel=4000, trace=True)
             for rule, _ in r.trace:
                 assert rule in RULES
+
+
+def _num(x: float) -> BaseVal:
+    return BaseVal("Num", float(x), annot=NUM)
+
+
+def _with_arg(src: str, i: int, dims: tuple[int, ...]):
+    """The elaborated application `src` with argument i replaced by an array
+    of the given dims (its annotation kept: the rules read the function's)."""
+    t, _ = elab(src)
+    arg = ArrayLit(dims, tuple(_num(k) for k in range(element_count(dims))), annot=t.args[i].annot)
+    return replace(t, args=t.args[:i] + (arg,) + t.args[i + 1 :])
+
+
+def _scalar_plus(**changes):
+    """`(+ 1 2)` with the given fields of its function array changed."""
+    t, _ = elab("((array () +) (array () 1) (array () 2))")
+    return replace(t, fn=replace(t.fn, **changes))
+
+
+def _binary_num(cell_shape) -> ArrType:
+    """The type of a scalar array of functions of two Num arrays of
+    `cell_shape`."""
+    cell = ArrType(NUM, cell_shape)
+    return ArrType(FunType((cell, cell), ArrType(NUM, ShapeLit(()))), ShapeLit(()))
+
+
+def _iota_s_to(shape):
+    """`iota/s` applied, instantiated to the result shape `shape`."""
+    fun = FunType((), ArrType(NUM, shape))
+    fn = ArrayLit((), (PrimOp("iota/s", annot=fun),), annot=ArrType(fun, ShapeLit(())))
+    return App(fn, (), annot=fun.output)
+
+
+_S = IdxVar("s")
+
+
+class TestInternalStuck:
+    """Hand-built redexes that no well-typed program reaches: each rule ends
+    in an internal stuck state, never a Python exception, in `step` and in
+    the machine alike."""
+
+    CASES = {
+        "frames not prefix-ordered": (
+            lambda: _with_arg("((array () +) (array (2) 1 2) (array (2) 3 4))", 1, (3,)),
+            "frames are not prefix-ordered",
+        ),
+        "argument without its cell shape": (
+            lambda: _with_arg("((array () (lam ((x (Arr Num (Shp 2)))) x)) (array (2) 1 2))", 0, (3,)),
+            "argument shape does not end with its cell shape",
+        ),
+        "scalar head neither lam nor operator": (
+            lambda: _scalar_plus(atoms=(_num(5),)),
+            "scalar application head is not lam or operator",
+        ),
+        "cell shape with a variable": (
+            lambda: _scalar_plus(annot=_binary_num(_S)),
+            "bad cell shape: shape is not concrete: [s]",
+        ),
+        "cell shape of the wrong sort": (
+            lambda: _scalar_plus(annot=_binary_num(NatLit(1))),
+            "bad cell shape: expected a Shape-sorted index, got a Dim form",
+        ),
+        "delta result shape with a variable": (
+            lambda: _iota_s_to(_S),
+            "bad result shape: shape is not concrete: [s]",
+        ),
+        "empty frame shape with a variable": (
+            lambda: Frame((0,), (), annot=ArrType(NUM, IdxAppend((ShapeLit((NatLit(0),)), _S)))),
+            "bad frame shape: shape is not concrete: [0 s]",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_step_and_machine_stick(self, case):
+        build, detail = self.CASES[case]
+        t = build()
+        want = Stuck("internal", detail=detail)
+        assert step(t) == want
+        r = evaluate(t)
+        assert (r.outcome, r.steps, r.stuck) == ("stuck", 0, want)
 
 
 def iterate_step(e, fuel: int, trace: bool) -> EvalResult:

@@ -16,6 +16,7 @@ from remora.indices import (
     VarC,
     canonicalize_dim,
     canonicalize_shape,
+    concrete_dims,
     dim_to_index,
     drop_suffix,
     element_count,
@@ -26,9 +27,21 @@ from remora.indices import (
     prefix_subtract,
     shape_to_index,
 )
+from remora.erase import erase_term, erased_evaluate
+from remora.eval import evaluate
 from remora.parser import parse_index
+from remora.syntax import IDX, Child, Node, ShapeLit
 
-from .util import all_assignments, eval_dim, eval_shape, random_dim, random_shape, shape_of_ints
+from .util import (
+    ORACLE_GROUPS,
+    all_assignments,
+    eval_dim,
+    eval_shape,
+    oracle_programs,
+    random_dim,
+    random_shape,
+    shape_of_ints,
+)
 
 
 def cd(text: str) -> CanonicalDim:
@@ -271,6 +284,71 @@ class TestCanonicalSpelling:
         i = parse_index("(++ (Shp 2) (Shp (+ x x 5)) d (Shp 3))")
         once = normalize_index(i)
         assert normalize_index(once) == once
+
+
+def _canonical_dims(i):
+    return canonicalize_shape(i).concrete_dims()
+
+
+def _outcome(f, i):
+    try:
+        return f(i)
+    except SortError as exc:
+        return "SortError", str(exc)
+
+
+def _index_fields(states) -> list:
+    """The value of every index field (an array type's shape, an index
+    argument, a box's indices, an erased tag) of every node of `states`,
+    each shared node once."""
+    seen, out = set(), []
+    stack = list(states)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, tuple):
+            stack.extend(x)
+            continue
+        if not isinstance(x, Node) or id(x) in seen:
+            continue
+        seen.add(id(x))
+        for f, role in x._roles.items():
+            v = getattr(x, f)
+            if isinstance(role, Child) and role.cat == IDX:
+                out += v if isinstance(v, tuple) else [v]
+            else:
+                stack.append(v)
+    return out
+
+
+class TestConcreteDims:
+    """`concrete_dims` reads a literal shape without canonicalizing it; the
+    canonical form stays its oracle, errors included."""
+
+    @pytest.mark.parametrize("text", ["(Shp)", "(Shp 0)", "(Shp (+ 1 2))", "(++ (Shp 2) (Shp 3))"])
+    def test_concrete_shapes(self, text):
+        i = parse_index(text)
+        assert concrete_dims(i) == _canonical_dims(i)
+
+    @pytest.mark.parametrize("text", ["s", "(Shp n)", "(++ s (Shp 1))"])
+    def test_shapes_with_variables_raise_the_same_error(self, text):
+        i = parse_index(text)
+        with pytest.raises(SortError) as got:
+            concrete_dims(i)
+        with pytest.raises(SortError) as want:
+            _canonical_dims(i)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
+    def test_agrees_on_every_index_the_machines_meet(self, group):
+        literal = 0
+        for term in oracle_programs(group):
+            typed = [term] + [s for _, s in evaluate(term, trace=True).trace]
+            erased = erase_term(term)
+            erased = [erased] + [s for _, s in erased_evaluate(erased, trace=True).trace]
+            for i in _index_fields(typed) + _index_fields(erased):
+                assert _outcome(concrete_dims, i) == _outcome(_canonical_dims, i), i
+                literal += type(i) is ShapeLit
+        assert literal
 
 
 def _p(i):
