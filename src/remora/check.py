@@ -104,6 +104,7 @@ from .syntax import (
     Unbox,
     Var,
     copier,
+    gc_paused,
     is_atom,
     node,
     shape_of_dims,
@@ -929,6 +930,7 @@ class _Elaborator:
 _last: Optional[_Elaborator] = None
 
 
+@gc_paused
 def elaborate(env: Env, sig: Signature, t: Term) -> tuple[Term, TypeExpr]:
     """Type-check ``t`` under a well-formed environment, returning the term
     with every annotation slot filled and its (unique up to equivalence)

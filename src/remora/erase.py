@@ -110,6 +110,7 @@ from .syntax import (
     Unbox,
     Var,
     copier,
+    gc_paused,
     replace,
     shape_of_dims,
 )
@@ -128,6 +129,7 @@ def erase_type(t: TypeExpr) -> IndexExpr:
     return ShapeLit(())
 
 
+@gc_paused
 def erase_term(t: Term) -> ETerm:
     return _erase(t, None)
 
@@ -350,6 +352,10 @@ def _eapply(e: EApp) -> Union[Stepped, Stuck]:
         for fr in frames:
             if principal[: len(fr)] != fr:
                 return Stuck("internal", detail="frames are not prefix-ordered")
+        # Lift and map cut each array's atoms into cells by its dims.
+        for a in (fn, *e.args):
+            if len(a.atoms) != element_count(a.dims):  # type: ignore[union-attr]
+                return Stuck("internal", detail="atom count does not match dims")
         if any(fr != principal for fr in frames):
             return _elift(e, frames, cells, principal)
         return _emap(e, cells, principal)
@@ -751,6 +757,7 @@ class LockstepComparer:
         )
 
 
+@gc_paused
 def bisim_run(t: ExprTerm, fuel: int = 10_000, trace: bool = False) -> BisimReport:
     """Run the typed and erased machines side by side, asserting after each
     step that erasing the new typed state reproduces the erased machine's new

@@ -70,6 +70,7 @@ from .syntax import (
     node,
     Var,
     copier,
+    gc_paused,
     replace,
     shape_of_dims,
 )
@@ -301,6 +302,10 @@ def _apply(e: App) -> StepResult:
         for fr in frames:
             if principal[: len(fr)] != fr:
                 return Stuck("internal", detail="frames are not prefix-ordered")
+        # Lift and map cut each array's atoms into cells by its dims.
+        for a in (e.fn, *e.args):
+            if len(a.atoms) != element_count(a.dims):  # type: ignore[union-attr]
+                return Stuck("internal", detail="atom count does not match dims")
         if any(fr != principal for fr in frames):
             return _lift(e, fun, frames, cells, principal)
         return _map(e, fun, cells, principal)
@@ -642,6 +647,7 @@ class EvalResult:
         self.term, self.steps, self.stuck, self.trace = term, steps, stuck, trace
 
 
+@gc_paused
 def run(m: Machine, fuel: int, trace: bool) -> EvalResult:
     """Run `m` for up to fuel contractions, reporting value / stuck / out-of-fuel
     (as `erase.bisim_run` does, the state after the last one gets its verdict)."""

@@ -72,6 +72,7 @@ from .syntax import (
     TyVar,
     Unbox,
     Var,
+    gc_paused,
     node,
 )
 
@@ -378,14 +379,17 @@ def _parse(s: SExpr, pos: int):
     return cls(*args, annot=annot, loc=s.loc)
 
 
+@gc_paused
 def parse_term(text: str, filename: str = "<string>") -> ExprTerm:
     """Parse one top-level expression from source text."""
     return _parse(_read(text, filename), _EXPR)
 
 
+@gc_paused
 def parse_type(text: str, filename: str = "<string>") -> TypeExpr:
     return _parse(_read(text, filename), _TYPE)
 
 
+@gc_paused
 def parse_index(text: str, filename: str = "<string>") -> IndexExpr:
     return _parse(_read(text, filename), _INDEX)

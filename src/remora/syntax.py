@@ -17,8 +17,10 @@ no role. `node` records the roles as the class's `_roles`.
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 from enum import Enum
+from functools import wraps
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -227,6 +229,29 @@ def _copier(cls, field):
             return new
 
     return copy
+
+
+def gc_paused(fn):
+    """`fn`, run with CPython's cyclic garbage collector paused.
+
+    Every node is immutable and built after its children, so no term can be
+    part of a reference cycle; the collector would only traverse them. The
+    library's entry points are wrapped in this, and `tests/test_collector.py`
+    holds each to leaving no cyclic garbage. A collector that is already off
+    is left off, so a nested call, or a host that turned it off itself, keeps
+    its own state."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @node

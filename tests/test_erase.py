@@ -303,6 +303,14 @@ def _e_with_arg(src: str, i: int, dims: tuple[int, ...]):
     return replace(e, args=e.args[:i] + (arg,) + e.args[i + 1 :])
 
 
+def _e_with_extra_atom(src: str):
+    """The erased application `src` with one more atom in its first argument
+    than its dims hold."""
+    e = erase_term(elab(src))
+    arg = replace(e.args[0], atoms=e.args[0].atoms + (EBase("Num", 9.0),))
+    return replace(e, args=(arg,) + e.args[1:])
+
+
 def _e_scalar_plus(**changes):
     """The erased `(+ 1 2)` with the given fields changed."""
     return replace(erase_term(elab("((array () +) (array () 1) (array () 2))")), **changes)
@@ -324,6 +332,14 @@ class TestErasedInternalStuck:
         "argument without its cell tag": (
             lambda: _e_with_arg("((array () (lam ((x (Arr Num (Shp 2)))) x)) (array (2) 1 2))", 0, (3,)),
             "argument shape does not end with its cell tag",
+        ),
+        "map over more atoms than dims": (
+            lambda: _e_with_extra_atom("((array (2) + +) (array (2) 1 2) (array (2) 3 4))"),
+            "atom count does not match dims",
+        ),
+        "lift over more atoms than dims": (
+            lambda: _e_with_extra_atom("((array () +) (array (2) 1 2) (array () 3))"),
+            "atom count does not match dims",
         ),
         "scalar head neither lam nor operator": (
             lambda: _e_scalar_plus(fn=EArray((), (EBase("Num", 5.0),))),

@@ -298,6 +298,14 @@ def _with_arg(src: str, i: int, dims: tuple[int, ...]):
     return replace(t, args=t.args[:i] + (arg,) + t.args[i + 1 :])
 
 
+def _with_extra_atom(src: str):
+    """The elaborated application `src` with one more atom in its first
+    argument than its dims hold."""
+    t, _ = elab(src)
+    arg = replace(t.args[0], atoms=t.args[0].atoms + (_num(9),))
+    return replace(t, args=(arg,) + t.args[1:])
+
+
 def _scalar_plus(**changes):
     """`(+ 1 2)` with the given fields of its function array changed."""
     t, _ = elab("((array () +) (array () 1) (array () 2))")
@@ -334,6 +342,14 @@ class TestInternalStuck:
         "argument without its cell shape": (
             lambda: _with_arg("((array () (lam ((x (Arr Num (Shp 2)))) x)) (array (2) 1 2))", 0, (3,)),
             "argument shape does not end with its cell shape",
+        ),
+        "map over more atoms than dims": (
+            lambda: _with_extra_atom("((array (2) + +) (array (2) 1 2) (array (2) 3 4))"),
+            "atom count does not match dims",
+        ),
+        "lift over more atoms than dims": (
+            lambda: _with_extra_atom("((array () +) (array (2) 1 2) (array () 3))"),
+            "atom count does not match dims",
         ),
         "scalar head neither lam nor operator": (
             lambda: _scalar_plus(atoms=(_num(5),)),
