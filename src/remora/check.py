@@ -136,8 +136,7 @@ class TypeCheckError(Exception):
         super().__init__(f"{where}{kind}: {detail}")
 
 
-@node
-class Env:
+class Env(metaclass=node):
     """Three-part environment: index-variable sorts, type-variable kinds,
     term-variable types."""
 

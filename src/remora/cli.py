@@ -19,6 +19,15 @@ Each command imports the modules it uses when it runs, so `fmt` never loads
 the checker or the machines, and only `erase` and `bisim` load `erase`. argv is
 read by one loop over `COMMANDS`, not by argparse, whose import (with gettext
 and locale) would cost a fresh process more than reading argv does.
+
+A process runs `entry`, both as `python -m remora.cli` and as the installed
+`remora` script: it turns CPython's cyclic collector off, runs `main` on
+`sys.argv`, and calls `gc.freeze()` just before `sys.exit`. Terms never form
+reference cycles, so the collector has nothing to find in a command; frozen,
+everything the command left alive sits where the interpreter's last
+collection at exit does not walk it. The exit is otherwise the usual one:
+atexit handlers run and stdout and stderr are flushed. `main` itself leaves
+the collector as it found it, for tests and hosts that call it in-process.
 """
 
 import sys
@@ -270,5 +279,18 @@ def main(argv=None) -> int:
     return EX_RESOURCE
 
 
+def entry():
+    """Run one command as a whole process and exit with its code (see the
+    module docstring)."""
+    import gc
+
+    gc.disable()
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -93,8 +93,7 @@ class AlreadyValue:
     __slots__ = ()
 
 
-@node
-class Stuck:
+class Stuck(metaclass=node):
     reason: str  # "misapplied" | "internal"
     op: Optional[str]
     detail: str

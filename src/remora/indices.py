@@ -39,8 +39,7 @@ class SortError(Exception):
         self.index = index
 
 
-@node
-class CanonicalDim:
+class CanonicalDim(metaclass=node):
     """constant + sum of coeff * var, coefficients positive, sorted by name."""
 
     const: int
@@ -55,21 +54,18 @@ class CanonicalDim:
         return " + ".join(parts)
 
 
-@node
-class DimC:
+class DimC(metaclass=node):
     dim: CanonicalDim
 
 
-@node
-class VarC:
+class VarC(metaclass=node):
     name: str
 
 
 Component = Union[DimC, VarC]
 
 
-@node
-class CanonicalShape:
+class CanonicalShape(metaclass=node):
     components: tuple[Component, ...]
 
     def is_concrete(self) -> bool:
@@ -89,8 +85,7 @@ class CanonicalShape:
         return f"[{inner}]"
 
 
-@node
-class FrameJoin:
+class FrameJoin(metaclass=node):
     """Result of joining frames under prefix order: either one of the input
     shapes (the maximum) or the top element marking incompatibility."""
 

@@ -115,8 +115,7 @@ def _loc(s) -> SourceLocation:
     return s.lines.locate(s.offset)
 
 
-@node
-class SAtom:
+class SAtom(metaclass=node):
     text: str
     offset: int
     lines: Lines
@@ -124,8 +123,7 @@ class SAtom:
     loc = property(_loc)
 
 
-@node
-class SList:
+class SList(metaclass=node):
     items: tuple[SExpr, ...]
     offset: int  # of the open paren
     lines: Lines

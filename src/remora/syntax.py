@@ -2,9 +2,9 @@
 term language (atoms and array expressions), and the erased terms that type
 erasure produces.
 
-All nodes are immutable slotted classes built by `node` (`replace` copies
-one, and `copier` gives the copy that changes one given field). Typed term
-nodes carry an optional type annotation slot (``annot``) which elaboration
+All nodes are immutable slotted classes whose metaclass is `node` (`replace`
+copies one, and `copier` gives the copy that changes one given field). Typed
+term nodes carry an optional type annotation slot (``annot``) which elaboration
 fills in on every node, and a source location that never participates in
 equality.
 
@@ -69,25 +69,30 @@ class FrozenNodeError(AttributeError):
     """A field of a node was assigned or deleted."""
 
 
-def node(cls):
-    """`cls` rebuilt as a slotted `Node` whose fields, in order, are those its
-    body declares; `annot` and `loc` come last. The methods are closures over
-    them (no source is compiled). A class that declares its own `__init__`
-    calls the generated `_init` (not through `super()`: there is no cell).
-    `_roles` maps each field but `loc` to its role, `annot` first."""
-    ns = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+def node(name, bases, ns):
+    """The metaclass of every node class: ``class C(metaclass=node)`` makes C a
+    slotted `Node` whose fields, in order, are those its body declares;
+    `annot` and `loc` come last. The class is built once, from the body's
+    namespace with `__slots__` and the generated methods put in. The methods
+    are closures over the fields (no source is compiled). A class that
+    declares its own `__init__` calls the generated `_init`. `_roles` maps
+    each field but `loc` to its role, `annot` first.
+
+    `node` is a function, not a subclass of `type`, so every node class is a
+    plain `type` and `isinstance` keeps its fast path for it."""
+    assert not bases, name
     fields = tuple(ns.get("__annotations__", ()))
     roles = {"annot": ANNOT} if "annot" in fields else {}
     roles.update((f, ns.pop(f, DATA)) for f in fields if f not in _KEYWORD)
     n = sum(f in _KEYWORD for f in fields)
     k = len(fields) - n
-    assert fields[k:] == _KEYWORD[2 - n :], cls.__name__
+    assert fields[k:] == _KEYWORD[2 - n :], name
     key = [f for f in fields if f != "loc"]
     get, single = attrgetter(*key), len(key) == 1
 
     def __init__(self, *args, annot=None, loc=None):
         if len(args) != k or (annot is not None and n < 2) or (loc is not None and n < 1):
-            raise TypeError(f"{cls.__name__} takes the fields {fields[:k]}, then the keywords {fields[k:]}")
+            raise TypeError(f"{name} takes the fields {fields[:k]}, then the keywords {fields[k:]}")
         # Most classes have one to three positional fields: no loop for those.
         if k == 1:
             puts[0](self, args[0])
@@ -114,11 +119,12 @@ def node(cls):
     def __hash__(self):
         return hash((get(self),) if single else get(self))
 
-    methods = {"__init__": ns.get("__init__", __init__), "_init": __init__, "__eq__": __eq__, "__hash__": __hash__}
-    attrs = {"__slots__": fields, "_fields": fields, "_roles": roles, "_copiers": {}}
-    new = type(cls.__name__, (Node,), {**ns, **methods, **attrs})
-    puts = new._puts = tuple(vars(new)[f].__set__ for f in fields)
-    return new
+    ns.setdefault("__init__", __init__)
+    ns.update(_init=__init__, __eq__=__eq__, __hash__=__hash__)
+    ns.update(__slots__=fields, _fields=fields, _roles=roles, _copiers={})
+    cls = type(name, (Node,), ns)
+    puts = cls._puts = tuple(vars(cls)[f].__set__ for f in fields)
+    return cls
 
 
 class Node:
@@ -254,8 +260,7 @@ def gc_paused(fn):
     return paused
 
 
-@node
-class SourceLocation:
+class SourceLocation(metaclass=node):
     file: str
     line: int
     column: int
@@ -268,34 +273,29 @@ class SourceLocation:
 # Type indices
 
 
-@node
-class NatLit:
+class NatLit(metaclass=node):
     value: int
     loc: Optional[SourceLocation]
 
 
-@node
-class IdxVar:
+class IdxVar(metaclass=node):
     name: str
     loc: Optional[SourceLocation]
 
 
-@node
-class Plus:
+class Plus(metaclass=node):
     operands: tuple[IndexExpr, ...] = Child(IDX, MANY)
     loc: Optional[SourceLocation]
 
 
-@node
-class ShapeLit:
+class ShapeLit(metaclass=node):
     """A literal sequence of dimensions, written (Shp d ...)."""
 
     dims: tuple[IndexExpr, ...] = Child(IDX, MANY)
     loc: Optional[SourceLocation]
 
 
-@node
-class IdxAppend:
+class IdxAppend(metaclass=node):
     """Shape concatenation, written (++ s ...)."""
 
     operands: tuple[IndexExpr, ...] = Child(IDX, MANY)
@@ -315,48 +315,41 @@ def shape_of_dims(dims: tuple[int, ...] | list[int]) -> ShapeLit:
 # Types
 
 
-@node
-class BaseType:
+class BaseType(metaclass=node):
     name: str  # one of Num, Bool, Char
     loc: Optional[SourceLocation]
 
 
-@node
-class TyVar:
+class TyVar(metaclass=node):
     name: str
     loc: Optional[SourceLocation]
 
 
-@node
-class FunType:
+class FunType(metaclass=node):
     inputs: tuple[TypeExpr, ...] = Child(TY, MANY)
     output: TypeExpr = Child(TY)
     loc: Optional[SourceLocation]
 
 
-@node
-class ArrType:
+class ArrType(metaclass=node):
     elem: TypeExpr = Child(TY)
     shape: IndexExpr = Child(IDX)
     loc: Optional[SourceLocation]
 
 
-@node
-class ForallType:
+class ForallType(metaclass=node):
     binders: tuple[tuple[str, Kind], ...] = Binder(TY, PAIRS)
     body: TypeExpr = Scope(TY)
     loc: Optional[SourceLocation]
 
 
-@node
-class PiType:
+class PiType(metaclass=node):
     binders: tuple[tuple[str, Sort], ...] = Binder(IDX, PAIRS)
     body: TypeExpr = Scope(TY)
     loc: Optional[SourceLocation]
 
 
-@node
-class SigmaType:
+class SigmaType(metaclass=node):
     binders: tuple[tuple[str, Sort], ...] = Binder(IDX, PAIRS)
     body: TypeExpr = Scope(TY)
     loc: Optional[SourceLocation]
@@ -378,8 +371,7 @@ def scalar_of(elem: TypeExpr) -> ArrType:
 # ---------------------------------------------------------------------------
 # Terms: atoms and expressions
 
-@node
-class BaseVal:
+class BaseVal(metaclass=node):
     """A base-type literal. ``base`` disambiguates Num/Bool/Char so that
     e.g. True and 1.0 do not compare equal."""
 
@@ -389,39 +381,34 @@ class BaseVal:
     loc: Optional[SourceLocation]
 
 
-@node
-class PrimOp:
+class PrimOp(metaclass=node):
     name: str
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class Lam:
+class Lam(metaclass=node):
     params: tuple[tuple[str, TypeExpr], ...] = Binder(TM, TYPED)
     body: ExprTerm = Scope(TM)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class TLam:
+class TLam(metaclass=node):
     binders: tuple[tuple[str, Kind], ...] = Binder(TY, PAIRS)
     body: ExprTerm = Scope(TM)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class ILam:
+class ILam(metaclass=node):
     binders: tuple[tuple[str, Sort], ...] = Binder(IDX, PAIRS)
     body: ExprTerm = Scope(TM)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class Box:
+class Box(metaclass=node):
     """An atom hiding part of an array's shape; the Sigma annotation is part
     of the syntax, not an elaboration artifact."""
 
@@ -435,71 +422,62 @@ class Box:
 AtomTerm = Union[BaseVal, PrimOp, Lam, TLam, ILam, Box]
 
 
-@node
-class Var:
+class Var(metaclass=node):
     name: str
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class ArrayLit:
+class ArrayLit(metaclass=node):
     dims: tuple[int, ...]
     atoms: tuple[AtomTerm, ...] = Child(TM, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class Frame:
+class Frame(metaclass=node):
     dims: tuple[int, ...]
     cells: tuple[ExprTerm, ...] = Child(TM, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class EmptyArray:
+class EmptyArray(metaclass=node):
     elem_type: TypeExpr = Child(TY)
     dims: tuple[int, ...]
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class EmptyFrame:
+class EmptyFrame(metaclass=node):
     cell_type: TypeExpr = Child(TY)
     dims: tuple[int, ...]
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class App:
+class App(metaclass=node):
     fn: ExprTerm = Child(TM)
     args: tuple[ExprTerm, ...] = Child(TM, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class TApp:
+class TApp(metaclass=node):
     fn: ExprTerm = Child(TM)
     type_args: tuple[TypeExpr, ...] = Child(TY, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class IApp:
+class IApp(metaclass=node):
     fn: ExprTerm = Child(TM)
     idx_args: tuple[IndexExpr, ...] = Child(IDX, MANY)
     annot: Optional[TypeExpr]
     loc: Optional[SourceLocation]
 
 
-@node
-class Unbox:
+class Unbox(metaclass=node):
     idx_vars: tuple[str, ...] = Binder(IDX, NAMES)
     val_var: str = Binder(TM, NAME)
     box: ExprTerm = Child(TM)
@@ -530,31 +508,26 @@ def is_atom(t: Term) -> bool:
 Tag = IndexExpr  # a residual tag, spelled canonically
 
 
-@node
-class EBase:
+class EBase(metaclass=node):
     base: str
     value: object
 
 
-@node
-class EOp:
+class EOp(metaclass=node):
     name: str
 
 
-@node
-class ELam:
+class ELam(metaclass=node):
     params: tuple[str, ...] = Binder(TM, NAMES)
     body: EExpr = Scope(TM)
 
 
-@node
-class EILam:
+class EILam(metaclass=node):
     params: tuple[str, ...] = Binder(IDX, NAMES)
     body: EExpr = Scope(TM)
 
 
-@node
-class EBox:
+class EBox(metaclass=node):
     indices: tuple[Tag, ...] = TAGS
     payload: EExpr = Child(TM)
 
@@ -562,40 +535,34 @@ class EBox:
 EAtom = Union[EBase, EOp, ELam, EILam, EBox]
 
 
-@node
-class EVar:
+class EVar(metaclass=node):
     name: str
 
 
-@node
-class EArray:
+class EArray(metaclass=node):
     dims: tuple[int, ...]
     atoms: tuple[EAtom, ...] = Child(TM, MANY)
 
 
-@node
-class EFrame:
+class EFrame(metaclass=node):
     shape: Tag = TAG  # full result shape
     cells: tuple[EExpr, ...] = Child(TM, MANY)
 
 
-@node
-class EApp:
+class EApp(metaclass=node):
     fn: EExpr = Child(TM)
     args: tuple[EExpr, ...] = Child(TM, MANY)
     arg_shapes: tuple[Tag, ...] = TAGS  # expected cell shape per argument
     out_shape: Tag = TAG
 
 
-@node
-class EIApp:
+class EIApp(metaclass=node):
     fn: EExpr = Child(TM)
     idx_args: tuple[Tag, ...] = TAGS
     out_shape: Tag = TAG
 
 
-@node
-class EUnbox:
+class EUnbox(metaclass=node):
     idx_vars: tuple[str, ...] = Binder(IDX, NAMES)
     val_var: str = Binder(TM, NAME)
     box: EExpr = Child(TM)

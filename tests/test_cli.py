@@ -334,26 +334,49 @@ class TestLazyImports:
         "fmt": "",
     }
 
-    @pytest.mark.parametrize("command", list(LOADED))
-    def test_cli_import_and_command_load_only_what_they_use(self, command):
-        script = (
-            "import sys\n"
-            "watch = ('argparse', 'gettext', 'locale', 'dataclasses', 'inspect',"
-            " 'remora.check', 'remora.erase', 'remora.eval')\n"
-            "import remora.cli\n"
-            "print(' '.join(m for m in watch if m in sys.modules), file=sys.stderr)\n"
-            f"remora.cli.main([{command!r}, 'programs/head-col.remora'])\n"
-            "print(' '.join(m for m in watch if m in sys.modules), file=sys.stderr)\n"
-        )
+    WATCH = (
+        "import sys\n"
+        "watch = ('argparse', 'gettext', 'locale', 'dataclasses', 'inspect',"
+        " 'remora.check', 'remora.erase', 'remora.eval')\n"
+        "def loaded():\n"
+        "    print(' '.join(m for m in watch if m in sys.modules), file=sys.stderr)\n"
+    )
+    # The two ways a process runs a command: `python -m remora.cli`, which
+    # runs the module as `__main__`, and the installed `remora` script, which
+    # calls `entry`. Each ends in `sys.exit`, so an atexit handler prints what
+    # was loaded.
+    PROCESS_PATHS = {
+        "module": (
+            "import atexit, runpy\natexit.register(loaded)\nloaded()\n"
+            "sys.argv = ['remora', {command!r}, 'programs/head-col.remora']\n"
+            "runpy.run_module('remora.cli', run_name='__main__')\n"
+        ),
+        "script": (
+            "import atexit\nimport remora.cli\natexit.register(loaded)\nloaded()\n"
+            "sys.argv = ['remora', {command!r}, 'programs/head-col.remora']\nremora.cli.entry()\n"
+        ),
+    }
+
+    def run_without_site(self, script: str, command: str):
         src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", script], capture_output=True, text=True, timeout=120,
+            [sys.executable, "-S", "-c", self.WATCH + script], capture_output=True, text=True, timeout=120,
             env=dict(os.environ, PYTHONPATH=src),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr.split("\n") == ["", self.LOADED[command], ""]
         if command == "fmt":
             assert proc.stdout == "((t-app (i-app (array () head) 1 (Shp)) Num) (array (3 2) 0 1 2 3 4 5))\n"
+
+    @pytest.mark.parametrize("command", list(LOADED))
+    def test_cli_import_and_command_load_only_what_they_use(self, command):
+        script = f"import remora.cli\nloaded()\nremora.cli.main([{command!r}, 'programs/head-col.remora'])\nloaded()\n"
+        self.run_without_site(script, command)
+
+    @pytest.mark.parametrize("path", list(PROCESS_PATHS))
+    @pytest.mark.parametrize("command", list(LOADED))
+    def test_process_entry_loads_only_what_the_command_uses(self, command, path):
+        self.run_without_site(self.PROCESS_PATHS[path].format(command=command), command)
 
 
 class TestBisimMismatchReport:
@@ -370,17 +393,47 @@ class TestBisimMismatchReport:
         )
 
 
+def run_process(*argv):
+    """`python -m remora.cli <argv>` in a fresh process."""
+    src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, "-m", "remora.cli", *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def run_fresh(tmp_path, source: str, *argv):
     """`remora <argv> <file holding source>` in a fresh process, so that a
     host RecursionError would show on stderr."""
     path = tmp_path / "prog.remora"
     path.write_text(source + "\n", encoding="utf-8")
-    src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run(
-        [sys.executable, "-m", "remora.cli", *argv, str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return run_process(*argv, str(path))
+
+
+def _corpus_expected() -> dict:
+    """(file, command) -> (exit code, stdout line), as `perfbench/corpus.expected`
+    lists them. The file is only read here."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "corpus.expected"
+    rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines() if line and line[0] != "#"]
+    return {(name, command): (int(code), out) for name, command, code, out in rows}
+
+
+CORPUS_EXPECTED = _corpus_expected()
+
+
+def test_corpus_expected_covers_every_program_and_command():
+    names = {p.name for p in pathlib.Path(PROGRAMS).glob("*.remora")}
+    assert set(CORPUS_EXPECTED) == {(n, c) for n in names for c in COMMANDS}
+
+
+@pytest.mark.parametrize("name, command", sorted(CORPUS_EXPECTED))
+def test_corpus_process_matches_expected(name, command):
+    """Each `programs/` file under each command as its own `python -m
+    remora.cli` process, the path users take."""
+    proc = run_process(command, f"{PROGRAMS}/{name}")
+    code, line = CORPUS_EXPECTED[name, command]
+    assert (proc.returncode, proc.stdout) == (code, line + "\n"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 class TestDeepEvaluation:

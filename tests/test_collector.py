@@ -5,9 +5,16 @@
 `erase_term` and `bisim_run`. That is safe only while nothing they allocate
 forms a reference cycle: a cycle made while the collector is paused would
 stay in memory until the call returns. The first test holds the entry points
-to that. The others check that each leaves the collector as it found it."""
+to that. The others check that each leaves the collector as it found it.
+
+The CLI's process entry, `cli.entry`, turns the collector off for the whole
+command and freezes the heap before it exits; `cli.main`, called in-process,
+touches neither. The last tests hold both to that."""
 
 import gc
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -262,3 +269,54 @@ def test_machine_run_makes_no_collection(machine):
         gc.callbacks.remove(count)
     assert r.outcome == "value"
     assert paused == 0 and unpaused > 0
+
+
+# ---------------------------------------------------------------------------
+# The CLI: `main` in-process, `entry` as a process
+
+HEAD_COL = str(PROGRAMS_DIR / "head-col.remora")
+
+
+@pytest.mark.parametrize("argv", [(c, HEAD_COL) for c in cli.COMMANDS] + [("-h",), ("no-such-command",)], ids=lambda a: a[0])
+def test_main_leaves_collector_and_freeze_count_as_found(collector, capsys, argv):
+    frozen = gc.get_freeze_count()
+    _cli(*argv)
+    capsys.readouterr()
+    assert gc.isenabled() is collector and gc.get_freeze_count() == frozen
+
+
+# (argv, the command's own exit code); the file for exit 1 fails to parse.
+PROCESS_CASES = [
+    (("check", HEAD_COL), 0),
+    (("eval", str(PROGRAMS_DIR / "div0.remora")), 2),
+    (("bisim", "{parse_error}"), 1),
+    (("eval", "--fuel", "1", str(PROGRAMS_DIR / "sum-iota.remora")), 3),
+    (("fmt", "no-such-file.remora"), 66),
+    (("no-such-command",), 64),
+]
+_AT_EXIT = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('at exit:', gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+    "sys.argv = ['remora', *sys.argv[1:]]\n"
+    "runpy.run_module('remora.cli', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_CASES, ids=[f"exit-{c}" for _, c in PROCESS_CASES])
+def test_process_entry_exits_with_the_heap_frozen(tmp_path, argv, code):
+    """`remora.cli` run as `__main__` through `runpy`, as `python -m` runs it:
+    the exit code is the command's own, and the atexit handlers still run,
+    with the collector off and the heap frozen."""
+    bad = tmp_path / "parse-error.remora"
+    bad.write_text(PARSE_ERROR, encoding="utf-8")
+    argv = [a.format(parse_error=bad) for a in argv]
+    src = str(PROGRAMS_DIR.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _AT_EXIT, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith("at exit: False True\n")
+    if code == 0:
+        assert proc.stdout == "(Arr Num (Shp 3))\n"

@@ -802,7 +802,7 @@ class TestNodeContract:
                 cls(*positional, **{kw: NUM})
 
 
-# Every class `node` built, in every module that builds one.
+# Every class whose metaclass is `node`, in every module that declares one.
 NODE_CLASSES = sorted(syntax.Node.__subclasses__(), key=lambda c: (c.__module__, c.__name__))
 
 
