@@ -3,9 +3,11 @@
 The erased language keeps the term and index levels only. Array types erase
 to their shapes, every other type to the scalar shape, and type variables
 become index variables. Residual shape tags live exactly where the dynamic
-semantics needs them: frames carry their result shape, applications carry
-per-argument cell shapes and a result shape, index applications and unbox
-carry result/body shapes. All emitted tags are spelled canonically.
+semantics needs them, at the five sites of `TAG_SITES`: frames carry their
+result shape, applications carry per-argument cell shapes and a result
+shape, index applications and unbox carry result/body shapes. All emitted
+tags are spelled canonically. Erasure is read off one table and built by one
+loop over an explicit stack, so a term of any depth erases.
 
 The erased nodes, re-exported here, live in `syntax`. Their free variables,
 substitution (`esubst_idx` and `esubst_term`, which respell canonically each
@@ -67,7 +69,8 @@ from .eval import (
     transpose_list,
 )
 from .indices import SortError, concrete_dims, element_count, normalize_tag
-from .names import _TERM_KIDS, IDX, MANY, TM, Forms, Generations, alpha_equal, subst, term_children
+from .names import _TERM_KIDS, DATA, IDX, MANY, NAME, NAMES, SCHEMA, TM, Binder, Forms, Generations
+from .names import alpha_equal, subst, term_children
 from .prims import Misapplied, _shape_entry
 from .printer import print_erased  # noqa: F401  (re-exported; benchmark tools wrap this name)
 from .syntax import (
@@ -129,84 +132,134 @@ def erase_type(t: TypeExpr) -> IndexExpr:
     return ShapeLit(())
 
 
+def _annot(t: Term, what: str) -> IndexExpr:
+    """The erasure of the type that elaboration gave `t` (a `what`, or its body)."""
+    if t.annot is None:
+        raise ValueError(f"erasure requires an elaborated term ({what})")
+    return erase_type(t.annot)
+
+
+def _arg_shapes(t: App) -> tuple:
+    if t.annot is None or not isinstance(t.fn.annot, ArrType):
+        raise ValueError("erasure requires an elaborated term (application)")
+    if not isinstance(t.fn.annot.elem, FunType):
+        raise ValueError("application head is not function-typed")
+    return tuple([erase_type(i) for i in t.fn.annot.elem.inputs])
+
+
+# The residual tags, each a function of the typed node: all the type
+# information that the erased rules read.
+TAG_SITES = {
+    # A frame's full result shape: `collapse` reads its dims.
+    "frame-shape": lambda t: _annot(t, "frame"),
+    # Each argument's cell shape, from the head's type: `lift` and `map` split
+    # each argument into frame and cells by it.
+    "app-arg-shapes": _arg_shapes,
+    # An application's result shape: `map` tags its frame with it, and the
+    # `reduce` and `iota/s` deltas read their result's dims from it.
+    "app-out": lambda t: _annot(t, "application"),
+    # A type or index application's result shape: `ibeta` tags its frame.
+    "iapp-out": lambda t: _annot(t, "t-app" if t.__class__ is TApp else "i-app"),
+    # An unbox body's shape: `unbox` tags its frame with the box array's dims
+    # followed by it.
+    "unbox-body": lambda t: _annot(t.body, "unbox"),
+}
+
+# The erased class of each typed term class, and the erased fields it states:
+# renamed, or taken from a tag site. Every other erased field takes the typed
+# field of its name as that field's role in `names.SCHEMA` says: a term child
+# is erased, a binder keeps its names, an index is spelled as a tag, a type is
+# erased and so spelled, and data is copied. Empty arrays and frames have no
+# erasure.
+_ERASES_TO = {
+    BaseVal: (EBase, {}),
+    PrimOp: (EOp, {}),
+    Var: (EVar, {}),
+    ArrayLit: (EArray, {}),
+    Box: (EBox, {}),
+    Lam: (ELam, {}),
+    TLam: (EILam, {"params": "binders"}),
+    ILam: (EILam, {"params": "binders"}),
+    Frame: (EFrame, {"shape": "frame-shape"}),
+    App: (EApp, {"arg_shapes": "app-arg-shapes", "out_shape": "app-out"}),
+    TApp: (EIApp, {"idx_args": "type_args", "out_shape": "iapp-out"}),
+    IApp: (EIApp, {"out_shape": "iapp-out"}),
+    Unbox: (EUnbox, {"body_shape": "unbox-body"}),
+}
+
+
+def _getter(cls: type, src: str):
+    """How the erased field that takes typed field or tag site `src` is read
+    off a typed node; a term field's getter gives its typed child or children."""
+    if src in TAG_SITES:
+        return TAG_SITES[src]
+    role, get = SCHEMA[cls][src], attrgetter(src)
+    if isinstance(role, Binder):  # the names alone, of (name, kind, sort or type) pairs
+        return get if role.form in (NAME, NAMES) else lambda t: tuple([x for x, _ in get(t)])
+    if role == DATA or role.cat == TM:
+        return get
+    # The indices of a box or an i-app, the types of a t-app, spelled as tags.
+    tag = normalize_tag if role.cat == IDX else lambda x: normalize_tag(erase_type(x))
+    return lambda t: tuple([tag(x) for x in get(t)])
+
+
+# Per typed class: its erased class, the getter of each erased field, and the
+# erased class's term fields as (position, whether a tuple), last first.
+_ERASURE = {
+    cls: (ecls, tuple(_getter(cls, stated.get(f, f)) for f in ecls._fields),
+          tuple((ecls._fields.index(f), shape == MANY) for f, shape in reversed(_TERM_KIDS[ecls])))
+    for cls, (ecls, stated) in _ERASES_TO.items()
+}
+
+
 @gc_paused
 def erase_term(t: Term) -> ETerm:
     return _erase(t, None)
 
 
 def _erase(t: Term, memo: Optional[Generations]) -> ETerm:
-    """The erasure of `t`. With `memo`, each typed node's erasure is looked up
-    by its identity first and recorded after, so a subtree shared with an
-    earlier state erases to the same object as before."""
-    if memo is not None:
-        hit = memo.cur.get(id(t)) or memo.carry(id(t))
-        if hit is not None:
-            return hit[1]
-    if isinstance(t, BaseVal):
-        e = EBase(t.base, t.value)
-    elif isinstance(t, PrimOp):
-        e = EOp(t.name)
-    elif isinstance(t, Lam):
-        e = ELam(tuple(x for x, _ in t.params), _erase(t.body, memo))
-    elif isinstance(t, (TLam, ILam)):
-        e = EILam(tuple(x for x, _ in t.binders), _erase(t.body, memo))
-    elif isinstance(t, Box):
-        e = EBox(tuple(normalize_tag(i) for i in t.indices), _erase(t.payload, memo))
-    elif isinstance(t, Var):
-        e = EVar(t.name)
-    elif isinstance(t, ArrayLit):
-        # Base atoms inline: the bulk of most arrays, and cheap to redo.
-        e = EArray(t.dims, tuple([
-            EBase(a.base, a.value) if type(a) is BaseVal else _erase(a, memo) for a in t.atoms
-        ]))
-    elif isinstance(t, Frame):
-        if t.annot is None:
-            raise ValueError("erasure requires an elaborated term (frame)")
-        e = EFrame(erase_type(t.annot), tuple([_erase(c, memo) for c in t.cells]))
-    elif isinstance(t, App):
-        fn_annot = t.fn.annot
-        if t.annot is None or fn_annot is None or not isinstance(fn_annot, ArrType):
-            raise ValueError("erasure requires an elaborated term (application)")
-        fun = fn_annot.elem
-        if not isinstance(fun, FunType):
-            raise ValueError("application head is not function-typed")
-        e = EApp(
-            _erase(t.fn, memo),
-            tuple([_erase(a, memo) for a in t.args]),
-            tuple(erase_type(i) for i in fun.inputs),
-            erase_type(t.annot),
-        )
-    elif isinstance(t, TApp):
-        if t.annot is None:
-            raise ValueError("erasure requires an elaborated term (t-app)")
-        e = EIApp(
-            _erase(t.fn, memo),
-            tuple(normalize_tag(erase_type(x)) for x in t.type_args),
-            erase_type(t.annot),
-        )
-    elif isinstance(t, IApp):
-        if t.annot is None:
-            raise ValueError("erasure requires an elaborated term (i-app)")
-        e = EIApp(
-            _erase(t.fn, memo),
-            tuple(normalize_tag(i) for i in t.idx_args),
-            erase_type(t.annot),
-        )
-    elif isinstance(t, Unbox):
-        if t.body.annot is None:
-            raise ValueError("erasure requires an elaborated term (unbox)")
-        e = EUnbox(
-            t.idx_vars,
-            t.val_var,
-            _erase(t.box, memo),
-            _erase(t.body, memo),
-            erase_type(t.body.annot),
-        )
-    else:
-        raise TypeError(t)
-    if memo is not None:
-        memo.cur[id(t)] = (t, e)
-    return e
+    """The erasure of `t`, with an explicit stack, in the order of a recursion:
+    a node's tags are read before its children are erased, left to right. With
+    `memo`, each typed node's erasure is looked up by its identity first and
+    recorded after, so a subtree shared with an earlier state erases to the
+    same object as before."""
+    plans, cur = _ERASURE, None if memo is None else memo.cur
+    out = [None]
+    # (node, None, None, dst, k) puts the erasure of a typed node in dst[k]; so
+    # does (node, plan, vals, dst, k) once the term fields of vals are erased.
+    todo = [(t, None, None, out, 0)]
+    pop, push = todo.pop, todo.append
+    while todo:
+        t, plan, vals, dst, k = pop()
+        if plan is None:
+            if cur is not None and (hit := cur.get(id(t)) or memo.carry(id(t))):
+                dst[k] = hit[1]
+                continue
+            plan = plans.get(t.__class__)
+            if plan is None:
+                raise TypeError(t)
+            vals = [get(t) for get in plan[1]]
+            if plan[2]:  # else built at once
+                push((t, plan, vals, dst, k))
+                for p, many in plan[2]:
+                    if not many:
+                        push((vals[p], None, None, vals, p))
+                        continue
+                    kids = vals[p] = list(vals[p])
+                    for j in range(len(kids) - 1, -1, -1):
+                        c = kids[j]
+                        if c.__class__ is BaseVal:  # inline: the bulk of most arrays
+                            kids[j] = EBase(c.base, c.value)
+                        else:
+                            push((c, None, None, kids, j))
+                continue
+        for p, many in plan[2]:
+            if many:
+                vals[p] = tuple(vals[p])
+        e = dst[k] = plan[0](*vals)
+        if cur is not None:
+            cur[id(t)] = (t, e)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +643,7 @@ class BisimReport:
 
 # The erased class of each typed node that can hold a hole: t-app and i-app
 # both erase to i-app.
-_HOLE_KIND = {ArrayLit: EArray, Frame: EFrame, App: EApp, TApp: EIApp, IApp: EIApp, Unbox: EUnbox}
+_HOLE_KIND = {cls: ecls for cls, (ecls, _) in _ERASES_TO.items() if cls in _KIDS or cls in _HEAD}
 
 
 def _layer_kid(h, j: int):

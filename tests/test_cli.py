@@ -455,27 +455,32 @@ class TestDeepEvaluation:
 
 class TestResourceLimit:
     """Input that nests deeper than the Python stack allows exits 4 with a
-    one-line diagnostic, never a traceback."""
+    one-line diagnostic, never a traceback. A deep fold is bounded by fuel
+    alone: both machines and erasure take no Python frame per level."""
 
     @pytest.mark.parametrize("argv, n", [(("bisim",), 10_000)])
-    def test_deep_reduce_exits_4(self, tmp_path, argv, n):
+    def test_deep_reduce_runs_out_of_fuel(self, tmp_path, argv, n):
+        # `bisim`'s default fuel is 10^4 steps; this fold takes n + 7.
         proc = run_fresh(tmp_path, reduce_source(n), *argv)
-        assert proc.returncode == 4, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, f"diverged steps={n}\n", "")
 
-    @pytest.mark.parametrize("command, code", [("check", 0), ("eval", 0), ("fmt", 0), ("erase", 4)])
+    @pytest.mark.parametrize("argv, out", [
+        (("bisim", "--fuel", "30000"), "both-value steps=10007\n"),
+        (("eval",), "(array () 49995000)\n"),
+    ], ids=["bisim", "eval"])
+    def test_deep_reduce_reaches_its_value(self, tmp_path, argv, out):
+        proc = run_fresh(tmp_path, reduce_source(10_000), *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+    @pytest.mark.parametrize("command, code", [("check", 0), ("eval", 0), ("fmt", 0), ("erase", 0)])
     def test_frame_900_deep(self, tmp_path, command, code):
         # The grammar and `elaborate` take one Python frame per level and
-        # handle 900. `erase` parses and elaborates as `check` does, so its
-        # exit 4 comes from `erase_term`, which still recurses more per level.
+        # handle 900; `erase` parses and elaborates as `check` does, and
+        # `erase_term` takes none.
         proc = run_fresh(tmp_path, family_source("frame", 899), command)
-        assert proc.returncode == code, proc.stderr
-        assert "Traceback" not in proc.stderr
-        if code:
-            assert proc.stdout == "" and proc.stderr.startswith("resource limit: ") and proc.stderr.count("\n") == 1
-        else:
-            assert proc.stderr == ""
+        assert (proc.returncode, proc.stderr) == (code, "")
+        if command == "erase":
+            assert proc.stdout == "(frame (Shp) " * 899 + "(array () 7)" + ")" * 899 + "\n"
 
     def test_deep_frame_fmt_exits_4(self, tmp_path):
         # The grammar pass (`parser._parse`) still recurses once per level.

@@ -26,15 +26,12 @@ from remora.eval import DEFAULT_FUEL, Machine, evaluate, run
 from remora.parser import ParseError, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import SIGNATURE
-from remora.syntax import ArrayLit, Frame, gc_paused, num
+from remora.syntax import NUM, ArrayLit, ArrType, Frame, IdxAppend, ShapeLit, gc_paused, num, scalar_of
 
-from .util import ORACLE_GROUPS, PROGRAMS_DIR, check_src, family_source, oracle_programs, reduce_source
+from .util import ORACLE_GROUPS, PROGRAMS_DIR, check_src, family_source, oracle_programs
 
 PARSE_ERROR = "(array (2) 1"
 TYPE_ERROR = "(array (2 2) 1 2 3)"
-# Elaborates (the front end takes one Python frame per level) but nests too
-# deep for `erase_term` and `bisim_run`, which take more.
-DEEP_FRAME = 700
 # States of each program's run that the no-cycles round re-elaborates.
 STATES = 10
 
@@ -76,9 +73,9 @@ def _cli(*argv) -> int:
 def _cli_round(tmp_path) -> Counter:
     """Every subcommand over `programs/`, with and without its flags, and the
     inputs that end in each other exit code: a parse error and a type error
-    (1), out of fuel (3) and a fold nested too deep for `bisim` (4). The
+    (1), out of fuel (3) and a frame nest too deep for the grammar (4). The
     corpus holds a stuck program (2). Returns the exit codes seen."""
-    inputs = {"parse-error": PARSE_ERROR, "type-error": TYPE_ERROR, "deep-reduce": reduce_source(10_000)}
+    inputs = {"parse-error": PARSE_ERROR, "type-error": TYPE_ERROR, "deep-frame": family_source("frame", 10_000)}
     paths = [str(p) for p in sorted(PROGRAMS_DIR.glob("*.remora"))]
     for name, source in inputs.items():
         path = tmp_path / f"{name}.remora"
@@ -93,7 +90,7 @@ def _cli_round(tmp_path) -> Counter:
             codes[_cli(*argv, path)] += 1
     codes[_cli("check", "--list-prims")] += 1
     codes[_cli("eval", "--fuel", "1", str(PROGRAMS_DIR / "sum-iota.remora"))] += 1
-    codes[_cli("bisim", inputs["deep-reduce"])] += 1
+    codes[_cli("fmt", inputs["deep-frame"])] += 1
     return codes
 
 
@@ -138,8 +135,13 @@ def _frame_nest(n: int):
     return t
 
 
-def _deep_elaborated():
-    return check_src(family_source("frame", DEEP_FRAME))[0]
+def _deep_tag():
+    """A frame whose annotation's shape nests 3000 appends: erasure spells the
+    frame's tag canonically, which recurses once per level of the index."""
+    shape = ShapeLit(())
+    for _ in range(3000):
+        shape = IdxAppend((shape,))
+    return Frame((), (ArrayLit((), (num(7),), annot=scalar_of(NUM)),), annot=ArrType(NUM, shape))
 
 
 _PLUS = "((array () +) (array (2) 1 2) (array () 3))"
@@ -172,11 +174,11 @@ ENTRY_POINTS = {
     ),
     "erase_term": (
         lambda: erase_term(check_src(_PLUS)[0]),
-        {RecursionError: lambda: erase_term(_deep_elaborated())},
+        {RecursionError: lambda: erase_term(_deep_tag())},
     ),
     "bisim_run": (
         lambda: bisim_run(check_src(_PLUS)[0]),
-        {RecursionError: lambda: bisim_run(_deep_elaborated())},
+        {RecursionError: lambda: bisim_run(_deep_tag())},
     ),
 }
 RAISING = [(name, exc) for name, (_, raising) in ENTRY_POINTS.items() for exc in raising]

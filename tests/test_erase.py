@@ -1,11 +1,15 @@
 """Type erasure, the erased evaluator, and lockstep execution."""
 
+import os
+import pathlib
 import random
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+import remora
 import remora.erase
 import remora.eval
 import remora.indices
@@ -41,6 +45,7 @@ from remora.indices import element_count, normalize_tag
 from remora.names import (
     IDX,
     TM,
+    Generations,
     alpha_equal,
     free_vars,
     subst_idx_in_term,
@@ -50,7 +55,7 @@ from remora.names import (
 from remora.parser import parse_term, parse_type
 from remora.printer import print_term
 from remora.prims import SIGNATURE
-from remora.syntax import App, EApp, EOp, IdxAppend, IdxVar, NatLit, NUM, ShapeLit, replace
+from remora.syntax import App, EApp, EOp, IdxAppend, IdxVar, NatLit, NUM, ShapeLit, replace, scalar_of
 
 from .util import (
     E_DIM_VARS,
@@ -78,6 +83,7 @@ from .util import (
     recursive_erased_step,
     reduce_source,
     reference_bisim,
+    reference_erase_term,
     reference_erased_alpha_equal,
     reference_esubst_idx,
     reference_esubst_term,
@@ -117,6 +123,21 @@ class TestEraseType:
         assert got == IdxVar("s")
 
 
+# Erases a hand-built, annotated `(frame () ...)` nest argv[1] levels deep,
+# deeper than the recursion limit, and prints the erasure.
+DEEP_FRAME_ERASURE = """
+import sys
+from remora.erase import erase_term, print_erased
+from remora.syntax import NUM, ArrayLit, Frame, num, scalar_of
+n = int(sys.argv[1])
+assert n > sys.getrecursionlimit()
+t = ArrayLit((), (num(7),), annot=scalar_of(NUM))
+for _ in range(n):
+    t = Frame((), (t,), annot=scalar_of(NUM))
+print(print_erased(erase_term(t)))
+"""
+
+
 class TestEraseTerm:
     def test_literals_unchanged(self):
         got = erase_term(elab("(array (2) 1 2)"))
@@ -152,6 +173,35 @@ class TestEraseTerm:
     def test_erasure_is_a_function(self):
         t = elab("((array () +) (array () 1) (array () 2))")
         assert erase_term(t) == erase_term(t)
+
+    @pytest.mark.parametrize("src, what", [
+        ("((array () +) (array () 1) (array () 2))", "application"),
+        ("(frame () (array () 1))", "frame"),
+        ("(t-app (array () (tlam ((t Atom)) (array () 1))) Num)", "t-app"),
+        ("(i-app (array () iota/s) (Shp 2))", "i-app"),
+        ("(unbox (n v (array () (box 2 (array (2) 1 2) (Sigma ((n Dim)) (Arr Num (Shp n)))))) v)", "unbox"),
+    ])
+    def test_unelaborated_node_is_refused(self, src, what):
+        with pytest.raises(ValueError) as exc:
+            erase_term(parse_term(src))
+        assert str(exc.value) == f"erasure requires an elaborated term ({what})"
+
+    def test_application_whose_head_is_not_a_function_is_refused(self):
+        t = elab("((array () +) (array () 1) (array () 2))")
+        with pytest.raises(ValueError) as exc:
+            erase_term(replace(t, fn=replace(t.fn, annot=scalar_of(NUM))))
+        assert str(exc.value) == "application head is not function-typed"
+
+    def test_any_depth_at_the_default_recursion_limit(self):
+        # In a fresh process, where the recursion limit is the default.
+        n = 10_000
+        src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", DEEP_FRAME_ERASURE, str(n)], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        assert proc.stdout == "(frame (Shp) " * n + "(array () 7)" + ")" * n + "\n"
 
 
 class TestSubstitutionCommutes:
@@ -520,8 +570,11 @@ class TestBisim:
 class TestLockstepComparer:
     """The incremental comparer `bisim_run` uses, driven state by state
     against the whole-term reference, on the real states and on one-site
-    mutations of the erased state."""
+    mutations of the erased state; and the erasure it memoizes, against the
+    erasure as first written."""
 
+    # The groups whose states the whole-state reference decides; on every
+    # group, each state's erasure is checked against the reference erasure.
     GROUPS = ("batch", "corpus", "lift100", "frame100")
     # Mutation, and the verdict it must get (None: the reference decides).
     MUTATIONS = {
@@ -540,32 +593,40 @@ class TestLockstepComparer:
         assert lockstep.same(typed, erased) == verdict
         return verdict
 
-    @pytest.mark.parametrize("group", GROUPS)
+    @pytest.mark.parametrize("group", ORACLE_GROUPS)
     def test_agrees_with_reference(self, group):
         rng = random.Random(91)
         verdicts: dict = {m: [] for m in self.MUTATIONS}
+        fields = remora.erase._equal_fields
         for term in oracle_programs(group):
-            lockstep = LockstepComparer()
+            lockstep, memo, seen = LockstepComparer(), Generations(), {}
             typed, erased = term, lockstep.erase(term)
             for n in range(10_000):
-                e = erase_term(typed)
-                ref = reference_form(e)
-                assert self.check(lockstep, typed, erased, e, ref)
-                if n % self.MUTATE_EVERY == 0:
-                    sites = erased_sites(erased)
-                    for mutation, expected in self.MUTATIONS.items():
-                        where = [(p, x) for p, _, x in sites if mutation(x) is not None]
-                        if not where:
-                            continue
-                        path, node = rng.choice(where)
-                        bad = rewrite_at(erased, path, mutation(node))
-                        verdict = self.check(lockstep, typed, bad, e, ref)
-                        assert expected is None or verdict == expected
-                        verdicts[mutation].append(verdict)
+                # Erasure without a memo and with one aged once per step,
+                # field for field (node `==` recurses) against the ladder.
+                e, want = erase_term(typed), reference_erase_term(typed, seen)
+                assert fields(e, want) and fields(remora.erase._erase(typed, memo), want)
+                memo.age()
+                if group in self.GROUPS:
+                    ref = reference_form(e)
+                    assert self.check(lockstep, typed, erased, e, ref)
+                    if n % self.MUTATE_EVERY == 0:
+                        sites = erased_sites(erased)
+                        for mutation, expected in self.MUTATIONS.items():
+                            where = [(p, x) for p, _, x in sites if mutation(x) is not None]
+                            if not where:
+                                continue
+                            path, node = rng.choice(where)
+                            bad = rewrite_at(erased, path, mutation(node))
+                            verdict = self.check(lockstep, typed, bad, e, ref)
+                            assert expected is None or verdict == expected
+                            verdicts[mutation].append(verdict)
                 rt, re = typed_step(typed), erased_step(erased)
                 if not (isinstance(rt, Stepped) and isinstance(re, Stepped)):
                     break
                 typed, erased = rt.term, re.term
+        if group not in self.GROUPS:
+            return
         assert verdicts[change_atom] and verdicts[respell_tag] and verdicts[reshape_tag]
         if group in ("batch", "corpus"):
             assert verdicts[rename_index_binder]
@@ -764,12 +825,12 @@ class TestBisimFuel:
 
 
 class TestBisimCost:
-    """Work per bisim step does not grow with the size of the term: erasures,
-    the node pairs the field-for-field walk of `LockstepComparer` compares,
-    and the nodes whose canonical forms are built (each computes its head
-    once), counted per step, for a deeper member of a family against its
-    n=100 member. The walk decides every check of these runs, so no form is
-    built."""
+    """Work per bisim step does not grow with the size of the term: the
+    erased nodes built (each by its erasure plan's class), the node pairs
+    the field-for-field walk of `LockstepComparer` compares, and the nodes
+    whose canonical forms are built (each computes its head once), counted
+    per step, for a deeper member of a family against its n=100 member. The
+    walk decides every check of these runs, so no form is built."""
 
     @staticmethod
     def work_per_step(monkeypatch, family: str, n: int) -> dict:
@@ -782,7 +843,8 @@ class TestBisimCost:
 
             return call
 
-        monkeypatch.setattr(remora.erase, "_erase", counted("_erase", remora.erase._erase))
+        for cls, (build, values, terms) in list(remora.erase._ERASURE.items()):
+            monkeypatch.setitem(remora.erase._ERASURE, cls, (counted("erase", build), values, terms))
         # The walk reads a compared pair's own fields once per node of the pair.
         for cls, (plain, kids) in list(remora.erase._WALK.items()):
             monkeypatch.setitem(remora.erase._WALK, cls, (counted("walk", plain), kids))
@@ -791,22 +853,19 @@ class TestBisimCost:
         for cls, head in list(remora.names._INLINE.items()):
             monkeypatch.setitem(remora.names._INLINE, cls, counted("form", head))
         term = check_src(family_source(family, n))[0]
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(4 * limit)  # each counted erasure adds a frame
         try:
             rep = bisim_run(term)
         finally:
-            sys.setrecursionlimit(limit)
             monkeypatch.undo()
         assert rep.outcome == "both-value"
         counts["walk"] /= 2
-        return {name: counts[name] / rep.steps for name in ("_erase", "walk", "form")}
+        return {name: counts[name] / rep.steps for name in ("erase", "walk", "form")}
 
     @pytest.mark.parametrize("family, n", [("frame", 400), ("reduce", 300)])
     def test_work_per_step_is_flat(self, monkeypatch, family, n):
         small = self.work_per_step(monkeypatch, family, 100)
         large = self.work_per_step(monkeypatch, family, n)
-        assert large["_erase"] > 0 and large["walk"] > 0 and large["form"] == 0, large
+        assert large["erase"] > 0 and large["walk"] > 0 and large["form"] == 0, large
         for name, per_step in large.items():
             assert per_step <= 1.5 * small[name], (name, per_step, small[name])
 

@@ -3,7 +3,8 @@ brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the reader that tracks line and column token by
 token (the oracle of the parser's locations), the grammar and the printers
 as first written (the oracles of `parser._parse` and `printer`), the inputs of the machine
-oracle tests, the recursive specs that the looping ones are checked against, the whole-term
+oracle tests, the recursive specs that the looping ones are checked against,
+erasure as first written (the oracle of `erase._erase`), the whole-term
 reference comparison of erased terms and the pairwise one of typed terms,
 one-site rewrites of typed terms, the hand-written reference
 substitution on erased terms with random erased terms to run it on, the
@@ -45,6 +46,7 @@ from remora.erase import (
     _eapply,
     _eibeta,
     _eunbox,
+    erase_type,
     erased_step,
     erased_subterm,
     esubst_idx,
@@ -983,6 +985,79 @@ def assert_same_steps(t, spec, reference) -> int:
             t, n = got.term, n + 1
     finally:
         sys.setrecursionlimit(limit)
+
+
+# ---------------------------------------------------------------------------
+# Erasure as it was first written, one case per typed class, recursing once
+# per level: the oracle of `erase._erase`, which derives it from one table.
+
+
+def reference_erase_term(t, memo: Optional[dict] = None):
+    """With `memo`, a dict, each node's erasure is kept by the node's identity
+    (with the node, so that the identity is not reused), and a node met again,
+    as in the next state of a run, is not erased again."""
+    if memo is not None and id(t) in memo:
+        return memo[id(t)][1]
+    if isinstance(t, BaseVal):
+        e = EBase(t.base, t.value)
+    elif isinstance(t, PrimOp):
+        e = EOp(t.name)
+    elif isinstance(t, Lam):
+        e = ELam(tuple([x for x, _ in t.params]), reference_erase_term(t.body, memo))
+    elif isinstance(t, (TLam, ILam)):
+        e = EILam(tuple([x for x, _ in t.binders]), reference_erase_term(t.body, memo))
+    elif isinstance(t, Box):
+        e = EBox(tuple([normalize_tag(i) for i in t.indices]), reference_erase_term(t.payload, memo))
+    elif isinstance(t, Var):
+        e = EVar(t.name)
+    elif isinstance(t, ArrayLit):
+        e = EArray(t.dims, tuple([
+            EBase(a.base, a.value) if type(a) is BaseVal else reference_erase_term(a, memo) for a in t.atoms
+        ]))
+    elif isinstance(t, Frame):
+        if t.annot is None:
+            raise ValueError("erasure requires an elaborated term (frame)")
+        e = EFrame(erase_type(t.annot), tuple([reference_erase_term(c, memo) for c in t.cells]))
+    elif isinstance(t, App):
+        fn_annot = t.fn.annot
+        if t.annot is None or fn_annot is None or not isinstance(fn_annot, ArrType):
+            raise ValueError("erasure requires an elaborated term (application)")
+        fun = fn_annot.elem
+        if not isinstance(fun, FunType):
+            raise ValueError("application head is not function-typed")
+        e = EApp(
+            reference_erase_term(t.fn, memo),
+            tuple([reference_erase_term(a, memo) for a in t.args]),
+            tuple([erase_type(i) for i in fun.inputs]),
+            erase_type(t.annot),
+        )
+    elif isinstance(t, TApp):
+        if t.annot is None:
+            raise ValueError("erasure requires an elaborated term (t-app)")
+        e = EIApp(
+            reference_erase_term(t.fn, memo),
+            tuple([normalize_tag(erase_type(x)) for x in t.type_args]),
+            erase_type(t.annot),
+        )
+    elif isinstance(t, IApp):
+        if t.annot is None:
+            raise ValueError("erasure requires an elaborated term (i-app)")
+        e = EIApp(reference_erase_term(t.fn, memo), tuple([normalize_tag(i) for i in t.idx_args]), erase_type(t.annot))
+    elif isinstance(t, Unbox):
+        if t.body.annot is None:
+            raise ValueError("erasure requires an elaborated term (unbox)")
+        e = EUnbox(
+            t.idx_vars,
+            t.val_var,
+            reference_erase_term(t.box, memo),
+            reference_erase_term(t.body, memo),
+            erase_type(t.body.annot),
+        )
+    else:
+        raise TypeError(t)
+    if memo is not None:
+        memo[id(t)] = (t, e)
+    return e
 
 
 # ---------------------------------------------------------------------------
