@@ -17,20 +17,33 @@ with the field; `SCHEMA` collects them. The roles (defined in `syntax`):
 - `Scope(cat)`: the one child the node's binders scope over;
 - `DATA`: dims, base values, names, kinds and sorts.
 
-`IdxVar`, `TyVar`, `Var` and `EVar` are the variable leaves. `free_vars`,
-`subst`, `freshen`, `alpha_equal` and `term_children` are derived from the
-schema; the `free_*` and `subst_*` names are entry points. A traversal skips a
-field whose category cannot hold its namespace's variables: an index holds
-only index variables, a type index and type variables.
+`IdxVar`, `TyVar`, `Var` and `EVar` are the variable leaves. `alpha_equal`
+and `term_children` are derived from the schema, and so is one recursive
+rewrite, of which `free_vars`, `subst` and `freshen` are three uses; the
+`free_*` and `subst_*` names are entry points.
 
-A payload can be captured by a binder of any namespace its free variables live
-in. `subst` renames a binder with `gensym`, in field order, exactly when its
-name is free, in the binder's namespace, in a payload still in scope there;
-each occurrence of a renamed variable keeps its annotation and location.
-Renames in the substitution's own namespace ride along in the same pass;
-those in another are substituted into the scope first. Each payload's free
-variables are computed once per substitution, and a node none of whose fields
-changed is returned as it is.
+The rewrite carries a map per namespace (a payload replaces a variable; a
+name renames it, and the occurrence keeps its annotation and location),
+returns a node none of whose fields changed as it is, and visits the
+variables of a range of namespaces, lowest to highest, with a plan per class
+and range (`_PLANS`): it skips a child whose category cannot hold them (an
+index holds only index variables, a type index and type variables). In a
+node it visits the children outside the scope, then the binders in field
+order (a lam parameter's type right after its name, under the maps outside
+the lam), then the scope. This is not source order: the box of an unbox
+comes before the unbox's binders. The names of a node's binders first leave
+the maps of their namespaces (shadowing); then a binder-naming policy names
+each binder:
+
+- `subst` renames a binder with `gensym` exactly when its name is free, in
+  the binder's namespace, in a payload that can reach its scope (one whose
+  namespace lies between the binder's and the scope's category). The rename
+  rides in the same pass, in another namespace too: the scope is visited
+  with the range lowered to it. The visit ends where every map is empty, and
+  each payload's free variables are computed once per substitution;
+- `freshen` names every binder from its counter, skipping the names free in
+  its input;
+- `free_vars` keeps every name and collects the variables no map holds.
 
 Alpha-equivalence compares canonical forms, one kind for both languages. A
 form is a tuple: the class; a variable's de Bruijn level (counted from the
@@ -103,25 +116,27 @@ def _split(cls: type) -> tuple:
     return tuple(data), tuple(kids), tuple(binders), scope
 
 
-def _plan(cls: type, ns: int):
-    """What `free_vars` and `subst` visit in namespace ns: None for a variable
-    of ns; else (field, shape, tag) of the children outside the scope that can
-    hold its variables; the binders, when one can capture a payload's variable
-    (its namespace is at most ns) or has types that can; the scope field, else
-    the scope is one more child."""
-    if LEAVES.get(cls) == ns:
-        return None
+def _plan(cls: type, lo: int, hi: int):
+    """What the rewrite visits in a node while it visits the variables of
+    namespaces lo..hi: None for nothing; else (leaf, kids, binders, scope):
+    the namespace of a variable in lo..hi, else None; (field, shape, tag) of
+    the children outside the scope that can hold those variables; the
+    binders and the scope's (field, cat), when a binder can capture or be
+    renamed (its namespace is at most hi) or has types that can hold them,
+    else the scope is one more child."""
     _, kids, binders, scope = _SPLIT[cls]
-    plain = tuple((f, shape, tag) for f, shape, cat, tag in kids if ns <= cat)
-    if scope is None or scope[1] < ns:
-        return plain, (), None
-    if not any(bns <= ns or (form == TYPED and ns <= TY) for _, form, bns in binders):
-        return plain + ((scope[0], ONE, False),), (), None
-    return plain, binders, scope[0]
+    leaf = LEAVES.get(cls) if lo <= LEAVES.get(cls, -1) <= hi else None
+    plain = tuple((f, shape, tag) for f, shape, cat, tag in kids if lo <= cat)
+    if scope is not None and lo <= scope[1]:
+        if any(ns <= hi or (form == TYPED and lo <= TY) for _, form, ns in binders):
+            return leaf, plain, binders, scope
+        plain += ((scope[0], ONE, False),)
+    return (leaf, plain, (), None) if leaf is not None or plain else None
 
 
 _SPLIT = {cls: _split(cls) for cls in SCHEMA}
-_PLANS = [{cls: _plan(cls, ns) for cls in SCHEMA} for ns in (IDX, TY, TM)]
+_PLANS = [[{cls: _plan(cls, lo, hi) for cls in SCHEMA} if lo <= hi else None for hi in range(3)] for lo in range(3)]
+_UNMAPPED = ({}, {}, {})  # no map is changed in place
 
 
 def _unpack(value, form: str) -> tuple:
@@ -142,79 +157,43 @@ def _pack(items, form: str):
 
 
 # ---------------------------------------------------------------------------
-# Free variables
+# The rewrite
 
 
-def free_vars(node, ns: int) -> set[str]:
-    """The variables of namespace ns free in an index, type or term."""
-    out: set[str] = set()
-    _free(node, ns, frozenset(), out)
-    return out
+class _Rewrite:
+    """One use of the rewrite (see the module docstring): `maps` per
+    namespace, the range lo..hi, the policy `fresh` (None for `subst`'s, else
+    the name of each binder in lo..hi), `out` (a set, for `free_vars`) and
+    `memo`, the payloads' free variables. (A class, not a closure: a
+    recursive closure is a reference cycle, and one per call keeps the
+    collector busy.)"""
 
+    __slots__ = ("maps", "lo", "hi", "plans", "fresh", "out", "memo")
 
-def _free(node, ns: int, bound: frozenset, out: set) -> None:
-    plan = _PLANS[ns][type(node)]
-    if plan is None:
-        if node.name not in bound:
-            out.add(node.name)
-        return
-    kids, binders, scope = plan
-    for f, shape, _ in kids:
-        v = getattr(node, f)
-        if shape == MANY:
-            for c in v:
-                _free(c, ns, bound, out)
-        elif v is not None:
-            _free(v, ns, bound, out)
-    if scope is None:
-        return
-    inner = bound
-    for f, form, bns in binders:
-        items = _unpack(getattr(node, f), form)
-        if form == TYPED and ns <= TY:
-            for _, t in items:
-                _free(t, ns, bound, out)
-        if bns == ns:
-            inner = inner.union(x for x, _ in items)
-    _free(getattr(node, scope), ns, inner, out)
-
-
-def free_idx_in_type(t: TypeExpr) -> set[str]:
-    return free_vars(t, IDX)
-
-
-# ---------------------------------------------------------------------------
-# Capture-avoiding substitution
-
-
-def subst(node, ns: int, m: Mapping):
-    """Simultaneous capture-avoiding substitution of the payloads of m for the
-    free variables of namespace ns in node."""
-    if not m:
-        return node
-    return _Subst(ns, m, {}).go(node)
-
-
-class _Subst:
-    """The substitution of m in namespace ns; `memo` holds the payloads' free
-    variables for the whole substitution. (A class, not a closure: a recursive
-    closure is a reference cycle, and one per call keeps the collector busy.)"""
-
-    __slots__ = ("ns", "m", "memo", "plans")
-
-    def __init__(self, ns: int, m: Mapping, memo: dict) -> None:
-        self.ns, self.m, self.memo = ns, m, memo
-        self.plans = _PLANS[ns]
+    def __init__(self, maps, lo: int, hi: int, fresh=None, out=None, memo=None) -> None:
+        self.maps = maps
+        self.lo = lo
+        self.hi = hi
+        self.plans = _PLANS[lo][hi]
+        self.fresh = fresh
+        self.out = out
+        self.memo = memo
 
     def go(self, node):
-        plan = self.plans[type(node)]
+        plan = self.plans[node.__class__]
         if plan is None:
-            v = self.m.get(node.name, node)
-            # A renamed binder maps to its new name: the occurrence keeps its
-            # annotation and location.
-            return S.replace(node, name=v) if v.__class__ is str else v
-        kids, binders, scope = plan
+            return node
+        leaf, kids, binders, scope = plan
         changes = None
+        if leaf is not None:
+            v = self.maps[leaf].get(node.name)
+            if v is None:
+                if self.out is not None:
+                    self.out.add(node.name)
+            elif v.__class__ is not str:
+                return v
+            elif v != node.name:
+                changes = {"name": v}
         for f, shape, tag in kids:
             old = getattr(node, f)
             if shape == MANY:
@@ -223,69 +202,94 @@ class _Subst:
                     continue
                 if tag:
                     new = tuple([x if x is o else normalize_tag(x) for x, o in zip(new, old)])
-            elif old is None:
+            elif old is None or (new := self.go(old)) is old:
                 continue
-            else:
-                new = self.go(old)
-                if tag and new is not old:
-                    new = normalize_tag(new)
-            if new is not old:
-                if changes is None:
-                    changes = {}
-                changes[f] = new
+            elif tag:
+                new = normalize_tag(new)
+            changes = {f: new} if changes is None else {**changes, f: new}
         if scope is not None:
             changes = self.bind(node, binders, scope, changes or {})
         return S.replace(node, **changes) if changes else node
 
     def bind(self, node, binders, scope, changes: dict) -> dict:
         """`changes` plus the new binder fields and scope of a binding node."""
-        ns, m = self.ns, self.m
-        own = {x for f, form, bns in binders if bns == ns for x, _ in _unpack(getattr(node, f), form)}
-        m2 = m if own.isdisjoint(m) else {k: v for k, v in m.items() if k not in own}
+        lo, hi, fresh = self.lo, self.hi, self.fresh
+        inner, fields = list(self.maps), []
+        for f, form, ns in binders:
+            fields.append(items := _unpack(getattr(node, f), form))
+            for x, _ in items:
+                if x in inner[ns]:
+                    inner[ns] = {k: v for k, v in inner[ns].items() if k != x}
         renames: dict[int, dict] = {}
-        for f, form, bns in binders:
-            items = _unpack(getattr(node, f), form)
+        for (f, form, ns), items in zip(binders, fields):
+            if fresh is None:
+                named = self.captured(inner, ns, min(hi, scope[1])) if ns <= hi else ()
+            else:
+                named = {x for x, _ in items} if lo <= ns <= hi else ()
+            typed = form == TYPED and lo <= TY
+            if not (named or typed):
+                continue
             new = None
-            if form == TYPED and ns <= TY:
-                types = [self.go(t) for _, t in items]
-                if not all(map(is_, types, (t for _, t in items))):
-                    new = [(x, t) for (x, _), t in zip(items, types)]
-            if bns <= ns and m2:
-                free = _payload_free(m2, ns, bns, self.memo)
-                for k, (x, _) in enumerate(items):
-                    if x in free:
-                        x2 = gensym(x)
-                        renames.setdefault(bns, {})[x] = x2
-                        new = new or list(items)
-                        new[k] = (x2, new[k][1])
+            for k, (x, t) in enumerate(items):
+                if x in named:
+                    x2 = renames.setdefault(ns, {})[x] = (fresh or gensym)(x)
+                else:
+                    x2 = x
+                t2 = self.go(t) if typed else t
+                if x2 != x or t2 is not t:
+                    new = new or list(items)
+                    new[k] = (x2, t2)
             if new is not None:
                 changes[f] = _pack(new, form)
-        if not m2:
-            return changes
-        old = body = getattr(node, scope)
-        for bns, r in renames.items():
-            if bns != ns:
-                body = _Subst(bns, r, self.memo).go(body)
-        if ns in renames:
-            m2 = {**m2, **renames[ns]}
-        body = (self if m2 is m else _Subst(ns, m2, self.memo)).go(body)
+        for ns, r in renames.items():
+            inner[ns] = {**inner[ns], **r}
+        sub = self
+        if not all(map(is_, inner, self.maps)):
+            if fresh is None:
+                live = [ns for ns in (IDX, TY, TM) if inner[ns]]
+                if not live:
+                    return changes
+                lo, hi = live[0], live[-1]
+            sub = _Rewrite(inner, lo, hi, fresh, self.out, self.memo)
+        old = getattr(node, scope[0])
+        body = sub.go(old)
         if body is not old:
-            changes[scope] = body
+            changes[scope[0]] = body
         return changes
 
+    def captured(self, maps: list, ns: int, top: int):
+        """Variables of namespace ns free in the payloads of maps[ns..top]; a
+        name is a variable of its map's namespace. The memo holds each
+        payload, so its id is not reused while the memo lives; the result
+        can be a set the memo holds, not to be changed."""
+        out = ()
+        for n in range(ns, top + 1):
+            for v in maps[n].values():
+                hit = self.memo.get((id(v), n, ns))
+                if hit is None:
+                    free = ({v} if n == ns else set()) if v.__class__ is str else free_vars(v, ns)
+                    hit = self.memo[id(v), n, ns] = (v, free)
+                out = out | hit[1] if out else hit[1]
+        return out
 
-def _payload_free(m: Mapping, m_ns: int, ns: int, memo: dict) -> set[str]:
-    """Variables of namespace ns free in the payloads of m, a map of namespace
-    m_ns (not to be mutated); a renamed binder's payload is its new name. The
-    memo holds each payload, so its id is not reused while the memo lives."""
-    out = None
-    for v in m.values():
-        hit = memo.get((id(v), ns))
-        if hit is None:
-            free = ({v} if ns == m_ns else set()) if v.__class__ is str else free_vars(v, ns)
-            hit = memo[id(v), ns] = (v, free)
-        out = hit[1] if out is None else out | hit[1]
+
+def free_vars(node, ns: int) -> set[str]:
+    """The variables of namespace ns free in an index, type or term."""
+    out: set[str] = set()
+    _Rewrite(_UNMAPPED, ns, ns, str, out).go(node)  # `str` keeps each name
     return out
+
+
+def free_idx_in_type(t: TypeExpr) -> set[str]:
+    return free_vars(t, IDX)
+
+
+def subst(node, ns: int, m: Mapping):
+    """Simultaneous capture-avoiding substitution of the payloads of m for the
+    free variables of namespace ns in node."""
+    if not m:
+        return node
+    return _Rewrite(_UNMAPPED[:ns] + (m,) + _UNMAPPED[ns + 1:], ns, ns, None, None, {}).go(node)
 
 
 def subst_idx(i: IndexExpr, m: Mapping[str, IndexExpr]) -> IndexExpr:
@@ -314,56 +318,21 @@ def subst_term(t: Term, m: Mapping[str, ExprTerm]) -> Term:
     return subst(t, TM, m)
 
 
-# ---------------------------------------------------------------------------
-# Canonical renaming (freshen)
-
-
 def freshen(t: Term, salt: str = "") -> Term:
     """Rename every binder (term, type, and index level, including binders
     inside types) to a canonical name#N from a per-call counter, in the order
-    the binders appear. Free variables are untouched; the result is
-    alpha-equivalent to the input and freshen is idempotent up to literal
-    equality. A salt makes two passes produce disjoint name supplies."""
+    the rewrite visits them, skipping a name free in t. Free variables are
+    untouched; the result is alpha-equivalent to the input and freshen is
+    idempotent up to literal equality. A salt makes two passes produce
+    disjoint name supplies."""
+    taken: set[str] = set()
+    _Rewrite(_UNMAPPED, IDX, TM, str, taken).go(t)
     counter = itertools.count(1)
-    return _freshen(t, ({}, {}, {}), lambda x: f"{base_name(x)}#{salt}{next(counter)}")
 
+    def fresh(x: str) -> str:
+        return next(name for k in counter if (name := f"{base_name(x)}#{salt}{k}") not in taken)
 
-def _freshen(node, envs: tuple, fresh):
-    """`node` renamed; `node` itself when nothing under it changes, and each
-    field that does not change shared with it."""
-    cls = type(node)
-    changes = {}
-    if cls in LEAVES:
-        name = envs[LEAVES[cls]].get(node.name, node.name)
-        if name != node.name:
-            changes["name"] = name
-    _, kids, binders, scope = _SPLIT[cls]
-    for f, shape, _, _ in kids:
-        old = getattr(node, f)
-        if shape == MANY:
-            new = tuple(_freshen(c, envs, fresh) for c in old)
-            if not all(map(is_, new, old)):
-                changes[f] = new
-        elif old is not None:
-            new = _freshen(old, envs, fresh)
-            if new is not old:
-                changes[f] = new
-    if scope is not None:
-        inner = list(envs)
-        for f, form, bns in binders:
-            env = inner[bns] = dict(inner[bns])
-            items = []
-            for x, second in _unpack(getattr(node, f), form):
-                env[x] = x2 = fresh(x)
-                items.append((x2, _freshen(second, envs, fresh) if form == TYPED else second))
-            new = _pack(items, form)
-            if new != getattr(node, f):
-                changes[f] = new
-        old = getattr(node, scope[0])
-        new = _freshen(old, tuple(inner), fresh)
-        if new is not old:
-            changes[scope[0]] = new
-    return S.replace(node, **changes) if changes else node
+    return _Rewrite(_UNMAPPED, IDX, TM, fresh).go(t)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from remora.names import (
     Generations,
     alpha_equal,
     free_vars,
+    subst,
     subst_idx_in_term,
     subst_term,
     subst_ty_in_term,
@@ -57,6 +58,7 @@ from remora.printer import print_term
 from remora.prims import SIGNATURE
 from remora.syntax import App, EApp, EOp, IdxAppend, IdxVar, NatLit, NUM, ShapeLit, replace, scalar_of
 
+from . import util
 from .util import (
     E_DIM_VARS,
     E_SHAPE_VARS,
@@ -73,6 +75,7 @@ from .util import (
     erased_sites,
     erased_tags,
     family_source,
+    fired_substitutions,
     first_free_atom,
     first_free_tag,
     frame_cell_right_of_hole,
@@ -88,6 +91,7 @@ from .util import (
     reference_esubst_idx,
     reference_esubst_term,
     reference_form,
+    reference_subst,
     rename_index_binder,
     reshape_tag,
     respell_tag,
@@ -868,6 +872,32 @@ class TestBisimCost:
         assert large["erase"] > 0 and large["walk"] > 0 and large["form"] == 0, large
         for name, per_step in large.items():
             assert per_step <= 1.5 * small[name], (name, per_step, small[name])
+
+
+class TestSubstitutionCost:
+    """The rewrite of `names` visits no more nodes in a substitution than the
+    walks it replaced (`reference_subst`, which renames a binder of another
+    namespace in a walk of its own), on each substitution that elaborating
+    the `batch` group and running it under bisim make. The free-variable
+    walks of payloads are left out. Counted, not timed."""
+
+    def test_visits_no_more_nodes_than_the_reference(self, monkeypatch):
+        counts: Counter = Counter()
+        for cls in (remora.names._Rewrite, util._ReferenceSubst):
+            def go(self, node, real=cls.go, key=cls):
+                if getattr(self, "fresh", None) is None:  # not a payload's `free_vars`
+                    counts[key] += 1
+                return real(self, node)
+
+            monkeypatch.setattr(cls, "go", go)
+        more = []
+        for node, ns, m in fired_substitutions("batch"):
+            counts.clear()
+            reference_subst(node, ns, m)
+            subst(node, ns, m)
+            if counts[remora.names._Rewrite] > counts[util._ReferenceSubst]:
+                more.append((node, ns, m, counts.copy()))
+        assert not more, more[:3]
 
 
 class TestApplicationCost:

@@ -2,8 +2,12 @@
 
 import copy
 import gc
+import itertools
+import os
+import pathlib
 import pickle
 import random
+import subprocess
 import sys
 import typing
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import remora
 import remora.check
 import remora.eval
 import remora.indices
@@ -26,6 +31,7 @@ from remora.names import (
     alpha_equal,
     free_vars,
     freshen,
+    subst,
     subst_idx_in_term,
     subst_idx_in_type,
     subst_term,
@@ -35,7 +41,8 @@ from remora.names import (
 from remora.parser import Lines, ParseError, _read, _tokenize, parse_index, parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import PRIMS, SIGNATURE
-from remora.syntax import App, ArrayLit, EmptyArray, Frame, IdxVar, Lam, NUM, Var, copier, num, replace, scalar_of
+from remora.syntax import App, ArrayLit, ArrType, BaseType, EmptyArray, Frame, IdxVar, Lam, NUM, ShapeLit, Var
+from remora.syntax import copier, num, replace, scalar_of
 
 from .util import (
     ORACLE_GROUPS,
@@ -43,12 +50,16 @@ from .util import (
     TYPED_MUTATIONS,
     assert_locations_match_reference,
     check_src,
+    fired_substitutions,
     node_locations,
     oracle_programs,
     reference_alpha_equal,
+    reference_free_vars,
+    reference_freshen,
     reference_parse_index,
     reference_parse_term,
     reference_parse_type,
+    reference_subst,
     reference_tokenize,
     rewrite_at,
     typed_sites,
@@ -347,6 +358,23 @@ class TestRoundTrip:
         assert print_type(parse_type(src)) == src
 
 
+# `freshen`, `subst_term` with the variable at the bottom, and `free_vars` on
+# a (frame () ...) nest argv[1] levels deep.
+DEEP_REWRITE = """
+import sys
+from remora.names import TM, free_vars, freshen, subst_term
+from remora.syntax import ArrayLit, Frame, Var, num
+t = Var("x")
+for _ in range(int(sys.argv[1])):
+    t = Frame((), (t,))
+payload = ArrayLit((), (num(7),))
+s = subst_term(t, {"x": payload})
+while s.__class__ is Frame:
+    s = s.cells[0]
+print(freshen(t) is t, s is payload, sorted(free_vars(t, TM)))
+"""
+
+
 class TestFreshen:
     def test_single_binder(self):
         t = parse_term("(array () (lam ((x (Arr Num (Shp)))) x))")
@@ -417,6 +445,21 @@ class TestFreshen:
         assert [x for x, _ in lam.params] == ["f#1", "g#3"]
         assert lam.params[0][1].elem.binders[0][0] == "a#2"
 
+    def test_generated_name_skips_a_free_one(self):
+        t = ArrayLit((), (Lam((("x", ArrType(BaseType("Num"), ShapeLit(()))),), Var("x#1")),))
+        f = freshen(t)
+        assert f.atoms[0].params[0][0] == "x#2" and free_vars(f, TM) == {"x#1"}
+        assert alpha_equal(f, t) and freshen(f) == f
+
+    def test_any_depth_at_the_default_recursion_limit(self):
+        # In a fresh process, where the recursion limit is the default.
+        src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", DEEP_REWRITE, "900"], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "True True ['x']\n")
+
     def test_shares_what_it_does_not_rename(self):
         t = parse_term("((array () +) (frame (2) (array () 1) (array () 2)) y)")
         assert freshen(t) is t
@@ -474,6 +517,14 @@ CAPTURE = [
     ("unbox-index", "tm", "term", "(unbox (m v e) (x (i-app g m)))", "x", "(i-app h m)",
      "(unbox (k v e) ((i-app h m) (i-app g k)))", "idx", "m"),
     ("unbox-value", "tm", "term", "(unbox (m v e) (x v))", "x", "v", "(unbox (m w e) (v w))", "tm", "v"),
+    # The renamed binder occurs in a lam parameter's type in its scope: the
+    # rename in the lower namespace rides in the term substitution's pass.
+    ("ilam-param-type", "tm", "term", "(array () (ilam ((m Dim)) (x (array () (lam ((y (Arr Num (Shp m)))) y)))))",
+     "x", "(i-app h m)", "(array () (ilam ((k Dim)) ((i-app h m) (array () (lam ((y (Arr Num (Shp k)))) y)))))",
+     "idx", "m"),
+    ("tlam-param-type", "tm", "term", "(array () (tlam ((b Atom)) (x (array () (lam ((y (Arr b (Shp)))) y)))))",
+     "x", "(t-app h b)", "(array () (tlam ((c Atom)) ((t-app h b) (array () (lam ((y (Arr c (Shp)))) y)))))",
+     "ty", "b"),
 ]
 
 # (site, namespace, term or type, source, the binder's own name, payload)
@@ -645,6 +696,42 @@ class TestCaptureAvoidance:
         assert after.annot == before.annot == scalar
         assert after.loc == before.loc is not None
         assert print_term(got, annotations=True).count(" : ") == print_term(t, annotations=True).count(" : ")
+
+
+
+class TestRewriteOracle:
+    """The one rewrite of `names` against the walks it replaced
+    (`reference_free_vars`, `reference_subst` and `reference_freshen`):
+    `freshen` and `free_vars` on typed states of the `batch` and `corpus`
+    groups, and `subst` on every call that elaborating them and running them
+    under bisim make, each side from the same gensym count. A result is `==`
+    to the reference's, and is the input itself wherever the reference's is.
+
+    The batch's 8,464 states hold 10.8 million nodes, annotations counted,
+    and checking them all takes about a minute; so every state of the corpus
+    is checked, and each batch program's states at a stride that leaves four
+    or five of them, its first among them."""
+
+    @pytest.mark.parametrize("group", ["batch", "corpus"])
+    def test_freshen_and_free_vars_on_machine_states(self, group):
+        for term in oracle_programs(group):
+            states = [term] + [s for _, s in evaluate(term, trace=True).trace]
+            for s in states[:: max(1, len(states) // 4) if group == "batch" else 1]:
+                want, got = reference_freshen(s), freshen(s)
+                assert got == want and (got is s or want is not s)
+                for ns in (IDX, TY, TM):
+                    assert free_vars(s, ns) == reference_free_vars(s, ns)
+
+    @pytest.mark.parametrize("group", ["batch", "corpus"])
+    def test_subst_on_fired_substitutions(self, group):
+        for node, ns, m in fired_substitutions(group):
+            start = next(names._GENSYM)
+            names._GENSYM = itertools.count(start)
+            want, count = reference_subst(node, ns, m), next(names._GENSYM)
+            names._GENSYM = itertools.count(start)
+            got = subst(node, ns, m)
+            assert got == want and next(names._GENSYM) == count
+            assert got is node or want is not node
 
 
 # ---------------------------------------------------------------------------

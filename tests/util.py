@@ -3,7 +3,9 @@ brute-force oracle), random index/type generators, a one-call pipeline from
 source text to a result, the reader that tracks line and column token by
 token (the oracle of the parser's locations), the grammar and the printers
 as first written (the oracles of `parser._parse` and `printer`), the inputs of the machine
-oracle tests, the recursive specs that the looping ones are checked against,
+oracle tests and the substitutions they fire, the recursive specs that the
+looping ones are checked against, the free-variable, substitution and
+freshening walks as first derived (the oracle of `names`' one rewrite),
 erasure as first written (the oracle of `erase._erase`), the whole-term
 reference comparison of erased terms and the pairwise one of typed terms,
 one-site rewrites of typed terms, the hand-written reference
@@ -20,7 +22,8 @@ import pathlib
 import random
 import re
 import sys
-from typing import Optional, Union
+from operator import is_
+from typing import Mapping, Optional, Union
 
 import pytest
 
@@ -66,7 +69,8 @@ from remora.eval import (
 )
 from remora.gen import GenConfig, generate_programs
 from remora.indices import CanonicalDim, CanonicalShape, DimC, concrete_dims, normalize_index, normalize_tag
-from remora.names import IDX, LEAVES, MANY, TM, TYPED, _SPLIT, _unpack, base_name, free_vars, subst, subst_idx, term_children
+from remora.names import IDX, LEAVES, MANY, ONE, SCHEMA, TM, TY, TYPED, _SPLIT, _pack, _unpack, base_name, free_vars, gensym
+from remora.names import subst, subst_idx, term_children
 from remora.parser import KEYWORDS, Lines, ParseError, SAtom, SExpr, SList, _read, _tokenize, parse_term
 from remora.prims import SIGNATURE
 from remora.syntax import (
@@ -771,18 +775,42 @@ _FAMILY_GROUPS = {
 ORACLE_GROUPS = ("batch", "corpus", *_FAMILY_GROUPS)
 
 
+def _group_sources(group: str) -> list:
+    """Parsed programs of the `batch` or `corpus` group."""
+    if group == "batch":
+        # Each program has its own seed, so this is the batch's prefix.
+        return generate_programs(100, seed=2024, config=GenConfig(stuck_rate=0.05))
+    return [parse_term(p.read_text(encoding="utf-8")) for p in sorted(PROGRAMS_DIR.glob("*.remora"))]
+
+
 @functools.lru_cache(maxsize=None)
 def oracle_programs(group: str) -> tuple:
     """Elaborated programs of one group: the first 100 of the acceptance batch
     (seed 2024), the `programs/` corpus, or one size-family member."""
-    if group == "batch":
-        # Each program has its own seed, so this is the batch's prefix.
-        sources = generate_programs(100, seed=2024, config=GenConfig(stuck_rate=0.05))
-        return tuple(elaborate(EMPTY_ENV, SIGNATURE, p)[0] for p in sources)
-    if group == "corpus":
-        paths = sorted(PROGRAMS_DIR.glob("*.remora"))
-        return tuple(check_src(p.read_text(encoding="utf-8"))[0] for p in paths)
+    if group in ("batch", "corpus"):
+        return tuple(elaborate(EMPTY_ENV, SIGNATURE, p)[0] for p in _group_sources(group))
     return (check_src(family_source(*_FAMILY_GROUPS[group]))[0],)
+
+
+@functools.lru_cache(maxsize=None)
+def fired_substitutions(group: str) -> tuple:
+    """(node, ns, m) of each call of `names.subst`, in order, that elaborating
+    the `batch` or `corpus` group and running it under `bisim_run` make."""
+    calls = []
+    real = remora.names.subst
+
+    def recording(node, ns, m):
+        calls.append((node, ns, m))
+        return real(node, ns, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(remora.names, "subst", recording)
+        mp.setattr(remora.erase, "subst", recording)
+        for p in _group_sources(group):
+            elaborate(EMPTY_ENV, SIGNATURE, p)
+        for t in oracle_programs(group):
+            remora.erase.bisim_run(t)
+    return tuple(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -1294,6 +1322,206 @@ def rename_param(x):
 
 
 TYPED_MUTATIONS = (change_value, drop_annot, swap_binders, rename_var, rename_param)
+
+
+# ---------------------------------------------------------------------------
+# Free variables, substitution and freshening as `names` first derived them
+# from the schema, one walk each over per-namespace plans: the oracle of the
+# one rewrite that replaced them, which must give the same terms and names.
+
+def _reference_plan(cls: type, ns: int):
+    """What `free_vars` and `subst` visit in namespace ns: None for a variable
+    of ns; else (field, shape, tag) of the children outside the scope that can
+    hold its variables; the binders, when one can capture a payload's variable
+    (its namespace is at most ns) or has types that can; the scope field, else
+    the scope is one more child."""
+    if LEAVES.get(cls) == ns:
+        return None
+    _, kids, binders, scope = _SPLIT[cls]
+    plain = tuple((f, shape, tag) for f, shape, cat, tag in kids if ns <= cat)
+    if scope is None or scope[1] < ns:
+        return plain, (), None
+    if not any(bns <= ns or (form == TYPED and ns <= TY) for _, form, bns in binders):
+        return plain + ((scope[0], ONE, False),), (), None
+    return plain, binders, scope[0]
+
+
+_REFERENCE_PLANS = [{cls: _reference_plan(cls, ns) for cls in SCHEMA} for ns in (IDX, TY, TM)]
+
+
+def reference_free_vars(node, ns: int) -> set[str]:
+    out: set[str] = set()
+    _reference_free(node, ns, frozenset(), out)
+    return out
+
+
+def _reference_free(node, ns: int, bound: frozenset, out: set) -> None:
+    plan = _REFERENCE_PLANS[ns][type(node)]
+    if plan is None:
+        if node.name not in bound:
+            out.add(node.name)
+        return
+    kids, binders, scope = plan
+    for f, shape, _ in kids:
+        v = getattr(node, f)
+        if shape == MANY:
+            for c in v:
+                _reference_free(c, ns, bound, out)
+        elif v is not None:
+            _reference_free(v, ns, bound, out)
+    if scope is None:
+        return
+    inner = bound
+    for f, form, bns in binders:
+        items = _unpack(getattr(node, f), form)
+        if form == TYPED and ns <= TY:
+            for _, t in items:
+                _reference_free(t, ns, bound, out)
+        if bns == ns:
+            inner = inner.union(x for x, _ in items)
+    _reference_free(getattr(node, scope), ns, inner, out)
+
+
+def reference_subst(node, ns: int, m):
+    if not m:
+        return node
+    return _ReferenceSubst(ns, m, {}).go(node)
+
+
+class _ReferenceSubst:
+    """The substitution of m in namespace ns; `memo` holds the payloads' free
+    variables for the whole substitution. (A class, not a closure: a recursive
+    closure is a reference cycle, and one per call keeps the collector busy.)"""
+
+    __slots__ = ("ns", "m", "memo", "plans")
+
+    def __init__(self, ns: int, m: Mapping, memo: dict) -> None:
+        self.ns, self.m, self.memo = ns, m, memo
+        self.plans = _REFERENCE_PLANS[ns]
+
+    def go(self, node):
+        plan = self.plans[type(node)]
+        if plan is None:
+            v = self.m.get(node.name, node)
+            # A renamed binder maps to its new name: the occurrence keeps its
+            # annotation and location.
+            return replace(node, name=v) if v.__class__ is str else v
+        kids, binders, scope = plan
+        changes = None
+        for f, shape, tag in kids:
+            old = getattr(node, f)
+            if shape == MANY:
+                new = tuple(map(self.go, old))
+                if all(map(is_, new, old)):
+                    continue
+                if tag:
+                    new = tuple([x if x is o else normalize_tag(x) for x, o in zip(new, old)])
+            elif old is None:
+                continue
+            else:
+                new = self.go(old)
+                if tag and new is not old:
+                    new = normalize_tag(new)
+            if new is not old:
+                if changes is None:
+                    changes = {}
+                changes[f] = new
+        if scope is not None:
+            changes = self.bind(node, binders, scope, changes or {})
+        return replace(node, **changes) if changes else node
+
+    def bind(self, node, binders, scope, changes: dict) -> dict:
+        """`changes` plus the new binder fields and scope of a binding node."""
+        ns, m = self.ns, self.m
+        own = {x for f, form, bns in binders if bns == ns for x, _ in _unpack(getattr(node, f), form)}
+        m2 = m if own.isdisjoint(m) else {k: v for k, v in m.items() if k not in own}
+        renames: dict[int, dict] = {}
+        for f, form, bns in binders:
+            items = _unpack(getattr(node, f), form)
+            new = None
+            if form == TYPED and ns <= TY:
+                types = [self.go(t) for _, t in items]
+                if not all(map(is_, types, (t for _, t in items))):
+                    new = [(x, t) for (x, _), t in zip(items, types)]
+            if bns <= ns and m2:
+                free = _reference_payload_free(m2, ns, bns, self.memo)
+                for k, (x, _) in enumerate(items):
+                    if x in free:
+                        x2 = gensym(x)
+                        renames.setdefault(bns, {})[x] = x2
+                        new = new or list(items)
+                        new[k] = (x2, new[k][1])
+            if new is not None:
+                changes[f] = _pack(new, form)
+        if not m2:
+            return changes
+        old = body = getattr(node, scope)
+        for bns, r in renames.items():
+            if bns != ns:
+                body = _ReferenceSubst(bns, r, self.memo).go(body)
+        if ns in renames:
+            m2 = {**m2, **renames[ns]}
+        body = (self if m2 is m else _ReferenceSubst(ns, m2, self.memo)).go(body)
+        if body is not old:
+            changes[scope] = body
+        return changes
+
+
+def _reference_payload_free(m: Mapping, m_ns: int, ns: int, memo: dict) -> set[str]:
+    """Variables of namespace ns free in the payloads of m, a map of namespace
+    m_ns (not to be mutated); a renamed binder's payload is its new name. The
+    memo holds each payload, so its id is not reused while the memo lives."""
+    out = None
+    for v in m.values():
+        hit = memo.get((id(v), ns))
+        if hit is None:
+            free = ({v} if ns == m_ns else set()) if v.__class__ is str else reference_free_vars(v, ns)
+            hit = memo[id(v), ns] = (v, free)
+        out = hit[1] if out is None else out | hit[1]
+    return out
+
+
+def reference_freshen(t, salt: str = ""):
+    counter = itertools.count(1)
+    return _reference_freshen(t, ({}, {}, {}), lambda x: f"{base_name(x)}#{salt}{next(counter)}")
+
+
+def _reference_freshen(node, envs: tuple, fresh):
+    """`node` renamed; `node` itself when nothing under it changes, and each
+    field that does not change shared with it."""
+    cls = type(node)
+    changes = {}
+    if cls in LEAVES:
+        name = envs[LEAVES[cls]].get(node.name, node.name)
+        if name != node.name:
+            changes["name"] = name
+    _, kids, binders, scope = _SPLIT[cls]
+    for f, shape, _, _ in kids:
+        old = getattr(node, f)
+        if shape == MANY:
+            new = tuple(_reference_freshen(c, envs, fresh) for c in old)
+            if not all(map(is_, new, old)):
+                changes[f] = new
+        elif old is not None:
+            new = _reference_freshen(old, envs, fresh)
+            if new is not old:
+                changes[f] = new
+    if scope is not None:
+        inner = list(envs)
+        for f, form, bns in binders:
+            env = inner[bns] = dict(inner[bns])
+            items = []
+            for x, second in _unpack(getattr(node, f), form):
+                env[x] = x2 = fresh(x)
+                items.append((x2, _reference_freshen(second, envs, fresh) if form == TYPED else second))
+            new = _pack(items, form)
+            if new != getattr(node, f):
+                changes[f] = new
+        old = getattr(node, scope[0])
+        new = _reference_freshen(old, tuple(inner), fresh)
+        if new is not old:
+            changes[scope[0]] = new
+    return replace(node, **changes) if changes else node
 
 
 # ---------------------------------------------------------------------------
