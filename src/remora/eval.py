@@ -123,23 +123,10 @@ def is_value(e: ExprTerm) -> bool:
 # List metafunctions
 
 
-class IndivisibleLength(Exception):
-    pass
-
-
-class RaggedInput(Exception):
-    pass
-
-
 def split_list(n: int, xs: list) -> list[list]:
-    """Consecutive length-n pieces of xs."""
-    if n == 0:
-        if xs:
-            raise IndivisibleLength("cannot split a nonempty list into 0-length pieces")
-        return []
-    if len(xs) % n:
-        raise IndivisibleLength(f"{len(xs)} not divisible by {n}")
-    return [list(xs[i : i + n]) for i in range(0, len(xs), n)]
+    """Consecutive length-n pieces of xs. Each machine checks an array's atom
+    count against its dims before it lifts or maps, so n divides len(xs)."""
+    return [list(xs[i : i + n]) for i in range(0, len(xs), n)] if n else []
 
 
 def rep_list(n: int, xs: list) -> list:
@@ -151,13 +138,11 @@ def rep_list(n: int, xs: list) -> list:
 
 
 def transpose_list(xss: list[list]) -> list[list]:
-    """Row i of the result collects the i-th element of every input list."""
+    """Row i of the result collects the i-th element of every input list; the
+    lists have one length (see `split_list`)."""
     if not xss:
         return []
-    width = len(xss[0])
-    if any(len(row) != width for row in xss):
-        raise RaggedInput("transpose requires equal-length lists")
-    return [[row[i] for row in xss] for i in range(width)]
+    return [[row[i] for row in xss] for i in range(len(xss[0]))]
 
 
 def concat_list(xss: list[list]) -> list:

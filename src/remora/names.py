@@ -45,6 +45,21 @@ each binder:
   its input;
 - `free_vars` keeps every name and collects the variables no map holds.
 
+`subst` puts a memo in front of the rewrite when the root is an index or a
+type (of a class that can hold a variable of the namespace), never a term:
+the checker's t-app, i-app, box and unbox rules, type equivalence, operator
+instantiation and the typed machine's tbeta and ibeta of an operator
+substitute into the same quantified types again and again. The key is the
+root's identity, the namespace and the map's items, the payloads compared by
+`==`; the entry holds the root, so its id is not reused while the entry
+lives. A result is stored only when its walk renamed no binder, so every
+`gensym` name is the one the rewrite would make. An unchanged root is its own
+result, so hits chain: the body a hit returns is the same object each time,
+and a substitution into it hits by identity. The memo holds at most
+`_MEMO_SIZE` entries and is emptied when full. Payloads of more than
+`_PAYLOAD_NODES` nodes in all pass it by, as hashing and comparing a payload
+recurse once per level of its nesting.
+
 Alpha-equivalence compares canonical forms, one kind for both languages. A
 form is a tuple: the class; a variable's de Bruijn level (counted from the
 nearest ancestor under no binder) or free name, or the data, or the binders'
@@ -213,6 +228,7 @@ class _Rewrite:
 
     def bind(self, node, binders, scope, changes: dict) -> dict:
         """`changes` plus the new binder fields and scope of a binding node."""
+        global _renames
         lo, hi, fresh = self.lo, self.hi, self.fresh
         inner, fields = list(self.maps), []
         for f, form, ns in binders:
@@ -233,6 +249,7 @@ class _Rewrite:
             for k, (x, t) in enumerate(items):
                 if x in named:
                     x2 = renames.setdefault(ns, {})[x] = (fresh or gensym)(x)
+                    _renames += fresh is None
                 else:
                     x2 = x
                 t2 = self.go(t) if typed else t
@@ -273,6 +290,46 @@ class _Rewrite:
         return out
 
 
+# ---------------------------------------------------------------------------
+# The memo of index- and type-rooted substitutions (see the module docstring)
+
+_MEMO_SIZE = 4096  # entries; a full memo is emptied
+_PAYLOAD_NODES = 16  # at most this many payload nodes in all, or no memo
+_MEMO: dict = {}  # (id(root), ns, the map's items) -> (root, result)
+_renames = 0  # the binders `subst` has renamed
+_INDICES_AND_TYPES = get_args(S.IndexExpr) + get_args(S.TypeExpr)
+# The index and type classes whose nodes can hold a variable of namespace ns
+_MEMOIZED = [frozenset(cls for cls in _INDICES_AND_TYPES if _PLANS[ns][ns][cls] is not None) for ns in range(3)]
+
+
+def _nested(cls: type) -> tuple:
+    """(field, whether it holds a tuple) of each child of an index or type
+    class."""
+    _, kids, _, scope = _SPLIT[cls]
+    return tuple((f, shape == MANY) for f, shape, _, _ in kids) + (((scope[0], False),) if scope else ())
+
+
+_NESTED = {cls: _nested(cls) for cls in _INDICES_AND_TYPES}
+
+
+def _small(payloads) -> bool:
+    """Whether the payloads are indices and types of at most _PAYLOAD_NODES
+    nodes in all, so that hashing and comparing them recurses no deeper."""
+    todo, budget = list(payloads), _PAYLOAD_NODES
+    while todo:
+        v = todo.pop()
+        fields = _NESTED.get(v.__class__)
+        budget -= 1
+        if fields is None or budget < 0:
+            return False
+        for f, many in fields:
+            if many:
+                todo += getattr(v, f)
+            else:
+                todo.append(getattr(v, f))
+    return True
+
+
 def free_vars(node, ns: int) -> set[str]:
     """The variables of namespace ns free in an index, type or term."""
     out: set[str] = set()
@@ -286,10 +343,23 @@ def free_idx_in_type(t: TypeExpr) -> set[str]:
 
 def subst(node, ns: int, m: Mapping):
     """Simultaneous capture-avoiding substitution of the payloads of m for the
-    free variables of namespace ns in node."""
+    free variables of namespace ns in node; an index or a type through the
+    memo (see the module docstring)."""
     if not m:
         return node
-    return _Rewrite(_UNMAPPED[:ns] + (m,) + _UNMAPPED[ns + 1:], ns, ns, None, None, {}).go(node)
+    key = None
+    if node.__class__ in _MEMOIZED[ns] and _small(m.values()):
+        key = (id(node), ns, tuple(m.items()))
+        hit = _MEMO.get(key)
+        if hit is not None:
+            return hit[1]
+    renames = _renames
+    out = _Rewrite(_UNMAPPED[:ns] + (m,) + _UNMAPPED[ns + 1:], ns, ns, None, None, {}).go(node)
+    if key is not None and _renames == renames:
+        if len(_MEMO) >= _MEMO_SIZE:
+            _MEMO.clear()
+        _MEMO[key] = (node, out)
+    return out
 
 
 def subst_idx(i: IndexExpr, m: Mapping[str, IndexExpr]) -> IndexExpr:

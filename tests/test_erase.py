@@ -5,6 +5,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import typing
 from collections import Counter
 
 import pytest
@@ -56,7 +57,8 @@ from remora.names import (
 from remora.parser import parse_term, parse_type
 from remora.printer import print_term
 from remora.prims import SIGNATURE
-from remora.syntax import App, EApp, EOp, IdxAppend, IdxVar, NatLit, NUM, ShapeLit, replace, scalar_of
+from remora.syntax import App, EApp, EOp, IdxAppend, IdxVar, IndexExpr, NatLit, NUM, ShapeLit, TypeExpr
+from remora.syntax import replace, scalar_of
 
 from . import util
 from .util import (
@@ -875,11 +877,12 @@ class TestBisimCost:
 
 
 class TestSubstitutionCost:
-    """The rewrite of `names` visits no more nodes in a substitution than the
+    """On each substitution that elaborating the `batch` group and running it
+    under bisim make: the rewrite of `names` visits no more nodes than the
     walks it replaced (`reference_subst`, which renames a binder of another
-    namespace in a walk of its own), on each substitution that elaborating
-    the `batch` group and running it under bisim make. The free-variable
-    walks of payloads are left out. Counted, not timed."""
+    namespace in a walk of its own), the free-variable walks of payloads left
+    out; and the memo in front of it runs it for at most a third of the index-
+    and type-rooted calls. Counted, not timed."""
 
     def test_visits_no_more_nodes_than_the_reference(self, monkeypatch):
         counts: Counter = Counter()
@@ -893,11 +896,41 @@ class TestSubstitutionCost:
         more = []
         for node, ns, m in fired_substitutions("batch"):
             counts.clear()
+            remora.names._MEMO.clear()
             reference_subst(node, ns, m)
             subst(node, ns, m)
             if counts[remora.names._Rewrite] > counts[util._ReferenceSubst]:
                 more.append((node, ns, m, counts.copy()))
         assert not more, more[:3]
+
+    def test_memo_runs_the_rewrite_for_at_most_a_third_of_index_and_type_roots(self, monkeypatch):
+        quoted = typing.get_args(IndexExpr) + typing.get_args(TypeExpr)
+        real, runs = remora.names._Rewrite.go, Counter()
+
+        def go(self, node):
+            runs[self.fresh is None] += 1  # not a payload's `free_vars`
+            return real(self, node)
+
+        monkeypatch.setattr(remora.names._Rewrite, "go", go)
+        remora.names._MEMO.clear()
+        calls = ran = 0
+        for node, ns, m in fired_substitutions("batch"):
+            before = runs[True]
+            subst(node, ns, m)
+            assert len(remora.names._MEMO) <= remora.names._MEMO_SIZE
+            if isinstance(node, quoted):
+                calls += 1
+                ran += runs[True] > before
+        assert 3 * ran <= calls, (ran, calls)
+
+    def test_a_full_memo_is_emptied(self, monkeypatch):
+        monkeypatch.setattr(remora.names, "_MEMO_SIZE", 64)
+        remora.names._MEMO.clear()
+        sizes = set()
+        for node, ns, m in fired_substitutions("batch"):
+            subst(node, ns, m)
+            sizes.add(len(remora.names._MEMO))
+        assert max(sizes) == 64 and 1 in sizes
 
 
 class TestApplicationCost:

@@ -13,9 +13,7 @@ from remora.eval import (
     DEFAULT_FUEL,
     AlreadyValue,
     EvalResult,
-    IndivisibleLength,
     Machine,
-    RaggedInput,
     Stepped,
     Stuck,
     concat_list,
@@ -68,10 +66,6 @@ class TestMetafunctions:
     def test_split_empty(self):
         assert split_list(2, []) == []
 
-    def test_split_indivisible(self):
-        with pytest.raises(IndivisibleLength):
-            split_list(4, [1, 2, 3, 4, 5, 6])
-
     def test_rep_paper_example(self):
         assert rep_list(2, [0, 1]) == [0, 0, 1, 1]
 
@@ -90,10 +84,6 @@ class TestMetafunctions:
         assert transpose_list([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
         assert transpose_list([["a", "b", "c"]]) == [["a"], ["b"], ["c"]]
         assert transpose_list([[], []]) == []
-
-    def test_transpose_ragged(self):
-        with pytest.raises(RaggedInput):
-            transpose_list([[1], [2, 3]])
 
     def test_concat(self):
         assert concat_list([[1, 2], [3]]) == [1, 2, 3]

@@ -734,6 +734,84 @@ class TestRewriteOracle:
             assert got is node or want is not node
 
 
+# Substitutes payloads nested argv[k] levels deep, twice each (equal, distinct
+# payloads), into a type, and prints whether each shape is its payload.
+DEEP_PAYLOAD = """
+import sys
+from remora.names import subst_idx_in_type
+from remora.syntax import ArrType, BaseType, IdxAppend, IdxVar
+
+def deep(n):
+    i = IdxVar("n")
+    for _ in range(n):
+        i = IdxAppend((i,))
+    return i
+
+t = ArrType(BaseType("Num"), IdxVar("s"))
+print([subst_idx_in_type(t, {"s": d}).shape is d for n in sys.argv[1:] for d in (deep(int(n)), deep(int(n)))])
+"""
+
+
+class TestSubstitutionMemo:
+    """The memo of `names.subst` for index- and type-rooted substitutions,
+    against `reference_subst`: every call that elaborating the `batch` or
+    `corpus` group and running it under bisim make, replayed twice in order
+    from an empty memo, each side from the same gensym count."""
+
+    @pytest.mark.parametrize("group", ["batch", "corpus"])
+    def test_replays_match_the_reference_and_the_second_hits(self, group):
+        quoted = typing.get_args(syntax.IndexExpr) + typing.get_args(syntax.TypeExpr)
+        names._MEMO.clear()
+        first, hits = [], 0
+        for replay in range(2):
+            for k, (node, ns, m) in enumerate(fired_substitutions(group)):
+                start = next(names._GENSYM)
+                names._GENSYM = itertools.count(start)
+                want, count = reference_subst(node, ns, m), next(names._GENSYM)
+                names._GENSYM = itertools.count(start)
+                got = subst(node, ns, m)
+                assert got == want and next(names._GENSYM) == count
+                assert got is node or want is not node
+                if replay == 0:
+                    first.append(got)
+                elif isinstance(node, quoted) and count == start:  # no binder renamed
+                    assert got is first[k], (node, ns, m)
+                    hits += got is not node
+        assert hits > 0 and len(names._MEMO) <= names._MEMO_SIZE
+
+    @pytest.mark.parametrize("src, ns, m", [
+        ("(Arr (Pi ((n Dim)) (Arr Num (Shp n m))) (Shp))", IDX, {"m": IdxVar("n")}),
+        ("(Arr (Forall ((t Atom)) (Arr (-> ((Arr t (Shp))) (Arr u (Shp))) (Shp))) (Shp))", TY,
+         {"u": syntax.TyVar("t")}),
+    ])
+    def test_a_walk_that_renames_a_binder_is_not_stored(self, src, ns, m):
+        # The payload's free name is bound inside the root: each call renames
+        # the binder with a name of its own, as it does without the memo.
+        names._MEMO.clear()
+        root = parse_type(src)
+        got = []
+        for _ in range(2):
+            start = next(names._GENSYM)
+            names._GENSYM = itertools.count(start)
+            want = reference_subst(root, ns, m)
+            names._GENSYM = itertools.count(start)
+            got.append(subst(root, ns, m))
+            assert got[-1] == want
+        [(x, _)], [(y, _)] = (t.elem.binders for t in got)
+        assert x != y and names.base_name(x) == names.base_name(y) == root.elem.binders[0][0]
+        assert not names._MEMO
+
+    def test_payloads_of_any_depth_at_the_default_recursion_limit(self):
+        # In a fresh process, where the recursion limit is the default. A deep
+        # payload is neither hashed nor compared.
+        src = str(pathlib.Path(remora.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", DEEP_PAYLOAD, "600", "10000"], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[True, True, True, True]\n")
+
+
 # ---------------------------------------------------------------------------
 # The binding schema covers every syntax class and field, typed and erased,
 # with the role each field's declared type implies, so that a class or field
