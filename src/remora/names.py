@@ -60,6 +60,22 @@ and a substitution into it hits by identity. The memo holds at most
 `_PAYLOAD_NODES` nodes in all pass it by, as hashing and comparing a payload
 recurse once per level of its nesting.
 
+Operator signatures are closed constants. At an operator's first lookup,
+`prims` registers in `CLOSED` every node of its signature that has no free
+variable in any namespace (`register_closed`: free variables bottom up, in
+one pass), the signature itself among them; a signature's quantifier bodies
+mention its binders and are not registered. `CLOSED` holds each node, so no
+id is reused, and nothing is registered for a node built at run time. With
+`subst`'s policy and `free_vars`', the rewrite returns a registered node as
+it is, as substitution into a closed node is the identity and it has no free
+variable to collect; the test is one identity lookup, made only where an
+index or a type node is entered, so a walk over terms alone does not pay it.
+(Where a payload has free the name of a binder inside a registered node,
+`subst` leaves that binder as it is: the old walk renamed it, into an
+alpha-equivalent result, and drew one `gensym` name more.) `freshen` does
+not consult `CLOSED`: it renames every binder, those inside an operator's
+annotation too.
+
 Alpha-equivalence compares canonical forms, one kind for both languages. A
 form is a tuple: the class; a variable's de Bruijn level (counted from the
 nearest ancestor under no binder) or free name, or the data, or the binders'
@@ -133,23 +149,26 @@ def _split(cls: type) -> tuple:
 
 def _plan(cls: type, lo: int, hi: int):
     """What the rewrite visits in a node while it visits the variables of
-    namespaces lo..hi: None for nothing; else (leaf, kids, binders, scope):
-    the namespace of a variable in lo..hi, else None; (field, shape, tag) of
-    the children outside the scope that can hold those variables; the
+    namespaces lo..hi: None for nothing; else (leaf, kids, binders, scope,
+    quoted): the namespace of a variable in lo..hi, else None; (field, shape,
+    tag) of the children outside the scope that can hold those variables; the
     binders and the scope's (field, cat), when a binder can capture or be
     renamed (its namespace is at most hi) or has types that can hold them,
-    else the scope is one more child."""
+    else the scope is one more child; whether the class is an index or a type
+    class, whose nodes can be in `CLOSED`."""
     _, kids, binders, scope = _SPLIT[cls]
     leaf = LEAVES.get(cls) if lo <= LEAVES.get(cls, -1) <= hi else None
     plain = tuple((f, shape, tag) for f, shape, cat, tag in kids if lo <= cat)
+    quoted = cls in _INDICES_AND_TYPES
     if scope is not None and lo <= scope[1]:
         if any(ns <= hi or (form == TYPED and lo <= TY) for _, form, ns in binders):
-            return leaf, plain, binders, scope
+            return leaf, plain, binders, scope, quoted
         plain += ((scope[0], ONE, False),)
-    return (leaf, plain, (), None) if leaf is not None or plain else None
+    return (leaf, plain, (), None, quoted) if leaf is not None or plain else None
 
 
 _SPLIT = {cls: _split(cls) for cls in SCHEMA}
+_INDICES_AND_TYPES = get_args(S.IndexExpr) + get_args(S.TypeExpr)
 _PLANS = [[{cls: _plan(cls, lo, hi) for cls in SCHEMA} if lo <= hi else None for hi in range(3)] for lo in range(3)]
 _UNMAPPED = ({}, {}, {})  # no map is changed in place
 
@@ -172,6 +191,37 @@ def _pack(items, form: str):
 
 
 # ---------------------------------------------------------------------------
+# Closed constants (see the module docstring)
+
+CLOSED: dict[int, object] = {}  # id -> node; the node is held, so no id is reused
+_NONE_CLOSED: dict = {}  # what `freshen`'s renaming sees of CLOSED
+
+
+def register_closed(node) -> set:
+    """The (namespace, name) of each variable free in node, an index or a
+    type; registers in `CLOSED` every node of it, itself included, that has
+    none. One pass, bottom up."""
+    cls = node.__class__
+    _, kids, binders, scope = _SPLIT[cls]
+    free = {(LEAVES[cls], node.name)} if cls in LEAVES else set()
+    for f, shape, _, _ in kids:
+        v = getattr(node, f)
+        for c in v if shape == MANY else () if v is None else (v,):
+            free |= register_closed(c)
+    if scope is not None:
+        bound = set()
+        for f, form, ns in binders:
+            for x, t in _unpack(getattr(node, f), form):
+                bound.add((ns, x))
+                if form == TYPED:
+                    free |= register_closed(t)
+        free |= register_closed(getattr(node, scope[0])) - bound
+    if not free:
+        CLOSED[id(node)] = node
+    return free
+
+
+# ---------------------------------------------------------------------------
 # The rewrite
 
 
@@ -183,7 +233,7 @@ class _Rewrite:
     recursive closure is a reference cycle, and one per call keeps the
     collector busy.)"""
 
-    __slots__ = ("maps", "lo", "hi", "plans", "fresh", "out", "memo")
+    __slots__ = ("maps", "lo", "hi", "plans", "fresh", "out", "memo", "closed")
 
     def __init__(self, maps, lo: int, hi: int, fresh=None, out=None, memo=None) -> None:
         self.maps = maps
@@ -193,12 +243,15 @@ class _Rewrite:
         self.fresh = fresh
         self.out = out
         self.memo = memo
+        self.closed = CLOSED if fresh is None or fresh is str else _NONE_CLOSED
 
     def go(self, node):
         plan = self.plans[node.__class__]
         if plan is None:
             return node
-        leaf, kids, binders, scope = plan
+        leaf, kids, binders, scope, quoted = plan
+        if quoted and id(node) in self.closed:
+            return node
         changes = None
         if leaf is not None:
             v = self.maps[leaf].get(node.name)
@@ -297,7 +350,6 @@ _MEMO_SIZE = 4096  # entries; a full memo is emptied
 _PAYLOAD_NODES = 16  # at most this many payload nodes in all, or no memo
 _MEMO: dict = {}  # (id(root), ns, the map's items) -> (root, result)
 _renames = 0  # the binders `subst` has renamed
-_INDICES_AND_TYPES = get_args(S.IndexExpr) + get_args(S.TypeExpr)
 # The index and type classes whose nodes can hold a variable of namespace ns
 _MEMOIZED = [frozenset(cls for cls in _INDICES_AND_TYPES if _PLANS[ns][ns][cls] is not None) for ns in range(3)]
 

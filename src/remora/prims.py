@@ -8,7 +8,11 @@ universals must have Array bodies), so e.g. the readable
 ``(Pi ((d Dim) (s Shape)) (Forall ((a Atom)) (-> ... )))`` is written
 ``(Pi ((d Dim) (s Shape)) (Arr (Forall ((a Atom)) (Arr (-> ...) (Shp))) (Shp)))``.
 `SIGNATURE` parses an operator's signature on its first lookup and returns
-that same object from then on, so importing this module parses none.
+that same object from then on, so importing this module parses none. A
+signature is closed: that first lookup kinds it at Atom in the empty
+environment, once, and registers it as a closed constant (`KINDED`, and
+`names.CLOSED` for its closed nodes), which substitution, free variables and
+`check.check_kind` then pass by identity.
 
 A metafunction receives the operator's fully instantiated function type
 (read off the operator atom's annotation at application time) plus the
@@ -25,7 +29,7 @@ from math import floor, isfinite
 from typing import Callable, Mapping, Optional
 
 from .indices import concrete_dims, element_count
-from .names import subst_idx_in_type, subst_ty_in_type
+from .names import register_closed, subst_idx_in_type, subst_ty_in_type
 from .syntax import (
     App,
     ArrayLit,
@@ -36,6 +40,7 @@ from .syntax import (
     ForallType,
     FunType,
     IndexExpr,
+    Kind,
     NatLit,
     Node,
     NUM,
@@ -228,9 +233,16 @@ def _unlocated(t):
     return replace(t, loc=None, **{f: _unlocated(getattr(t, f)) for f in t._fields if f != "loc"})
 
 
+# id -> signature, of each signature looked up so far; held, so no id is reused
+KINDED: dict[int, TypeExpr] = {}
+
+
 class _Signature(Mapping):
     """Operator name -> signature type, parsed from `PRIMS` on the first
-    lookup of that name."""
+    lookup of that name, kinded at Atom in the empty environment, and
+    registered: the signature in `KINDED`, its closed nodes in
+    `names.CLOSED`. A signature that does not kind raises its
+    TypeCheckError at that lookup and is not registered."""
 
     def __init__(self) -> None:
         self._types: dict[str, TypeExpr] = {}
@@ -238,10 +250,15 @@ class _Signature(Mapping):
     def __getitem__(self, name: str) -> TypeExpr:
         t = self._types.get(name)
         if t is None:
+            from .check import EMPTY_ENV, check_kind
             from .parser import parse_type
 
+            t = _unlocated(parse_type(PRIMS[name][0]))
+            check_kind(EMPTY_ENV, t, Kind.ATOM)
             # setdefault: a lookup racing this one returns the same object
-            t = self._types.setdefault(name, _unlocated(parse_type(PRIMS[name][0])))
+            t = self._types.setdefault(name, t)
+            register_closed(t)
+            KINDED[id(t)] = t
         return t
 
     def __iter__(self):

@@ -12,6 +12,8 @@ import threading
 import pytest
 
 import remora.check
+import remora.names
+import remora.prims
 import remora.syntax
 from remora.check import (
     EMPTY_ENV,
@@ -56,6 +58,7 @@ from remora.syntax import (
 )
 
 from .util import (
+    _group_sources,
     check_src,
     family_source,
     oracle_programs,
@@ -771,6 +774,25 @@ class TestElaborationCost:
         small = self.rules_per_step(monkeypatch, family, 100)
         large = self.rules_per_step(monkeypatch, family, n)
         assert large <= 1.5 * small, (large, small)
+
+    def test_batch_kinds_no_operator_signature(self, monkeypatch):
+        """An operator's signature kinded at its first lookup; elaborating
+        the `batch` group kinds none again."""
+        kinded = []
+        real = remora.check.kind_of
+
+        def counted(env, t, loc=None):
+            if remora.prims.KINDED.get(id(t)) is t:
+                kinded.append(t)
+            return real(env, t, loc)
+
+        sources = _group_sources("batch")
+        monkeypatch.setattr(remora.check, "kind_of", counted)
+        # Its own memo, so that later tests meet the process's as it was
+        monkeypatch.setattr(remora.names, "_MEMO", {})
+        for p in sources:
+            elaborate(EMPTY_ENV, SIGNATURE, p)
+        assert not kinded
 
 
 class TestCopyCost:

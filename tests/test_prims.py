@@ -2,16 +2,20 @@
 signatures are scalar-array-wrapped relative to the readable prose forms, so
 the golden types here spell that wrapping out."""
 
+import itertools
 import random
 
 import pytest
 
-from remora.check import EMPTY_ENV, elaborate, types_equal
+from remora import names
+from remora.check import EMPTY_ENV, ErrorKind, TypeCheckError, elaborate, types_equal
 from remora.eval import evaluate
 from remora.indices import element_count
+from remora.names import IDX, TM, TY, freshen, register_closed, subst_idx_in_type, subst_ty_in_type
 from remora.parser import parse_term, parse_type
 from remora.printer import print_term, print_type
 from remora.prims import (
+    KINDED,
     Misapplied,
     PRIMS,
     SIGNATURE,
@@ -19,7 +23,24 @@ from remora.prims import (
     instantiate,
     signature_lookup,
 )
-from remora.syntax import ArrayLit, Box, NatLit, ShapeLit, num
+from remora.syntax import (
+    ArrayLit,
+    ArrType,
+    BaseType,
+    Box,
+    ForallType,
+    FunType,
+    IdxVar,
+    NatLit,
+    Node,
+    PiType,
+    PrimOp,
+    ShapeLit,
+    TyVar,
+    num,
+)
+
+from .util import reference_free_vars, reference_freshen, reference_subst
 
 
 def scalar(x):
@@ -66,6 +87,112 @@ class TestSignature:
             "+", "-", "*", "/", "<", "=",
             "head", "append", "reduce", "iota/v", "iota/s", "reshape", "ravel", "filter",
         }
+
+
+def _nodes(t) -> list:
+    """Every node of an index or a type, with multiplicity."""
+    out = [t]
+    for f in t._fields:
+        v = getattr(t, f) if f != "loc" else None
+        for c in v if isinstance(v, tuple) else (v,):
+            if isinstance(c, Node):
+                out += _nodes(c)
+    return out
+
+
+def _closed(t) -> bool:
+    return not any(reference_free_vars(t, ns) for ns in (IDX, TY, TM))
+
+
+class TestClosedSignatures:
+    """A signature is kinded and registered at its first lookup: the
+    signature in `prims.KINDED`, each of its nodes with no free variable in
+    `names.CLOSED`, which substitution and free variables return as they
+    are and `freshen` does not consult."""
+
+    def test_registry_holds_the_closed_nodes_of_every_signature(self):
+        sigs = [SIGNATURE[name] for name in PRIMS]
+        assert all(KINDED[id(t)] is t for t in sigs)
+        assert all(id(v) == k for k, v in names.CLOSED.items())
+        assert all(_closed(v) for v in names.CLOSED.values())
+        for t in sigs:
+            assert all((names.CLOSED.get(id(n)) is n) == _closed(n) for n in _nodes(t))
+
+    @pytest.mark.parametrize("name", sorted(PRIMS))
+    def test_registration_is_one_pass(self, monkeypatch, name):
+        calls = []
+        real = names.register_closed
+
+        def counted(node):
+            calls.append(node)
+            return real(node)
+
+        monkeypatch.setattr(names, "CLOSED", {})
+        monkeypatch.setattr(names, "register_closed", counted)
+        t = parse_type(PRIMS[name][0])
+        register_closed(t)
+        nodes = _nodes(t)
+        assert len(calls) == len(nodes) - 1  # the root's call is not counted
+        assert {id(n) for n in nodes if _closed(n)} == set(names.CLOSED)
+
+    @pytest.mark.parametrize(
+        "sig, kind",
+        [
+            ("(-> ((Arr Num (Shp n))) (Arr Num (Shp)))", ErrorKind.UNBOUND_VAR),
+            ("(-> ((Arr Num (Shp))) Num)", ErrorKind.KIND_MISMATCH),
+        ],
+        ids=["free-index-variable", "ill-kinded"],
+    )
+    def test_a_bad_signature_fails_at_its_first_lookup_unregistered(self, monkeypatch, sig, kind):
+        monkeypatch.setitem(PRIMS, "bad", (sig, None))
+        sizes = len(names.CLOSED), len(KINDED)
+        for _ in range(2):
+            with pytest.raises(TypeCheckError) as e:
+                SIGNATURE["bad"]
+            assert e.value.kind is kind
+        assert (len(names.CLOSED), len(KINDED)) == sizes
+
+    @pytest.mark.parametrize("name", [n for n in sorted(PRIMS) if not isinstance(SIGNATURE[n], FunType)])
+    def test_instantiating_layers_match_the_reference(self, name):
+        """Each quantifier body, under closed payloads and under open ones
+        that reuse the signature's binder names, as `reference_subst` has
+        it: the result, and the gensym count after."""
+        t = SIGNATURE[name]
+        while not isinstance(t, FunType):
+            if isinstance(t, ArrType):
+                t = t.elem
+                continue
+            xs = [x for x, _ in t.binders]
+            if isinstance(t, PiType):
+                ns, sub = IDX, subst_idx_in_type
+                payloads = [NatLit(2), ShapeLit((NatLit(3),))] + [IdxVar(y) for y in "dscmn"]
+            else:
+                ns, sub = TY, subst_ty_in_type
+                payloads = [BaseType("Num"), TyVar("a"), TyVar("b")]
+            for vals in itertools.product(payloads, repeat=len(xs)):
+                m = dict(zip(xs, vals))
+                names._MEMO.clear()
+                start = next(names._GENSYM)
+                names._GENSYM = itertools.count(start)
+                want, count = reference_subst(t.body, ns, m), next(names._GENSYM)
+                names._GENSYM = itertools.count(start)
+                assert sub(t.body, m) == want and next(names._GENSYM) == count
+            t = t.body
+
+    def test_a_closed_signature_is_returned_as_it_is(self):
+        # The walk the rewrite replaced renames the Sigma's binder when a
+        # payload has its name free, though nothing under it is substituted.
+        t = SIGNATURE["iota/v"]
+        want = reference_subst(t, IDX, {"x": IdxVar("n")})
+        assert subst_idx_in_type(t, {"x": IdxVar("n")}) is t
+        assert want != t and types_equal(want, t)
+
+    def test_freshen_renames_binders_inside_a_signature(self):
+        t = SIGNATURE["iota/v"]
+        term = ArrayLit((), (PrimOp("iota/v", annot=t),), annot=ArrType(t, ShapeLit(())))
+        got = freshen(term)
+        assert got == reference_freshen(term)
+        assert got.atoms[0].annot != t and types_equal(got.atoms[0].annot, t)
 
 
 class TestDelta:
