@@ -13,6 +13,11 @@ its role for the binding machinery of `names` (see there): for example
 ``fn: ExprTerm = Child(TM)`` or ``body: ExprTerm = Scope(TM)``. A field with
 no default is `DATA`; ``annot`` is always ``Child(TY, OPT)``, and ``loc`` has
 no role. `node` records the roles as the class's `_roles`.
+
+Every term, type and location the stages make goes through a node
+constructor, so each class gets one fitted to its arity: `_INITS` holds a
+factory per (positional fields, keywords) pair in use, whose `__init__` takes
+exactly those positional fields and sets each slot through its setter.
 """
 
 from __future__ import annotations
@@ -74,9 +79,13 @@ def node(name, bases, ns):
     slotted `Node` whose fields, in order, are those its body declares;
     `annot` and `loc` come last. The class is built once, from the body's
     namespace with `__slots__` and the generated methods put in. The methods
-    are closures over the fields (no source is compiled). A class that
-    declares its own `__init__` calls the generated `_init`. `_roles` maps
-    each field but `loc` to its role, `annot` first.
+    are closures over the fields (no source is compiled). The constructor is
+    made by the factory in `_INITS` for the class's pair (positional fields,
+    keywords): it has exactly that many positional-only parameters, then
+    `annot` and `loc` by keyword, and sets each slot through its setter; a
+    class whose pair has no factory is not built. A class that declares its
+    own `__init__` calls the generated `_init`. `_roles` maps each field but
+    `loc` to its role, `annot` first.
 
     `node` is a function, not a subclass of `type`, so every node class is a
     plain `type` and `isinstance` keeps its fast path for it."""
@@ -87,29 +96,11 @@ def node(name, bases, ns):
     n = sum(f in _KEYWORD for f in fields)
     k = len(fields) - n
     assert fields[k:] == _KEYWORD[2 - n :], name
+    make = _INITS.get((k, n))
+    if make is None:
+        raise TypeError(f"{name}: no constructor for {k} fields and {n} keywords in syntax._INITS")
     key = [f for f in fields if f != "loc"]
     get, single = attrgetter(*key), len(key) == 1
-
-    def __init__(self, *args, annot=None, loc=None):
-        if len(args) != k or (annot is not None and n < 2) or (loc is not None and n < 1):
-            raise TypeError(f"{name} takes the fields {fields[:k]}, then the keywords {fields[k:]}")
-        # Most classes have one to three positional fields: no loop for those.
-        if k == 1:
-            puts[0](self, args[0])
-        elif k == 2:
-            puts[0](self, args[0])
-            puts[1](self, args[1])
-        elif k == 3:
-            puts[0](self, args[0])
-            puts[1](self, args[1])
-            puts[2](self, args[2])
-        else:
-            for put, v in zip(puts, args):
-                put(self, v)
-        if n:
-            if n == 2:
-                puts[k](self, annot)
-            puts[-1](self, loc)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -119,12 +110,154 @@ def node(name, bases, ns):
     def __hash__(self):
         return hash((get(self),) if single else get(self))
 
-    ns.setdefault("__init__", __init__)
-    ns.update(_init=__init__, __eq__=__eq__, __hash__=__hash__)
+    ns.update(__eq__=__eq__, __hash__=__hash__)
     ns.update(__slots__=fields, _fields=fields, _roles=roles, _copiers={})
     cls = type(name, (Node,), ns)
     puts = cls._puts = tuple(vars(cls)[f].__set__ for f in fields)
+    init = cls._init = make(*puts)
+    init.__qualname__ = f"{name}.__init__"
+    if "__init__" not in ns:
+        cls.__init__ = init
     return cls
+
+
+# The constructors, one factory per (positional fields, keywords) pair that a
+# node class has. A factory takes the class's slot setters in field order and
+# returns the `__init__` that sets them. `annot` and `loc` are keywords on
+# every class: None is always accepted, and any other value is refused where
+# the class has no such slot. A field given by keyword is refused by Python,
+# as the parameters are positional-only.
+
+
+def _undeclared(node):
+    cls = node.__class__
+    k = len(cls._fields) - sum(f in _KEYWORD for f in cls._fields)
+    raise TypeError(f"{cls.__name__} takes the fields {cls._fields[:k]}, then the keywords {cls._fields[k:]}")
+
+
+def _init_1_0(p0):
+    def __init__(self, a, /, *, annot=None, loc=None):
+        if annot is not None or loc is not None:
+            _undeclared(self)
+        p0(self, a)
+
+    return __init__
+
+
+def _init_2_0(p0, p1):
+    def __init__(self, a, b, /, *, annot=None, loc=None):
+        if annot is not None or loc is not None:
+            _undeclared(self)
+        p0(self, a)
+        p1(self, b)
+
+    return __init__
+
+
+def _init_3_0(p0, p1, p2):
+    def __init__(self, a, b, c, /, *, annot=None, loc=None):
+        if annot is not None or loc is not None:
+            _undeclared(self)
+        p0(self, a)
+        p1(self, b)
+        p2(self, c)
+
+    return __init__
+
+
+def _init_4_0(p0, p1, p2, p3):
+    def __init__(self, a, b, c, d, /, *, annot=None, loc=None):
+        if annot is not None or loc is not None:
+            _undeclared(self)
+        p0(self, a)
+        p1(self, b)
+        p2(self, c)
+        p3(self, d)
+
+    return __init__
+
+
+def _init_5_0(p0, p1, p2, p3, p4):
+    def __init__(self, a, b, c, d, e, /, *, annot=None, loc=None):
+        if annot is not None or loc is not None:
+            _undeclared(self)
+        p0(self, a)
+        p1(self, b)
+        p2(self, c)
+        p3(self, d)
+        p4(self, e)
+
+    return __init__
+
+
+def _init_1_1(p0, pl):
+    def __init__(self, a, /, *, annot=None, loc=None):
+        if annot is not None:
+            _undeclared(self)
+        p0(self, a)
+        pl(self, loc)
+
+    return __init__
+
+
+def _init_2_1(p0, p1, pl):
+    def __init__(self, a, b, /, *, annot=None, loc=None):
+        if annot is not None:
+            _undeclared(self)
+        p0(self, a)
+        p1(self, b)
+        pl(self, loc)
+
+    return __init__
+
+
+def _init_1_2(p0, pa, pl):
+    def __init__(self, a, /, *, annot=None, loc=None):
+        p0(self, a)
+        pa(self, annot)
+        pl(self, loc)
+
+    return __init__
+
+
+def _init_2_2(p0, p1, pa, pl):
+    def __init__(self, a, b, /, *, annot=None, loc=None):
+        p0(self, a)
+        p1(self, b)
+        pa(self, annot)
+        pl(self, loc)
+
+    return __init__
+
+
+def _init_3_2(p0, p1, p2, pa, pl):
+    def __init__(self, a, b, c, /, *, annot=None, loc=None):
+        p0(self, a)
+        p1(self, b)
+        p2(self, c)
+        pa(self, annot)
+        pl(self, loc)
+
+    return __init__
+
+
+def _init_4_2(p0, p1, p2, p3, pa, pl):
+    def __init__(self, a, b, c, d, /, *, annot=None, loc=None):
+        p0(self, a)
+        p1(self, b)
+        p2(self, c)
+        p3(self, d)
+        pa(self, annot)
+        pl(self, loc)
+
+    return __init__
+
+
+_INITS = {
+    (1, 0): _init_1_0, (2, 0): _init_2_0, (3, 0): _init_3_0, (4, 0): _init_4_0, (5, 0): _init_5_0,
+    (1, 1): _init_1_1, (2, 1): _init_2_1,
+    (1, 2): _init_1_2, (2, 2): _init_2_2, (3, 2): _init_3_2, (4, 2): _init_4_2,
+}
 
 
 class Node:

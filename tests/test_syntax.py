@@ -761,10 +761,11 @@ class TestSubstitutionMemo:
     @pytest.mark.parametrize("group", ["batch", "corpus"])
     def test_replays_match_the_reference_and_the_second_hits(self, group):
         quoted = typing.get_args(syntax.IndexExpr) + typing.get_args(syntax.TypeExpr)
+        fired = fired_substitutions(group)  # first: it may elaborate, which fills the memo
         names._MEMO.clear()
         first, hits = [], 0
         for replay in range(2):
-            for k, (node, ns, m) in enumerate(fired_substitutions(group)):
+            for k, (node, ns, m) in enumerate(fired):
                 start = next(names._GENSYM)
                 names._GENSYM = itertools.count(start)
                 want, count = reference_subst(node, ns, m), next(names._GENSYM)
@@ -999,6 +1000,49 @@ def test_one_field_copy(cls):
         replace(node, no_such_field=1)
     with pytest.raises(TypeError):
         copier(cls, "no_such_field")
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda c: f"{c.__module__}.{c.__name__}")
+def test_constructor_contract(cls):
+    """The generated constructor (`_init`, which a class with its own
+    `__init__` calls) takes exactly the positional fields, then `annot` and
+    `loc` by keyword: one field more or fewer, a field by keyword, or a
+    non-None keyword the class has no slot for is a TypeError naming the
+    class; None is accepted for both keywords on every class."""
+
+    def build(*args, **kw):
+        new = object.__new__(cls)
+        cls._init(new, *args, **kw)
+        return new
+
+    positional = [(f,) for f in cls._fields if f not in _KEYWORD]
+    node = build(*positional, annot=None, loc=None)
+    assert [getattr(node, f) for f in cls._fields] == positional + [None] * (len(cls._fields) - len(positional))
+    if cls.__init__ is cls._init:
+        assert cls(*positional, annot=None, loc=None) == node
+    wrong = [((*positional, "extra"), {}), (positional[:-1], {})]
+    wrong += [(positional[:i], {f: positional[i]}) for i, f in enumerate(cls._fields[: len(positional)])]
+    wrong += [(positional, {kw: NUM}) for kw in _KEYWORD if kw not in cls._fields]
+    for args, kw in wrong:
+        with pytest.raises(TypeError, match=cls.__name__):
+            build(*args, **kw)
+
+
+def test_every_node_class_has_a_constructor_in_the_table():
+    """Each class's (positional fields, keywords) pair has a factory, and a
+    class that declares no `__init__` of its own is built by `_init`; a class
+    whose pair has none is not built."""
+    for cls in NODE_CLASSES:
+        n = sum(f in _KEYWORD for f in cls._fields)
+        assert (len(cls._fields) - n, n) in syntax._INITS, cls
+        assert cls._init.__qualname__ == f"{cls.__name__}.__init__"
+    # `Stuck` alone declares an `__init__` (with defaults), which calls `_init`.
+    assert {cls for cls in NODE_CLASSES if cls.__init__ is not cls._init} == {remora.eval.Stuck}
+    assert remora.eval.Stuck("internal") == remora.eval.Stuck("internal", None, "")
+    wide = {f"f{i}": int for i in range(6)}
+    with pytest.raises(TypeError, match="Wide"):
+        syntax.node("Wide", (), {"__annotations__": wide})
+    assert "Wide" not in {c.__name__ for c in syntax.Node.__subclasses__()}
 
 
 def test_repr_matches_the_former_dataclass_output():

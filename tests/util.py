@@ -28,6 +28,7 @@ from typing import Mapping, Optional, Union
 import pytest
 
 import remora.erase
+import remora.indices
 import remora.names
 from remora.check import EMPTY_ENV, elaborate
 from remora.erase import (
@@ -795,7 +796,12 @@ def oracle_programs(group: str) -> tuple:
 @functools.lru_cache(maxsize=None)
 def fired_substitutions(group: str) -> tuple:
     """(node, ns, m) of each call of `names.subst`, in order, that elaborating
-    the `batch` or `corpus` group and running it under `bisim_run` make."""
+    the `batch` or `corpus` group and running it under `bisim_run` make.
+
+    The programs `bisim_run` takes are elaborated before recording starts, and
+    the calls are recorded from an empty substitution memo and empty `indices`
+    caches, so which nodes they share does not depend on what ran before."""
+    programs = oracle_programs(group)
     calls = []
     real = remora.names.subst
 
@@ -803,12 +809,15 @@ def fired_substitutions(group: str) -> tuple:
         calls.append((node, ns, m))
         return real(node, ns, m)
 
+    for cached in (remora.indices.canonicalize_dim, remora.indices.canonicalize_shape, remora.indices.normalize_tag):
+        cached.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(remora.names, "_MEMO", {})
         mp.setattr(remora.names, "subst", recording)
         mp.setattr(remora.erase, "subst", recording)
         for p in _group_sources(group):
             elaborate(EMPTY_ENV, SIGNATURE, p)
-        for t in oracle_programs(group):
+        for t in programs:
             remora.erase.bisim_run(t)
     return tuple(calls)
 
